@@ -207,7 +207,7 @@ func must2[A any, B any](a A, b B, err error) A {
 // ---------------------------------------------------------------- E2/E3/E10
 
 func tableOps() {
-	fmt.Println("== E2/E3/E10: per-operation wall time, n=5 t=2 (math/big substrate) ==")
+	fmt.Printf("== E2/E3/E10: per-operation wall time, n=5 t=2 (%s substrate) ==\n", bn254.Substrate)
 	msg := []byte("ops probe")
 	iters := 5
 
@@ -540,7 +540,7 @@ func tableBias() {
 // ---------------------------------------------------------------- E12
 
 func tablePrims() {
-	fmt.Println("== E12: pairing-substrate microbenchmarks (math/big implementation) ==")
+	fmt.Printf("== E12: pairing-substrate microbenchmarks (%s field) ==\n", bn254.Substrate)
 	p := bn254.G1Generator()
 	q := bn254.G2Generator()
 	k := must(bn254.RandScalar(rand.Reader))
@@ -580,15 +580,28 @@ type benchResult struct {
 // document per suite, committed at the repo root so successive runs can
 // be diffed.
 type benchDoc struct {
-	Schema    string        `json:"schema"`
-	Suite     string        `json:"suite"`
-	Substrate string        `json:"substrate"`
-	GoVersion string        `json:"go_version"`
-	GoOS      string        `json:"go_os"`
-	GoArch    string        `json:"go_arch"`
-	N         int           `json:"n"`
-	T         int           `json:"t"`
-	Results   []benchResult `json:"results"`
+	Schema     string        `json:"schema"`
+	Suite      string        `json:"suite"`
+	Substrate  string        `json:"substrate"`
+	NProc      int           `json:"nproc"`
+	GOMAXPROCS int           `json:"gomaxprocs"`
+	GoVersion  string        `json:"go_version"`
+	GoOS       string        `json:"go_os"`
+	GoArch     string        `json:"go_arch"`
+	N          int           `json:"n"`
+	T          int           `json:"t"`
+	Results    []benchResult `json:"results"`
+}
+
+// newBenchDoc starts a suite's document with the facts without which two
+// documents cannot be compared: the field substrate and the host.
+func newBenchDoc(suite string, n, t int) benchDoc {
+	return benchDoc{
+		Schema: "tsig-bench/v1", Suite: suite, Substrate: bn254.Substrate,
+		NProc: runtime.NumCPU(), GOMAXPROCS: runtime.GOMAXPROCS(0),
+		GoVersion: runtime.Version(), GoOS: runtime.GOOS, GoArch: runtime.GOARCH,
+		N: n, T: t,
+	}
 }
 
 // writeBenchJSON measures the core benchmark families — the same
@@ -626,11 +639,7 @@ func writeBenchJSON(path string) error {
 		return err
 	}
 
-	doc := benchDoc{
-		Schema: "tsig-bench/v1", Suite: "core", Substrate: "math/big",
-		GoVersion: runtime.Version(), GoOS: runtime.GOOS, GoArch: runtime.GOARCH,
-		N: n, T: t,
-	}
+	doc := newBenchDoc("core", n, t)
 	measure := func(name string, it int, fn func()) {
 		it = iters(it)
 		doc.Results = append(doc.Results, benchResult{

@@ -15,7 +15,6 @@ import (
 	"log/slog"
 	"net"
 	"net/http"
-	"runtime"
 	"sync"
 	"time"
 
@@ -92,11 +91,7 @@ func writeServiceBenchJSON(path string) error {
 	cli := &client.Client{BaseURL: fleet.coordURL}
 	ctx := context.Background()
 
-	doc := benchDoc{
-		Schema: "tsig-bench/v1", Suite: "service", Substrate: "math/big",
-		GoVersion: runtime.Version(), GoOS: runtime.GOOS, GoArch: runtime.GOARCH,
-		N: n, T: t,
-	}
+	doc := newBenchDoc("service", n, t)
 	record := func(name string, d time.Duration, iters int) {
 		doc.Results = append(doc.Results, benchResult{
 			Name: name, NsPerOp: float64(d.Nanoseconds()) / float64(iters), Iters: iters,

@@ -1,0 +1,124 @@
+package bn254
+
+import (
+	"go/parser"
+	"go/token"
+	"math/big"
+	"os"
+	"path/filepath"
+	"strconv"
+	"strings"
+	"testing"
+)
+
+// The field and everything built on it up to the Miller loop works on
+// value types and must not touch the heap.
+func TestZeroAllocations(t *testing.T) {
+	var x, y fp
+	x.SetInt64(1234567)
+	y.SetInt64(7654321)
+	a2 := fp2{x, y}
+	b2 := fp2{y, x}
+	e := Pair(G1Generator(), G2Generator())
+	a12, b12 := e.v, e.v
+	b12.Square(&b12)
+
+	g := G1Generator()
+	var jac jacG1
+	jac.fromAffine(g)
+	jac.double(&jac)
+
+	p := new(G1).ScalarBaseMult(big.NewInt(99))
+	pre := PrecomputeG2(G2Generator())
+	var f fp12
+
+	for _, tc := range []struct {
+		name string
+		fn   func()
+	}{
+		{"fp.Mul", func() { x.Mul(&x, &y) }},
+		{"fp.Square", func() { x.Square(&x) }},
+		{"fp.Add/Sub/Neg/Double", func() { x.Add(&x, &y); x.Sub(&x, &y); x.Neg(&x); x.Double(&x) }},
+		{"fp.Inverse", func() { y.Inverse(&y) }},
+		{"fp.Sqrt", func() { y.Sqrt(&x) }},
+		{"fp.Bytes/SetBytes", func() { b := x.Bytes(); y.SetBytes(b[:]) }},
+		{"fp2.Mul", func() { a2.Mul(&a2, &b2) }},
+		{"fp2.Square", func() { a2.Square(&a2) }},
+		{"fp2.Inverse", func() { b2.Inverse(&b2) }},
+		{"fp12.Mul", func() { a12.Mul(&a12, &b12) }},
+		{"fp12.Square", func() { a12.Square(&a12) }},
+		{"fp12.cyclotomicSquare", func() { b12.cyclotomicSquare(&b12) }},
+		{"jacG1.double", func() { jac.double(&jac) }},
+		{"jacG1.addMixed", func() { jac.addMixed(&jac, g) }},
+		{"MillerLoopFixed", func() { f.SetOne(); MillerLoopFixed(p, pre, &f) }},
+		{"miller (fresh G2 argument)", func() { f.SetOne(); miller(p, g2Gen, &f) }},
+		{"finalExponentiation", func() { finalExponentiation(&f, &a12) }},
+	} {
+		if n := testing.AllocsPerRun(10, tc.fn); n != 0 {
+			t.Errorf("%s: %v allocs/op, want 0", tc.name, n)
+		}
+	}
+	// A pairing allocates its result and nothing else.
+	if n := testing.AllocsPerRun(5, func() { Pair(p, g2Gen) }); n != 1 {
+		t.Errorf("Pair: %v allocs/op, want 1 (the returned GT)", n)
+	}
+}
+
+// math/big may appear in this package only where a scalar or exponent
+// crosses the exported API, or a constant is derived at init — never in
+// the field tower, the curve arithmetic or the pairing.
+func TestMathBigStaysAtTheBoundary(t *testing.T) {
+	allowed := map[string]string{
+		"constants.go":  "p, r and the pairing exponents are derived from u at init",
+		"fp.go":         "SetBig, String; initField",
+		"bigexp.go":     "Fp2/Fp12/cyclotomic exponentiation by *big.Int exponents, NAF digits",
+		"scalarmult.go": "the scalar ladders",
+		"scalar.go":     "RandScalar, HashToScalar",
+		"g1.go":         "ScalarMult, MultiScalarMultG1",
+		"g2.go":         "ScalarMult, MultiScalarMultG2",
+		"gt.go":         "Exp",
+		"msm.go":        "G1MSM",
+		"fixedbase.go":  "FixedBase ScalarMult, CommitG2",
+	}
+	files, err := filepath.Glob("*.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	seen := map[string]bool{}
+	for _, name := range files {
+		if strings.HasSuffix(name, "_test.go") {
+			continue
+		}
+		src, err := os.ReadFile(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		f, err := parser.ParseFile(token.NewFileSet(), name, src, parser.ImportsOnly)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, imp := range f.Imports {
+			path, _ := strconv.Unquote(imp.Path.Value)
+			switch path {
+			case "math/big":
+				seen[name] = true
+				if _, ok := allowed[name]; !ok {
+					t.Errorf("%s imports math/big: field, tower, curve and pairing arithmetic must stay on limbs", name)
+				}
+			case "unsafe":
+				t.Errorf("%s imports unsafe", name)
+			}
+		}
+		if strings.Contains(string(src), "//go:build") || strings.Contains(string(src), "// +build") {
+			t.Errorf("%s carries a build tag: there is one field implementation", name)
+		}
+	}
+	for name := range allowed {
+		if !seen[name] {
+			t.Errorf("%s no longer imports math/big: drop it from the allow-list", name)
+		}
+	}
+	if asm, _ := filepath.Glob("*.s"); len(asm) != 0 {
+		t.Errorf("assembly files in the package: %v", asm)
+	}
+}

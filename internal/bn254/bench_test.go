@@ -5,13 +5,15 @@ import (
 	"fmt"
 	"math/big"
 	"testing"
+	"time"
 )
 
-// Ablation benchmarks for the design choices documented in DESIGN.md:
-// Jacobian windowed ladders vs affine double-and-add, sparse line
-// multiplication vs generic fp12 multiplication, the Fuentes-Castaneda
-// hard part vs the naive square-and-multiply exponent, and Granger-Scott
-// cyclotomic squaring vs generic squaring.
+// Ablation benchmarks for the design choices documented in docs/PERF.md.
+// Each benchmark times its variants round-robin — one call of every
+// variant per iteration — and reports one metric per variant. The
+// reference box changes speed by half from one ten-second stretch to the
+// next, so variants timed one after the other cannot be compared;
+// interleaved, they see the same weather.
 
 func benchScalar(b *testing.B) *big.Int {
 	b.Helper()
@@ -22,29 +24,43 @@ func benchScalar(b *testing.B) *big.Int {
 	return k
 }
 
+type variant struct {
+	name string
+	fn   func()
+}
+
+// interleave runs every variant once per iteration and reports each one's
+// mean as "<name>-us/op".
+func interleave(b *testing.B, variants ...variant) {
+	b.Helper()
+	total := make([]time.Duration, len(variants))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for j, v := range variants {
+			start := time.Now()
+			v.fn()
+			total[j] += time.Since(start)
+		}
+	}
+	b.ReportMetric(0, "ns/op") // the sum over variants means nothing
+	for j, v := range variants {
+		b.ReportMetric(float64(total[j].Nanoseconds())/1e3/float64(b.N), v.name+"-us/op")
+	}
+}
+
 func BenchmarkAblationScalarMult(b *testing.B) {
 	k := benchScalar(b)
 	p := G1Generator()
 	q := G2Generator()
-	b.Run("G1/jacobian-window", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			scalarMultJacG1(p, k)
-		}
+	b.Run("G1", func(b *testing.B) {
+		interleave(b,
+			variant{"jacobian-window", func() { scalarMultJacG1(p, k) }},
+			variant{"affine-binary", func() { scalarMultAffineG1(p, k) }})
 	})
-	b.Run("G1/affine-binary", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			scalarMultAffineG1(p, k)
-		}
-	})
-	b.Run("G2/jacobian-window", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			scalarMultJacG2(q, k)
-		}
-	})
-	b.Run("G2/affine-binary", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			scalarMultAffineG2(q, k)
-		}
+	b.Run("G2", func(b *testing.B) {
+		interleave(b,
+			variant{"jacobian-window", func() { scalarMultJacG2(q, k) }},
+			variant{"affine-binary", func() { scalarMultAffineG2(q, k) }})
 	})
 }
 
@@ -64,52 +80,122 @@ func BenchmarkAblationLineMul(b *testing.B) {
 	l.a1.c0.SetBig(k1)
 	l.a3.c1.SetBig(k1)
 
-	b.Run("sparse", func(b *testing.B) {
-		g := new(fp12).Set(&f)
-		for i := 0; i < b.N; i++ {
-			mulByLine(g, &l)
-		}
-	})
-	b.Run("generic", func(b *testing.B) {
-		g := new(fp12).Set(&f)
-		var lf fp12
-		for i := 0; i < b.N; i++ {
-			l.asFp12(&lf)
-			g.Mul(g, &lf)
-		}
-	})
+	g, h := f, f
+	var lf fp12
+	interleave(b,
+		variant{"sparse", func() { mulByLine(&g, &l) }},
+		variant{"generic", func() { l.asFp12(&lf); h.Mul(&h, &lf) }})
 }
 
 func BenchmarkAblationFinalExp(b *testing.B) {
-	var f fp12
+	var f, out fp12
 	f.SetOne()
 	miller(G1Generator(), G2Generator(), &f)
-	b.Run("fuentes-castaneda", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			finalExponentiation(&f)
-		}
-	})
-	b.Run("naive-exponent", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			finalExponentiationNaive(&f)
-		}
-	})
+	interleave(b,
+		variant{"fuentes-castaneda", func() { finalExponentiation(&out, &f) }},
+		variant{"naive-exponent", func() { finalExponentiationNaive(&f) }})
 }
 
 func BenchmarkAblationCyclotomicSquare(b *testing.B) {
 	e := Pair(G1Generator(), G2Generator())
-	b.Run("granger-scott", func(b *testing.B) {
-		x := new(fp12).Set(&e.v)
-		for i := 0; i < b.N; i++ {
-			x.cyclotomicSquare(x)
+	x, y := e.v, e.v
+	interleave(b,
+		variant{"granger-scott", func() { x.cyclotomicSquare(&x) }},
+		variant{"generic", func() { y.Square(&y) }})
+}
+
+func BenchmarkAblationFixedBase(b *testing.B) {
+	g := G2Generator()
+	h := HashToG2("bench/fixedbase", nil)
+	fg := NewFixedBaseG2(g)
+	fh := NewFixedBaseG2(h)
+	a := benchScalar(b)
+	c := benchScalar(b)
+	interleave(b,
+		variant{"fixed-base-tables", func() { CommitG2(fg, fh, a, c) }},
+		variant{"strauss-multiscalar", func() {
+			if _, err := MultiScalarMultG2([]*G2{g, h}, []*big.Int{a, c}); err != nil {
+				b.Fatal(err)
+			}
+		}},
+		variant{"table-build", func() { NewFixedBaseG2(h) }})
+}
+
+func BenchmarkAblationMillerLoop(b *testing.B) {
+	p := G1Generator()
+	q := G2Generator()
+	pre := PrecomputeG2(q)
+	var f fp12
+	interleave(b,
+		variant{"fresh-g2-arithmetic", func() { f.SetOne(); miller(p, q, &f) }},
+		variant{"fixed-precomputed-lines", func() { f.SetOne(); MillerLoopFixed(p, pre, &f) }},
+		variant{"affine-reference", func() { f.SetOne(); millerAffine(p, q, &f) }},
+		variant{"table-build", func() { PrecomputeG2(q) }},
+		variant{"table-build-affine", func() { linesAffine(q) }})
+}
+
+func BenchmarkAblationMultiPair(b *testing.B) {
+	// The scheme's Verify relation is a 4-slot product; 8 and 16 slots
+	// model share batches. "one-chain" is the product loop on fixed
+	// tables; "serial-fresh" is one independent Miller loop per slot with
+	// no table. Both end in one final exponentiation.
+	for _, k := range []int{4, 8, 16} {
+		ps := make([]*G1, k)
+		qs := make([]*G2, k)
+		slots := make([]*PairingSlot, k)
+		for i := range ps {
+			ps[i] = new(G1).ScalarMult(G1Generator(), big.NewInt(int64(i+2)))
+			qs[i] = new(G2).ScalarMult(G2Generator(), big.NewInt(int64(2*i+3)))
+			slots[i] = &PairingSlot{P: ps[i], Pre: PrecomputeG2(qs[i])}
 		}
-	})
-	b.Run("generic", func(b *testing.B) {
-		x := new(fp12).Set(&e.v)
-		for i := 0; i < b.N; i++ {
-			x.Square(x)
+		var f fp12
+		b.Run(fmt.Sprintf("k=%d", k), func(b *testing.B) {
+			interleave(b,
+				variant{"one-chain", func() {
+					f.SetOne()
+					if err := millerProduct(slots, &f); err != nil {
+						b.Fatal(err)
+					}
+					finalExponentiation(&f, &f)
+				}},
+				variant{"serial-fresh", func() {
+					f.SetOne()
+					for j := range ps {
+						miller(ps[j], qs[j], &f)
+					}
+					finalExponentiation(&f, &f)
+				}})
+		})
+	}
+}
+
+// BenchmarkAblationMSM is the table behind pippengerThreshold and
+// pippengerWindow: the Strauss ladder, the bucket method at every window
+// width around the ones pippengerWindow picks, and (for small n) the
+// per-term ScalarMult+Add sum.
+func BenchmarkAblationMSM(b *testing.B) {
+	for _, n := range []int{3, 8, 16, 32, 48, 64, 96, 128, 256, 512, 1024} {
+		points := make([]*G1, n)
+		scalars := make([]*big.Int, n)
+		for i := range points {
+			points[i] = HashToG1("bench/msm", []byte{byte(i), byte(i >> 8)})
+			scalars[i] = benchScalar(b)
 		}
-	})
+		maxBits := Order.BitLen()
+		variants := []variant{{"strauss", func() { msmStrauss(points, scalars, maxBits) }}}
+		for c := 3; c <= 9; c++ {
+			variants = append(variants, variant{fmt.Sprintf("pippenger-c%d", c), func() { msmPippengerWindow(points, scalars, maxBits, c) }})
+		}
+		if n <= 32 {
+			variants = append(variants, variant{"naive", func() {
+				acc := new(G1)
+				for j := range points {
+					acc.Add(acc, new(G1).ScalarMult(points[j], scalars[j]))
+				}
+			}})
+		}
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) { interleave(b, variants...) })
+	}
 }
 
 func BenchmarkMillerLoop(b *testing.B) {
@@ -127,9 +213,10 @@ func BenchmarkFinalExponentiation(b *testing.B) {
 	var f fp12
 	f.SetOne()
 	miller(G1Generator(), G2Generator(), &f)
+	var out fp12
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		finalExponentiation(&f)
+		finalExponentiation(&out, &f)
 	}
 }
 
@@ -153,106 +240,69 @@ func BenchmarkFpInverse(b *testing.B) {
 	}
 }
 
-func BenchmarkAblationFixedBase(b *testing.B) {
-	g := G2Generator()
-	h := HashToG2("bench/fixedbase", nil)
-	fg := NewFixedBaseG2(g)
-	fh := NewFixedBaseG2(h)
-	a := benchScalar(b)
-	c := benchScalar(b)
-	b.Run("commit/fixed-base-tables", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			CommitG2(fg, fh, a, c)
-		}
-	})
-	b.Run("commit/strauss-multiscalar", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := MultiScalarMultG2([]*G2{g, h}, []*big.Int{a, c}); err != nil {
-				b.Fatal(err)
+// BenchmarkFpOps times the field primitives, the limb field interleaved
+// with the big.Int oracle it replaced.
+func BenchmarkFpOps(b *testing.B) {
+	k0, _ := rand.Int(rand.Reader, P)
+	k1, _ := rand.Int(rand.Reader, P)
+	var x, y fp
+	x.SetBig(k0)
+	y.SetBig(k1)
+	var ox, oy fpOracle
+	ox.SetBig(k0)
+	oy.SetBig(k1)
+	a2, b2 := fp2{x, y}, fp2{y, x}
+	// Sixteen calls per timed slice: one call is shorter than reading the
+	// clock.
+	x16 := func(fn func()) func() {
+		return func() {
+			for i := 0; i < 16; i++ {
+				fn()
 			}
 		}
-	})
-}
-
-func BenchmarkAblationMillerLoop(b *testing.B) {
-	p := G1Generator()
-	q := G2Generator()
-	pre := PrecomputeG2(q)
-	b.Run("fresh-g2-arithmetic", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			var f fp12
-			f.SetOne()
-			miller(p, q, &f)
-		}
-	})
-	b.Run("fixed-precomputed-lines", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			var f fp12
-			f.SetOne()
-			MillerLoopFixed(p, pre, &f)
-		}
-	})
-}
-
-func BenchmarkAblationMultiPair(b *testing.B) {
-	// The scheme's Verify relation is a 4-slot product; 8 slots models a
-	// small share batch. Serial runs the same mixed slots on one
-	// goroutine, isolating what the parallel merge buys.
-	for _, k := range []int{4, 8} {
-		ps := make([]*G1, k)
-		qs := make([]*G2, k)
-		slots := make([]*PairingSlot, k)
-		for i := range ps {
-			ps[i] = new(G1).ScalarMult(G1Generator(), big.NewInt(int64(i+2)))
-			qs[i] = new(G2).ScalarMult(G2Generator(), big.NewInt(int64(2*i+3)))
-			slots[i] = &PairingSlot{P: ps[i], Pre: PrecomputeG2(qs[i])}
-		}
-		b.Run(fmt.Sprintf("k=%d/parallel-fixed", k), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := MultiPairMixed(slots); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-		b.Run(fmt.Sprintf("k=%d/serial-fresh", k), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				var f fp12
-				f.SetOne()
-				for j := range ps {
-					miller(ps[j], qs[j], &f)
-				}
-				finalExponentiation(&f)
-			}
-		})
 	}
+	b.Run("mul-x16", func(b *testing.B) {
+		interleave(b,
+			variant{"limbs", x16(func() { x.Mul(&x, &y) })},
+			variant{"big.Int", x16(func() { ox.Mul(&ox, &oy) })})
+	})
+	b.Run("add-x16", func(b *testing.B) {
+		interleave(b,
+			variant{"limbs", x16(func() { x.Add(&x, &y) })},
+			variant{"big.Int", x16(func() { ox.Add(&ox, &oy) })})
+	})
+	b.Run("inverse", func(b *testing.B) {
+		interleave(b,
+			variant{"limbs", func() { x.Inverse(&y) }},
+			variant{"big.Int", func() { ox.Inverse(&oy) }})
+	})
+	b.Run("sqrt", func(b *testing.B) {
+		interleave(b,
+			variant{"limbs", func() { x.Sqrt(&y) }},
+			variant{"big.Int", func() { ox.Sqrt(&oy) }})
+	})
+	b.Run("fp2-x16", func(b *testing.B) {
+		interleave(b,
+			variant{"mul", x16(func() { a2.Mul(&a2, &b2) })},
+			variant{"square", x16(func() { a2.Square(&a2) })})
+	})
 }
 
-func BenchmarkAblationMSM(b *testing.B) {
-	for _, n := range []int{8, 32, 128} {
-		points := make([]*G1, n)
-		scalars := make([]*big.Int, n)
-		for i := range points {
-			points[i] = new(G1).ScalarMult(G1Generator(), big.NewInt(int64(i+2)))
-			scalars[i] = benchScalar(b)
-		}
-		maxBits := Order.BitLen()
-		b.Run(fmt.Sprintf("n=%d/pippenger", n), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				msmPippenger(points, scalars, maxBits)
-			}
-		})
-		b.Run(fmt.Sprintf("n=%d/strauss", n), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				msmStrauss(points, scalars, maxBits)
-			}
-		})
-		b.Run(fmt.Sprintf("n=%d/naive", n), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				acc := new(G1)
-				for j := range points {
-					acc.Add(acc, new(G1).ScalarMult(points[j], scalars[j]))
-				}
-			}
+// BenchmarkAblationLadder is the table behind shortScalarBitsG1/G2: the
+// windowed ladder (a table made affine with one inversion) against plain
+// double-and-add, by scalar length.
+func BenchmarkAblationLadder(b *testing.B) {
+	p := HashToG1("bench/ladder", nil)
+	q := HashToG2("bench/ladder", nil)
+	for _, bits := range []int{5, 32, 64, 96, 128, 160, 192, 254} {
+		k := new(big.Int).Rsh(benchScalar(b), uint(254-bits))
+		k.SetBit(k, bits-1, 1)
+		b.Run(fmt.Sprintf("bits=%d", bits), func(b *testing.B) {
+			interleave(b,
+				variant{"G1-window", func() { scalarMultWindowG1(p, k) }},
+				variant{"G1-binary", func() { scalarMultBinaryG1(p, k) }},
+				variant{"G2-window", func() { scalarMultWindowG2(q, k) }},
+				variant{"G2-binary", func() { scalarMultBinaryG2(q, k) }})
 		})
 	}
 }

@@ -15,14 +15,25 @@
 //
 // Every derived constant (Frobenius coefficients, twist cofactor, final
 // exponentiation exponents, the G2 generator) is computed at package init
-// from u alone, so there are no long magic constants to mistype. The
-// implementation favours auditability over raw speed: field arithmetic uses
-// math/big, mirroring the original golang.org/x/crypto/bn256 design.
+// from u alone, so there are no long magic constants to mistype; the few
+// that the field arithmetic needs as compile-time constants (the limbs of
+// p and -1/p mod 2^64) are checked against the derived values at init.
+//
+// Fp is a fixed-width Montgomery field: four 64-bit limbs on math/bits,
+// value types on the stack, no allocation and no data-dependent branch
+// from fp.Mul up through the Miller loop (fp.go). math/big appears only
+// where a scalar or an exponent crosses the exported API and where the
+// constants below are derived; Substrate names the representation for the
+// benchmark documents.
 package bn254
 
 import (
 	"math/big"
 )
+
+// Substrate names the field arithmetic under this package, as recorded in
+// BENCH_core.json and BENCH_service.json.
+const Substrate = "montgomery-4x64"
 
 var (
 	// u is the BN parameter.
@@ -36,6 +47,19 @@ var (
 
 	// sixUPlus2 is the Miller loop length of the optimal ate pairing.
 	sixUPlus2 *big.Int
+
+	// sixUPlus2NAF is the signed-digit schedule of the Miller loop, least
+	// significant digit first: the NAF of 6u+2 has 22 nonzero digits
+	// against 37 set bits in binary, and a negative digit costs the same
+	// as a positive one (the line through (T, -Q) instead of (T, Q)). The
+	// dropped vertical-line factors lie in Fp6 and are killed by the final
+	// exponentiation, so pairing values are unchanged. The fixed-argument
+	// tables (PrecomputeG2) record lines in exactly this schedule.
+	sixUPlus2NAF []int8
+
+	// uNAF is the NAF of u, the exponent of the three cyclotomic
+	// exponentiations in the hard part of the final exponentiation.
+	uNAF []int8
 
 	// twistCofactor is #E'(Fp2)/r = 2p - r = p - 1 + t.
 	twistCofactor *big.Int
@@ -56,6 +80,9 @@ var (
 
 	// bG1 = 3, the constant of E(Fp).
 	bG1 fp
+
+	// fpHalf = 1/2, for the complex square root in Fp2.
+	fpHalf fp
 
 	// bTwist = 3/xi, the constant of the sextic twist E'(Fp2).
 	bTwist fp2
@@ -79,6 +106,7 @@ var (
 
 func init() {
 	initScalars()
+	initField()
 	initTowerConstants()
 	initGenerators()
 }
@@ -110,6 +138,8 @@ func initScalars() {
 
 	sixUPlus2 = new(big.Int).Mul(u, big.NewInt(6))
 	sixUPlus2.Add(sixUPlus2, big.NewInt(2))
+	sixUPlus2NAF = nafDigits(sixUPlus2)
+	uNAF = nafDigits(u)
 
 	// #E'(Fp2) = r * (2p - r), so the twist cofactor is 2p - r.
 	twistCofactor = new(big.Int).Lsh(P, 1)
@@ -135,6 +165,8 @@ func initTowerConstants() {
 	xi.c1.SetInt64(1)
 
 	bG1.SetInt64(3)
+	fpHalf.SetInt64(2)
+	fpHalf.Inverse(&fpHalf)
 
 	var xiInv fp2
 	xiInv.Inverse(&xi)
@@ -167,12 +199,11 @@ func initGenerators() {
 	if !g1Gen.isOnCurve() {
 		panic("bn254: (1,2) is not on E(Fp)")
 	}
-	var chk G1
-	chk.ScalarMult(g1Gen, Order)
-	if !chk.IsInfinity() {
+	// The raw ladders: ScalarMult would reduce r to zero first.
+	if !scalarMultJacG1(g1Gen, Order).IsInfinity() {
 		panic("bn254: G1 generator does not have order r")
 	}
-	if chk.Double(g1Gen); chk.IsInfinity() {
+	if new(G1).Double(g1Gen).IsInfinity() {
 		panic("bn254: G1 generator degenerate")
 	}
 
@@ -180,9 +211,7 @@ func initGenerators() {
 	if g2Gen.IsInfinity() {
 		panic("bn254: failed to derive G2 generator")
 	}
-	var chk2 G2
-	chk2.ScalarMult(g2Gen, Order)
-	if !chk2.IsInfinity() {
+	if !g2Gen.inSubgroup() {
 		panic("bn254: G2 generator does not have order r")
 	}
 

@@ -1,7 +1,5 @@
 package bn254
 
-import "math/big"
-
 // Cyclotomic-subgroup arithmetic. After the easy part of the final
 // exponentiation, f lies in the cyclotomic subgroup G_{Phi_12}(p) of
 // Fp12*, where the Granger-Scott compressed squaring applies: nine fp2
@@ -76,41 +74,12 @@ func (z *fp12) cyclotomicSquare(x *fp12) *fp12 {
 	return z
 }
 
-// nafDigits returns the non-adjacent form of a non-negative exponent,
-// least significant digit first: e = sum d_i 2^i with d_i in {-1, 0, 1}
-// and no two adjacent digits nonzero. NAF has the minimum weight of any
-// signed-digit form (~1/3 of the length versus ~1/2 of the bits set), so
-// exponentiations whose inversion is cheap — conjugation in the
-// cyclotomic subgroup, negation on the twist — save a third of their
-// multiplications.
-func nafDigits(e *big.Int) []int8 {
-	n := new(big.Int).Set(e)
-	one := big.NewInt(1)
-	digits := make([]int8, 0, e.BitLen()+1)
-	for n.Sign() > 0 {
-		if n.Bit(0) == 0 {
-			digits = append(digits, 0)
-		} else if n.Bit(1) == 0 {
-			// n = 1 mod 4: take +1.
-			digits = append(digits, 1)
-			n.Sub(n, one)
-		} else {
-			// n = 3 mod 4: take -1 and carry.
-			digits = append(digits, -1)
-			n.Add(n, one)
-		}
-		n.Rsh(n, 1)
-	}
-	return digits
-}
-
-// cyclotomicExp sets z = x^e for x in the cyclotomic subgroup and a
-// non-negative exponent, using compressed squarings and the NAF of the
-// exponent: inversion in the cyclotomic subgroup is conjugation, so the
-// negative digits cost the same as positive ones and the multiplication
-// count drops by about a third versus the binary ladder.
-func (z *fp12) cyclotomicExp(x *fp12, e *big.Int) *fp12 {
-	naf := nafDigits(e)
+// cyclotomicExpNAF sets z = x^e for x in the cyclotomic subgroup, e given
+// by its NAF digits (least significant first), using compressed squarings:
+// inversion in the cyclotomic subgroup is conjugation, so the negative
+// digits cost the same as positive ones and the multiplication count drops
+// by about a third versus the binary ladder.
+func (z *fp12) cyclotomicExpNAF(x *fp12, naf []int8) *fp12 {
 	var base, conj fp12
 	base.Set(x)
 	conj.Conjugate(x)

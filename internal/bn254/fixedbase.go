@@ -27,20 +27,36 @@ type FixedBaseG2 struct {
 }
 
 // NewFixedBaseG2 precomputes the tables for base (~1200 group operations,
-// amortized across every later multiplication).
+// amortized across every later multiplication). All of them run in
+// Jacobian coordinates; two batch inversions — one for the 64 window
+// bases 16^i * base, one for the 960 table entries — make them affine.
 func NewFixedBaseG2(base *G2) *FixedBaseG2 {
 	f := &FixedBaseG2{base: new(G2).Set(base)}
-	var window G2
-	window.Set(base)
-	for i := 0; i < fixedWindows; i++ {
-		f.table[i][0].Set(&window)
-		for d := 1; d < len(f.table[i]); d++ {
-			f.table[i][d].Add(&f.table[i][d-1], &window)
-		}
-		// window <- 16 * window for the next digit position.
+	if base.IsInfinity() {
+		return f
+	}
+	const n = len(f.table[0])
+	scratch := make([]fp2, 2*n*fixedWindows)
+
+	var windowsJac [fixedWindows]jacG2
+	var windows [fixedWindows]G2
+	windowsJac[0].fromAffine(base)
+	for i := 1; i < fixedWindows; i++ {
+		windowsJac[i] = windowsJac[i-1]
 		for s := 0; s < fixedWindowBits; s++ {
-			window.Double(&window)
+			windowsJac[i].double(&windowsJac[i])
 		}
+	}
+	batchToAffineG2(windows[:], windowsJac[:], scratch)
+
+	jac := make([]jacG2, n*fixedWindows)
+	for i := range windows {
+		multiplesG2(jac[n*i:n*(i+1)], &windows[i])
+	}
+	flat := make([]G2, len(jac))
+	batchToAffineG2(flat, jac, scratch)
+	for i := range f.table {
+		copy(f.table[i][:], flat[n*i:])
 	}
 	return f
 }
@@ -51,11 +67,7 @@ func (f *FixedBaseG2) Base() *G2 { return new(G2).Set(f.base) }
 // accumulate adds k*base into the Jacobian accumulator.
 func (f *FixedBaseG2) accumulate(acc *jacG2, k *big.Int) {
 	for i := 0; i < fixedWindows; i++ {
-		digit := 0
-		for d := fixedWindowBits - 1; d >= 0; d-- {
-			digit = digit<<1 | int(k.Bit(i*fixedWindowBits+d))
-		}
-		if digit != 0 {
+		if digit := scalarDigit(k, i*fixedWindowBits, fixedWindowBits); digit != 0 {
 			acc.addMixed(acc, &f.table[i][digit-1])
 		}
 	}
@@ -92,19 +104,34 @@ type FixedBaseG1 struct {
 	table [fixedWindows][1<<fixedWindowBits - 1]G1
 }
 
-// NewFixedBaseG1 precomputes the tables for base.
+// NewFixedBaseG1 precomputes the tables for base (see NewFixedBaseG2).
 func NewFixedBaseG1(base *G1) *FixedBaseG1 {
 	f := &FixedBaseG1{base: new(G1).Set(base)}
-	var window G1
-	window.Set(base)
-	for i := 0; i < fixedWindows; i++ {
-		f.table[i][0].Set(&window)
-		for d := 1; d < len(f.table[i]); d++ {
-			f.table[i][d].Add(&f.table[i][d-1], &window)
-		}
+	if base.IsInfinity() {
+		return f
+	}
+	const n = len(f.table[0])
+	scratch := make([]fp, 2*n*fixedWindows)
+
+	var windowsJac [fixedWindows]jacG1
+	var windows [fixedWindows]G1
+	windowsJac[0].fromAffine(base)
+	for i := 1; i < fixedWindows; i++ {
+		windowsJac[i] = windowsJac[i-1]
 		for s := 0; s < fixedWindowBits; s++ {
-			window.Double(&window)
+			windowsJac[i].double(&windowsJac[i])
 		}
+	}
+	batchToAffineG1(windows[:], windowsJac[:], scratch)
+
+	jac := make([]jacG1, n*fixedWindows)
+	for i := range windows {
+		multiplesG1(jac[n*i:n*(i+1)], &windows[i])
+	}
+	flat := make([]G1, len(jac))
+	batchToAffineG1(flat, jac, scratch)
+	for i := range f.table {
+		copy(f.table[i][:], flat[n*i:])
 	}
 	return f
 }
@@ -114,11 +141,7 @@ func (f *FixedBaseG1) Base() *G1 { return new(G1).Set(f.base) }
 
 func (f *FixedBaseG1) accumulate(acc *jacG1, k *big.Int) {
 	for i := 0; i < fixedWindows; i++ {
-		digit := 0
-		for d := fixedWindowBits - 1; d >= 0; d-- {
-			digit = digit<<1 | int(k.Bit(i*fixedWindowBits+d))
-		}
-		if digit != 0 {
+		if digit := scalarDigit(k, i*fixedWindowBits, fixedWindowBits); digit != 0 {
 			acc.addMixed(acc, &f.table[i][digit-1])
 		}
 	}

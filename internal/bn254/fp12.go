@@ -1,7 +1,5 @@
 package bn254
 
-import "math/big"
-
 // fp12 is an element c0 + c1*w of Fp12 = Fp6[w]/(w^2 - v). In the flat
 // basis {1, w, w^2, ..., w^5} over Fp2 (with w^6 = xi), the coefficient of
 // w^k is, for k = 0..5:
@@ -130,19 +128,4 @@ func (z *fp12) FrobeniusP2(x *fp12) *fp12 {
 	var t fp12
 	t.Frobenius(x)
 	return z.Frobenius(&t)
-}
-
-// Exp sets z = x^e for a non-negative exponent e.
-func (z *fp12) Exp(x *fp12, e *big.Int) *fp12 {
-	var acc fp12
-	acc.SetOne()
-	var base fp12
-	base.Set(x)
-	for i := e.BitLen() - 1; i >= 0; i-- {
-		acc.Square(&acc)
-		if e.Bit(i) == 1 {
-			acc.Mul(&acc, &base)
-		}
-	}
-	return z.Set(&acc)
 }

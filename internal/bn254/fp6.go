@@ -106,17 +106,13 @@ func (z *fp6) MulFp2(x *fp6, s *fp2) *fp6 {
 	return z
 }
 
-// MulByV sets z = x * v, i.e. (b0, b1, b2) -> (xi*b2, b0, b1). Deep copies
-// keep the method alias-safe when z == x (big.Int values share limb
-// buffers under struct assignment).
+// MulByV sets z = x * v, i.e. (b0, b1, b2) -> (xi*b2, b0, b1).
 func (z *fp6) MulByV(x *fp6) *fp6 {
-	var t0, t1, t2 fp2
+	var t0 fp2
 	t0.MulXi(&x.b2)
-	t1.Set(&x.b0)
-	t2.Set(&x.b1)
-	z.b0.Set(&t0)
-	z.b1.Set(&t1)
-	z.b2.Set(&t2)
+	z.b2 = x.b1
+	z.b1 = x.b0
+	z.b0 = t0
 	return z
 }
 

@@ -86,7 +86,8 @@ func (e *G1) Double(a *G1) *G1 {
 	// lambda = 3x^2 / 2y
 	var num, den, lambda fp
 	num.Square(&a.x)
-	num.MulInt64(&num, 3)
+	lambda.Double(&num)
+	num.Add(&num, &lambda)
 	den.Double(&a.y)
 	den.Inverse(&den)
 	lambda.Mul(&num, &den)
@@ -192,13 +193,15 @@ func (e *G1) Unmarshal(data []byte) error {
 		e.SetInfinity()
 		return nil
 	}
-	if !e.x.SetBytes(data[:32]) || !e.y.SetBytes(data[32:]) {
+	// Decode into a local: a failed decode leaves e as it was.
+	p := G1{notInf: true}
+	if !p.x.SetBytes(data[:32]) || !p.y.SetBytes(data[32:]) {
 		return errors.New("bn254: G1 coordinate out of range")
 	}
-	e.notInf = true
-	if !e.isOnCurve() {
+	if !p.isOnCurve() {
 		return errors.New("bn254: G1 point not on curve")
 	}
+	*e = p
 	return nil
 }
 
@@ -238,26 +241,25 @@ func (e *G1) UnmarshalCompressed(data []byte) error {
 		return nil
 	}
 	greater := data[0]&flagCompressedY != 0
-	buf := make([]byte, 32)
-	copy(buf, data)
+	var buf [32]byte
+	copy(buf[:], data)
 	buf[0] &^= flagCompressedY
-	if !e.x.SetBytes(buf) {
+	p := G1{notInf: true}
+	if !p.x.SetBytes(buf[:]) {
 		return errors.New("bn254: compressed G1 x out of range")
 	}
-	var rhs, y fp
-	rhs.Square(&e.x)
-	rhs.Mul(&rhs, &e.x)
+	var rhs, ny fp
+	rhs.Square(&p.x)
+	rhs.Mul(&rhs, &p.x)
 	rhs.Add(&rhs, &bG1)
-	if !y.Sqrt(&rhs) {
+	if !p.y.Sqrt(&rhs) {
 		return errors.New("bn254: compressed G1 x not on curve")
 	}
-	var ny fp
-	ny.Neg(&y)
-	if (y.cmp(&ny) > 0) != greater {
-		y.Set(&ny)
+	ny.Neg(&p.y)
+	if (p.y.cmp(&ny) > 0) != greater {
+		p.y.Set(&ny)
 	}
-	e.y.Set(&y)
-	e.notInf = true
+	*e = p
 	return nil
 }
 

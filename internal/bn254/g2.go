@@ -77,9 +77,7 @@ func (e *G2) Double(a *G2) *G2 {
 	}
 	var num, den, lambda fp2
 	num.Square(&a.x)
-	var three fp
-	three.SetInt64(3)
-	num.MulFp(&num, &three)
+	num.triple(&num)
 	den.Double(&a.y)
 	den.Inverse(&den)
 	lambda.Mul(&num, &den)
@@ -174,11 +172,11 @@ func (e *G2) frobenius(a *G2) *G2 {
 	return e
 }
 
-// inSubgroup reports whether the point has order dividing r.
+// inSubgroup reports whether the point has order dividing r. The ladder
+// is the raw one: ScalarMult reduces its scalar modulo r first, and r
+// reduced is zero.
 func (e *G2) inSubgroup() bool {
-	var t G2
-	t.ScalarMult(e, Order)
-	return t.IsInfinity()
+	return scalarMultJacG2(e, Order).IsInfinity()
 }
 
 // UnmarshalUnchecked decodes a 128-byte uncompressed encoding, validating
@@ -203,14 +201,16 @@ func (e *G2) UnmarshalUnchecked(data []byte) error {
 		e.SetInfinity()
 		return nil
 	}
-	if !e.x.c1.SetBytes(data[0:32]) || !e.x.c0.SetBytes(data[32:64]) ||
-		!e.y.c1.SetBytes(data[64:96]) || !e.y.c0.SetBytes(data[96:128]) {
+	// Decode into a local: a failed decode leaves e as it was.
+	q := G2{notInf: true}
+	if !q.x.c1.SetBytes(data[0:32]) || !q.x.c0.SetBytes(data[32:64]) ||
+		!q.y.c1.SetBytes(data[64:96]) || !q.y.c0.SetBytes(data[96:128]) {
 		return errors.New("bn254: G2 coordinate out of range")
 	}
-	e.notInf = true
-	if !e.isOnTwist() {
+	if !q.isOnTwist() {
 		return errors.New("bn254: G2 point not on twist")
 	}
+	*e = q
 	return nil
 }
 
@@ -235,32 +235,14 @@ func (e *G2) Marshal() []byte {
 // Unmarshal decodes a 128-byte uncompressed encoding, validating curve and
 // subgroup membership.
 func (e *G2) Unmarshal(data []byte) error {
-	if len(data) != G2SizeUncompressed {
-		return fmt.Errorf("bn254: invalid G2 encoding length %d", len(data))
+	var q G2
+	if err := q.UnmarshalUnchecked(data); err != nil {
+		return err
 	}
-	if data[0]&flagInfinity != 0 {
-		for i, b := range data {
-			if i == 0 && b == flagInfinity {
-				continue
-			}
-			if b != 0 {
-				return errors.New("bn254: malformed G2 infinity encoding")
-			}
-		}
-		e.SetInfinity()
-		return nil
-	}
-	if !e.x.c1.SetBytes(data[0:32]) || !e.x.c0.SetBytes(data[32:64]) ||
-		!e.y.c1.SetBytes(data[64:96]) || !e.y.c0.SetBytes(data[96:128]) {
-		return errors.New("bn254: G2 coordinate out of range")
-	}
-	e.notInf = true
-	if !e.isOnTwist() {
-		return errors.New("bn254: G2 point not on twist")
-	}
-	if !e.inSubgroup() {
+	if !q.inSubgroup() {
 		return errors.New("bn254: G2 point not in order-r subgroup")
 	}
+	*e = q
 	return nil
 }
 
@@ -302,29 +284,28 @@ func (e *G2) UnmarshalCompressed(data []byte) error {
 		return nil
 	}
 	greater := data[0]&flagCompressedY != 0
-	buf := make([]byte, 32)
-	copy(buf, data[0:32])
+	var buf [32]byte
+	copy(buf[:], data[0:32])
 	buf[0] &^= flagCompressedY
-	if !e.x.c1.SetBytes(buf) || !e.x.c0.SetBytes(data[32:64]) {
+	q := G2{notInf: true}
+	if !q.x.c1.SetBytes(buf[:]) || !q.x.c0.SetBytes(data[32:64]) {
 		return errors.New("bn254: compressed G2 x out of range")
 	}
-	var rhs, y fp2
-	rhs.Square(&e.x)
-	rhs.Mul(&rhs, &e.x)
+	var rhs, ny fp2
+	rhs.Square(&q.x)
+	rhs.Mul(&rhs, &q.x)
 	rhs.Add(&rhs, &bTwist)
-	if !y.Sqrt(&rhs) {
+	if !q.y.Sqrt(&rhs) {
 		return errors.New("bn254: compressed G2 x not on twist")
 	}
-	var ny fp2
-	ny.Neg(&y)
-	if (y.cmp(&ny) > 0) != greater {
-		y.Set(&ny)
+	ny.Neg(&q.y)
+	if (q.y.cmp(&ny) > 0) != greater {
+		q.y.Set(&ny)
 	}
-	e.y.Set(&y)
-	e.notInf = true
-	if !e.inSubgroup() {
+	if !q.inSubgroup() {
 		return errors.New("bn254: compressed G2 point not in subgroup")
 	}
+	*e = q
 	return nil
 }
 

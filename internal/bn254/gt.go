@@ -88,18 +88,18 @@ func (e *GT) Unmarshal(data []byte) error {
 	if len(data) != GTSize {
 		return fmt.Errorf("bn254: invalid GT encoding length %d", len(data))
 	}
+	// Decode into a local: a failed decode leaves e as it was.
+	var v fp12
 	i := 0
-	for _, f6 := range []*fp6{&e.v.c0, &e.v.c1} {
+	for _, f6 := range []*fp6{&v.c0, &v.c1} {
 		for _, f2 := range []*fp2{&f6.b0, &f6.b1, &f6.b2} {
-			if !f2.c0.SetBytes(data[i : i+32]) {
-				return errors.New("bn254: GT coefficient out of range")
-			}
-			if !f2.c1.SetBytes(data[i+32 : i+64]) {
+			if !f2.c0.SetBytes(data[i:i+32]) || !f2.c1.SetBytes(data[i+32:i+64]) {
 				return errors.New("bn254: GT coefficient out of range")
 			}
 			i += 64
 		}
 	}
+	e.v = v
 	return nil
 }
 

@@ -3,7 +3,6 @@ package bn254
 import (
 	"crypto/sha256"
 	"encoding/binary"
-	"math/big"
 )
 
 // expandMessage derives a 32-byte digest from (domain, msg, counter) with
@@ -32,7 +31,7 @@ func HashToG1(domain string, msg []byte) *G1 {
 	for ctr := uint32(0); ; ctr++ {
 		digest := expandMessage(domain, msg, ctr)
 		var x fp
-		x.SetBig(new(big.Int).SetBytes(digest[:]))
+		x.SetBytesReduce(&digest)
 		var rhs, y fp
 		rhs.Square(&x)
 		rhs.Mul(&rhs, &x)
@@ -89,8 +88,8 @@ func hashToTwistPoint(domain string, msg []byte) *G2 {
 		d0 := expandMessage(domain, msg, ctr)
 		d1 := expandMessage(domain, msg, ctr+1)
 		var x fp2
-		x.c0.SetBig(new(big.Int).SetBytes(d0[:]))
-		x.c1.SetBig(new(big.Int).SetBytes(d1[:]))
+		x.c0.SetBytesReduce(&d0)
+		x.c1.SetBytesReduce(&d1)
 		var rhs, y fp2
 		rhs.Square(&x)
 		rhs.Mul(&rhs, &x)

@@ -1,15 +1,16 @@
 package bn254
 
-import "math/big"
-
 // Jacobian-coordinate point arithmetic for scalar multiplication. The
 // public G1/G2 types stay affine (simple, canonical equality and
-// serialization); ScalarMult internally converts to Jacobian projective
-// coordinates (X, Y, Z) with x = X/Z^2, y = Y/Z^3, performs an
-// inversion-free 4-bit fixed-window ladder, and converts back with a
-// single field inversion. The affine Add/Double remain as the readable
-// reference implementation and are cross-checked against this path in
-// tests and in the BenchmarkAblationScalarMult ablation.
+// serialization); ScalarMult (scalarmult.go) internally converts to
+// Jacobian projective coordinates (X, Y, Z) with x = X/Z^2, y = Y/Z^3,
+// performs an inversion-free 4-bit fixed-window ladder, and converts back
+// with a single field inversion. A field inversion costs about 330
+// multiplications, so every table of multiples is built in Jacobian form
+// too and normalized with one shared inversion (batchToAffine). The affine
+// Add/Double remain as the readable reference implementation and are
+// cross-checked against this path in tests and in the
+// BenchmarkAblationScalarMult ablation.
 //
 // Formulas (curves with a = 0): doubling dbl-2009-l, mixed addition
 // madd-2007-bl from the Explicit-Formulas Database.
@@ -66,7 +67,8 @@ func (j *jacG1) double(a *jacG1) *jacG1 {
 	D.Double(&t)
 	// E = 3*A, F = E^2
 	var E, F fp
-	E.MulInt64(&A, 3)
+	E.Double(&A)
+	E.Add(&E, &A)
 	F.Square(&E)
 	// X3 = F - 2*D
 	var x3 fp
@@ -76,7 +78,9 @@ func (j *jacG1) double(a *jacG1) *jacG1 {
 	var y3, c8 fp
 	y3.Sub(&D, &x3)
 	y3.Mul(&y3, &E)
-	c8.MulInt64(&C, 8)
+	c8.Double(&C)
+	c8.Double(&c8)
+	c8.Double(&c8)
 	y3.Sub(&y3, &c8)
 	// Z3 = 2*Y*Z
 	var z3 fp
@@ -115,7 +119,8 @@ func (j *jacG1) addMixed(a *jacG1, b *G1) *jacG1 {
 	// HH = H^2, I = 4*HH, J = H*I, V = X1*I
 	var hh, i4, jj, v fp
 	hh.Square(&h)
-	i4.MulInt64(&hh, 4)
+	i4.Double(&hh)
+	i4.Double(&i4)
 	jj.Mul(&h, &i4)
 	v.Mul(&a.x, &i4)
 	// X3 = r^2 - J - 2*V
@@ -142,44 +147,6 @@ func (j *jacG1) addMixed(a *jacG1, b *G1) *jacG1 {
 	j.y.Set(&y3)
 	j.z.Set(&z3)
 	return j
-}
-
-const windowBits = 4
-
-// scalarMultJacG1 computes k*a with a 4-bit fixed-window Jacobian ladder.
-// k must already be reduced to a non-negative value.
-func scalarMultJacG1(a *G1, k *big.Int) *G1 {
-	out := new(G1)
-	if a.IsInfinity() || k.Sign() == 0 {
-		return out
-	}
-	// Precompute odd and even multiples 1a..15a in affine form (cheap:
-	// 14 affine additions amortized over ~64 window additions).
-	var table [1 << windowBits]G1
-	table[1].Set(a)
-	for i := 2; i < len(table); i++ {
-		table[i].Add(&table[i-1], a)
-	}
-	var acc jacG1
-	acc.z.SetZero()
-	bits := k.BitLen()
-	// Round up to a whole number of windows.
-	top := (bits + windowBits - 1) / windowBits * windowBits
-	for w := top - windowBits; w >= 0; w -= windowBits {
-		if w != top-windowBits {
-			for d := 0; d < windowBits; d++ {
-				acc.double(&acc)
-			}
-		}
-		idx := 0
-		for d := windowBits - 1; d >= 0; d-- {
-			idx = idx<<1 | int(k.Bit(w+d))
-		}
-		if idx != 0 {
-			acc.addMixed(&acc, &table[idx])
-		}
-	}
-	return acc.toAffine(out)
 }
 
 // jacG2 mirrors jacG1 over Fp2.
@@ -230,9 +197,7 @@ func (j *jacG2) double(a *jacG2) *jacG2 {
 	t.Sub(&t, &C)
 	D.Double(&t)
 	var E, F fp2
-	var three fp
-	three.SetInt64(3)
-	E.MulFp(&A, &three)
+	E.triple(&A)
 	F.Square(&E)
 	var x3 fp2
 	x3.Sub(&F, &D)
@@ -240,9 +205,9 @@ func (j *jacG2) double(a *jacG2) *jacG2 {
 	var y3, c8 fp2
 	y3.Sub(&D, &x3)
 	y3.Mul(&y3, &E)
-	var eight fp
-	eight.SetInt64(8)
-	c8.MulFp(&C, &eight)
+	c8.Double(&C)
+	c8.Double(&c8)
+	c8.Double(&c8)
 	y3.Sub(&y3, &c8)
 	var z3 fp2
 	z3.Mul(&a.y, &a.z)
@@ -303,60 +268,71 @@ func (j *jacG2) addMixed(a *jacG2, b *G2) *jacG2 {
 	return j
 }
 
-func scalarMultJacG2(a *G2, k *big.Int) *G2 {
-	out := new(G2)
-	if a.IsInfinity() || k.Sign() == 0 {
-		return out
-	}
-	var table [1 << windowBits]G2
-	table[1].Set(a)
-	for i := 2; i < len(table); i++ {
-		table[i].Add(&table[i-1], a)
-	}
-	var acc jacG2
-	acc.z.SetZero()
-	bits := k.BitLen()
-	top := (bits + windowBits - 1) / windowBits * windowBits
-	for w := top - windowBits; w >= 0; w -= windowBits {
-		if w != top-windowBits {
-			for d := 0; d < windowBits; d++ {
-				acc.double(&acc)
-			}
-		}
-		idx := 0
-		for d := windowBits - 1; d >= 0; d-- {
-			idx = idx<<1 | int(k.Bit(w+d))
-		}
-		if idx != 0 {
-			acc.addMixed(&acc, &table[idx])
+// multiplesG1 fills out[i] = (i+1)*p in Jacobian form: even multiples by
+// doubling, odd ones by one mixed addition. p must be finite.
+func multiplesG1(out []jacG1, p *G1) {
+	out[0].fromAffine(p)
+	for i := 1; i < len(out); i++ {
+		if i%2 == 1 {
+			out[i].double(&out[i/2])
+		} else {
+			out[i].addMixed(&out[i-1], p)
 		}
 	}
-	return acc.toAffine(out)
 }
 
-// scalarMultAffineG1 is the binary double-and-add reference used by the
-// ablation benchmark and the cross-check tests.
-func scalarMultAffineG1(a *G1, k *big.Int) *G1 {
-	var acc, base G1
-	base.Set(a)
-	for i := k.BitLen() - 1; i >= 0; i-- {
-		acc.Double(&acc)
-		if k.Bit(i) == 1 {
-			acc.Add(&acc, &base)
+// multiplesG2 mirrors multiplesG1 over Fp2.
+func multiplesG2(out []jacG2, p *G2) {
+	out[0].fromAffine(p)
+	for i := 1; i < len(out); i++ {
+		if i%2 == 1 {
+			out[i].double(&out[i/2])
+		} else {
+			out[i].addMixed(&out[i-1], p)
 		}
 	}
-	return new(G1).Set(&acc)
 }
 
-// scalarMultAffineG2 mirrors scalarMultAffineG1 for G2.
-func scalarMultAffineG2(a *G2, k *big.Int) *G2 {
-	var acc, base G2
-	base.Set(a)
-	for i := k.BitLen() - 1; i >= 0; i-- {
-		acc.Double(&acc)
-		if k.Bit(i) == 1 {
-			acc.Add(&acc, &base)
-		}
+// batchToAffineG1 converts the Jacobian points src to affine form in dst
+// with a single field inversion shared by the whole batch (Montgomery's
+// trick over the Z coordinates). scratch needs 2*len(src) elements.
+func batchToAffineG1(dst []G1, src []jacG1, scratch []fp) {
+	zinv, prefix := scratch[:len(src)], scratch[len(src):2*len(src)]
+	for i := range src {
+		zinv[i] = src[i].z
 	}
-	return new(G2).Set(&acc)
+	batchInverse(zinv, prefix)
+	for i := range src {
+		if src[i].z.IsZero() {
+			dst[i].SetInfinity()
+			continue
+		}
+		var zinv2, zinv3 fp
+		zinv2.Square(&zinv[i])
+		zinv3.Mul(&zinv2, &zinv[i])
+		dst[i].x.Mul(&src[i].x, &zinv2)
+		dst[i].y.Mul(&src[i].y, &zinv3)
+		dst[i].notInf = true
+	}
+}
+
+// batchToAffineG2 mirrors batchToAffineG1 over Fp2.
+func batchToAffineG2(dst []G2, src []jacG2, scratch []fp2) {
+	zinv, prefix := scratch[:len(src)], scratch[len(src):2*len(src)]
+	for i := range src {
+		zinv[i] = src[i].z
+	}
+	batchInverseFp2(zinv, prefix)
+	for i := range src {
+		if src[i].z.IsZero() {
+			dst[i].SetInfinity()
+			continue
+		}
+		var zinv2, zinv3 fp2
+		zinv2.Square(&zinv[i])
+		zinv3.Mul(&zinv2, &zinv[i])
+		dst[i].x.Mul(&src[i].x, &zinv2)
+		dst[i].y.Mul(&src[i].y, &zinv3)
+		dst[i].notInf = true
+	}
 }

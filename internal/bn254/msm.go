@@ -90,25 +90,26 @@ func (j *jacG1) add(a, b *jacG1) *jacG1 {
 	return j
 }
 
-// pippengerThreshold is the batch size above which the bucket method beats
-// the windowed Strauss ladder (the bucket accumulation's fixed 2*(2^c-1)
-// additions per window amortize away). Measured crossover sits between 32
-// and 128 points (BenchmarkAblationMSM): Strauss still wins at n=32,
-// Pippenger at n=128.
+// pippengerThreshold is the batch size from which the bucket method is
+// used instead of the windowed Strauss ladder (the bucket accumulation's
+// fixed 2*(2^c-1) additions per window amortize away). Re-measured on the
+// limb field (BenchmarkAblationMSM, docs/PERF.md): Strauss wins by 7% at
+// 48 points, the two tie at 64, buckets win by 10% at 96.
 const pippengerThreshold = 64
 
 // pippengerWindow picks the bucket window size for n points, balancing the
 // per-window bucket-accumulation cost 2^c against the n digit insertions.
+// The steps sit where neighbouring widths tie in BenchmarkAblationMSM.
 func pippengerWindow(n int) int {
 	switch {
-	case n < 64:
+	case n < 96:
 		return 4
 	case n < 256:
+		return 5
+	case n < 512:
 		return 6
-	case n < 1024:
-		return 8
 	default:
-		return 10
+		return 7
 	}
 }
 
@@ -156,15 +157,18 @@ func G1MSM(points []*G1, scalars []*big.Int) (*G1, error) {
 }
 
 // msmStrauss is the interleaved windowed ladder: per-point 4-bit affine
-// tables share a single run of doublings across all points.
+// tables share a single run of doublings across all points. The tables
+// are built in Jacobian form and made affine with one inversion for the
+// whole batch.
 func msmStrauss(points []*G1, scalars []*big.Int, maxBits int) *G1 {
-	tables := make([][(1 << windowBits) - 1]G1, len(points))
+	const n = 1<<windowBits - 1
+	jac := make([]jacG1, n*len(points))
 	for i, p := range points {
-		tables[i][0].Set(p)
-		for j := 1; j < len(tables[i]); j++ {
-			tables[i][j].Add(&tables[i][j-1], p)
-		}
+		multiplesG1(jac[n*i:n*(i+1)], p)
 	}
+	tables := make([]G1, len(jac))
+	batchToAffineG1(tables, jac, make([]fp, 2*len(jac)))
+
 	var acc jacG1
 	acc.z.SetZero()
 	top := (maxBits + windowBits - 1) / windowBits * windowBits
@@ -175,12 +179,8 @@ func msmStrauss(points []*G1, scalars []*big.Int, maxBits int) *G1 {
 			}
 		}
 		for i, s := range scalars {
-			idx := 0
-			for d := windowBits - 1; d >= 0; d-- {
-				idx = idx<<1 | int(s.Bit(w+d))
-			}
-			if idx != 0 {
-				acc.addMixed(&acc, &tables[i][idx-1])
+			if idx := scalarDigit(s, w, windowBits); idx != 0 {
+				acc.addMixed(&acc, &tables[n*i+idx-1])
 			}
 		}
 	}
@@ -191,7 +191,12 @@ func msmStrauss(points []*G1, scalars []*big.Int, maxBits int) *G1 {
 // dropped into the bucket of its digit, and the running-sum trick turns
 // the 2^c-1 buckets into sum_b b*bucket[b] with 2*(2^c-1) additions.
 func msmPippenger(points []*G1, scalars []*big.Int, maxBits int) *G1 {
-	c := pippengerWindow(len(points))
+	return msmPippengerWindow(points, scalars, maxBits, pippengerWindow(len(points)))
+}
+
+// msmPippengerWindow is msmPippenger with the window width c given (the
+// ablation benchmark sweeps it).
+func msmPippengerWindow(points []*G1, scalars []*big.Int, maxBits, c int) *G1 {
 	numBuckets := (1 << c) - 1
 	buckets := make([]jacG1, numBuckets)
 	var total jacG1
@@ -207,11 +212,7 @@ func msmPippenger(points []*G1, scalars []*big.Int, maxBits int) *G1 {
 			buckets[b].z.SetZero()
 		}
 		for i, s := range scalars {
-			digit := 0
-			for d := c - 1; d >= 0; d-- {
-				digit = digit<<1 | int(s.Bit(w*c+d))
-			}
-			if digit != 0 {
+			if digit := scalarDigit(s, w*c, c); digit != 0 {
 				buckets[digit-1].addMixed(&buckets[digit-1], points[i])
 			}
 		}

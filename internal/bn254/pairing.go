@@ -6,8 +6,8 @@ import "errors"
 //
 //	e(P, Q) = f^((p^12-1)/r),  f = f_{6u+2,Q}(P) * l_{T,pi(Q)}(P) * l_{T',-pi^2(Q)}(P)
 //
-// with the Miller loop run in affine coordinates on the twist and line
-// functions evaluated as sparse Fp12 elements. For a twist point T = (x, y)
+// with line functions in affine slope form on the twist (precompute.go
+// computes them) and evaluated as sparse Fp12 elements. For a twist point T = (x, y)
 // untwisted to (x w^2, y w^3), the line through psi(T) with twist-slope
 // lambda, evaluated at P = (xP, yP) in G1, is
 //
@@ -39,27 +39,27 @@ func (l *lineEval) asFp12(out *fp12) {
 	out.c1.b1.Set(&l.a3)   // w^3
 }
 
-// mulSparse6 multiplies an fp6 element by the sparse polynomial
-// b0' + b1'*v (b2' = 0): six fp2 multiplications instead of the generic
-// Karatsuba path.
+// mulSparse6 sets out = c * (b0 + b1*v), the product of an fp6 element and
+// a sparse one (b2 = 0), with five fp2 multiplications: Karatsuba on the
+// pairs (c0, c1) and the shared products c0*b0, c1*b1. out may alias c.
 func mulSparse6(out, c *fp6, b0, b1 *fp2) {
-	var z0, z1, z2, t fp2
+	var a, b, z0, z1, z2, s, t fp2
+	a.Mul(&c.b0, b0)
+	b.Mul(&c.b1, b1)
 	// z0 = c0*b0 + xi*(c2*b1)
-	z0.Mul(&c.b0, b0)
-	t.Mul(&c.b2, b1)
-	t.MulXi(&t)
-	z0.Add(&z0, &t)
-	// z1 = c0*b1 + c1*b0
-	z1.Mul(&c.b0, b1)
-	t.Mul(&c.b1, b0)
-	z1.Add(&z1, &t)
+	z0.Mul(&c.b2, b1)
+	z0.MulXi(&z0)
+	z0.Add(&z0, &a)
+	// z1 = c0*b1 + c1*b0 = (c0+c1)(b0+b1) - a - b
+	s.Add(&c.b0, &c.b1)
+	t.Add(b0, b1)
+	z1.Mul(&s, &t)
+	z1.Sub(&z1, &a)
+	z1.Sub(&z1, &b)
 	// z2 = c1*b1 + c2*b0
-	z2.Mul(&c.b1, b1)
-	t.Mul(&c.b2, b0)
-	z2.Add(&z2, &t)
-	out.b0.Set(&z0)
-	out.b1.Set(&z1)
-	out.b2.Set(&z2)
+	z2.Mul(&c.b2, b0)
+	z2.Add(&z2, &b)
+	out.b0, out.b1, out.b2 = z0, z1, z2
 }
 
 // mulByLine multiplies f in place by the sparse line value, exploiting its
@@ -72,118 +72,49 @@ func mulByLine(f *fp12, l *lineEval) {
 		// fp6 element.
 		var v0 fp2
 		v0.SetFp(&l.v0)
-		var c0, c1 fp6
-		mulSparse6(&c0, &f.c0, &v0, &l.v2)
-		mulSparse6(&c1, &f.c1, &v0, &l.v2)
-		f.c0.Set(&c0)
-		f.c1.Set(&c1)
+		mulSparse6(&f.c0, &f.c0, &v0, &l.v2)
+		mulSparse6(&f.c1, &f.c1, &v0, &l.v2)
 		return
 	}
-	// line = a + b*w with a = (a0, 0, 0), b = (a1, a3, 0).
-	var a0 fp2
-	a0.SetFp(&l.a0)
-	// t0 = f.c0 * a: scaling by the fp2 constant a0.
-	var t0 fp6
-	t0.b0.Mul(&f.c0.b0, &a0)
-	t0.b1.Mul(&f.c0.b1, &a0)
-	t0.b2.Mul(&f.c0.b2, &a0)
-	// t1 = f.c1 * b (sparse two-term).
-	var t1 fp6
+	// line = a + b*w with a = (a0, 0, 0), b = (a1, a3, 0), Karatsuba over w:
+	// t0 = f.c0 * a, a scaling by the base-field constant a0.
+	var t0, t1, sum, z1 fp6
+	t0.b0.MulFp(&f.c0.b0, &l.a0)
+	t0.b1.MulFp(&f.c0.b1, &l.a0)
+	t0.b2.MulFp(&f.c0.b2, &l.a0)
+	// t1 = f.c1 * b.
 	mulSparse6(&t1, &f.c1, &l.a1, &l.a3)
 	// z1 = (f.c0 + f.c1)*(a + b) - t0 - t1, with a+b = (a0+a1, a3, 0).
-	var sum fp6
 	sum.Add(&f.c0, &f.c1)
-	var ab0 fp2
-	ab0.Add(&a0, &l.a1)
-	var z1 fp6
+	ab0 := l.a1
+	ab0.c0.Add(&ab0.c0, &l.a0)
 	mulSparse6(&z1, &sum, &ab0, &l.a3)
 	z1.Sub(&z1, &t0)
-	z1.Sub(&z1, &t1)
+	f.c1.Sub(&z1, &t1)
 	// z0 = t0 + v*t1.
-	var z0 fp6
-	z0.MulByV(&t1)
-	z0.Add(&z0, &t0)
-	f.c0.Set(&z0)
-	f.c1.Set(&z1)
-}
-
-// lineDouble computes the tangent line at t evaluated at p and doubles t
-// in place. The coefficient computation lives in lineCoeffDouble
-// (precompute.go) so the fresh and fixed-argument Miller loops share one
-// line-math implementation.
-func lineDouble(t *G2, p *G1, out *lineEval) {
-	var pl prepLine
-	lineCoeffDouble(t, &pl)
-	pl.evalInto(p, out)
-}
-
-// lineAdd computes the line through t and q evaluated at p and sets
-// t = t + q (coefficients via lineCoeffAdd, see lineDouble).
-func lineAdd(t, q *G2, p *G1, out *lineEval) {
-	var pl prepLine
-	lineCoeffAdd(t, q, &pl)
-	pl.evalInto(p, out)
-}
-
-// sixUPlus2NAF is the signed-digit schedule of the Miller loop: the NAF
-// of 6u+2 has 22 nonzero digits against 37 set bits in binary, and a
-// negative digit costs the same as a positive one (the line through
-// (T, -Q) instead of (T, Q)). The dropped vertical-line factors lie in
-// Fp6 and are killed by the final exponentiation, so pairing values are
-// unchanged. The fixed-argument tables (PrecomputeG2) record lines in
-// exactly this schedule. Computed in init (not a var initializer) because
-// sixUPlus2 itself is assigned in constants.go's init.
-var sixUPlus2NAF []int8
-
-func init() {
-	sixUPlus2NAF = nafDigits(sixUPlus2)
+	f.c0.MulByV(&t1)
+	f.c0.Add(&f.c0, &t0)
 }
 
 // miller computes the Miller function value f for one (P, Q) pair,
-// accumulating into f (callers initialize f to one).
+// accumulating into f (callers initialize f to one). A fresh Q is a fixed
+// Q whose line table lives on the stack for the length of the loop: the
+// G2 arithmetic runs first (buildLines, one inversion for all of it), then
+// the same accumulation loop MillerLoopFixed uses.
 func miller(p *G1, q *G2, f *fp12) {
 	if p.IsInfinity() || q.IsInfinity() {
 		return
 	}
-	var t, negQ G2
-	t.Set(q)
-	negQ.Neg(q)
-	var l lineEval
-	var acc fp12
-	acc.SetOne()
-	for i := len(sixUPlus2NAF) - 2; i >= 0; i-- {
-		acc.Square(&acc)
-		lineDouble(&t, p, &l)
-		mulByLine(&acc, &l)
-		switch sixUPlus2NAF[i] {
-		case 1:
-			lineAdd(&t, q, p, &l)
-			mulByLine(&acc, &l)
-		case -1:
-			lineAdd(&t, &negQ, p, &l)
-			mulByLine(&acc, &l)
-		}
-	}
-	// The two Frobenius line steps of the optimal ate pairing.
-	var q1, q2 G2
-	q1.frobenius(q)
-	q2.frobenius(&q1)
-	q2.Neg(&q2)
-
-	lineAdd(&t, &q1, p, &l)
-	mulByLine(&acc, &l)
-
-	lineAdd(&t, &q2, p, &l)
-	mulByLine(&acc, &l)
-
-	f.Mul(f, &acc)
+	var buf [maxMillerLines]prepLine
+	cs := [1]millerCursor{{p: p, lines: buildLines(q, buf[:0])}}
+	millerAccumulate(cs[:], f)
 }
 
-// finalExponentiation raises f to (p^12-1)/r. The easy part is computed
-// exactly; the hard part uses the Fuentes-Castaneda et al. addition chain
-// (which computes a fixed power of the classical hard part — still a
-// non-degenerate pairing with the same kernel structure).
-func finalExponentiation(f *fp12) *fp12 {
+// finalExponentiation sets out = f^((p^12-1)/r); out may alias f. The easy
+// part is computed exactly; the hard part uses the Fuentes-Castaneda et
+// al. addition chain (which computes a fixed power of the classical hard
+// part — still a non-degenerate pairing with the same kernel structure).
+func finalExponentiation(out, f *fp12) {
 	// Easy part: f^((p^6-1)(p^2+1)).
 	var t0, t1, inv fp12
 	t0.Conjugate(f)
@@ -192,12 +123,12 @@ func finalExponentiation(f *fp12) *fp12 {
 	t1.FrobeniusP2(&t0)
 	t0.Mul(&t0, &t1) // f^((p^6-1)(p^2+1))
 
-	return hardPart(&t0)
+	hardPart(out, &t0)
 }
 
 // hardPart computes the hard part of the final exponentiation on an
 // element already raised to (p^6-1)(p^2+1).
-func hardPart(in *fp12) *fp12 {
+func hardPart(out, in *fp12) {
 	var fp1, fp2x, fp3 fp12
 	fp1.Frobenius(in)
 	fp2x.FrobeniusP2(in)
@@ -206,9 +137,9 @@ func hardPart(in *fp12) *fp12 {
 	// The input is in the cyclotomic subgroup, so compressed squarings
 	// apply to the exponentiations by u.
 	var fu, fu2, fu3 fp12
-	fu.cyclotomicExp(in, u)
-	fu2.cyclotomicExp(&fu, u)
-	fu3.cyclotomicExp(&fu2, u)
+	fu.cyclotomicExpNAF(in, uNAF)
+	fu2.cyclotomicExpNAF(&fu, uNAF)
+	fu3.cyclotomicExpNAF(&fu2, uNAF)
 
 	var y3, fu2p, fu3p, y2 fp12
 	y3.Frobenius(&fu)
@@ -242,54 +173,22 @@ func hardPart(in *fp12) *fp12 {
 	t0.Mul(&t1, &y1)
 	t1.Mul(&t1, &y0)
 	t0.Square(&t0)
-	t0.Mul(&t0, &t1)
-
-	out := new(fp12)
-	out.Set(&t0)
-	return out
-}
-
-// finalExponentiationNaive is the reference implementation: easy part then
-// a plain square-and-multiply by (p^4-p^2+1)/r. Used in tests to validate
-// the optimized chain behaviourally.
-func finalExponentiationNaive(f *fp12) *fp12 {
-	var t0, t1, inv fp12
-	t0.Conjugate(f)
-	inv.Inverse(f)
-	t0.Mul(&t0, &inv)
-	t1.FrobeniusP2(&t0)
-	t0.Mul(&t0, &t1)
-
-	out := new(fp12)
-	out.Exp(&t0, hardExponent)
-	return out
+	out.Mul(&t0, &t1)
 }
 
 // Pair computes the optimal ate pairing e(p, q).
 func Pair(p *G1, q *G2) *GT {
-	var f fp12
-	f.SetOne()
-	miller(p, q, &f)
-	out := &GT{}
-	out.v.Set(finalExponentiation(&f))
-	return out
-}
-
-// pairNaive is Pair with the reference final exponentiation (tests only).
-func pairNaive(p *G1, q *G2) *GT {
-	var f fp12
-	f.SetOne()
-	miller(p, q, &f)
-	out := &GT{}
-	out.v.Set(finalExponentiationNaive(&f))
+	out := NewGT()
+	miller(p, q, &out.v)
+	finalExponentiation(&out.v, &out.v)
 	return out
 }
 
 // MultiPair computes the product of pairings prod_i e(ps[i], qs[i]) with a
 // single shared final exponentiation. This is how a verifier evaluates the
 // "product of four pairings" of the paper's verification equation at the
-// cost of four Miller loops and one exponentiation. The Miller loops run
-// in parallel across GOMAXPROCS (see millerProduct).
+// cost of four Miller loops sharing one squaring chain and one
+// exponentiation (see millerProduct).
 func MultiPair(ps []*G1, qs []*G2) (*GT, error) {
 	if len(ps) != len(qs) {
 		return nil, errors.New("bn254: mismatched pairing input lengths")

@@ -1,16 +1,11 @@
 package bn254
 
-import (
-	"errors"
-	"runtime"
-	"sync"
-)
+import "errors"
 
 // Fixed-argument pairing precomputation. The G2 argument of every pairing
 // in the scheme's verification equations (the LHSPS generators and the
 // verification keys) is fixed between refresh epochs, so the Miller loop's
-// G2 point arithmetic — including one Fp2 inversion per step for the
-// affine slopes — can be done once per epoch. PrecomputeG2 stores the
+// G2 point arithmetic can be done once per epoch. PrecomputeG2 stores the
 // ordered line coefficients; MillerLoopFixed replays the loop with nothing
 // but sparse line evaluations at P and Fp12 accumulation.
 //
@@ -42,75 +37,148 @@ func (pl *prepLine) evalInto(p *G1, out *lineEval) {
 	out.a3.Set(&pl.c)
 }
 
-// lineCoeffDouble computes the tangent-line coefficients at t and doubles
-// t in place. lineDouble is this plus an evaluation at P.
-func lineCoeffDouble(t *G2, out *prepLine) {
-	if t.y.IsZero() {
-		// Tangent at a 2-torsion point is vertical; cannot occur for
-		// order-r inputs but handled for robustness.
-		out.vertical = true
-		out.c.Neg(&t.x)
-		t.SetInfinity()
-		return
+// maxMillerLines bounds the lines of one Miller loop — a doubling line per
+// NAF digit below the top one, an addition line per nonzero digit, two
+// Frobenius lines — so that a fresh argument's table fits a stack array.
+// init checks it against the schedule.
+const maxMillerLines = 96
+
+// millerLineCount is the exact number of lines the schedule consumes.
+func millerLineCount() int {
+	n := len(sixUPlus2NAF) - 1 + 2
+	for _, d := range sixUPlus2NAF[:len(sixUPlus2NAF)-1] {
+		if d != 0 {
+			n++
+		}
 	}
-	// lambda = 3x^2 / 2y on the twist.
-	var num, den fp2
-	num.Square(&t.x)
-	var three fp
-	three.SetInt64(3)
-	num.MulFp(&num, &three)
-	den.Double(&t.y)
-	den.Inverse(&den)
-
-	out.vertical = false
-	out.lambda.Mul(&num, &den)
-	out.c.Mul(&out.lambda, &t.x)
-	out.c.Sub(&out.c, &t.y)
-
-	var x3, y3 fp2
-	x3.Square(&out.lambda)
-	x3.Sub(&x3, &t.x)
-	x3.Sub(&x3, &t.x)
-	y3.Sub(&t.x, &x3)
-	y3.Mul(&y3, &out.lambda)
-	y3.Sub(&y3, &t.y)
-	t.x.Set(&x3)
-	t.y.Set(&y3)
+	return n
 }
 
-// lineCoeffAdd computes the coefficients of the line through t and q and
-// sets t = t + q. lineAdd is this plus an evaluation at P.
-func lineCoeffAdd(t, q *G2, out *prepLine) {
-	if t.x.Equal(&q.x) {
-		if t.y.Equal(&q.y) {
-			lineCoeffDouble(t, out)
-			return
-		}
-		// Vertical line x = t.x.
-		out.vertical = true
-		out.c.Neg(&t.x)
-		t.SetInfinity()
+func init() {
+	if millerLineCount() > maxMillerLines {
+		panic("bn254: Miller schedule longer than maxMillerLines")
+	}
+}
+
+// The running point T of the G2 side is kept in Jacobian coordinates
+// (jacobian.go), and the affine slope and constant of each line are read
+// off the step as fractions over one denominator:
+//
+//	tangent at T = (X, Y, Z):   lambda = 3X^2 Z^2 / (Z3 Z^2)
+//	                            c      = (3X^3 - 2Y^2) / (Z3 Z^2),  Z3 = 2YZ
+//	chord through T and (x, y): lambda = r / Z3,  r = 2(y Z^3 - Y)
+//	                            c      = (r x - y Z3) / Z3,         Z3 = 2ZH
+//
+// (c = lambda*x - y at either point of the line). lineStepDouble and
+// lineStepAdd leave the numerators in the line and hand back the
+// denominator; buildLines inverts all denominators of a table at once and
+// scales. An Fp2 inversion costs about 110 Fp2 multiplications, a step
+// with its share of the batch about 15 — and the resulting table is the
+// same (lambda, c) table per-step affine arithmetic would produce.
+//
+// Steps that cannot happen for a point of order r — T at infinity, or
+// T = +-Q in an addition — produce a vertical line and a zero denominator,
+// which the batch inversion skips. Vertical lines lie in Fp6 and vanish in
+// the final exponentiation, so such inputs (twist points outside G2) get
+// a well-defined value and no more.
+
+// lineStepDouble records the tangent line at t and doubles t.
+func lineStepDouble(t *jacG2, out *prepLine, den *fp2) {
+	if t.z.IsZero() || t.y.IsZero() {
+		*out = prepLine{vertical: true}
+		den.SetZero()
+		t.z.SetZero()
 		return
 	}
-	var num, den fp2
-	num.Sub(&q.y, &t.y)
-	den.Sub(&q.x, &t.x)
-	den.Inverse(&den)
+	var zz, e, bb fp2
+	zz.Square(&t.z)
+	e.Square(&t.x)
+	e.triple(&e)
+	bb.Square(&t.y)
+	bb.Double(&bb)
 
 	out.vertical = false
-	out.lambda.Mul(&num, &den)
-	out.c.Mul(&out.lambda, &t.x)
-	out.c.Sub(&out.c, &t.y)
+	out.lambda.Mul(&e, &zz)
+	out.c.Mul(&e, &t.x)
+	out.c.Sub(&out.c, &bb)
+	t.double(t)
+	den.Mul(&t.z, &zz)
+}
 
-	var x3, y3 fp2
-	x3.Square(&out.lambda)
-	x3.Sub(&x3, &t.x)
-	x3.Sub(&x3, &q.x)
-	y3.Sub(&t.x, &x3)
-	y3.Mul(&y3, &out.lambda)
-	y3.Sub(&y3, &t.y)
-	t.x.Set(&x3)
-	t.y.Set(&y3)
+// lineStepAdd records the line through t and the affine point q and sets
+// t = t + q.
+func lineStepAdd(t *jacG2, q *G2, out *prepLine, den *fp2) {
+	var zz, u2, s2 fp2
+	zz.Square(&t.z)
+	u2.Mul(&q.x, &zz)
+	s2.Mul(&q.y, &t.z)
+	s2.Mul(&s2, &zz)
+	if u2.Equal(&t.x) && s2.Equal(&t.y) && !t.z.IsZero() {
+		lineStepDouble(t, out, den)
+		return
+	}
+	if t.z.IsZero() || u2.Equal(&t.x) {
+		// The vertical through Q: T is infinity (T + Q = Q) or -Q.
+		*out = prepLine{vertical: true}
+		out.c.Neg(&q.x)
+		den.SetZero()
+		t.addMixed(t, q)
+		return
+	}
+	var r fp2
+	r.Sub(&s2, &t.y)
+	r.Double(&r)
+	t.addMixed(t, q)
+
+	out.vertical = false
+	out.lambda = r
+	out.c.Mul(&r, &q.x)
+	s2.Mul(&q.y, &t.z)
+	out.c.Sub(&out.c, &s2)
+	*den = t.z
+}
+
+// buildLines runs the G2 side of the Miller loop for a finite q once,
+// appending every line the loop will consume, in order, to lines: one
+// doubling line per iteration, one addition line per nonzero NAF digit of
+// 6u+2, and the two Frobenius lines of the optimal ate pairing.
+func buildLines(q *G2, lines []prepLine) []prepLine {
+	var dens, scratch [maxMillerLines]fp2
+	var t jacG2
+	var negQ G2
+	t.fromAffine(q)
+	negQ.Neg(q)
+	n := len(lines)
+	lines = lines[:n+millerLineCount()]
+	step := lines[n:]
+	k := 0
+	for i := len(sixUPlus2NAF) - 2; i >= 0; i-- {
+		lineStepDouble(&t, &step[k], &dens[k])
+		k++
+		switch sixUPlus2NAF[i] {
+		case 1:
+			lineStepAdd(&t, q, &step[k], &dens[k])
+			k++
+		case -1:
+			lineStepAdd(&t, &negQ, &step[k], &dens[k])
+			k++
+		}
+	}
+	var q1, q2 G2
+	q1.frobenius(q)
+	q2.frobenius(&q1)
+	q2.Neg(&q2)
+	lineStepAdd(&t, &q1, &step[k], &dens[k])
+	lineStepAdd(&t, &q2, &step[k+1], &dens[k+1])
+
+	batchInverseFp2(dens[:len(step)], scratch[:len(step)])
+	for i := range step {
+		if !step[i].vertical {
+			step[i].lambda.Mul(&step[i].lambda, &dens[i])
+			step[i].c.Mul(&step[i].c, &dens[i])
+		}
+	}
+	return lines
 }
 
 // G2Prepared holds the ordered Miller-loop line coefficients of a fixed
@@ -121,87 +189,74 @@ type G2Prepared struct {
 	lines    []prepLine
 }
 
-// PrecomputeG2 runs the G2 side of the Miller loop once, recording every
-// line the loop will consume in order: one doubling line per iteration,
-// one addition line per nonzero NAF digit of 6u+2, and the two Frobenius
-// lines of the optimal ate pairing.
+// PrecomputeG2 runs the G2 side of the Miller loop once and keeps the
+// lines (see buildLines).
 func PrecomputeG2(q *G2) *G2Prepared {
-	pre := &G2Prepared{}
 	if q == nil || q.IsInfinity() {
-		pre.infinity = true
-		return pre
+		return &G2Prepared{infinity: true}
 	}
-	var t, negQ G2
-	t.Set(q)
-	negQ.Neg(q)
-	n := len(sixUPlus2NAF)
-	pre.lines = make([]prepLine, 0, 2*n+2)
-	for i := n - 2; i >= 0; i-- {
-		var dl prepLine
-		lineCoeffDouble(&t, &dl)
-		pre.lines = append(pre.lines, dl)
-		if d := sixUPlus2NAF[i]; d != 0 {
-			var al prepLine
-			if d == 1 {
-				lineCoeffAdd(&t, q, &al)
-			} else {
-				lineCoeffAdd(&t, &negQ, &al)
+	return &G2Prepared{lines: buildLines(q, make([]prepLine, 0, millerLineCount()))}
+}
+
+// millerCursor is one slot's state inside millerAccumulate: the G1 point
+// and the lines of its G2 argument not yet consumed.
+type millerCursor struct {
+	p     *G1
+	lines []prepLine
+}
+
+// mulNextLine multiplies acc by the cursor's next line evaluated at its P.
+func (c *millerCursor) mulNextLine(acc *fp12) {
+	var l lineEval
+	c.lines[0].evalInto(c.p, &l)
+	c.lines = c.lines[1:]
+	mulByLine(acc, &l)
+}
+
+// millerAccumulate multiplies the product of the cursors' Miller values
+// into f with ONE shared accumulator: every doubling step squares it once
+// for the whole slot set instead of once per slot. Squarings are the
+// second largest cost of the loop (after the line multiplications
+// themselves), so a k-slot product saves (k-1) full squaring chains over k
+// independent loops — the dominant single-core win of the multi-pairing.
+// Every cursor consumes the identical line schedule: a doubling line per
+// digit, an addition line per nonzero digit, two Frobenius lines.
+func millerAccumulate(cs []millerCursor, f *fp12) {
+	var acc fp12
+	acc.SetOne()
+	for i := len(sixUPlus2NAF) - 2; i >= 0; i-- {
+		acc.Square(&acc)
+		for j := range cs {
+			cs[j].mulNextLine(&acc)
+			if sixUPlus2NAF[i] != 0 {
+				cs[j].mulNextLine(&acc)
 			}
-			pre.lines = append(pre.lines, al)
 		}
 	}
-	var q1, q2 G2
-	q1.frobenius(q)
-	q2.frobenius(&q1)
-	q2.Neg(&q2)
-
-	var f1, f2 prepLine
-	lineCoeffAdd(&t, &q1, &f1)
-	pre.lines = append(pre.lines, f1)
-	lineCoeffAdd(&t, &q2, &f2)
-	pre.lines = append(pre.lines, f2)
-	return pre
+	for j := range cs {
+		cs[j].mulNextLine(&acc)
+		cs[j].mulNextLine(&acc)
+	}
+	f.Mul(f, &acc)
 }
 
 // MillerLoopFixed computes the Miller function value for (P, Q) from Q's
 // precomputed lines, accumulating into f (callers initialize f to one).
-// It follows the exact squaring/multiplication schedule of miller, with
-// every G2 operation replaced by a table lookup; the two are cross-checked
-// in TestMillerLoopFixedMatchesMiller.
+// The table holds exactly what per-step affine arithmetic on the twist
+// yields; the two are cross-checked in TestMillerLoopFixedMatchesMiller.
 func MillerLoopFixed(p *G1, pre *G2Prepared, f *fp12) {
 	if p.IsInfinity() || pre.infinity {
 		return
 	}
-	var l lineEval
-	var acc fp12
-	acc.SetOne()
-	idx := 0
-	for i := len(sixUPlus2NAF) - 2; i >= 0; i-- {
-		acc.Square(&acc)
-		pre.lines[idx].evalInto(p, &l)
-		idx++
-		mulByLine(&acc, &l)
-		if sixUPlus2NAF[i] != 0 {
-			pre.lines[idx].evalInto(p, &l)
-			idx++
-			mulByLine(&acc, &l)
-		}
-	}
-	pre.lines[idx].evalInto(p, &l)
-	idx++
-	mulByLine(&acc, &l)
-	pre.lines[idx].evalInto(p, &l)
-	mulByLine(&acc, &l)
-	f.Mul(f, &acc)
+	cs := [1]millerCursor{{p: p, lines: pre.lines}}
+	millerAccumulate(cs[:], f)
 }
 
 // PairFixed computes e(p, q) from q's precomputed lines.
 func PairFixed(p *G1, pre *G2Prepared) *GT {
-	var f fp12
-	f.SetOne()
-	MillerLoopFixed(p, pre, &f)
-	out := &GT{}
-	out.v.Set(finalExponentiation(&f))
+	out := NewGT()
+	MillerLoopFixed(p, pre, &out.v)
+	finalExponentiation(&out.v, &out.v)
 	return out
 }
 
@@ -214,150 +269,38 @@ type PairingSlot struct {
 	Pre *G2Prepared
 }
 
-// millerCursor is one slot's in-loop state inside simulMiller: a line
-// cursor into the precomputed table for fixed slots, or the running twist
-// point for fresh ones.
-type millerCursor struct {
-	p    *G1
-	pre  *G2Prepared // fixed slots: line table
-	idx  int         // fixed slots: next line
-	q    *G2         // fresh slots: original Q
-	t    G2          // fresh slots: running point
-	negQ G2          // fresh slots: -Q for the negative NAF digits
-}
-
-// simulMiller multiplies the product of the slots' Miller values into f
-// with ONE shared accumulator: every doubling step squares f once for the
-// whole slot set instead of once per slot. Squarings are the second
-// largest cost of the loop (after the line multiplications themselves),
-// so a k-slot product saves (k-1) full squaring chains over k independent
-// loops — the dominant single-core win of the multi-pairing. Fixed and
-// fresh slots interleave freely: both consume the identical line schedule
-// (doubling line per bit, addition line per set bit, two Frobenius
-// lines), one from its table, the other from live G2 arithmetic.
-func simulMiller(slots []*PairingSlot, f *fp12) {
-	cs := make([]millerCursor, 0, len(slots))
-	for _, s := range slots {
-		if s.P.IsInfinity() {
-			continue
-		}
-		if s.Pre != nil {
-			if s.Pre.infinity {
-				continue
-			}
-			cs = append(cs, millerCursor{p: s.P, pre: s.Pre})
-			continue
-		}
-		if s.Q.IsInfinity() {
-			continue
-		}
-		c := millerCursor{p: s.P, q: s.Q}
-		c.t.Set(s.Q)
-		c.negQ.Neg(s.Q)
-		cs = append(cs, c)
-	}
-	if len(cs) == 0 {
-		return
-	}
-	var l lineEval
-	var acc fp12
-	acc.SetOne()
-	for i := len(sixUPlus2NAF) - 2; i >= 0; i-- {
-		acc.Square(&acc)
-		d := sixUPlus2NAF[i]
-		for j := range cs {
-			c := &cs[j]
-			if c.pre != nil {
-				c.pre.lines[c.idx].evalInto(c.p, &l)
-				c.idx++
-				mulByLine(&acc, &l)
-				if d != 0 {
-					c.pre.lines[c.idx].evalInto(c.p, &l)
-					c.idx++
-					mulByLine(&acc, &l)
-				}
-				continue
-			}
-			lineDouble(&c.t, c.p, &l)
-			mulByLine(&acc, &l)
-			switch d {
-			case 1:
-				lineAdd(&c.t, c.q, c.p, &l)
-				mulByLine(&acc, &l)
-			case -1:
-				lineAdd(&c.t, &c.negQ, c.p, &l)
-				mulByLine(&acc, &l)
-			}
-		}
-	}
-	// The two Frobenius line steps of the optimal ate pairing, per slot.
-	for j := range cs {
-		c := &cs[j]
-		if c.pre != nil {
-			c.pre.lines[c.idx].evalInto(c.p, &l)
-			c.idx++
-			mulByLine(&acc, &l)
-			c.pre.lines[c.idx].evalInto(c.p, &l)
-			mulByLine(&acc, &l)
-			continue
-		}
-		var q1, q2 G2
-		q1.frobenius(c.q)
-		q2.frobenius(&q1)
-		q2.Neg(&q2)
-		lineAdd(&c.t, &q1, c.p, &l)
-		mulByLine(&acc, &l)
-		lineAdd(&c.t, &q2, c.p, &l)
-		mulByLine(&acc, &l)
-	}
-	f.Mul(f, &acc)
-}
-
-// millerProduct computes the product of the slots' Miller values into f,
-// sharding the slots across GOMAXPROCS goroutines. Each worker runs one
-// shared-squaring product loop (simulMiller) over a strided subset and
-// the partial products merge into f before the (single, shared) final
-// exponentiation the callers run; on a single-core host the whole set
-// shares one squaring chain.
+// millerProduct multiplies the product of the slots' Miller values into f
+// (see millerAccumulate), all on the caller's goroutine: sharding the
+// slots across goroutines repeats the squaring chain in every shard, and
+// measured slower than one chain at 4, 8 and 16 slots (docs/PERF.md).
+// Fixed and fresh slots interleave freely: a fresh slot's table is built
+// here and dropped afterwards.
 func millerProduct(slots []*PairingSlot, f *fp12) error {
+	var buf [8]millerCursor // the scheme's products have 4 to 8 slots
+	cs := buf[:0]
 	for _, s := range slots {
 		if s == nil || s.P == nil || (s.Q == nil && s.Pre == nil) {
 			return errors.New("bn254: incomplete pairing slot")
 		}
+		if s.P.IsInfinity() {
+			continue
+		}
+		pre := s.Pre
+		if pre == nil {
+			pre = PrecomputeG2(s.Q)
+		}
+		if !pre.infinity {
+			cs = append(cs, millerCursor{p: s.P, lines: pre.lines})
+		}
 	}
-	workers := runtime.GOMAXPROCS(0)
-	if workers > len(slots) {
-		workers = len(slots)
-	}
-	if workers <= 1 {
-		simulMiller(slots, f)
-		return nil
-	}
-	partial := make([]fp12, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			partial[w].SetOne()
-			// Strided assignment keeps the shards balanced when fixed
-			// (cheap) and fresh (expensive) slots are interleaved.
-			shard := make([]*PairingSlot, 0, (len(slots)+workers-1)/workers)
-			for i := w; i < len(slots); i += workers {
-				shard = append(shard, slots[i])
-			}
-			simulMiller(shard, &partial[w])
-		}(w)
-	}
-	wg.Wait()
-	for w := range partial {
-		f.Mul(f, &partial[w])
+	if len(cs) != 0 {
+		millerAccumulate(cs, f)
 	}
 	return nil
 }
 
-// MultiPairMixed computes prod_i e(slots[i].P, slots[i].Q-or-Pre) with
-// parallel Miller loops and a single shared final exponentiation.
+// MultiPairMixed computes prod_i e(slots[i].P, slots[i].Q-or-Pre) with one
+// shared-squaring Miller loop and a single final exponentiation.
 func MultiPairMixed(slots []*PairingSlot) (*GT, error) {
 	var f fp12
 	f.SetOne()
@@ -365,7 +308,7 @@ func MultiPairMixed(slots []*PairingSlot) (*GT, error) {
 		return nil, err
 	}
 	out := &GT{}
-	out.v.Set(finalExponentiation(&f))
+	finalExponentiation(&out.v, &f)
 	return out, nil
 }
 

@@ -6,9 +6,10 @@ import (
 	"testing/quick"
 )
 
-// Differential coverage for the fixed-argument pairing path: the
-// precomputed Miller loop, the mixed multi-pairing and the parallel
-// sharding must be bit-identical to the fresh-argument reference.
+// Differential coverage for the pairing paths: the line tables (Jacobian
+// steps, one shared inversion) must hold exactly the lines affine
+// arithmetic yields, and the fresh, fixed, mixed and sharded Miller loops
+// must be bit-identical to the affine reference loop (reference_test.go).
 
 func TestMillerLoopFixedMatchesMiller(t *testing.T) {
 	cases := []struct {
@@ -20,16 +21,27 @@ func TestMillerLoopFixedMatchesMiller(t *testing.T) {
 		p := new(G1).ScalarBaseMult(scalarFromRaw(tc.a))
 		q := new(G2).ScalarBaseMult(scalarFromRaw(tc.b))
 
-		var want, got fp12
+		var want, got, fresh fp12
 		want.SetOne()
-		miller(p, q, &want)
+		millerAffine(p, q, &want)
 
 		pre := PrecomputeG2(q)
 		got.SetOne()
 		MillerLoopFixed(p, pre, &got)
+		fresh.SetOne()
+		miller(p, q, &fresh)
 
-		if !got.Equal(&want) {
+		if !got.Equal(&want) || !fresh.Equal(&want) {
 			t.Fatalf("Miller value mismatch for a=%d b=%d", tc.a, tc.b)
+		}
+		ref := linesAffine(q)
+		if len(ref) != len(pre.lines) || len(ref) != millerLineCount() {
+			t.Fatalf("table has %d lines, reference %d, schedule %d", len(pre.lines), len(ref), millerLineCount())
+		}
+		for i := range ref {
+			if ref[i].vertical != pre.lines[i].vertical || !ref[i].lambda.Equal(&pre.lines[i].lambda) || !ref[i].c.Equal(&pre.lines[i].c) {
+				t.Fatalf("line %d of the table differs from affine arithmetic (a=%d b=%d)", i, tc.a, tc.b)
+			}
 		}
 	}
 }
@@ -38,13 +50,15 @@ func TestMillerLoopFixedRandom(t *testing.T) {
 	for trial := 0; trial < 3; trial++ {
 		p := new(G1).ScalarBaseMult(randScalarT(t))
 		q := new(G2).ScalarBaseMult(randScalarT(t))
-		var want, got fp12
+		var want, got, fresh fp12
 		want.SetOne()
-		miller(p, q, &want)
+		millerAffine(p, q, &want)
 		got.SetOne()
 		MillerLoopFixed(p, PrecomputeG2(q), &got)
-		if !got.Equal(&want) {
-			t.Fatalf("trial %d: fixed Miller loop diverges from reference", trial)
+		fresh.SetOne()
+		miller(p, q, &fresh)
+		if !got.Equal(&want) || !fresh.Equal(&want) {
+			t.Fatalf("trial %d: Miller loop diverges from reference", trial)
 		}
 	}
 }
@@ -164,7 +178,7 @@ func TestQuickMillerLoopFixedEquivalence(t *testing.T) {
 		q := new(G2).ScalarBaseMult(scalarFromRaw(bRaw))
 		var want, got fp12
 		want.SetOne()
-		miller(p, q, &want)
+		millerAffine(p, q, &want)
 		got.SetOne()
 		MillerLoopFixed(p, PrecomputeG2(q), &got)
 		return got.Equal(&want)
