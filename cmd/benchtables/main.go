@@ -1,6 +1,5 @@
 // Command benchtables regenerates every quantitative claim of the paper's
-// evaluation as a text table (experiment index in DESIGN.md, results log
-// in EXPERIMENTS.md):
+// evaluation as a text table:
 //
 //	benchtables -table sizes     E1/E6: signature & key sizes across schemes
 //	benchtables -table ops       E2/E3/E10: per-operation costs across schemes
@@ -19,11 +18,8 @@
 //
 //	benchtables -json BENCH_core.json
 //
-// With -json-service PATH it instead measures the service layer end to
-// end — a loopback signer fleet behind a coordinator, keyed by a DKG
-// over HTTP — and writes the committed BENCH_service.json the same way:
-//
-//	benchtables -json-service BENCH_service.json
+// The service layer is measured end to end by the repo's benchmark,
+// go run ./bench (see bench/README.md), not here.
 package main
 
 import (
@@ -54,19 +50,12 @@ var (
 	quickFlag = flag.Bool("quick", false, "smaller sweeps and RSA moduli for a fast run")
 	trials    = flag.Int("bias-trials", 20, "trials for the bias-attack experiment")
 	jsonFlag  = flag.String("json", "", "measure the core benchmark families and write them as JSON to this path (skips the tables)")
-	jsonSvc   = flag.String("json-service", "", "measure the service-layer suite over a loopback fleet and write it as JSON to this path (skips the tables)")
 )
 
 func main() {
 	flag.Parse()
 	if *jsonFlag != "" {
 		if err := writeBenchJSON(*jsonFlag); err != nil {
-			log.Fatal(err)
-		}
-		return
-	}
-	if *jsonSvc != "" {
-		if err := writeServiceBenchJSON(*jsonSvc); err != nil {
 			log.Fatal(err)
 		}
 		return

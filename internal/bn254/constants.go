@@ -32,7 +32,7 @@ import (
 )
 
 // Substrate names the field arithmetic under this package, as recorded in
-// BENCH_core.json and BENCH_service.json.
+// BENCH_core.json.
 const Substrate = "montgomery-4x64"
 
 var (

@@ -90,6 +90,12 @@ type ShareBatchEntry struct {
 	PS  *PartialSignature
 }
 
+// wellFormed reports whether the entry has every component a pairing
+// check dereferences.
+func (e ShareBatchEntry) wellFormed() bool {
+	return e.PS != nil && e.PS.Z != nil && e.PS.R != nil && e.VK != nil && e.VK.V1 != nil && e.VK.V2 != nil
+}
+
 // sampleWeights draws k independent 128-bit batching weights from rng
 // (crypto/rand when nil).
 func sampleWeights(k int, rng io.Reader) ([]*big.Int, error) {
@@ -148,11 +154,8 @@ func BatchShareVerify(pk *PublicKey, entries []ShareBatchEntry, rng io.Reader) (
 		return false, errors.New("core: empty share batch")
 	}
 	for j, e := range entries {
-		if e.PS == nil || e.PS.Z == nil || e.PS.R == nil {
-			return false, fmt.Errorf("core: share batch entry %d has no partial signature", j)
-		}
-		if e.VK == nil || e.VK.V1 == nil || e.VK.V2 == nil {
-			return false, fmt.Errorf("core: share batch entry %d has no verification key", j)
+		if !e.wellFormed() {
+			return false, fmt.Errorf("core: share batch entry %d lacks a partial signature or verification key", j)
 		}
 	}
 	weights, err := sampleWeights(len(entries), rng)
@@ -239,7 +242,7 @@ func FindInvalidShares(pk *PublicKey, entries []ShareBatchEntry, rng io.Reader) 
 	pos := make([]int, 0, len(entries)) // original index of well[j]
 	var bad []int
 	for j, e := range entries {
-		if e.PS == nil || e.PS.Z == nil || e.PS.R == nil || e.VK == nil || e.VK.V1 == nil || e.VK.V2 == nil {
+		if !e.wellFormed() {
 			bad = append(bad, j)
 			continue
 		}
@@ -275,4 +278,27 @@ func FindInvalidShares(pk *PublicKey, entries []ShareBatchEntry, rng io.Reader) 
 	bisect(well, pos, len(well) == len(entries))
 	sort.Ints(bad)
 	return bad
+}
+
+// CheckShares reports, per entry, whether the partial signature is valid
+// for its message under its verification key — the one share check behind
+// both Combine and the coordinator's fan-out. A single entry gets the
+// weight-free ShareVerify directly (one multi-pairing, no randomness);
+// several entries are accepted by one BatchShareVerify when all are
+// valid, and a failing batch is attributed by FindInvalidShares.
+func CheckShares(pk *PublicKey, entries []ShareBatchEntry) []bool {
+	ok := make([]bool, len(entries))
+	if len(entries) == 1 {
+		ok[0] = ShareVerify(pk, entries[0].VK, entries[0].Msg, entries[0].PS)
+		return ok
+	}
+	for j := range ok {
+		ok[j] = true
+	}
+	if pass, err := BatchShareVerify(pk, entries, nil); err != nil || !pass {
+		for _, j := range FindInvalidShares(pk, entries, nil) {
+			ok[j] = false
+		}
+	}
+	return ok
 }

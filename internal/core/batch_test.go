@@ -2,6 +2,7 @@ package core
 
 import (
 	"crypto/rand"
+	"errors"
 	"fmt"
 	"testing"
 
@@ -242,5 +243,69 @@ func TestBatchVerifyInputValidation(t *testing.T) {
 	}
 	if _, err := BatchVerify(views[1].PK, []BatchEntry{{Msg: []byte("x")}}, rand.Reader); err == nil {
 		t.Fatal("accepted entry without signature")
+	}
+}
+
+// trippedReader fails the test if anything draws randomness from it.
+type trippedReader struct{ t *testing.T }
+
+func (r trippedReader) Read([]byte) (int, error) {
+	r.t.Error("CheckShares drew randomness for a single entry")
+	return 0, errors.New("tripped")
+}
+
+// TestCheckSharesSingleEntryIsShareVerify: a batch of one gets the
+// weight-free check — the same verdict as ShareVerify, for a valid and an
+// invalid share, without sampling a batching weight.
+func TestCheckSharesSingleEntryIsShareVerify(t *testing.T) {
+	views := keyFixture(t)
+	saved := rand.Reader
+	rand.Reader = trippedReader{t}
+	defer func() { rand.Reader = saved }()
+
+	good := makeShareBatch(t, views, 2, 1)
+	bad := makeShareBatch(t, views, 2, 1)
+	bad[0].PS = &PartialSignature{Index: 2, Z: bad[0].PS.R, R: bad[0].PS.Z}
+	for name, entries := range map[string][]ShareBatchEntry{"valid": good, "invalid": bad} {
+		e := entries[0]
+		want := ShareVerify(views[1].PK, e.VK, e.Msg, e.PS)
+		if got := CheckShares(views[1].PK, entries); len(got) != 1 || got[0] != want {
+			t.Fatalf("%s share: CheckShares = %v, ShareVerify = %v", name, got, want)
+		}
+	}
+	if got := CheckShares(views[1].PK, []ShareBatchEntry{{Msg: []byte("x"), VK: views[1].VKs[2]}}); got[0] {
+		t.Fatal("entry without a partial signature accepted")
+	}
+	if got := CheckShares(views[1].PK, nil); len(got) != 0 {
+		t.Fatalf("empty input yielded %v", got)
+	}
+}
+
+// TestCheckSharesAgreesWithFindInvalidShares: for k entries the verdicts
+// are exactly the complement of what bisection reports — all true for a
+// clean batch, false at the corrupted positions (a malformed entry
+// included) otherwise.
+func TestCheckSharesAgreesWithFindInvalidShares(t *testing.T) {
+	views := keyFixture(t)
+	pk := views[1].PK
+	for _, ok := range CheckShares(pk, makeShareBatch(t, views, 3, 5)) {
+		if !ok {
+			t.Fatal("clean batch has a rejected share")
+		}
+	}
+	entries := makeShareBatch(t, views, 2, 8)
+	for _, j := range []int{0, 5} {
+		entries[j].PS = &PartialSignature{Index: 2, Z: entries[j].PS.R, R: entries[j].PS.Z}
+	}
+	entries[7].PS = nil
+	got := CheckShares(pk, entries)
+	bad := FindInvalidShares(pk, entries, rand.Reader)
+	if len(bad) != 3 || bad[0] != 0 || bad[1] != 5 || bad[2] != 7 {
+		t.Fatalf("FindInvalidShares = %v, want [0 5 7]", bad)
+	}
+	for j, ok := range got {
+		if want := j != 0 && j != 5 && j != 7; ok != want {
+			t.Fatalf("CheckShares[%d] = %v, want %v", j, ok, want)
+		}
 	}
 }

@@ -314,7 +314,7 @@ func ShareSign(params *Params, sk *PrivateKeyShare, msg []byte) (*PartialSignatu
 // All four G2 slots are fixed per (params, VK_i), so the multi-pairing
 // runs on cached Miller-loop line precomputations.
 func ShareVerify(pk *PublicKey, vk *VerificationKey, msg []byte, ps *PartialSignature) bool {
-	if ps == nil || ps.Z == nil || ps.R == nil || vk == nil {
+	if !(ShareBatchEntry{VK: vk, PS: ps}).wellFormed() {
 		return false
 	}
 	h := pk.Params.HashMessage(msg)
@@ -326,33 +326,26 @@ func ShareVerify(pk *PublicKey, vk *VerificationKey, msg []byte, ps *PartialSign
 // discarded (Share-Verify), and any t+1 valid ones suffice. vks is the
 // 1-based verification key vector.
 //
-// Validity is established batch-first: all structurally well-formed parts
-// are checked in ONE small-exponent batched multi-pairing (4 slots on
-// precomputed lines plus four multi-exponentiations); only when the batch
-// fails does the bisection of FindInvalidShares spend additional pairings
-// to pinpoint the bad contributions.
+// Validity is established by CheckShares: one batched multi-pairing for
+// all in-range parts, bisection only when that batch fails.
 func Combine(pk *PublicKey, vks []*VerificationKey, msg []byte, parts []*PartialSignature, t int) (*Signature, error) {
 	rejected := false
-	cands := make([]*PartialSignature, 0, len(parts))
+	entries := make([]ShareBatchEntry, 0, len(parts))
 	for _, ps := range parts {
 		if ps == nil || ps.Index < 1 || ps.Index >= len(vks) {
 			rejected = true
 			continue
 		}
-		if ps.Z == nil || ps.R == nil || vks[ps.Index] == nil {
-			rejected = true
-			continue
-		}
-		cands = append(cands, ps)
+		entries = append(entries, ShareBatchEntry{Msg: msg, VK: vks[ps.Index], PS: ps})
 	}
-	okAt := combineBatchCheck(pk, vks, msg, cands)
+	okAt := CheckShares(pk, entries)
 	valid := make(map[int]*PartialSignature)
-	for j, ps := range cands {
-		if _, dup := valid[ps.Index]; dup {
+	for j, e := range entries {
+		if _, dup := valid[e.PS.Index]; dup {
 			continue
 		}
 		if okAt[j] {
-			valid[ps.Index] = ps
+			valid[e.PS.Index] = e.PS
 		} else {
 			rejected = true
 		}
@@ -390,36 +383,6 @@ func Combine(pk *PublicKey, vks []*VerificationKey, msg []byte, parts []*Partial
 		return nil, fmt.Errorf("core: Combine: %w", err)
 	}
 	return out, nil
-}
-
-// combineBatchCheck reports per-candidate validity for Combine: one
-// batched multi-pairing accepts the common all-valid case outright, and a
-// failing batch is attributed by bisection. Candidates must be
-// structurally well-formed (non-nil components and in-range index).
-func combineBatchCheck(pk *PublicKey, vks []*VerificationKey, msg []byte, cands []*PartialSignature) []bool {
-	ok := make([]bool, len(cands))
-	if len(cands) == 0 {
-		return ok
-	}
-	entries := make([]ShareBatchEntry, len(cands))
-	for j, ps := range cands {
-		entries[j] = ShareBatchEntry{Msg: msg, VK: vks[ps.Index], PS: ps}
-	}
-	if pass, err := BatchShareVerify(pk, entries, nil); err == nil && pass {
-		for j := range ok {
-			ok[j] = true
-		}
-		return ok
-	}
-	bad := FindInvalidShares(pk, entries, nil)
-	badSet := make(map[int]bool, len(bad))
-	for _, j := range bad {
-		badSet[j] = true
-	}
-	for j := range ok {
-		ok[j] = !badSet[j]
-	}
-	return ok
 }
 
 // VerifyShare is the error-typed form of ShareVerify: it returns nil for

@@ -1,9 +1,8 @@
 // Package keyfile defines the on-disk keystore produced by Dist-Keygen
 // and consumed by every front end (tsigcli, tsigd): a public group file
 // (group.json) describing PK, the verification keys and the threshold,
-// and one private share file (share-i.json) per server. Legacy keystores
-// (the schema tsigcli has always written) keep loading; shares are now
-// written through the canonical core codec (one hex blob per file).
+// and one private share file (share-i.json) per server, holding the
+// canonical core codec encoding of the share (one hex blob per file).
 //
 // All validation funnels through the core types: LoadGroup enforces the
 // group invariants (n >= 2t+1, complete verification keys) and LoadShare
@@ -16,7 +15,6 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
-	"math/big"
 	"os"
 	"path/filepath"
 
@@ -39,16 +37,11 @@ type groupJSON struct {
 	VK2    []string `json:"vk_v2"`
 }
 
-// shareJSON is one server's private share. New files carry the canonical
-// core.PrivateKeyShare encoding in Share; legacy files carry the four
-// hex scalars instead, and both forms load.
+// shareJSON is one server's private share: the canonical
+// core.PrivateKeyShare encoding, with the index repeated in the clear.
 type shareJSON struct {
 	Index int    `json:"index"`
 	Share string `json:"share,omitempty"` // hex of PrivateKeyShare.Marshal
-	A1    string `json:"a1,omitempty"`
-	B1    string `json:"b1,omitempty"`
-	A2    string `json:"a2,omitempty"`
-	B2    string `json:"b2,omitempty"`
 }
 
 // WriteGroup writes the group file at path with 0600 permissions.
@@ -120,54 +113,27 @@ func WriteShare(path string, sk *core.PrivateKeyShare) error {
 	})
 }
 
-// LoadShare reads and validates one server's private share file,
-// accepting both the codec-based schema and the legacy four-scalar one.
-// The share invariants (index >= 1, scalars in [0, r)) are enforced
-// here; use LoadMember to additionally bound the index by the group
-// size.
+// LoadShare reads and validates one server's private share file. The
+// share invariants (index >= 1, scalars in [0, r)) are enforced here; use
+// LoadMember to additionally bound the index by the group size.
 func LoadShare(path string) (*core.PrivateKeyShare, error) {
 	var sj shareJSON
 	if err := readJSON(path, &sj); err != nil {
 		return nil, err
 	}
-	if sj.Share != "" {
-		raw, err := hex.DecodeString(sj.Share)
-		if err != nil {
-			return nil, fmt.Errorf("keyfile: share blob: %w", err)
-		}
-		sk, err := core.UnmarshalPrivateKeyShare(raw)
-		if err != nil {
-			return nil, fmt.Errorf("keyfile: %s: %w", path, err)
-		}
-		if sj.Index != 0 && sj.Index != sk.Index {
-			return nil, fmt.Errorf("keyfile: %s: index field %d contradicts encoded index %d", path, sj.Index, sk.Index)
-		}
-		return sk, nil
+	if sj.Share == "" {
+		return nil, fmt.Errorf("keyfile: %s has no share blob (the pre-codec four-scalar schema is no longer read)", path)
 	}
-	// Legacy schema: four hex scalars.
-	parse := func(field, s string) (*big.Int, error) {
-		v, ok := new(big.Int).SetString(s, 16)
-		if !ok {
-			return nil, fmt.Errorf("keyfile: share %s: malformed scalar %q", field, s)
-		}
-		return v, nil
+	raw, err := hex.DecodeString(sj.Share)
+	if err != nil {
+		return nil, fmt.Errorf("keyfile: share blob: %w", err)
 	}
-	sk := &core.PrivateKeyShare{Index: sj.Index}
-	var err error
-	if sk.A1, err = parse("a1", sj.A1); err != nil {
-		return nil, err
-	}
-	if sk.B1, err = parse("b1", sj.B1); err != nil {
-		return nil, err
-	}
-	if sk.A2, err = parse("a2", sj.A2); err != nil {
-		return nil, err
-	}
-	if sk.B2, err = parse("b2", sj.B2); err != nil {
-		return nil, err
-	}
-	if err := sk.Validate(); err != nil {
+	sk, err := core.UnmarshalPrivateKeyShare(raw)
+	if err != nil {
 		return nil, fmt.Errorf("keyfile: %s: %w", path, err)
+	}
+	if sj.Index != 0 && sj.Index != sk.Index {
+		return nil, fmt.Errorf("keyfile: %s: index field %d contradicts encoded index %d", path, sj.Index, sk.Index)
 	}
 	return sk, nil
 }

@@ -2,6 +2,7 @@ package keyfile
 
 import (
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -89,8 +90,10 @@ func TestLoadGroupRejectsGarbage(t *testing.T) {
 func TestLoadShareRejectsGarbage(t *testing.T) {
 	dir := t.TempDir()
 	cases := map[string]string{
-		"bad scalar": `{"index":1,"a1":"zz","b1":"0a","a2":"1","b2":"2"}`,
-		"bad index":  `{"index":0,"a1":"1","b1":"1","a2":"1","b2":"1"}`,
+		"bad hex":     `{"index":1,"share":"zz"}`,
+		"short blob":  `{"index":1,"share":"0001ff"}`,
+		"bad index":   `{"index":0,"share":"` + shareBlob(0, "01", "01", "01", "01") + `"}`,
+		"index clash": `{"index":2,"share":"` + shareBlob(1, "ff", "0a", "01", "02") + `"}`,
 	}
 	for name, body := range cases {
 		path := filepath.Join(dir, "share.json")
@@ -103,20 +106,31 @@ func TestLoadShareRejectsGarbage(t *testing.T) {
 	}
 	// Good share parses.
 	path := filepath.Join(dir, "share.json")
-	if err := os.WriteFile(path, []byte(`{"index":1,"a1":"ff","b1":"0a","a2":"1","b2":"2"}`), 0o600); err != nil {
+	if err := os.WriteFile(path, []byte(`{"index":1,"share":"`+shareBlob(1, "ff", "0a", "01", "02")+`"}`), 0o600); err != nil {
 		t.Fatal(err)
 	}
 	share, err := LoadShare(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if share.A1.Int64() != 255 {
-		t.Fatal("hex parsing wrong")
+	if share.Index != 1 || share.A1.Int64() != 255 || share.B2.Int64() != 2 {
+		t.Fatal("share blob decoded wrong")
 	}
 }
 
-// TestLoadShareLegacySchema verifies that pre-codec share files (four hex
-// scalars, the schema early tsigcli versions wrote) still load and sign.
+// shareBlob hand-assembles the hex of a PrivateKeyShare encoding — a
+// 2-byte index and four 32-byte big-endian scalars given as hex — so the
+// rejection tests can build blobs Marshal itself would never emit.
+func shareBlob(index int, scalars ...string) string {
+	out := fmt.Sprintf("%04x", index)
+	for _, s := range scalars {
+		out += strings.Repeat("0", 64-len(s)) + s
+	}
+	return out
+}
+
+// TestLoadShareLegacySchema: the pre-codec schema (four hex scalars, no
+// share blob) is no longer read; the rejection names the file and says so.
 func TestLoadShareLegacySchema(t *testing.T) {
 	dir, views := writeFixtureKeystore(t)
 	legacy := `{"index":2,` +
@@ -128,12 +142,12 @@ func TestLoadShareLegacySchema(t *testing.T) {
 	if err := os.WriteFile(path, []byte(legacy), 0o600); err != nil {
 		t.Fatal(err)
 	}
-	share, err := LoadShare(path)
-	if err != nil {
-		t.Fatalf("legacy schema rejected: %v", err)
+	_, err := LoadShare(path)
+	if err == nil {
+		t.Fatal("pre-codec four-scalar share file was accepted")
 	}
-	if share.Index != 2 || share.A1.Cmp(views[2].Share.A1) != 0 {
-		t.Fatal("legacy share loaded wrong")
+	if msg := err.Error(); !strings.Contains(msg, path) || !strings.Contains(msg, "pre-codec") {
+		t.Fatalf("rejection %q does not name the file and the retired schema", msg)
 	}
 }
 
@@ -142,9 +156,9 @@ func TestLoadShareLegacySchema(t *testing.T) {
 func TestLoadShareRejectsOutOfRangeScalar(t *testing.T) {
 	dir := t.TempDir()
 	// 2^256 - 1 > r for BN254.
-	big := "ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff"
+	big := strings.Repeat("f", 64)
 	path := filepath.Join(dir, "share.json")
-	body := `{"index":1,"a1":"` + big + `","b1":"1","a2":"1","b2":"1"}`
+	body := `{"index":1,"share":"` + shareBlob(1, big, "01", "01", "01") + `"}`
 	if err := os.WriteFile(path, []byte(body), 0o600); err != nil {
 		t.Fatal(err)
 	}

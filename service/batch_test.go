@@ -10,6 +10,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -209,11 +210,12 @@ func TestSignBatchDeduplicatesAndReportsPerMessage(t *testing.T) {
 // via a concurrent Sign call must not fan out a second time when a
 // batch containing it arrives — SignBatch registers its items in the
 // flight group, so the batch coalesces onto the in-flight call and only
-// the genuinely new message travels in the /v1/sign-batch request.
+// the genuinely new messages travel in the /v1/sign-batch request (two of
+// them: a single leftover would ride /v1/sign, which this test holds shut).
 func TestSignBatchCoalescesWithInFlightSign(t *testing.T) {
 	f := testFixture(t)
 	shared := []byte("coalesce across batch: shared")
-	fresh := []byte("coalesce across batch: fresh")
+	fresh := [][]byte{[]byte("coalesce across batch: fresh A"), []byte("coalesce across batch: fresh B")}
 	sharedB64 := []byte(base64.StdEncoding.EncodeToString(shared))
 
 	gate := make(chan struct{}) // holds every /v1/sign answer open
@@ -258,7 +260,7 @@ func TestSignBatchCoalescesWithInFlightSign(t *testing.T) {
 	}
 	batchCh := make(chan batchRes, 1)
 	go func() {
-		results, err := c.SignBatch(context.Background(), [][]byte{shared, fresh})
+		results, err := c.SignBatch(context.Background(), [][]byte{shared, fresh[0], fresh[1]})
 		batchCh <- batchRes{results, err}
 	}()
 	// The batch fan-out (which claims flight slots first) has dispatched;
@@ -286,11 +288,13 @@ func TestSignBatchCoalescesWithInFlightSign(t *testing.T) {
 	if !br.results[0].Sig.Z.Equal(sr.sig.Z) || !br.results[0].Sig.R.Equal(sr.sig.R) {
 		t.Fatal("coalesced batch result differs from the Sign result")
 	}
-	if err := br.results[1].Err; err != nil {
-		t.Fatalf("fresh message: %v", err)
-	}
-	if !core.Verify(f.group.PK, fresh, br.results[1].Sig) {
-		t.Fatal("fresh message: invalid signature")
+	for k, msg := range fresh {
+		if err := br.results[1+k].Err; err != nil {
+			t.Fatalf("fresh message %d: %v", k, err)
+		}
+		if !core.Verify(f.group.PK, msg, br.results[1+k].Sig) {
+			t.Fatalf("fresh message %d: invalid signature", k)
+		}
 	}
 }
 
@@ -381,18 +385,19 @@ func TestBatcherMergesConcurrentSigns(t *testing.T) {
 			t.Fatalf("caller %d: invalid signature", k)
 		}
 	}
-	if singleHits.Load() != 0 {
-		t.Fatalf("%d single-sign requests with batching enabled, want 0", singleHits.Load())
-	}
 	// 12 distinct messages would cost 12 fan-outs (12n requests) without
 	// the batcher; merged windows must stay well below that. Scheduling
 	// jitter can split the callers across a couple of windows, so allow
-	// up to three.
-	if got := batchHits.Load(); got > int64(3*fixN) {
-		t.Fatalf("%d signer batch requests for %d concurrent messages, want <= %d", got, callers, 3*fixN)
+	// up to three — counting both routes, since a window that caught a
+	// single straggler sends it as a plain /v1/sign.
+	if got := singleHits.Load() + batchHits.Load(); got > int64(3*fixN) {
+		t.Fatalf("%d signer requests for %d concurrent messages, want <= %d", got, callers, 3*fixN)
 	}
-	t.Logf("%d concurrent distinct messages -> %d batch requests (vs %d unbatched)",
-		callers, batchHits.Load(), callers*fixN)
+	if batchHits.Load() == 0 {
+		t.Fatal("no /v1/sign-batch request: the window never merged two messages")
+	}
+	t.Logf("%d concurrent distinct messages -> %d batch + %d single requests (vs %d unbatched)",
+		callers, batchHits.Load(), singleHits.Load(), callers*fixN)
 }
 
 func TestBatcherFillsToMaxAndDispatchesEarly(t *testing.T) {
@@ -429,43 +434,11 @@ func TestBatcherFillsToMaxAndDispatchesEarly(t *testing.T) {
 	}
 }
 
-func TestBatcherFallsBackOnLegacySigners(t *testing.T) {
-	f := testFixture(t)
-	var singleHits atomic.Int64
-	// Signers that predate the batch endpoint: /v1/sign-batch is 404.
-	urls := startSigners(t, f, func(i int, h http.Handler) http.Handler {
-		return countPath(&singleHits, "/v1/sign", http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-			if r.URL.Path == "/v1/sign-batch" {
-				http.NotFound(w, r)
-				return
-			}
-			h.ServeHTTP(w, r)
-		}))
-	})
-	c := newTestCoordinator(t, urls, CoordinatorConfig{SignerTimeout: 60 * time.Second})
-	msgs := batchMsgs("legacy", 3)
-	results, err := c.SignBatch(context.Background(), msgs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for j, res := range results {
-		if res.Err != nil {
-			t.Fatalf("message %d: %v", j, res.Err)
-		}
-		if !core.Verify(f.group.PK, msgs[j], res.Sig) {
-			t.Fatalf("message %d: invalid signature", j)
-		}
-	}
-	if singleHits.Load() == 0 {
-		t.Fatal("fallback never used the legacy /v1/sign endpoint")
-	}
-}
-
 func TestBatcherSplitsOnByteBudget(t *testing.T) {
 	f := testFixture(t)
-	var batchHits atomic.Int64
+	var singleHits, batchHits atomic.Int64
 	urls := startSigners(t, f, func(i int, h http.Handler) http.Handler {
-		return countPath(&batchHits, "/v1/sign-batch", h)
+		return countPath(&singleHits, "/v1/sign", countPath(&batchHits, "/v1/sign-batch", h))
 	})
 	c := newTestCoordinator(t, urls, CoordinatorConfig{
 		SignerTimeout: 60 * time.Second,
@@ -497,95 +470,163 @@ func TestBatcherSplitsOnByteBudget(t *testing.T) {
 			t.Fatalf("message %d: invalid signature", k)
 		}
 	}
-	// Each oversized message must have traveled in its own batch: three
-	// fan-outs, not one rejected mega-batch (and not the 4th a merged
-	// batch would need after the signers 400 it).
-	if got := batchHits.Load(); got < int64(3) {
-		t.Fatalf("%d batch requests for 3 over-budget messages, want >= 3 (split fan-outs)", got)
+	// Each oversized message must have traveled in its own batch of one —
+	// three /v1/sign fan-outs, and no merged /v1/sign-batch body for the
+	// signers to refuse.
+	if got := singleHits.Load(); got < 3 {
+		t.Fatalf("%d single requests for 3 over-budget messages, want >= 3 (split fan-outs)", got)
+	}
+	if got := batchHits.Load(); got != 0 {
+		t.Fatalf("%d /v1/sign-batch requests: over-budget messages were merged", got)
 	}
 }
 
-func TestBatchFallsBackWhenSignerMaxBatchIsSmaller(t *testing.T) {
-	// A fleet misconfiguration the coordinator must survive: signers
-	// capped at -max-batch 2 behind a coordinator batching 4. The batch
-	// POST is 400ed by every signer; the per-message fallback must still
-	// produce every signature.
+// TestBatchRefusalMeansUnreachable: there is no per-message fallback. A
+// signer that refuses the batch request as such is an errored backend for
+// that batch — listed unreachable on every message and counted in
+// backend_errors_total, never re-asked over /v1/sign — and the batch
+// still succeeds on the other signers.
+func TestBatchRefusalMeansUnreachable(t *testing.T) {
 	f := testFixture(t)
-	var singleHits atomic.Int64
-	urls := make([]string, f.group.N)
-	for i := 1; i <= f.group.N; i++ {
-		s, err := NewSigner(f.group, f.shares[i], SignerConfig{MaxBatch: 2})
+	const refuser = 3
+	cases := []struct {
+		name   string
+		refuse func(w http.ResponseWriter, r *http.Request)
+	}{
+		{"404 no batch endpoint", http.NotFound},
+		{"400 batch_too_large", func(w http.ResponseWriter, _ *http.Request) {
+			writeErrorCode(w, http.StatusBadRequest, CodeBatchTooLarge, "batch of 3 messages exceeds limit 2")
+		}},
+		{"413 body too large", func(w http.ResponseWriter, _ *http.Request) {
+			writeError(w, http.StatusRequestEntityTooLarge, "request body too large")
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			var singleHits atomic.Int64
+			urls := startSigners(t, f, func(i int, h http.Handler) http.Handler {
+				if i != refuser {
+					return h
+				}
+				return countPath(&singleHits, "/v1/sign", http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+					if r.URL.Path == "/v1/sign-batch" {
+						tc.refuse(w, r)
+						return
+					}
+					h.ServeHTTP(w, r)
+				}))
+			})
+			// The honest signers are only asked once the refusal is back at
+			// the coordinator, so the fan-out cannot settle (and cancel the
+			// refuser as a laggard) before it has heard it.
+			c := newTestCoordinator(t, urls, CoordinatorConfig{
+				SignerTimeout: 60 * time.Second,
+				HTTPClient:    &http.Client{Transport: &answersFirst{url: urls[refuser-1], heard: make(chan struct{})}},
+			})
+			gateway := httptest.NewServer(c)
+			defer gateway.Close()
+
+			msgs := batchMsgs("refused "+tc.name, 3)
+			results, err := c.SignBatch(context.Background(), msgs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for j, res := range results {
+				if res.Err != nil {
+					t.Fatalf("message %d: %v", j, res.Err)
+				}
+				if !core.Verify(f.group.PK, msgs[j], res.Sig) {
+					t.Fatalf("message %d: invalid signature", j)
+				}
+				if contains(res.Report.Signers, refuser) || contains(res.Report.Invalid, refuser) {
+					t.Fatalf("message %d: refuser in signers %v / invalid %v", j, res.Report.Signers, res.Report.Invalid)
+				}
+				if !contains(res.Report.Unreachable, refuser) {
+					t.Fatalf("message %d: refuser not in unreachable %v", j, res.Report.Unreachable)
+				}
+			}
+			metric := fmt.Sprintf(`tsig_coordinator_backend_errors_total{signer="%d"}`, refuser)
+			if got := metricValue(t, scrapeMetrics(t, gateway.URL), metric); got != 1 {
+				t.Fatalf("%s = %v on a fresh coordinator, want 1", metric, got)
+			}
+			if n := singleHits.Load(); n != 0 {
+				t.Fatalf("%d /v1/sign requests reached the refusing signer, want 0 (no fallback)", n)
+			}
+		})
+	}
+}
+
+// answersFirst is a RoundTripper that holds every request back until the
+// one signer at url has answered.
+type answersFirst struct {
+	url   string
+	heard chan struct{}
+	once  sync.Once
+}
+
+func (a *answersFirst) RoundTrip(r *http.Request) (*http.Response, error) {
+	if !strings.HasPrefix(r.URL.String(), a.url) {
+		<-a.heard
+		return http.DefaultTransport.RoundTrip(r)
+	}
+	defer a.once.Do(func() { close(a.heard) })
+	return http.DefaultTransport.RoundTrip(r)
+}
+
+// TestSingleMessageIsABatchOfOne: Sign and a one-message SignBatch are the
+// same pipeline and the same wire exchange — one POST /v1/sign per signer
+// asked (at least the t+1 that made quorum; laggards may be canceled
+// before they are reached) with the body signers have always received,
+// no /v1/sign-batch — and, signing being deterministic, byte-identical
+// signatures.
+func TestSingleMessageIsABatchOfOne(t *testing.T) {
+	f := testFixture(t)
+	msg := []byte("a batch of one")
+	wantBody, _ := json.Marshal(SignRequest{Message: msg})
+	sign := func(t *testing.T, do func(c *Coordinator) *core.Signature) []byte {
+		t.Helper()
+		var mu sync.Mutex
+		var seen []string // "METHOD path body" of every request to any signer
+		urls := startSigners(t, f, func(i int, h http.Handler) http.Handler {
+			return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				body, _ := io.ReadAll(r.Body)
+				mu.Lock()
+				seen = append(seen, r.Method+" "+r.URL.Path+" "+string(body))
+				mu.Unlock()
+				r.Body = io.NopCloser(bytes.NewReader(body))
+				h.ServeHTTP(w, r)
+			})
+		})
+		c := newTestCoordinator(t, urls, CoordinatorConfig{CacheSize: -1, SignerTimeout: 60 * time.Second})
+		sig := do(c)
+		mu.Lock()
+		defer mu.Unlock()
+		if len(seen) < fixT+1 || len(seen) > fixN {
+			t.Fatalf("signers saw %d requests, want one each from t+1=%d to n=%d of them", len(seen), fixT+1, fixN)
+		}
+		for _, got := range seen {
+			if want := "POST /v1/sign " + string(wantBody); got != want {
+				t.Fatalf("a signer saw %q, want %q", got, want)
+			}
+		}
+		return sig.Marshal()
+	}
+	single := sign(t, func(c *Coordinator) *core.Signature {
+		sig, _, err := c.Sign(context.Background(), msg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		srv := httptest.NewServer(countPath(&singleHits, "/v1/sign", s))
-		t.Cleanup(srv.Close)
-		urls[i-1] = srv.URL
-	}
-	c := newTestCoordinator(t, urls, CoordinatorConfig{SignerTimeout: 60 * time.Second})
-	msgs := batchMsgs("mismatch", 4)
-	results, err := c.SignBatch(context.Background(), msgs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for j, res := range results {
-		if res.Err != nil {
-			t.Fatalf("message %d: %v", j, res.Err)
-		}
-		if !core.Verify(f.group.PK, msgs[j], res.Sig) {
-			t.Fatalf("message %d: invalid signature", j)
-		}
-	}
-	if singleHits.Load() == 0 {
-		t.Fatal("count-mismatch fallback never reached /v1/sign")
-	}
-}
-
-func TestBatchFallbackSurvivesPerMessageFailures(t *testing.T) {
-	// Legacy signers (no batch endpoint) that 503 exactly one message of
-	// the fallback sequence: the poisoned message must fail as
-	// UNREACHABLE — not Byzantine — while the signers' other answers are
-	// kept and every other message succeeds.
-	f := testFixture(t)
-	poison := []byte("batch fallback poison")
-	urls := startSigners(t, f, func(i int, h http.Handler) http.Handler {
-		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-			if r.URL.Path == "/v1/sign-batch" {
-				http.NotFound(w, r)
-				return
-			}
-			if r.Method == http.MethodPost && r.URL.Path == "/v1/sign" {
-				var req SignRequest
-				body, _ := io.ReadAll(r.Body)
-				if json.Unmarshal(body, &req) == nil && bytes.Equal(req.Message, poison) {
-					writeError(w, http.StatusServiceUnavailable, "injected overload")
-					return
-				}
-				r.Body = io.NopCloser(bytes.NewReader(body))
-			}
-			h.ServeHTTP(w, r)
-		})
+		return sig
 	})
-	c := newTestCoordinator(t, urls, CoordinatorConfig{SignerTimeout: 60 * time.Second})
-	msgs := [][]byte{[]byte("fallback ok A"), poison, []byte("fallback ok B")}
-	results, err := c.SignBatch(context.Background(), msgs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var qe *QuorumError
-	if !errors.As(results[1].Err, &qe) {
-		t.Fatalf("poisoned message: got %v, want QuorumError", results[1].Err)
-	}
-	if len(qe.Invalid) != 0 || len(qe.Unreachable) != fixN {
-		t.Fatalf("poisoned message accounting: invalid=%v unreachable=%v, want all %d unreachable", qe.Invalid, qe.Unreachable, fixN)
-	}
-	for _, j := range []int{0, 2} {
-		if results[j].Err != nil {
-			t.Fatalf("clean message %d: %v", j, results[j].Err)
+	batch := sign(t, func(c *Coordinator) *core.Signature {
+		results, err := c.SignBatch(context.Background(), [][]byte{msg})
+		if err != nil || results[0].Err != nil {
+			t.Fatal(err, results[0].Err)
 		}
-		if !core.Verify(f.group.PK, msgs[j], results[j].Sig) {
-			t.Fatalf("clean message %d: invalid signature", j)
-		}
+		return results[0].Sig
+	})
+	if !bytes.Equal(single, batch) {
+		t.Fatal("Sign and SignBatch of the same message produced different signatures")
 	}
 }
 

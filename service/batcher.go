@@ -16,15 +16,10 @@ import (
 // batcher collects concurrent Sign calls for DISTINCT messages into one
 // fan-out round-trip per signer: the first message opens a window of
 // BatchWindow, every message arriving before it closes (or the batch
-// filling to MaxBatch) joins, and the whole batch travels in a single
-// POST /v1/sign-batch to each signer. This is the complement of the
-// coalescing layer — flightGroup collapses duplicates of ONE message,
+// filling to MaxBatch) joins, and the whole batch goes through one
+// fanOut — a single request to each signer. This is the complement of
+// the coalescing layer — flightGroup collapses duplicates of ONE message,
 // the batcher amortizes HTTP round-trips across DIFFERENT messages.
-//
-// Each signer's k returned shares are checked with one
-// core.BatchShareVerify call (a single multi-pairing) instead of k
-// Share-Verify multi-pairings; when that batch check fails, bisection
-// pinpoints exactly the Byzantine shares and the rest still count.
 type batcher struct {
 	tn     *coordTenant
 	window time.Duration
@@ -146,10 +141,10 @@ func (b *batcher) dispatch(fb *formingBatch) {
 func (b *batcher) send(items []*batchItem) {
 	b.tn.c.met.windowOccupancy.Observe(float64(len(items)))
 	//tsiglint:ignore ctxscope a window batch serves many callers and must outlive each of them; cancellation is per-item via batchItem contexts
-	b.tn.batchFanOut(WithRequestID(context.Background(), newRequestID()), items)
+	b.tn.fanOut(WithRequestID(context.Background(), newRequestID()), items)
 }
 
-// msgState tracks one in-flight message of a batch fan-out.
+// msgState tracks one in-flight message of a fan-out.
 type msgState struct {
 	valid       []*core.PartialSignature
 	signers     []int
@@ -158,12 +153,17 @@ type msgState struct {
 	done        bool
 }
 
-// batchFanOut signs every item's message with ONE request per signer,
-// verifies each signer's returned shares with one BatchShareVerify call,
-// and completes each item the moment it holds t+1 valid shares. Items
-// that never reach quorum are completed with a QuorumError; the laggard
-// signer requests are canceled as soon as every message is settled.
-func (tn *coordTenant) batchFanOut(ctx context.Context, items []*batchItem) {
+// fanOut is the coordinator's one sign pipeline; a single message is a
+// batch of one. It signs every item's message with ONE request per signer,
+// checks each signer's returned shares with one core.CheckShares call (a
+// plain Share-Verify for one share; for k, one batched multi-pairing,
+// bisected on failure so a Byzantine answer costs its signer only the bad
+// shares), and the moment a message holds t+1 valid shares combines them,
+// verifies the result, caches it and completes the item. Items that never
+// reach quorum are completed with a QuorumError; the laggard signer
+// requests are canceled as soon as every message is settled. Every item
+// is completed before fanOut returns.
+func (tn *coordTenant) fanOut(ctx context.Context, items []*batchItem) {
 	c := tn.c
 	fanOutStart := time.Now()
 	// A panic must not strand the batch: an item whose done channel never
@@ -178,7 +178,7 @@ func (tn *coordTenant) batchFanOut(ctx context.Context, items []*batchItem) {
 		if r == nil {
 			return
 		}
-		err := fmt.Errorf("service: batch fan-out panicked: %v", r)
+		err := fmt.Errorf("service: sign fan-out panicked: %v", r)
 		for _, it := range items {
 			select {
 			case <-it.done:
@@ -194,7 +194,13 @@ func (tn *coordTenant) batchFanOut(ctx context.Context, items []*batchItem) {
 	for j, it := range items {
 		msgs[j] = it.msg
 	}
-	body, err := json.Marshal(SignBatchRequest{Messages: msgs})
+	// The wire shape follows the batch size; fetchPartials picks the
+	// matching route.
+	var req any = SignBatchRequest{Messages: msgs}
+	if len(msgs) == 1 {
+		req = SignRequest{Message: msgs[0]}
+	}
+	body, err := json.Marshal(req)
 	if err != nil {
 		for _, it := range items {
 			it.complete(nil, err)
@@ -213,15 +219,14 @@ func (tn *coordTenant) batchFanOut(ctx context.Context, items []*batchItem) {
 
 	type signerResult struct {
 		index int
-		parts []*core.PartialSignature // parts[j] answers msgs[j]; nil = missing
-		errs  []error                  // errs[j] non-nil = transport failure for msgs[j] only
-		err   error                    // whole-signer failure
+		parts []*core.PartialSignature // parts[j] answers msgs[j]; nil = undecodable
+		err   error
 	}
 	results := make(chan signerResult, group.N)
 	for i := 1; i <= group.N; i++ {
 		go func(i int) {
-			parts, errs, err := tn.fetchPartialBatch(ctx, i, msgs, body)
-			results <- signerResult{index: i, parts: parts, errs: errs, err: err}
+			parts, err := tn.fetchPartials(ctx, i, msgs, body)
+			results <- signerResult{index: i, parts: parts, err: err}
 		}(i)
 	}
 
@@ -251,17 +256,12 @@ func (tn *coordTenant) batchFanOut(ctx context.Context, items []*batchItem) {
 			}
 			continue
 		}
-		// One batched pairing check covers every still-pending message this
-		// signer answered; completed messages skip verification entirely.
+		// One check covers every still-pending message this signer
+		// answered; completed messages skip verification entirely.
 		entries := make([]core.ShareBatchEntry, 0, remaining)
 		idxs := make([]int, 0, remaining)
 		for j, st := range states {
 			if st.done {
-				continue
-			}
-			if r.errs != nil && r.errs[j] != nil {
-				// The per-message fallback failed for this message only.
-				st.unreachable = append(st.unreachable, r.index)
 				continue
 			}
 			ps := r.parts[j]
@@ -275,20 +275,10 @@ func (tn *coordTenant) batchFanOut(ctx context.Context, items []*batchItem) {
 			entries = append(entries, core.ShareBatchEntry{Msg: items[j].msg, VK: group.VKs[r.index], PS: ps})
 			idxs = append(idxs, j)
 		}
-		if len(entries) == 0 {
-			continue
-		}
-		bad := map[int]bool{}
-		if ok, err := core.BatchShareVerify(group.PK, entries, nil); err != nil || !ok {
-			// The batch failed: bisection isolates exactly the bad shares,
-			// so one Byzantine answer cannot poison the signer's whole batch.
-			for _, p := range core.FindInvalidShares(group.PK, entries, nil) {
-				bad[p] = true
-			}
-		}
+		ok := core.CheckShares(group.PK, entries)
 		for p, j := range idxs {
 			st := states[j]
-			if bad[p] {
+			if !ok[p] {
 				c.met.shareVerifyFailures.WithLabelValues(signerIndexLabel(r.index)).Inc()
 				st.invalid = append(st.invalid, r.index)
 				continue
@@ -302,6 +292,9 @@ func (tn *coordTenant) batchFanOut(ctx context.Context, items []*batchItem) {
 			remaining--
 			c.met.quorumSeconds.Observe(time.Since(fanOutStart).Seconds())
 			sig, err := core.CombinePreverified(st.valid, group.T)
+			// Every share was individually verified, so this cannot fail for
+			// an honest group — it is the final safety net before a signature
+			// leaves the service or enters the cache.
 			if err == nil && !core.Verify(group.PK, items[j].msg, sig) {
 				err = fmt.Errorf("service: combined signature failed verification")
 			}
@@ -325,93 +318,77 @@ func (tn *coordTenant) batchFanOut(ctx context.Context, items []*batchItem) {
 	}
 }
 
-// fetchPartialBatch requests one signer's shares for a whole batch; the
-// batch POST itself is bounded by SignerTimeout. A signer that rejects
-// the batch request as such — no /v1/sign-batch endpoint (an older
-// build), a smaller -max-batch than the coordinator's, or a tighter
-// body-size limit — transparently falls back to per-message /v1/sign
-// requests, so mixed and misconfigured fleets degrade to the unbatched
-// protocol instead of failing. parts[j] is nil when that one partial
-// failed to decode (the caller treats it as Byzantine); errs[j] is
-// non-nil when the fallback could not reach the signer for message j
-// only. Either way the signer's other answers still count.
-func (tn *coordTenant) fetchPartialBatch(ctx context.Context, index int, msgs [][]byte, body []byte) ([]*core.PartialSignature, []error, error) {
+// fetchPartials is the only signer round-trip: it asks signer index for
+// its shares on msgs, bounded by SignerTimeout. body is the request fanOut
+// marshalled once for all signers; the route follows the same size rule —
+// one message is POST {prefix}/sign answered by a PartialResponse, several
+// are POST {prefix}/sign-batch answered by a PartialBatchResponse. parts[j]
+// is nil when that one partial failed to decode (the caller treats it as
+// Byzantine). Any error makes the signer unreachable for this whole
+// fan-out: a signer that refuses the batch (no endpoint, a smaller
+// -max-batch, a tighter body limit) is an errored backend, not retried per
+// message — robustness only ever needed t+1 answers.
+func (tn *coordTenant) fetchPartials(ctx context.Context, index int, msgs [][]byte, body []byte) (parts []*core.PartialSignature, err error) {
 	c := tn.c
 	start := time.Now()
-	bctx, cancel := context.WithTimeout(ctx, c.cfg.SignerTimeout)
+	defer func() {
+		// A quorum early-exit cancels the laggards; that is not the
+		// backend's failure, so neither the error counter here nor the
+		// flood guard below sees it. Every other failure counts once.
+		if err != nil && ctx.Err() == nil {
+			c.met.backendErrors.WithLabelValues(signerIndexLabel(index)).Inc()
+		}
+	}()
+	rctx, cancel := context.WithTimeout(ctx, c.cfg.SignerTimeout)
 	defer cancel()
-	req, err := http.NewRequestWithContext(bctx, http.MethodPost, c.urls[index-1]+tn.prefix()+"/sign-batch", bytes.NewReader(body))
+	route := "/sign-batch"
+	if len(msgs) == 1 {
+		route = "/sign"
+	}
+	req, err := http.NewRequestWithContext(rctx, http.MethodPost, c.urls[index-1]+tn.prefix()+route, bytes.NewReader(body))
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	req.Header.Set("Content-Type", "application/json")
 	setRequestIDHeader(req, ctx)
 	resp, err := c.cfg.HTTPClient.Do(req)
 	if err != nil {
 		if ctx.Err() == nil {
-			c.met.backendErrors.WithLabelValues(signerIndexLabel(index)).Inc()
 			c.markBackendDown(index, err)
 		}
-		return nil, nil, err
+		return nil, err
 	}
 	c.markBackendUp(index)
 	defer resp.Body.Close()
 	raw, err := io.ReadAll(io.LimitReader(resp.Body, maxRequestBytes))
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	switch resp.StatusCode {
-	case http.StatusNotFound, http.StatusMethodNotAllowed,
-		http.StatusBadRequest, http.StatusRequestEntityTooLarge:
-		// The fallback runs under the fan-out's context, NOT the batch
-		// request's expiring timeout: each /v1/sign request gets its own
-		// SignerTimeout inside fetchPartial.
-		return tn.fetchPartialsSequentially(ctx, index, msgs)
-	case http.StatusOK:
-		c.met.backendSeconds.WithLabelValues(signerIndexLabel(index)).Observe(time.Since(start).Seconds())
-	default:
-		c.met.backendErrors.WithLabelValues(signerIndexLabel(index)).Inc()
-		return nil, nil, fmt.Errorf("signer %d: status %d: %s", index, resp.StatusCode, bytes.TrimSpace(raw))
+	if resp.StatusCode != http.StatusOK {
+		return nil, fmt.Errorf("signer %d: status %d: %s", index, resp.StatusCode, bytes.TrimSpace(raw))
 	}
-	var pr PartialBatchResponse
-	if err := json.Unmarshal(raw, &pr); err != nil {
-		return nil, nil, fmt.Errorf("signer %d: %w", index, err)
+	c.met.backendSeconds.WithLabelValues(signerIndexLabel(index)).Observe(time.Since(start).Seconds())
+	var encoded [][]byte
+	if len(msgs) == 1 {
+		var pr PartialResponse
+		err = json.Unmarshal(raw, &pr)
+		encoded = [][]byte{pr.Partial}
+	} else {
+		var pr PartialBatchResponse
+		err = json.Unmarshal(raw, &pr)
+		encoded = pr.Partials
 	}
-	if len(pr.Partials) != len(msgs) {
-		return nil, nil, fmt.Errorf("signer %d: %d partials for a %d-message batch", index, len(pr.Partials), len(msgs))
+	if err != nil {
+		return nil, fmt.Errorf("signer %d: %w", index, err)
 	}
-	parts := make([]*core.PartialSignature, len(msgs))
-	for j, raw := range pr.Partials {
-		if ps, err := core.UnmarshalPartialSignature(raw); err == nil {
+	if len(encoded) != len(msgs) {
+		return nil, fmt.Errorf("signer %d: %d partials for a %d-message batch", index, len(encoded), len(msgs))
+	}
+	parts = make([]*core.PartialSignature, len(msgs))
+	for j, enc := range encoded {
+		if ps, err := core.UnmarshalPartialSignature(enc); err == nil {
 			parts[j] = ps
 		}
 	}
-	return parts, nil, nil
-}
-
-// fetchPartialsSequentially is the fallback for signers that cannot take
-// the batch as one request: one /v1/sign call per message, each with its
-// own SignerTimeout. Per-message failures are recorded in errs and do
-// not discard the partials already fetched; only a signer that failed
-// every message is reported as wholly unreachable.
-func (tn *coordTenant) fetchPartialsSequentially(ctx context.Context, index int, msgs [][]byte) ([]*core.PartialSignature, []error, error) {
-	parts := make([]*core.PartialSignature, len(msgs))
-	errs := make([]error, len(msgs))
-	failed := 0
-	for j, msg := range msgs {
-		if err := ctx.Err(); err != nil {
-			return nil, nil, err
-		}
-		body, err := json.Marshal(SignRequest{Message: msg})
-		if err != nil {
-			return nil, nil, err
-		}
-		if parts[j], errs[j] = tn.fetchPartial(ctx, index, body); errs[j] != nil {
-			failed++
-		}
-	}
-	if failed == len(msgs) {
-		return nil, nil, fmt.Errorf("signer %d: every per-message fallback request failed: %w", index, errs[0])
-	}
-	return parts, errs, nil
+	return parts, nil
 }

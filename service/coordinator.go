@@ -1,7 +1,6 @@
 package service
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -35,9 +34,9 @@ type CoordinatorConfig struct {
 	BatchWindow time.Duration
 	// MaxBatch caps the messages per batch — both the window batcher's
 	// fill limit and the /v1/sign-batch request size. Default
-	// DefaultMaxBatch. Keep the signers' -max-batch at least this large;
-	// a signer that rejects the batch size is served per-message as a
-	// fallback, which works but forfeits the round-trip savings.
+	// DefaultMaxBatch. Every signer's -max-batch must be at least this
+	// large: there is no per-message fallback, so a signer that rejects
+	// the batch size counts as unreachable for that batch.
 	MaxBatch int
 	// ProtoRoundTimeout bounds each signer's step call during a driven
 	// protocol session (keygen, refresh); a signer that misses it is
@@ -76,14 +75,16 @@ func (c CoordinatorConfig) withDefaults() CoordinatorConfig {
 	return c
 }
 
-// Coordinator is the signing gateway: it fans a client request out to all
-// n signers concurrently, verifies every partial signature the moment it
-// arrives, early-exits once t+1 valid shares are in hand, interpolates
-// the full signature, and double-checks it with Verify before answering.
-// Slow and unreachable signers are bounded by per-request timeouts;
-// Byzantine answers are detected by Share-Verify and simply discarded —
-// the protocol is robust, so the coordinator needs no retry rounds as
-// long as t+1 honest signers respond.
+// Coordinator is the signing gateway. It has one fan-out (fanOut, in
+// batcher.go), through which a single message is a batch of one: Sign,
+// SignBatch and the window batcher all hand it their messages. It asks
+// all n signers concurrently, verifies each signer's shares the moment
+// they arrive, settles a message once t+1 valid shares are in hand,
+// interpolates the full signature, and double-checks it with Verify
+// before answering or caching it. Slow and unreachable signers are
+// bounded by per-request timeouts; Byzantine answers are detected by
+// Share-Verify and simply discarded — the protocol is robust, so the
+// coordinator needs no retry rounds as long as t+1 honest signers respond.
 //
 // It is also an http.Handler:
 //
@@ -102,20 +103,14 @@ func (c CoordinatorConfig) withDefaults() CoordinatorConfig {
 // aliases the "default" group. A DKG run against an unknown group ID
 // mints the tenant across the whole fleet.
 type Coordinator struct {
-	// group is swappable: a keyless coordinator starts with nil and
-	// installs the group a remote keygen produces; a refresh run swaps in
-	// the re-randomized verification keys. Signing fan-outs capture the
-	// pointer once, so one request sees one consistent view. This field
-	// is the DEFAULT tenant's group; others live in their coordTenant.
-	group  atomic.Pointer[core.Group]
 	urls   []string // urls[i-1] serves share i
 	cfg    CoordinatorConfig
 	cache  *sigCache    // shared across tenants; keys carry the group ID
 	flight *flightGroup // shared across tenants; keys carry the group ID
 	mux    *http.ServeMux
 
-	// reg is the tenant registry; def the always-hot default tenant,
-	// whose group pointer aliases the field above.
+	// reg is the tenant registry; def the default tenant, an ordinary
+	// coordTenant pinned here instead of living in the hot LRU.
 	reg      *registry.Registry
 	tenantMu sync.Mutex // serializes tenant minting and hot-cache fills
 	def      *coordTenant
@@ -130,12 +125,16 @@ type Coordinator struct {
 
 // coordTenant is one tenant's signing state on the coordinator: the
 // group view, the per-tenant request batcher, and the protocol-run
-// lock. The default tenant aliases the Coordinator's own group field;
-// others live in the registry's hot LRU.
+// lock. The default tenant is pinned on the Coordinator; others live in
+// the registry's hot LRU.
 type coordTenant struct {
-	c     *Coordinator
-	id    string
-	group *atomic.Pointer[core.Group]
+	c  *Coordinator
+	id string
+	// group is swappable: a keyless tenant starts with nil and installs
+	// the group a remote keygen produces; a refresh run swaps in the
+	// re-randomized verification keys. A fan-out captures the pointer
+	// once, so one request sees one consistent view.
+	group atomic.Pointer[core.Group]
 	batch *batcher // nil unless BatchWindow > 0
 	// protoMu serializes whole protocol runs (keygen, refresh) for this
 	// tenant: the check-then-install on group must not interleave, and
@@ -145,8 +144,9 @@ type coordTenant struct {
 }
 
 // prefix is the tenant's URL prefix on the signer daemons. The default
-// tenant speaks the un-namespaced routes, so a coordinator in front of
-// pre-tenancy signer builds keeps working for the default group.
+// tenant speaks the un-namespaced routes. Signers serve both forms
+// identically; the short one is kept for wire stability — it is what
+// proxies, access logs and fault injectors in front of the signers match.
 func (tn *coordTenant) prefix() string {
 	if tn.id == DefaultGroupID {
 		return "/v1"
@@ -184,7 +184,7 @@ func NewCoordinator(group *core.Group, signerURLs []string, cfg CoordinatorConfi
 	if err != nil {
 		return nil, err
 	}
-	c.group.Store(group)
+	c.def.group.Store(group)
 	warmGroup(group, c.met.precomputeRebuilds)
 	// Adopt the file-provided group into the keystore: a later restart
 	// from -keystore-dir alone must keep serving the default group, and
@@ -214,10 +214,10 @@ func NewKeylessCoordinator(signerURLs []string, cfg CoordinatorConfig) (*Coordin
 		return nil, err
 	}
 	if g, err := c.reg.LoadGroup(registry.DefaultGroup); err == nil {
-		c.group.Store(g)
+		c.def.group.Store(g)
 		warmGroup(g, c.met.precomputeRebuilds)
 	}
-	if err := syncDefaultRecord(c.reg, c.group.Load()); err != nil {
+	if err := syncDefaultRecord(c.reg, c.Group()); err != nil {
 		return nil, err
 	}
 	return c, nil
@@ -248,7 +248,7 @@ func newCoordinator(signerURLs []string, cfg CoordinatorConfig) (*Coordinator, e
 		c.cache.hits, c.cache.misses = c.met.cacheHits, c.met.cacheMisses
 	}
 	c.flight.coalesced = c.met.coalesced
-	c.def = newCoordTenant(c, DefaultGroupID, &c.group)
+	c.def = newCoordTenant(c, DefaultGroupID)
 	c.mux = http.NewServeMux()
 	// Every tenant-scoped route exists un-namespaced (the default group,
 	// byte-identical to the pre-tenancy surface) and namespaced under
@@ -280,8 +280,8 @@ func newCoordinator(signerURLs []string, cfg CoordinatorConfig) (*Coordinator, e
 	return c, nil
 }
 
-func newCoordTenant(c *Coordinator, id string, group *atomic.Pointer[core.Group]) *coordTenant {
-	tn := &coordTenant{c: c, id: id, group: group}
+func newCoordTenant(c *Coordinator, id string) *coordTenant {
+	tn := &coordTenant{c: c, id: id}
 	if c.cfg.BatchWindow > 0 {
 		tn.batch = newBatcher(tn, c.cfg.BatchWindow, c.cfg.MaxBatch)
 	}
@@ -319,7 +319,7 @@ func (c *Coordinator) tenant(gid string, create bool) (*coordTenant, error) {
 	if v, ok := c.reg.HotGet(gid); ok {
 		return v.(*coordTenant), nil
 	}
-	tn := newCoordTenant(c, gid, new(atomic.Pointer[core.Group]))
+	tn := newCoordTenant(c, gid)
 	if g, err := c.reg.LoadGroup(gid); err == nil {
 		tn.group.Store(g)
 		warmGroup(g, c.met.precomputeRebuilds)
@@ -345,7 +345,7 @@ func (c *Coordinator) forTenant(h func(*coordTenant, http.ResponseWriter, *http.
 
 // Group returns the coordinator's public group description — nil until
 // key material exists (keyless coordinators before their first keygen).
-func (c *Coordinator) Group() *core.Group { return c.group.Load() }
+func (c *Coordinator) Group() *core.Group { return c.def.group.Load() }
 
 // Metrics returns the coordinator's metric registry as an http.Handler
 // (Prometheus text exposition), for mounting on a separate debug
@@ -406,16 +406,12 @@ func (tn *coordTenant) signUncounted(ctx context.Context, msg []byte) (*core.Sig
 		}
 		out, coalesced, err := c.flight.do(ctx, key, func() (*signOutcome, error) {
 			if tn.batch != nil {
-				// The batcher's fan-out populates the cache itself, per
-				// message, the moment each signature is combined.
 				return tn.batch.sign(ctx, msg, key)
 			}
-			out, err := tn.fanOut(ctx, msg)
-			if err != nil {
-				return nil, err
-			}
-			c.cache.add(key, out.sig, out.signers)
-			return out, nil
+			// A batch of one. Either way the fan-out fills the cache.
+			it := &batchItem{msg: msg, key: key, done: make(chan struct{})}
+			tn.fanOut(ctx, []*batchItem{it})
+			return it.out, it.err
 		})
 		if err != nil {
 			// A follower can inherit the leader's context error (the
@@ -435,130 +431,6 @@ func (tn *coordTenant) signUncounted(ctx context.Context, msg []byte) (*core.Sig
 			Coalesced:   coalesced,
 		}, nil
 	}
-}
-
-// fanOut queries all n signers concurrently and combines the first t+1
-// valid shares. The group view is captured once, so a concurrent refresh
-// cannot hand one request a mix of old and new verification keys.
-func (tn *coordTenant) fanOut(ctx context.Context, msg []byte) (*signOutcome, error) {
-	fanOutStart := time.Now()
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-
-	group := tn.group.Load()
-	if group == nil {
-		return nil, fmt.Errorf("service: coordinator holds no group yet: %w", ErrNoKeyMaterial)
-	}
-	body, err := json.Marshal(SignRequest{Message: msg})
-	if err != nil {
-		return nil, err
-	}
-	type partialResult struct {
-		index int
-		ps    *core.PartialSignature
-		err   error
-	}
-	results := make(chan partialResult, group.N)
-	for i := 1; i <= group.N; i++ {
-		go func(i int) {
-			ps, err := tn.fetchPartial(ctx, i, body)
-			results <- partialResult{index: i, ps: ps, err: err}
-		}(i)
-	}
-
-	need := group.T + 1
-	valid := make([]*core.PartialSignature, 0, need)
-	out := &signOutcome{}
-	for received := 0; received < group.N; received++ {
-		var r partialResult
-		select {
-		case r = <-results:
-		case <-ctx.Done():
-			return nil, ctx.Err()
-		}
-		switch {
-		case r.err != nil:
-			out.unreachable = append(out.unreachable, r.index)
-		case r.ps.Index != r.index || !core.ShareVerify(group.PK, group.VKs[r.index], msg, r.ps):
-			// Wrong index (share replay) or failed pairing check: the
-			// signer is Byzantine. Robustness means we just drop it.
-			tn.c.met.shareVerifyFailures.WithLabelValues(signerIndexLabel(r.index)).Inc()
-			out.invalid = append(out.invalid, r.index)
-		default:
-			valid = append(valid, r.ps)
-			out.signers = append(out.signers, r.index)
-			if len(valid) == need {
-				cancel() // release the laggards
-				tn.c.met.quorumSeconds.Observe(time.Since(fanOutStart).Seconds())
-				sig, err := core.CombinePreverified(valid, group.T)
-				if err != nil {
-					return nil, err
-				}
-				// Every share was individually verified, so this cannot
-				// fail for an honest group — it is a final safety net
-				// before a signature leaves the service or enters the
-				// cache.
-				if !core.Verify(group.PK, msg, sig) {
-					return nil, fmt.Errorf("service: combined signature failed verification")
-				}
-				out.sig = sig
-				return out, nil
-			}
-		}
-	}
-	return nil, &QuorumError{
-		Need: need, Valid: len(valid),
-		Invalid: out.invalid, Unreachable: out.unreachable,
-	}
-}
-
-// fetchPartial requests one signer's share, bounded by SignerTimeout.
-// body is the serialized SignRequest, marshalled once per fan-out.
-func (tn *coordTenant) fetchPartial(parent context.Context, index int, body []byte) (*core.PartialSignature, error) {
-	c := tn.c
-	start := time.Now()
-	ctx, cancel := context.WithTimeout(parent, c.cfg.SignerTimeout)
-	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.urls[index-1]+tn.prefix()+"/sign", bytes.NewReader(body))
-	if err != nil {
-		return nil, err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	setRequestIDHeader(req, parent)
-	resp, err := c.cfg.HTTPClient.Do(req)
-	if err != nil {
-		// A quorum early-exit cancels the laggards; that is not the
-		// backend's failure, so neither the error counter nor the flood
-		// guard should see it.
-		if parent.Err() == nil {
-			c.met.backendErrors.WithLabelValues(signerIndexLabel(index)).Inc()
-			c.markBackendDown(index, err)
-		}
-		return nil, err
-	}
-	c.markBackendUp(index)
-	defer resp.Body.Close()
-	raw, err := io.ReadAll(io.LimitReader(resp.Body, 1<<20))
-	if err != nil {
-		if parent.Err() == nil {
-			c.met.backendErrors.WithLabelValues(signerIndexLabel(index)).Inc()
-		}
-		return nil, err
-	}
-	if resp.StatusCode != http.StatusOK {
-		c.met.backendErrors.WithLabelValues(signerIndexLabel(index)).Inc()
-		return nil, fmt.Errorf("signer %d: status %d: %s", index, resp.StatusCode, bytes.TrimSpace(raw))
-	}
-	c.met.backendSeconds.WithLabelValues(signerIndexLabel(index)).Observe(time.Since(start).Seconds())
-	var pr PartialResponse
-	if err := json.Unmarshal(raw, &pr); err != nil {
-		return nil, fmt.Errorf("signer %d: %w", index, err)
-	}
-	ps, err := core.UnmarshalPartialSignature(pr.Partial)
-	if err != nil {
-		return nil, fmt.Errorf("signer %d: %w", index, err)
-	}
-	return ps, nil
 }
 
 // markBackendDown drives the log-flood guard's down edge: the first
@@ -594,8 +466,9 @@ type BatchResult struct {
 // one slot; a message some other caller is already signing — a
 // concurrent Sign or another batch — coalesces onto that in-flight work
 // instead of fanning out twice; the rest travel together in one
-// /v1/sign-batch request per signer, and each signer's answers are
-// checked with one batched pairing. Failures are per message: the
+// request per signer (/v1/sign-batch, or /v1/sign when one message is
+// left), and each signer's answers are checked with one batched
+// pairing. Failures are per message: the
 // returned slice always has len(msgs) entries, in input order. The
 // call-level error is reserved for invalid input (empty batch, too many
 // messages) and context expiry.
@@ -665,7 +538,7 @@ func (tn *coordTenant) signBatch(ctx context.Context, msgs [][]byte) ([]BatchRes
 		waiting[j] = w
 	}
 	if len(items) > 0 {
-		tn.batchFanOut(ctx, items)
+		tn.fanOut(ctx, items)
 	}
 	for j, w := range waiting {
 		if w.call == nil {
@@ -674,7 +547,7 @@ func (tn *coordTenant) signBatch(ctx context.Context, msgs [][]byte) ([]BatchRes
 		var out *signOutcome
 		var err error
 		if w.item != nil {
-			<-w.item.done // batchFanOut completed every item before returning
+			<-w.item.done // fanOut completed every item before returning
 			out, err = w.item.out, w.item.err
 		} else {
 			select {

@@ -153,13 +153,22 @@ func TestObservabilityE2E(t *testing.T) {
 		}
 	}
 
+	// Quorum is 2 of 3, so any one signer may be canceled as a laggard
+	// before its handler runs: each tenant's request is counted (the
+	// sample exists) on at least two signers, not necessarily on the first.
+	for _, gid := range []string{"default", "tenant-b"} {
+		sample := `tsig_signer_requests_total{group="` + gid + `",endpoint="sign"} `
+		saw := 0
+		for _, u := range signerURLs {
+			if strings.Contains(scrapeMetrics(t, u), sample) {
+				saw++
+			}
+		}
+		if saw < 2 {
+			t.Errorf("%d signers counted a %s sign request, want >= 2", saw, gid)
+		}
+	}
 	sm := scrapeMetrics(t, signerURLs[0])
-	if v := metricValue(t, sm, `tsig_signer_requests_total{group="default",endpoint="sign"}`); v < 1 {
-		t.Errorf("signer default sign counter = %v, want >= 1", v)
-	}
-	if v := metricValue(t, sm, `tsig_signer_requests_total{group="tenant-b",endpoint="sign"}`); v < 1 {
-		t.Errorf("signer tenant-b sign counter = %v, want >= 1", v)
-	}
 	if v := metricValue(t, sm, `tsig_proto_sessions_finished_total{proto="dkg"}`); v != 2 {
 		t.Errorf("signer dkg finishes = %v, want 2", v)
 	}
@@ -294,7 +303,11 @@ func TestBackendFloodGuard(t *testing.T) {
 	}
 
 	down.Store(false)
-	sign("after recovery")
+	// Quorum is 2 of 3, so a fan-out can settle on signers 1 and 3 and
+	// cancel signer 2 before its answer is back; sign until one hears it.
+	for i := 0; i < 50 && !strings.Contains(coordLog.String(), "signer backend recovered"); i++ {
+		sign(fmt.Sprintf("after recovery %d", i))
+	}
 	if got := strings.Count(coordLog.String(), "signer backend recovered"); got != 1 {
 		t.Errorf("recovery edge logged %d times, want exactly 1", got)
 	}

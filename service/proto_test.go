@@ -198,7 +198,7 @@ func TestE2E_DKGExcludesByzantineSigners(t *testing.T) {
 			name: "wrong share healed",
 			mutate: func(i int, s *Signer) {
 				if i == 2 {
-					s.proto.factory = byzantineFactory(func(hp *dkg.HonestPlayer) engine.Player {
+					s.def.proto.factory = byzantineFactory(func(hp *dkg.HonestPlayer) engine.Player {
 						return &dkg.WrongShareDealer{HonestPlayer: hp, Victims: []int{4}}
 					})
 				}
@@ -211,7 +211,7 @@ func TestE2E_DKGExcludesByzantineSigners(t *testing.T) {
 			name: "wrong share unjustified",
 			mutate: func(i int, s *Signer) {
 				if i == 2 {
-					s.proto.factory = byzantineFactory(func(hp *dkg.HonestPlayer) engine.Player {
+					s.def.proto.factory = byzantineFactory(func(hp *dkg.HonestPlayer) engine.Player {
 						return &dkg.WrongShareDealer{HonestPlayer: hp, Victims: []int{4}, RefuseResponse: true}
 					})
 				}
@@ -224,7 +224,7 @@ func TestE2E_DKGExcludesByzantineSigners(t *testing.T) {
 			name: "false complaint",
 			mutate: func(i int, s *Signer) {
 				if i == 5 {
-					s.proto.factory = byzantineFactory(func(hp *dkg.HonestPlayer) engine.Player {
+					s.def.proto.factory = byzantineFactory(func(hp *dkg.HonestPlayer) engine.Player {
 						return &dkg.FalseComplainer{HonestPlayer: hp, Target: 1}
 					})
 				}
@@ -240,11 +240,11 @@ func TestE2E_DKGExcludesByzantineSigners(t *testing.T) {
 			mutate: func(i int, s *Signer) {
 				switch i {
 				case 2:
-					s.proto.factory = byzantineFactory(func(hp *dkg.HonestPlayer) engine.Player {
+					s.def.proto.factory = byzantineFactory(func(hp *dkg.HonestPlayer) engine.Player {
 						return &dkg.BiasAttacker{HonestPlayer: hp, Rule: alwaysExclude}
 					})
 				case 5:
-					s.proto.factory = byzantineFactory(func(hp *dkg.HonestPlayer) engine.Player {
+					s.def.proto.factory = byzantineFactory(func(hp *dkg.HonestPlayer) engine.Player {
 						return &dkg.BiasHelper{HonestPlayer: hp, AttackerID: 2, Rule: alwaysExclude}
 					})
 				}
@@ -258,7 +258,7 @@ func TestE2E_DKGExcludesByzantineSigners(t *testing.T) {
 			name: "silent player",
 			mutate: func(i int, s *Signer) {
 				if i == 3 {
-					s.proto.factory = func(proto string, cfg dkg.Config, id int) (engine.Player, *dkg.HonestPlayer, error) {
+					s.def.proto.factory = func(proto string, cfg dkg.Config, id int) (engine.Player, *dkg.HonestPlayer, error) {
 						return &dkg.CrashPlayer{Id: id}, nil, nil
 					}
 				}

@@ -21,12 +21,12 @@ import (
 // beyond MaxWorkers running and MaxQueue waiting, requests are shed with
 // 503 so the coordinator can retry elsewhere.
 type SignerConfig struct {
-	MaxWorkers int // concurrent Share-Sign operations (default 2×GOMAXPROCS via DefaultSignerConfig)
+	MaxWorkers int // concurrent Share-Sign operations (default 8)
 	MaxQueue   int // additional requests allowed to wait for a worker (default 4×MaxWorkers)
 	MaxBatch   int // messages accepted per /v1/sign-batch request (default DefaultMaxBatch)
 }
 
-// DefaultSignerConfig returns the defaults for missing fields.
+// withDefaults fills in the defaults for missing fields.
 func (c SignerConfig) withDefaults() SignerConfig {
 	if c.MaxWorkers <= 0 {
 		c.MaxWorkers = 8
@@ -79,7 +79,6 @@ type signerState struct {
 // answer 503/no_key_material until material exists.
 type Signer struct {
 	index int // the daemon's fixed 1-based player identity
-	state atomic.Pointer[signerState]
 	cfg   SignerConfig
 
 	// persist, when set, writes new key material through before it is
@@ -87,12 +86,11 @@ type Signer struct {
 	// only; other tenants persist through the registry's keystores.
 	persist func(*core.Group, *core.PrivateKeyShare) error
 
-	proto      *protoHost
 	sessionTTL time.Duration
 
-	// reg is the tenant registry; def is the always-hot default tenant,
-	// aliasing the state/proto fields above so the legacy single-group
-	// surface and the namespaced one act on the same material.
+	// reg is the tenant registry; def is the default tenant, an ordinary
+	// signerTenant pinned here instead of living in the hot LRU, so the
+	// un-namespaced routes and /v1/g/default act on the same material.
 	reg      *registry.Registry
 	tenantMu sync.Mutex // serializes tenant minting and hot-cache fills
 	def      *signerTenant
@@ -106,13 +104,17 @@ type Signer struct {
 }
 
 // signerTenant is one tenant's live state on a signer: the key material
-// and the protocol-session host. The default tenant aliases the
-// Signer's own state/proto fields; others live in the registry's hot
-// LRU and are rebuilt from their keystore when faulted back in.
+// and the protocol-session host. The default tenant is pinned on the
+// Signer; others live in the registry's hot LRU and are rebuilt from
+// their keystore when faulted back in.
 type signerTenant struct {
 	id    string
-	state *atomic.Pointer[signerState]
+	state atomic.Pointer[signerState]
 	proto *protoHost
+}
+
+func (s *Signer) newTenant(id string) *signerTenant {
+	return &signerTenant{id: id, proto: newProtoHost(s.sessionTTL, s.met.sessionEvictions)}
 }
 
 // NewSigner builds a signer for one share of the given group.
@@ -191,10 +193,9 @@ func NewDaemonSigner(cfg DaemonConfig) (*Signer, error) {
 	}
 	s.log = s.log.With("component", "signer", "signer", index)
 	s.met = newSignerMetrics(s)
-	s.proto = newProtoHost(cfg.SessionTTL, s.met.sessionEvictions)
-	s.def = &signerTenant{id: registry.DefaultGroup, state: &s.state, proto: s.proto}
+	s.def = s.newTenant(registry.DefaultGroup)
 	if cfg.Group != nil {
-		s.state.Store(&signerState{group: cfg.Group, share: cfg.Share})
+		s.def.state.Store(&signerState{group: cfg.Group, share: cfg.Share})
 		warmGroup(cfg.Group, s.met.precomputeRebuilds)
 		// Adopt file-provided key material into the keystore: a later
 		// restart from -keystore-dir alone (no -group/-share) must keep
@@ -206,7 +207,7 @@ func NewDaemonSigner(cfg DaemonConfig) (*Signer, error) {
 		}
 	} else if m, err := reg.LoadMember(registry.DefaultGroup, index); err == nil {
 		st := &signerState{group: m.Group(), share: m.PrivateShare()}
-		s.state.Store(st)
+		s.def.state.Store(st)
 		warmGroup(st.group, s.met.precomputeRebuilds)
 	} else if !errors.Is(err, os.ErrNotExist) {
 		return nil, fmt.Errorf("service: loading default keystore: %w", err)
@@ -311,7 +312,7 @@ func (s *Signer) tenant(gid string, create bool) (*signerTenant, error) {
 	if v, ok := s.reg.HotGet(gid); ok {
 		return v.(*signerTenant), nil
 	}
-	tn := &signerTenant{id: gid, state: new(atomic.Pointer[signerState]), proto: newProtoHost(s.sessionTTL, s.met.sessionEvictions)}
+	tn := s.newTenant(gid)
 	if m, err := s.reg.LoadMember(gid, s.index); err == nil {
 		st := &signerState{group: m.Group(), share: m.PrivateShare()}
 		tn.state.Store(st)
@@ -408,7 +409,7 @@ func (s *Signer) Index() int { return s.index }
 // Group returns the signer's current group view — nil until key material
 // exists.
 func (s *Signer) Group() *core.Group {
-	if st := s.state.Load(); st != nil {
+	if st := s.def.state.Load(); st != nil {
 		return st.group
 	}
 	return nil
