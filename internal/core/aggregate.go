@@ -306,7 +306,7 @@ func AggDistKeygen(params *AggParams, n, t int) ([]*AggKeyShares, *transport.Sta
 // hashed message.
 func AggShareSign(pk *AggPublicKey, sk *PrivateKeyShare, msg []byte) (*PartialSignature, error) {
 	h := pk.Params.HashMessage(pk.hashInput(msg))
-	sig, err := sk.lhspsKey(pk.Params.Params).Sign(h)
+	sig, err := sk.lhspsKey().Sign(h)
 	if err != nil {
 		return nil, fmt.Errorf("core: Agg-Share-Sign: %w", err)
 	}

@@ -302,3 +302,25 @@ func CheckShares(pk *PublicKey, entries []ShareBatchEntry) []bool {
 	}
 	return ok
 }
+
+// CheckSignatures reports, per entry, whether the full signature verifies
+// under pk — the signature twin of CheckShares, and the one check between
+// an interpolated signature and the coordinator's cache. A single entry
+// gets the weight-free Verify (no randomness); several are accepted by one
+// BatchVerify when all are valid, and only a failing batch pays per-entry
+// Verify to say which.
+func CheckSignatures(pk *PublicKey, entries []BatchEntry) []bool {
+	ok := make([]bool, len(entries))
+	if len(entries) > 1 {
+		if pass, err := BatchVerify(pk, entries, nil); err == nil && pass {
+			for j := range ok {
+				ok[j] = true
+			}
+			return ok
+		}
+	}
+	for j, e := range entries {
+		ok[j] = Verify(pk, e.Msg, e.Sig)
+	}
+	return ok
+}

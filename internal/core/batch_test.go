@@ -250,7 +250,7 @@ func TestBatchVerifyInputValidation(t *testing.T) {
 type trippedReader struct{ t *testing.T }
 
 func (r trippedReader) Read([]byte) (int, error) {
-	r.t.Error("CheckShares drew randomness for a single entry")
+	r.t.Error("a single-entry check drew randomness")
 	return 0, errors.New("tripped")
 }
 
@@ -307,5 +307,55 @@ func TestCheckSharesAgreesWithFindInvalidShares(t *testing.T) {
 		if want := j != 0 && j != 5 && j != 7; ok != want {
 			t.Fatalf("CheckShares[%d] = %v, want %v", j, ok, want)
 		}
+	}
+}
+
+// TestCheckSignatures: the signature twin of CheckShares. One entry is the
+// weight-free Verify (no randomness drawn, valid or not); one bad
+// signature of 8 is the only false; and the verdicts always agree with
+// per-entry Verify, a nil signature included.
+func TestCheckSignatures(t *testing.T) {
+	views := keyFixture(t)
+	pk := views[1].PK
+	entries := makeBatch(t, views, 8)
+	swapped := func(e BatchEntry) BatchEntry {
+		return BatchEntry{Msg: e.Msg, Sig: &Signature{Z: e.Sig.R, R: e.Sig.Z}}
+	}
+
+	t.Run("single entry draws no randomness", func(t *testing.T) {
+		saved := rand.Reader
+		rand.Reader = trippedReader{t}
+		defer func() { rand.Reader = saved }()
+		if got := CheckSignatures(pk, entries[:1]); len(got) != 1 || !got[0] {
+			t.Fatalf("valid signature: %v", got)
+		}
+		if got := CheckSignatures(pk, []BatchEntry{swapped(entries[0])}); len(got) != 1 || got[0] {
+			t.Fatalf("invalid signature: %v", got)
+		}
+		if got := CheckSignatures(pk, nil); len(got) != 0 {
+			t.Fatalf("empty input yielded %v", got)
+		}
+	})
+	for _, tc := range []struct {
+		name string
+		bad  map[int]BatchEntry
+	}{
+		{"clean batch", nil},
+		{"one bad of eight", map[int]BatchEntry{5: swapped(entries[5])}},
+		{"bad and missing", map[int]BatchEntry{0: swapped(entries[0]), 7: {Msg: entries[7].Msg}}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			batch := append([]BatchEntry(nil), entries...)
+			for j, e := range tc.bad {
+				batch[j] = e
+			}
+			got := CheckSignatures(pk, batch)
+			for j, e := range batch {
+				_, bad := tc.bad[j]
+				if got[j] == bad || got[j] != Verify(pk, e.Msg, e.Sig) {
+					t.Fatalf("entry %d: CheckSignatures = %v, tampered = %v, Verify = %v", j, got[j], bad, Verify(pk, e.Msg, e.Sig))
+				}
+			}
+		})
 	}
 }

@@ -146,19 +146,14 @@ type PrivateKeyShare struct {
 	A1, B1, A2, B2 *big.Int
 }
 
-// lhspsKey views the share as the LHSPS signing key it is (with public
-// part equal to the verification key V K_i).
-func (sk *PrivateKeyShare) lhspsKey(params *Params) *lhsps.PrivateKey {
-	chi := []*big.Int{sk.A1, sk.A2}
-	gamma := []*big.Int{sk.B1, sk.B2}
-	gk := []*bn254.G2{
-		lhsps.CommitPair(params.LH, sk.A1, sk.B1),
-		lhsps.CommitPair(params.LH, sk.A2, sk.B2),
-	}
+// lhspsKey views the share as the LHSPS signing key it is: the four
+// scalars alone, which is all Sign reads. The public half (VK_i, two G2
+// commitments) is not built here — VerificationKeyOf computes it for the
+// callers that want it.
+func (sk *PrivateKeyShare) lhspsKey() *lhsps.PrivateKey {
 	return &lhsps.PrivateKey{
-		Public: &lhsps.PublicKey{Params: params.LH, Gk: gk},
-		Chi:    chi,
-		Gamma:  gamma,
+		Chi:   []*big.Int{sk.A1, sk.A2},
+		Gamma: []*big.Int{sk.B1, sk.B2},
 	}
 }
 
@@ -302,7 +297,7 @@ func UnmarshalPartialSignature(data []byte) (*PartialSignature, error) {
 // cost the paper reports.
 func ShareSign(params *Params, sk *PrivateKeyShare, msg []byte) (*PartialSignature, error) {
 	h := params.HashMessage(msg)
-	sig, err := sk.lhspsKey(params).Sign(h)
+	sig, err := sk.lhspsKey().Sign(h)
 	if err != nil {
 		return nil, fmt.Errorf("core: Share-Sign: %w", err)
 	}

@@ -161,12 +161,12 @@ func TestCombineMatchesCentralizedSigner(t *testing.T) {
 	a2 := collect(func(s *PrivateKeyShare) *big.Int { return s.A2 })
 	b2 := collect(func(s *PrivateKeyShare) *big.Int { return s.B2 })
 
-	central := (&PrivateKeyShare{Index: 0, A1: a1, B1: b1, A2: a2, B2: b2}).lhspsKey(fixtureParams)
+	central := &PrivateKeyShare{Index: 0, A1: a1, B1: b1, A2: a2, B2: b2}
 	// The reconstructed key's public part must be the threshold PK.
-	if !central.Public.Gk[0].Equal(views[1].PK.G1) || !central.Public.Gk[1].Equal(views[1].PK.G2) {
+	if pub := VerificationKeyOf(fixtureParams, central); !pub.V1.Equal(views[1].PK.G1) || !pub.V2.Equal(views[1].PK.G2) {
 		t.Fatal("interpolated secret does not match the public key")
 	}
-	want, err := central.Sign(fixtureParams.HashMessage(msg))
+	want, err := central.lhspsKey().Sign(fixtureParams.HashMessage(msg))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -233,11 +233,12 @@ func UnmarshalKeyShares(params *Params, data []byte) (*KeyShares, error) {
 }
 
 // CombinePreverified interpolates a full signature from partial
-// signatures that the caller has ALREADY checked with ShareVerify —
-// skipping the t+1 pairing-product re-checks that Combine performs. This
-// is the combiner's hot path in the service layer, where every share is
-// verified the moment it arrives from the network. Duplicate indices are
-// collapsed; at least t+1 distinct indices are required.
+// signatures WITHOUT the t+1 Share-Verify pairing products Combine
+// performs. The caller owes the check: either every part already passed
+// ShareVerify, or — the service layer's optimistic hot path — the result
+// is put through Verify before it is used, and a failure sends the parts
+// to CheckShares. Duplicate indices are collapsed; at least t+1 distinct
+// indices are required.
 func CombinePreverified(parts []*PartialSignature, t int) (*Signature, error) {
 	byIndex := make(map[int]*PartialSignature, len(parts))
 	indices := make([]int, 0, len(parts))

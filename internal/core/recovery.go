@@ -223,8 +223,7 @@ func (p *recoveryTarget) reconstruct() error {
 	}
 	// Public check against VK_r: a wrong reconstruction (malicious helper)
 	// is detected here.
-	vk := share.lhspsKey(p.pk.Params).Public
-	if !vk.Gk[0].Equal(p.vk.V1) || !vk.Gk[1].Equal(p.vk.V2) {
+	if !VerificationKeyOf(p.pk.Params, share).Equal(p.vk) {
 		return errors.New("core: recovered share fails the VK_r check (faulty helper?)")
 	}
 	p.share = share

@@ -144,25 +144,49 @@ func (b *batcher) send(items []*batchItem) {
 	b.tn.fanOut(WithRequestID(context.Background(), newRequestID()), items)
 }
 
+// heldShare is one share a message holds: decoded, carrying its sender's
+// index, and not convicted. verified is set once Share-Verify passed it.
+type heldShare struct {
+	ps       *core.PartialSignature
+	verified bool
+}
+
 // msgState tracks one in-flight message of a fan-out.
 type msgState struct {
-	valid       []*core.PartialSignature
-	signers     []int
+	held        []heldShare // in arrival order; never more than t+1
 	invalid     []int
 	unreachable []int
 	done        bool
 }
 
+// unverifiedFrom returns the position of signer i's not-yet-checked share
+// in held, or -1.
+func (st *msgState) unverifiedFrom(i int) int {
+	for p, h := range st.held {
+		if h.ps.Index == i && !h.verified {
+			return p
+		}
+	}
+	return -1
+}
+
 // fanOut is the coordinator's one sign pipeline; a single message is a
-// batch of one. It signs every item's message with ONE request per signer,
-// checks each signer's returned shares with one core.CheckShares call (a
-// plain Share-Verify for one share; for k, one batched multi-pairing,
-// bisected on failure so a Byzantine answer costs its signer only the bad
-// shares), and the moment a message holds t+1 valid shares combines them,
-// verifies the result, caches it and completes the item. Items that never
-// reach quorum are completed with a QuorumError; the laggard signer
-// requests are canceled as soon as every message is settled. Every item
-// is completed before fanOut returns.
+// batch of one. It signs every item's message with ONE request per signer
+// and combines optimistically: an answer that decodes under its sender's
+// index is held unverified, a message holding t+1 shares is interpolated,
+// and the result is checked by core.CheckSignatures — Verify for one
+// message, one BatchVerify over all messages that reached quorum on the
+// same arrival. Only a verified signature is cached and completes its
+// item. Share-Verify runs to convict, not to acquit: when a combined
+// signature fails, that message's unchecked shares go through
+// core.CheckShares (one call per signer), the bad ones are evicted and
+// their signers marked suspect on the tenant, and the message waits for the
+// next arrival. A suspect's answers are Share-Verified on arrival, while
+// the honest shares are still in flight, until one verifies in full. Items
+// that never reach quorum are completed with a QuorumError whose counts
+// cover verified shares only; the laggard signer requests are canceled as
+// soon as every message is settled. Every item is completed before fanOut
+// returns, all on this one goroutine.
 func (tn *coordTenant) fanOut(ctx context.Context, items []*batchItem) {
 	c := tn.c
 	fanOutStart := time.Now()
@@ -233,88 +257,161 @@ func (tn *coordTenant) fanOut(ctx context.Context, items []*batchItem) {
 	need := group.T + 1
 	states := make([]*msgState, len(items))
 	for j := range states {
-		states[j] = &msgState{valid: make([]*core.PartialSignature, 0, need)}
+		states[j] = &msgState{held: make([]heldShare, 0, need)}
 	}
 	remaining := len(items)
+	settle := func(j int, out *signOutcome, err error) {
+		states[j].done = true
+		remaining--
+		items[j].complete(out, err)
+	}
+	convict := func(st *msgState, i int) {
+		c.met.shareVerifyFailures.WithLabelValues(signerIndexLabel(i)).Inc()
+		st.invalid = append(st.invalid, i)
+		tn.markSuspect(i)
+	}
+	// shareVerify puts signer i's not-yet-checked held shares of messages js
+	// through one CheckShares call (one VK, so the batch keeps its 4-slot
+	// shape), evicting and convicting the bad ones. It reports whether every
+	// share passed.
+	shareVerify := func(i int, js []int) bool {
+		var entries []core.ShareBatchEntry
+		var at []*msgState
+		for _, j := range js {
+			if p := states[j].unverifiedFrom(i); p >= 0 {
+				entries = append(entries, core.ShareBatchEntry{Msg: items[j].msg, VK: group.VKs[i], PS: states[j].held[p].ps})
+				at = append(at, states[j])
+			}
+		}
+		if len(entries) == 0 {
+			return true
+		}
+		c.met.shareChecks.Add(uint64(len(entries)))
+		clean := true
+		for q, ok := range core.CheckShares(group.PK, entries) {
+			st := at[q]
+			p := st.unverifiedFrom(i)
+			if ok {
+				st.held[p].verified = true
+				continue
+			}
+			st.held = append(st.held[:p], st.held[p+1:]...)
+			convict(st, i)
+			clean = false
+		}
+		return clean
+	}
+	shareVerifyAll := func(js []int) {
+		for i := 1; i <= group.N; i++ {
+			shareVerify(i, js)
+		}
+	}
+	pending := func() []int {
+		js := make([]int, 0, remaining)
+		for j, st := range states {
+			if !st.done {
+				js = append(js, j)
+			}
+		}
+		return js
+	}
+
 	for received := 0; received < group.N && remaining > 0; received++ {
 		var r signerResult
 		select {
 		case r = <-results:
 		case <-ctx.Done():
-			for j, st := range states {
-				if !st.done {
-					items[j].complete(nil, ctx.Err())
-				}
+			for _, j := range pending() {
+				items[j].complete(nil, ctx.Err())
 			}
 			return
 		}
+		open := pending()
 		if r.err != nil {
-			for _, st := range states {
-				if !st.done {
-					st.unreachable = append(st.unreachable, r.index)
-				}
+			for _, j := range open {
+				states[j].unreachable = append(states[j].unreachable, r.index)
 			}
 			continue
 		}
-		// One check covers every still-pending message this signer
-		// answered; completed messages skip verification entirely.
-		entries := make([]core.ShareBatchEntry, 0, remaining)
-		idxs := make([]int, 0, remaining)
-		for j, st := range states {
-			if st.done {
-				continue
-			}
+		wellFormed := true
+		for _, j := range open {
 			ps := r.parts[j]
 			if ps == nil || ps.Index != r.index {
 				// Undecodable bytes or a replayed share under another index:
 				// Byzantine either way.
-				c.met.shareVerifyFailures.WithLabelValues(signerIndexLabel(r.index)).Inc()
-				st.invalid = append(st.invalid, r.index)
+				convict(states[j], r.index)
+				wellFormed = false
 				continue
 			}
-			entries = append(entries, core.ShareBatchEntry{Msg: items[j].msg, VK: group.VKs[r.index], PS: ps})
-			idxs = append(idxs, j)
+			states[j].held = append(states[j].held, heldShare{ps: ps})
 		}
-		ok := core.CheckShares(group.PK, entries)
-		for p, j := range idxs {
+		if tn.suspect[r.index-1].Load() {
+			if shareVerify(r.index, open) && wellFormed {
+				tn.clearSuspect(r.index)
+			}
+		}
+
+		// Everything that reached t+1 held shares on this arrival is combined
+		// and checked together.
+		var ready []core.BatchEntry
+		var readyAt []int
+		quorumAt := time.Since(fanOutStart)
+		for _, j := range open {
 			st := states[j]
-			if !ok[p] {
-				c.met.shareVerifyFailures.WithLabelValues(signerIndexLabel(r.index)).Inc()
-				st.invalid = append(st.invalid, r.index)
+			if len(st.held) < need {
 				continue
 			}
-			st.valid = append(st.valid, entries[p].PS)
-			st.signers = append(st.signers, r.index)
-			if len(st.valid) < need {
-				continue
+			parts := make([]*core.PartialSignature, len(st.held))
+			for p, h := range st.held {
+				parts[p] = h.ps
 			}
-			st.done = true
-			remaining--
-			c.met.quorumSeconds.Observe(time.Since(fanOutStart).Seconds())
-			sig, err := core.CombinePreverified(st.valid, group.T)
-			// Every share was individually verified, so this cannot fail for
-			// an honest group — it is the final safety net before a signature
-			// leaves the service or enters the cache.
-			if err == nil && !core.Verify(group.PK, items[j].msg, sig) {
-				err = fmt.Errorf("service: combined signature failed verification")
-			}
+			sig, err := core.CombinePreverified(parts, group.T)
 			if err != nil {
-				items[j].complete(nil, err)
+				settle(j, nil, err)
 				continue
 			}
-			out := &signOutcome{sig: sig, signers: st.signers, invalid: st.invalid, unreachable: st.unreachable}
-			c.cache.add(items[j].key, sig, st.signers)
-			items[j].complete(out, nil)
+			ready = append(ready, core.BatchEntry{Msg: items[j].msg, Sig: sig})
+			readyAt = append(readyAt, j)
+		}
+		var failed []int
+		for q, ok := range core.CheckSignatures(group.PK, ready) {
+			j, st := readyAt[q], states[readyAt[q]]
+			if !ok {
+				failed = append(failed, j)
+				continue
+			}
+			c.met.quorumSeconds.Observe(quorumAt.Seconds())
+			signers := make([]int, len(st.held))
+			for p, h := range st.held {
+				signers[p] = h.ps.Index
+			}
+			c.cache.add(items[j].key, ready[q].Sig, signers)
+			settle(j, &signOutcome{sig: ready[q].Sig, signers: signers, invalid: st.invalid, unreachable: st.unreachable}, nil)
+		}
+		if len(failed) == 0 {
+			continue
+		}
+		c.met.combineFallbacks.Add(uint64(len(failed)))
+		shareVerifyAll(failed)
+		for _, j := range failed {
+			if len(states[j].held) == need {
+				// Every share verifies and their interpolation does not: not
+				// a Byzantine signer, and not something to wait out.
+				settle(j, nil, fmt.Errorf("service: combined signature failed verification"))
+			}
 		}
 	}
 	cancel() // release the laggards
-	for j, st := range states {
-		if !st.done {
-			items[j].complete(nil, &QuorumError{
-				Need: need, Valid: len(st.valid),
-				Invalid: st.invalid, Unreachable: st.unreachable,
-			})
-		}
+	// Valid counts verified shares only, and every Byzantine answer that
+	// arrived is convicted before the accounting is read.
+	open := pending()
+	shareVerifyAll(open)
+	for _, j := range open {
+		st := states[j]
+		items[j].complete(nil, &QuorumError{
+			Need: need, Valid: len(st.held),
+			Invalid: st.invalid, Unreachable: st.unreachable,
+		})
 	}
 }
 

@@ -78,13 +78,17 @@ func (c CoordinatorConfig) withDefaults() CoordinatorConfig {
 // Coordinator is the signing gateway. It has one fan-out (fanOut, in
 // batcher.go), through which a single message is a batch of one: Sign,
 // SignBatch and the window batcher all hand it their messages. It asks
-// all n signers concurrently, verifies each signer's shares the moment
-// they arrive, settles a message once t+1 valid shares are in hand,
-// interpolates the full signature, and double-checks it with Verify
-// before answering or caching it. Slow and unreachable signers are
-// bounded by per-request timeouts; Byzantine answers are detected by
-// Share-Verify and simply discarded — the protocol is robust, so the
-// coordinator needs no retry rounds as long as t+1 honest signers respond.
+// all n signers concurrently, holds the shares as they arrive, and the
+// moment a message has t+1 of them interpolates the full signature and
+// verifies it — the only pairing product an honest fleet pays, and the
+// check nothing skips on its way to a caller or the cache. Slow and
+// unreachable signers are bounded by per-request timeouts. Byzantine
+// answers are convicted by Share-Verify, which runs only when there is
+// someone to convict: on the shares of a combined signature that failed,
+// and on arrival for a signer already convicted (until it next answers
+// with valid shares). Convicted shares are discarded — the protocol is
+// robust, so the coordinator needs no retry rounds as long as t+1 honest
+// signers respond.
 //
 // It is also an http.Handler:
 //
@@ -136,6 +140,10 @@ type coordTenant struct {
 	// once, so one request sees one consistent view.
 	group atomic.Pointer[core.Group]
 	batch *batcher // nil unless BatchWindow > 0
+	// suspect[i-1] is set while signer i stands convicted of a bad share
+	// for this tenant: fanOut Share-Verifies a suspect's answers on arrival
+	// instead of holding them for an optimistic combine.
+	suspect []atomic.Bool
 	// protoMu serializes whole protocol runs (keygen, refresh) for this
 	// tenant: the check-then-install on group must not interleave, and
 	// concurrent runs would race the signers' session slots and the
@@ -156,7 +164,7 @@ func (tn *coordTenant) prefix() string {
 
 // SignReport is the quorum accounting for one Sign call.
 type SignReport struct {
-	Signers     []int // indices whose shares were combined
+	Signers     []int // indices whose shares were interpolated into the returned signature
 	Invalid     []int // signers that answered with an invalid share (Byzantine)
 	Unreachable []int // signers that were down, timed out, or errored
 	Cached      bool  // served from the signature cache
@@ -281,7 +289,7 @@ func newCoordinator(signerURLs []string, cfg CoordinatorConfig) (*Coordinator, e
 }
 
 func newCoordTenant(c *Coordinator, id string) *coordTenant {
-	tn := &coordTenant{c: c, id: id}
+	tn := &coordTenant{c: c, id: id, suspect: make([]atomic.Bool, len(c.urls))}
 	if c.cfg.BatchWindow > 0 {
 		tn.batch = newBatcher(tn, c.cfg.BatchWindow, c.cfg.MaxBatch)
 	}
@@ -452,6 +460,21 @@ func (c *Coordinator) markBackendUp(index int) {
 	}
 }
 
+// markSuspect records a conviction of signer i; like markBackendDown it
+// logs the edge, not every bad share of a persistently Byzantine signer.
+func (tn *coordTenant) markSuspect(i int) {
+	if tn.suspect[i-1].CompareAndSwap(false, true) {
+		tn.c.log.Warn("signer convicted by Share-Verify; its shares are now verified on arrival", "gid", tn.id, "signer", i)
+	}
+}
+
+// clearSuspect is the recovery edge: the suspect's whole answer verified.
+func (tn *coordTenant) clearSuspect(i int) {
+	if tn.suspect[i-1].CompareAndSwap(true, false) {
+		tn.c.log.Info("signer answered with valid shares; no longer suspect", "gid", tn.id, "signer", i)
+	}
+}
+
 // BatchResult is one message's outcome of a SignBatch call. Err is set
 // (and Sig nil) when that message — and only that message — failed.
 type BatchResult struct {
@@ -467,11 +490,11 @@ type BatchResult struct {
 // concurrent Sign or another batch — coalesces onto that in-flight work
 // instead of fanning out twice; the rest travel together in one
 // request per signer (/v1/sign-batch, or /v1/sign when one message is
-// left), and each signer's answers are checked with one batched
-// pairing. Failures are per message: the
-// returned slice always has len(msgs) entries, in input order. The
-// call-level error is reserved for invalid input (empty batch, too many
-// messages) and context expiry.
+// left), and the signatures that reach quorum together are accepted by
+// one batched pairing. Failures are per message: the returned slice
+// always has len(msgs) entries, in input order. The call-level error is
+// reserved for invalid input (empty batch, too many messages) and
+// context expiry.
 func (c *Coordinator) SignBatch(ctx context.Context, msgs [][]byte) ([]BatchResult, error) {
 	return c.SignBatchGroup(ctx, DefaultGroupID, msgs)
 }

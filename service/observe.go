@@ -96,12 +96,14 @@ type coordMetrics struct {
 	requests      *metrics.CounterVec // {group}
 	errors        *metrics.CounterVec // {group}
 	batchRequests *metrics.CounterVec // {group}
-	quorumSeconds *metrics.Histogram  // fan-out start to t+1 valid shares
+	quorumSeconds *metrics.Histogram  // fan-out start to the winning t+1 shares in hand
 
 	backendSeconds      *metrics.HistogramVec // {signer}
 	backendErrors       *metrics.CounterVec   // {signer}
 	backendUp           *metrics.GaugeVec     // {signer}
 	shareVerifyFailures *metrics.CounterVec   // {signer}
+	shareChecks         *metrics.Counter      // shares put through Share-Verify
+	combineFallbacks    *metrics.Counter      // combined signatures that failed verification
 
 	cacheHits   *metrics.Counter
 	cacheMisses *metrics.Counter
@@ -134,7 +136,7 @@ func newCoordMetrics(c *Coordinator) *coordMetrics {
 		batchRequests: r.NewCounterVec("tsig_coordinator_batch_requests_total",
 			"SignBatch calls by tenant group.", []string{"group"}, groupLabelCap),
 		quorumSeconds: r.NewHistogram("tsig_coordinator_quorum_seconds",
-			"Time from fan-out start to the t+1st valid share.", nil),
+			"Time from fan-out start to holding the t+1 shares of the returned signature.", nil),
 		backendSeconds: r.NewHistogramVec("tsig_coordinator_backend_seconds",
 			"Per-backend round-trip latency of successful partial fetches.",
 			[]string{"signer"}, n, nil),
@@ -147,6 +149,10 @@ func newCoordMetrics(c *Coordinator) *coordMetrics {
 		shareVerifyFailures: r.NewCounterVec("tsig_coordinator_share_verify_failures_total",
 			"Partial signatures rejected by Share-Verify (Byzantine answers).",
 			[]string{"signer"}, n),
+		shareChecks: r.NewCounter("tsig_coordinator_share_checks_total",
+			"Partial signatures put through Share-Verify (a suspect's on arrival, after a failed combine, or to account a fan-out that ends without quorum); flat while an honest quorum answers."),
+		combineFallbacks: r.NewCounter("tsig_coordinator_combine_fallbacks_total",
+			"Optimistically combined signatures that failed verification and sent their shares to Share-Verify."),
 		cacheHits: r.NewCounter("tsig_coordinator_cache_hits_total",
 			"Sign calls served from the signature LRU."),
 		cacheMisses: r.NewCounter("tsig_coordinator_cache_misses_total",

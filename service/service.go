@@ -5,15 +5,18 @@
 // request/response server, and the whole system scales horizontally:
 //
 //	client ──POST /v1/sign──▶ Coordinator ──fan-out──▶ n × Signer
-//	client ◀──signature─────  (verify shares as they arrive,
-//	                           combine the first t+1 valid ones)
+//	client ◀──signature─────  (combine the first t+1 shares,
+//	                           verify the signature once)
 //
 // Signer serves one private key share over HTTP: POST /v1/sign returns a
 // marshalled partial signature, with a bounded worker pool shedding load
 // under overload. Coordinator fans a request out to all n signers
-// concurrently, checks each partial with Share-Verify the moment it
-// arrives, early-exits at the first t+1 valid shares, and interpolates
-// the full signature — tolerating slow, down, and Byzantine signers. A
+// concurrently and combines optimistically: the first t+1 shares are
+// interpolated as they stand and the full signature is verified once,
+// which is all an honest fleet pays; Share-Verify runs only to convict —
+// on the shares of a combine that failed, and on arrival for a signer
+// already convicted — so slow, down, and Byzantine signers are tolerated
+// exactly as the paper's robust Combine tolerates them. A
 // coalescing layer collapses concurrent requests for the same message
 // into one fan-out (signing is deterministic, so everyone gets the same
 // bytes), and an LRU cache serves repeated messages without touching the
