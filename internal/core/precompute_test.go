@@ -10,7 +10,13 @@ import (
 // keeps working — against the NEW keys only — after the epoch change.
 
 func TestGroupPrecomputeBuildsOnce(t *testing.T) {
-	g, members := modelFixture(t)
+	shared, members := modelFixture(t)
+	// A Group of its own: the fixture's is shared across tests (and across
+	// -count runs), so its precompute may already be built.
+	g, err := NewGroup(shared.Domain, shared.N, shared.T, &KeyShares{PK: shared.PK, VKs: shared.VKs})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if !g.Precompute() {
 		t.Fatal("first Precompute must report a build")
 	}

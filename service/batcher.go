@@ -145,10 +145,12 @@ func (b *batcher) send(items []*batchItem) {
 }
 
 // heldShare is one share a message holds: decoded, carrying its sender's
-// index, and not convicted. verified is set once Share-Verify passed it.
+// index, and not convicted. verified is set once Share-Verify passed it;
+// took is its sender's round-trip.
 type heldShare struct {
 	ps       *core.PartialSignature
 	verified bool
+	took     time.Duration
 }
 
 // msgState tracks one in-flight message of a fan-out.
@@ -171,8 +173,15 @@ func (st *msgState) unverifiedFrom(i int) int {
 }
 
 // fanOut is the coordinator's one sign pipeline; a single message is a
-// batch of one. It signs every item's message with ONE request per signer
-// and combines optimistically: an answer that decodes under its sender's
+// batch of one. It signs every item's message with at most ONE request per
+// signer, asking a quorum first (coordTenant.wave: t+1 healthy signers
+// plus every suspect, lagging and down signer as probes) and releasing the
+// reserve only when an open message falls short of t+1 — an error or a
+// conviction — or the hedge fires at 4× the tenant's pace for this batch
+// size. A signer that errs, answers slower than the hedge or is still out
+// when it fires is marked lagging; one that answers in time is cleared.
+// The first verified signature's fastest share feeds the pace. It
+// combines optimistically: an answer that decodes under its sender's
 // index is held unverified, a message holding t+1 shares is interpolated,
 // and the result is checked by core.CheckSignatures — Verify for one
 // message, one BatchVerify over all messages that reached quorum on the
@@ -244,17 +253,45 @@ func (tn *coordTenant) fanOut(ctx context.Context, items []*batchItem) {
 	type signerResult struct {
 		index int
 		parts []*core.PartialSignature // parts[j] answers msgs[j]; nil = undecodable
+		took  time.Duration
 		err   error
 	}
-	results := make(chan signerResult, group.N)
-	for i := 1; i <= group.N; i++ {
-		go func(i int) {
-			parts, err := tn.fetchPartials(ctx, i, msgs, body)
-			results <- signerResult{index: i, parts: parts, err: err}
-		}(i)
-	}
-
 	need := group.T + 1
+	results := make(chan signerResult, group.N)
+	inflight := 0
+	ask := func(signers []int) {
+		for _, i := range signers {
+			inflight++
+			go func(i int) {
+				start := time.Now()
+				parts, err := tn.fetchPartials(ctx, i, msgs, body)
+				results <- signerResult{index: i, parts: parts, took: time.Since(start), err: err}
+			}(i)
+		}
+	}
+	delay := tn.hedgeDelay(len(items))
+	first, reserve := tn.wave(group.N, need, delay == 0)
+	ask(first)
+	waiting := make([]bool, group.N+1) // waiting[i]: signer i, asked in the first wave, has not answered
+	for _, i := range first {
+		waiting[i] = true
+	}
+	// release asks up to k reserve signers, in rotation order.
+	release := func(k int) {
+		k = max(0, min(k, len(reserve)))
+		ask(reserve[:k])
+		reserve = reserve[k:]
+	}
+	// The hedge: a wave that has not made quorum by hedgeFactor × the
+	// tenant's pace gets the whole reserve.
+	var hedge <-chan time.Time
+	if len(reserve) > 0 {
+		timer := time.NewTimer(delay)
+		defer timer.Stop()
+		hedge = timer.C
+	}
+	paced := false
+
 	states := make([]*msgState, len(items))
 	for j := range states {
 		states[j] = &msgState{held: make([]heldShare, 0, need)}
@@ -316,15 +353,49 @@ func (tn *coordTenant) fanOut(ctx context.Context, items []*batchItem) {
 		return js
 	}
 
-	for received := 0; received < group.N && remaining > 0; received++ {
+	for remaining > 0 {
+		// An error or a conviction can leave an open message unable to
+		// reach t+1 from what it holds plus what is still in flight: ask
+		// that many more from the reserve.
+		short := 0
+		for _, st := range states {
+			if !st.done {
+				short = max(short, need-len(st.held)-inflight)
+			}
+		}
+		release(short)
+		if inflight == 0 {
+			break
+		}
 		var r signerResult
 		select {
 		case r = <-results:
+		case <-hedge:
+			hedge = nil
+			// Whoever in the first wave is still out missed the hedge; its
+			// answer may never be read, so it is marked now.
+			for i := 1; i <= group.N; i++ {
+				if waiting[i] {
+					tn.lagging[i-1].Store(true)
+				}
+			}
+			if len(reserve) > 0 {
+				c.met.fanoutHedges.Inc()
+				release(len(reserve))
+			}
+			continue
 		case <-ctx.Done():
 			for _, j := range pending() {
 				items[j].complete(nil, ctx.Err())
 			}
 			return
+		}
+		inflight--
+		waiting[r.index] = false
+		// An error (not the caller hanging up) or an answer slower than the
+		// hedge leaves the rotation; an answer in time rejoins it.
+		if r.err == nil || ctx.Err() == nil {
+			tn.lagging[r.index-1].Store(r.err != nil || (delay > 0 && r.took > delay))
 		}
 		open := pending()
 		if r.err != nil {
@@ -343,7 +414,7 @@ func (tn *coordTenant) fanOut(ctx context.Context, items []*batchItem) {
 				wellFormed = false
 				continue
 			}
-			states[j].held = append(states[j].held, heldShare{ps: ps})
+			states[j].held = append(states[j].held, heldShare{ps: ps, took: r.took})
 		}
 		if tn.suspect[r.index-1].Load() {
 			if shareVerify(r.index, open) && wellFormed {
@@ -382,8 +453,14 @@ func (tn *coordTenant) fanOut(ctx context.Context, items []*batchItem) {
 			}
 			c.met.quorumSeconds.Observe(quorumAt.Seconds())
 			signers := make([]int, len(st.held))
+			fastest := st.held[0].took
 			for p, h := range st.held {
 				signers[p] = h.ps.Index
+				fastest = min(fastest, h.took)
+			}
+			if !paced {
+				paced = true
+				tn.observePace(len(items), fastest)
 			}
 			c.cache.add(items[j].key, ready[q].Sig, signers)
 			settle(j, &signOutcome{sig: ready[q].Sig, signers: signers, invalid: st.invalid, unreachable: st.unreachable}, nil)

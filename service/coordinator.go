@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"log/slog"
+	"math/bits"
 	"net/http"
 	"os"
 	"sort"
@@ -77,12 +78,19 @@ func (c CoordinatorConfig) withDefaults() CoordinatorConfig {
 
 // Coordinator is the signing gateway. It has one fan-out (fanOut, in
 // batcher.go), through which a single message is a batch of one: Sign,
-// SignBatch and the window batcher all hand it their messages. It asks
-// all n signers concurrently, holds the shares as they arrive, and the
-// moment a message has t+1 of them interpolates the full signature and
-// verifies it — the only pairing product an honest fleet pays, and the
-// check nothing skips on its way to a caller or the cache. Slow and
-// unreachable signers are bounded by per-request timeouts. Byzantine
+// SignBatch and the window batcher all hand it their messages. It asks a
+// quorum first — the next t+1 healthy signers in the tenant's rotation,
+// plus every suspect, lagging and unreachable signer as a probe — and
+// keeps the rest in reserve, released when a wave member errors, a
+// conviction leaves a message short, or the wave runs late (4× the
+// tenant's pace, its mean fastest-share round-trip for that batch size).
+// A signer that errs or misses the hedge is lagging until it answers in
+// time; a batch size the tenant has never signed asks all n. It
+// holds the shares as they arrive, and the moment a message has t+1 of
+// them interpolates the full signature and verifies it — the only
+// pairing product an honest fleet pays, and the check nothing skips on
+// its way to a caller or the cache. Slow and unreachable signers are
+// bounded by per-request timeouts. Byzantine
 // answers are convicted by Share-Verify, which runs only when there is
 // someone to convict: on the shares of a combined signature that failed,
 // and on arrival for a signer already convicted (until it next answers
@@ -144,6 +152,21 @@ type coordTenant struct {
 	// for this tenant: fanOut Share-Verifies a suspect's answers on arrival
 	// instead of holding them for an optimistic combine.
 	suspect []atomic.Bool
+	// rotation advances by t+1 per fan-out, so successive first waves
+	// walk the healthy signers in turn and spread the signing load evenly.
+	rotation atomic.Uint32
+	// pace[sizeClass(k)] is the running mean of a k-message fan-out's
+	// fastest share: the quickest round-trip among the t+1 shares behind
+	// its first verified signature. Any t+1 shares hold one from a signer
+	// that is not slow as long as at most t are, so a straggler cannot
+	// drag the pace — or the hedge set from it — up after itself. 0 until
+	// the class's first signature; until then its fan-outs ask all n.
+	pace [paceClasses]atomic.Int64
+	// lagging[i-1] is set while signer i's last answer for this tenant was
+	// an error or slower than the hedge, or it was still out when the hedge
+	// fired. Like a suspect it is asked only as a probe, and it rejoins the
+	// rotation by answering in time.
+	lagging []atomic.Bool
 	// protoMu serializes whole protocol runs (keygen, refresh) for this
 	// tenant: the check-then-install on group must not interleave, and
 	// concurrent runs would race the signers' session slots and the
@@ -289,7 +312,7 @@ func newCoordinator(signerURLs []string, cfg CoordinatorConfig) (*Coordinator, e
 }
 
 func newCoordTenant(c *Coordinator, id string) *coordTenant {
-	tn := &coordTenant{c: c, id: id, suspect: make([]atomic.Bool, len(c.urls))}
+	tn := &coordTenant{c: c, id: id, suspect: make([]atomic.Bool, len(c.urls)), lagging: make([]atomic.Bool, len(c.urls))}
 	if c.cfg.BatchWindow > 0 {
 		tn.batch = newBatcher(tn, c.cfg.BatchWindow, c.cfg.MaxBatch)
 	}
@@ -473,6 +496,78 @@ func (tn *coordTenant) clearSuspect(i int) {
 	if tn.suspect[i-1].CompareAndSwap(true, false) {
 		tn.c.log.Info("signer answered with valid shares; no longer suspect", "gid", tn.id, "signer", i)
 	}
+}
+
+// hedgeFactor: a first wave that has not reached quorum by this many times
+// the tenant's pace gets the reserve.
+const hedgeFactor = 4
+
+// paceClasses is how many batch-size classes keep a pace of their own.
+const paceClasses = 8
+
+// sizeClass buckets a k-message fan-out by powers of two (1, 2–3, 4–7, …,
+// 128 and up): time-to-quorum grows with k, so a tenant that mixes single
+// Signs with large batches hedges each against its own kind.
+func sizeClass(k int) int { return min(bits.Len(uint(k))-1, paceClasses-1) }
+
+// hedgeDelay is how long a k-message fan-out waits on its first wave
+// before asking the reserve; 0 before the class's first signature.
+func (tn *coordTenant) hedgeDelay(k int) time.Duration {
+	return hedgeFactor * time.Duration(tn.pace[sizeClass(k)].Load())
+}
+
+// observePace folds one fastest-share round-trip of a k-message fan-out
+// into its class's running mean, an exponentially weighted one (1/8 per
+// observation) seeded by the first.
+func (tn *coordTenant) observePace(k int, d time.Duration) {
+	pace := &tn.pace[sizeClass(k)]
+	for {
+		old := pace.Load()
+		mean := int64(d)
+		if old != 0 {
+			mean = old + (mean-old)/8
+		}
+		if pace.CompareAndSwap(old, max(mean, 1)) {
+			return
+		}
+	}
+}
+
+// wave splits the n signers for one fan-out. ask is the first wave: the
+// next need healthy signers in the tenant's rotation, plus every suspect,
+// lagging and backend-down signer as a probe — each of them leaves that
+// state only by answering. reserve is the healthy rest in rotation order.
+// all asks everyone: before a class's first signature there is no pace to
+// hedge against.
+func (tn *coordTenant) wave(n, need int, all bool) (ask, reserve []int) {
+	if all {
+		ask = make([]int, n)
+		for i := range ask {
+			ask[i] = i + 1
+		}
+		return ask, nil
+	}
+	healthy := make([]int, 0, n)
+	for i := 1; i <= n; i++ {
+		if tn.suspect[i-1].Load() || tn.lagging[i-1].Load() || tn.c.backendDown[i-1].Load() {
+			ask = append(ask, i)
+		} else {
+			healthy = append(healthy, i)
+		}
+	}
+	if len(healthy) <= need {
+		return append(ask, healthy...), nil
+	}
+	start := int((tn.rotation.Add(uint32(need)) - uint32(need)) % uint32(len(healthy)))
+	for k := range healthy {
+		i := healthy[(start+k)%len(healthy)]
+		if k < need {
+			ask = append(ask, i)
+		} else {
+			reserve = append(reserve, i)
+		}
+	}
+	return ask, reserve
 }
 
 // BatchResult is one message's outcome of a SignBatch call. Err is set

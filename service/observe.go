@@ -104,6 +104,7 @@ type coordMetrics struct {
 	shareVerifyFailures *metrics.CounterVec   // {signer}
 	shareChecks         *metrics.Counter      // shares put through Share-Verify
 	combineFallbacks    *metrics.Counter      // combined signatures that failed verification
+	fanoutHedges        *metrics.Counter      // fan-outs whose late wave released the reserve
 
 	cacheHits   *metrics.Counter
 	cacheMisses *metrics.Counter
@@ -153,6 +154,8 @@ func newCoordMetrics(c *Coordinator) *coordMetrics {
 			"Partial signatures put through Share-Verify (a suspect's on arrival, after a failed combine, or to account a fan-out that ends without quorum); flat while an honest quorum answers."),
 		combineFallbacks: r.NewCounter("tsig_coordinator_combine_fallbacks_total",
 			"Optimistically combined signatures that failed verification and sent their shares to Share-Verify."),
+		fanoutHedges: r.NewCounter("tsig_coordinator_fanout_hedges_total",
+			"Fan-outs whose first wave had not reached quorum by 4x the tenant's pace (its mean fastest-share round-trip for that batch size) and asked the reserve signers; flat while an honest fleet answers on time."),
 		cacheHits: r.NewCounter("tsig_coordinator_cache_hits_total",
 			"Sign calls served from the signature LRU."),
 		cacheMisses: r.NewCounter("tsig_coordinator_cache_misses_total",

@@ -19,7 +19,9 @@ import (
 // rushFirst is a RoundTripper under which one signer's answer is always
 // among the first the coordinator hears: on every fan-out (told apart by
 // X-Request-ID) the requests to the other signers are held until the
-// rusher's answer has been read off the wire.
+// rusher's answer has been read off the wire, and then for rushHeadStart
+// more — the time the coordinator has to take that answer in, which a
+// loaded box can otherwise spend on the others' whole round-trips.
 type rushFirst struct {
 	url string
 
@@ -49,6 +51,11 @@ func (a *rushFirst) RoundTrip(r *http.Request) (*http.Response, error) {
 		case <-r.Context().Done():
 			return nil, r.Context().Err()
 		}
+		select {
+		case <-time.After(rushHeadStart):
+		case <-r.Context().Done():
+			return nil, r.Context().Err()
+		}
 		return http.DefaultTransport.RoundTrip(r)
 	}
 	defer close(g) // one request per fan-out reaches the rusher
@@ -73,6 +80,8 @@ type optimisticFleet struct {
 }
 
 const rusher = 1
+
+const rushHeadStart = 10 * time.Millisecond
 
 func newOptimisticFleet(t *testing.T, group *core.Group, pick func(j int) bool) *optimisticFleet {
 	t.Helper()
@@ -102,13 +111,22 @@ func newOptimisticFleet(t *testing.T, group *core.Group, pick func(j int) bool) 
 	if err != nil {
 		t.Fatal(err)
 	}
+	// The rusher answers rushHeadStart ahead of everyone on every fan-out,
+	// so its round-trip would set a pace the others never meet; with the
+	// hedge parked every fan-out is the rusher's wave and nothing else.
+	parkHedge(c)
 	fl.c = c
 	return fl
 }
 
 // ctx returns a context with a request id of its own, which is what
-// rushFirst tells fan-outs apart by.
+// rushFirst tells fan-outs apart by. It also rewinds the tenant's rotation
+// so the next first wave starts at the rusher (signer 1, first among the
+// healthy): rushFirst holds every other signer until the rusher answers,
+// so a wave without it would wait out SignerTimeout. A suspect (or
+// lagging) rusher is asked anyway, as a probe.
 func (fl *optimisticFleet) ctx() context.Context {
+	fl.c.def.rotation.Store(0)
 	fl.reqs++
 	return WithRequestID(context.Background(), fmt.Sprintf("optimistic-%d", fl.reqs))
 }

@@ -4,14 +4,18 @@
 // never talks to its peers — means a signer is a stateless
 // request/response server, and the whole system scales horizontally:
 //
-//	client ──POST /v1/sign──▶ Coordinator ──fan-out──▶ n × Signer
+//	client ──POST /v1/sign──▶ Coordinator ──fan-out──▶ t+1 of n × Signer
 //	client ◀──signature─────  (combine the first t+1 shares,
 //	                           verify the signature once)
 //
 // Signer serves one private key share over HTTP: POST /v1/sign returns a
 // marshalled partial signature, with a bounded worker pool shedding load
-// under overload. Coordinator fans a request out to all n signers
-// concurrently and combines optimistically: the first t+1 shares are
+// under overload. Coordinator fans a request out to a quorum first — t+1
+// healthy signers in rotation, plus every suspect, lagging and
+// unreachable signer as a probe — and asks the others only when an answer
+// errors, fails Share-Verify, or runs late against the tenant's observed
+// pace (a batch size it has never signed asks all n). It combines
+// optimistically: the first t+1 shares are
 // interpolated as they stand and the full signature is verified once,
 // which is all an honest fleet pays; Share-Verify runs only to convict —
 // on the shares of a combine that failed, and on arrival for a signer
