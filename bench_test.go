@@ -247,21 +247,6 @@ func BenchmarkDKG(b *testing.B) {
 	}
 }
 
-// ---- E7: non-interactive signing session ----
-
-func BenchmarkDistributedSignSession(b *testing.B) {
-	setupFixtures(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res, err := core.DistributedSign(coreViews, benchT, []int{1, 3, 5}, nil, benchMsg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(float64(res.Stats.CommunicationRounds()), "rounds")
-		b.ReportMetric(float64(res.Stats.UnicastMessages), "messages")
-	}
-}
-
 // ---- E8: proactive refresh ----
 
 func BenchmarkProactiveRefresh(b *testing.B) {

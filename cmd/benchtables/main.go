@@ -31,8 +31,10 @@ import (
 	"math/big"
 	"os"
 	"runtime"
+	"slices"
 	"time"
 
+	tsig "repro"
 	"repro/internal/baselines/adnstorage"
 	"repro/internal/baselines/boldyreva"
 	"repro/internal/baselines/shouprsa"
@@ -40,9 +42,9 @@ import (
 	"repro/internal/core"
 	"repro/internal/dkg"
 	"repro/internal/dlin"
+	"repro/internal/engine"
 	"repro/internal/lhsps"
 	"repro/internal/stdmodel"
-	"repro/internal/transport"
 )
 
 var (
@@ -360,7 +362,7 @@ func tableDKG() {
 	n, t := 5, 2
 	cfg := dkg.Config{N: n, T: t, NumSharings: core.Dim,
 		Scheme: dkg.PedersenScheme{Params: lhsps.NewParams("tables/dkg-f")}}
-	players := make([]transport.Player, n)
+	players := make([]engine.Player, n)
 	honest := make([]*dkg.HonestPlayer, n+1)
 	for i := 1; i <= n; i++ {
 		hp, err := dkg.NewHonestPlayer(cfg, i)
@@ -386,24 +388,20 @@ func tableDKG() {
 
 func tableRounds() {
 	fmt.Println("== E7: interactivity of the signing flow ==")
-	params := core.NewParams("tables/rounds")
-	views := must2(core.DistKeygen(params, 5, 2))
+	scheme := tsig.NewScheme(tsig.WithDomain("tables/rounds"))
+	group, members, err := scheme.Keygen(5, 2)
+	if err != nil {
+		log.Fatal(err)
+	}
 	msg := []byte("round probe")
 
-	res, err := core.DistributedSign(views, 2, []int{1, 3, 5}, nil, msg)
-	if err != nil {
-		log.Fatal(err)
-	}
 	fmt.Printf("%-34s %8s %10s %12s %20s\n", "flow", "rounds", "unicasts", "broadcasts", "signer<->signer msgs")
+	st := signRound(group, members, []int{1, 3, 5}, nil, msg)
 	fmt.Printf("%-34s %8d %10d %12d %20d\n", "S3 signing (3 signers, fault-free)",
-		res.Stats.CommunicationRounds(), res.Stats.UnicastMessages, res.Stats.BroadcastMessages, 0)
-
-	res2, err := core.DistributedSign(views, 2, []int{1, 2, 3, 4, 5}, map[int]bool{2: true, 5: true}, msg)
-	if err != nil {
-		log.Fatal(err)
-	}
+		st.CommunicationRounds(), st.UnicastMessages, st.BroadcastMessages, 0)
+	st = signRound(group, members, []int{1, 2, 3, 4, 5}, map[int]bool{2: true, 5: true}, msg)
 	fmt.Printf("%-34s %8d %10d %12d %20d\n", "S3 signing (5 signers, 2 faulty)",
-		res2.Stats.CommunicationRounds(), res2.Stats.UnicastMessages, res2.Stats.BroadcastMessages, 0)
+		st.CommunicationRounds(), st.UnicastMessages, st.BroadcastMessages, 0)
 
 	// ADN-style additive sharing: fault-free 1 round, any failure forces a
 	// reconstruction round among the signers.
@@ -422,6 +420,56 @@ func tableRounds() {
 		log.Fatal(err)
 	}
 	fmt.Printf("%-34s %8d %10s %12s %20s\n", "ADN additive RSA (1 signer down)", rounds, "n", "0", "t+1 (backup shares)")
+}
+
+// stepPlayer is an engine.Player whose behaviour is one closure, which
+// returns the round's messages and whether the player is done.
+type stepPlayer struct {
+	id   int
+	step func(round int, in []engine.Message) ([]engine.Message, bool)
+	done bool
+}
+
+func (p *stepPlayer) ID() int    { return p.id }
+func (p *stepPlayer) Done() bool { return p.done }
+func (p *stepPlayer) Step(round int, in []engine.Message) ([]engine.Message, error) {
+	out, done := p.step(round, in)
+	p.done = done
+	return out, nil
+}
+
+// signRound runs one signing request through the engine and returns its
+// traffic: in round 0 every listed signer sends its partial signature
+// (one bit flipped if faulty) to a combiner, player n+1, without talking
+// to any other signer; in round 1 the combiner combines what arrived.
+func signRound(g *tsig.Group, members []*tsig.Member, signers []int, faulty map[int]bool, msg []byte) engine.Stats {
+	combiner := len(members) + 1
+	players := make([]engine.Player, combiner)
+	for i, m := range members {
+		players[i] = &stepPlayer{id: i + 1, step: func(round int, _ []engine.Message) ([]engine.Message, bool) {
+			if round > 0 || !slices.Contains(signers, m.Index()) {
+				return nil, true
+			}
+			payload := must(m.SignShare(msg)).Marshal()
+			if faulty[m.Index()] {
+				payload[len(payload)-1] ^= 1
+			}
+			return []engine.Message{{To: combiner, Kind: "sign/partial", Payload: payload}}, true
+		}}
+	}
+	players[combiner-1] = &stepPlayer{id: combiner, step: func(round int, in []engine.Message) ([]engine.Message, bool) {
+		var parts []*tsig.PartialSignature
+		for _, m := range in {
+			if ps, err := tsig.UnmarshalPartialSignature(m.Payload); err == nil {
+				parts = append(parts, ps)
+			}
+		}
+		if round > 0 {
+			must(g.Combine(msg, parts))
+		}
+		return nil, round > 0
+	}}
+	return must(engine.RunLocal(players, 4)).Stats
 }
 
 // ---------------------------------------------------------------- E9
@@ -474,7 +522,7 @@ func tableBias() {
 	count := func(attack bool) int {
 		hit := 0
 		for trial := 0; trial < *trials; trial++ {
-			players := make([]transport.Player, cfg.N)
+			players := make([]engine.Player, cfg.N)
 			honest := make([]*dkg.HonestPlayer, cfg.N+1)
 			rule := dkg.ExclusionRule(func(deals map[int][][][]*bn254.G2) bool {
 				if !attack {

@@ -17,8 +17,8 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/dkg"
+	"repro/internal/engine"
 	"repro/internal/lhsps"
-	"repro/internal/transport"
 )
 
 const (
@@ -26,9 +26,9 @@ const (
 	t = 2
 )
 
-func runScenario(name string, params *lhsps.Params, build func(cfg dkg.Config, hp *dkg.HonestPlayer, i int) transport.Player) *dkg.Outcome {
+func runScenario(name string, params *lhsps.Params, build func(cfg dkg.Config, hp *dkg.HonestPlayer, i int) engine.Player) *dkg.Outcome {
 	cfg := dkg.Config{N: n, T: t, NumSharings: core.Dim, Scheme: dkg.PedersenScheme{Params: params}}
-	players := make([]transport.Player, n)
+	players := make([]engine.Player, n)
 	honest := make([]*dkg.HonestPlayer, n+1)
 	for i := 1; i <= n; i++ {
 		hp, err := dkg.NewHonestPlayer(cfg, i)
@@ -65,18 +65,18 @@ func main() {
 
 	fmt.Printf("Dist-Keygen with n=%d servers, threshold t=%d\n\n", n, t)
 
-	runScenario("all honest", params, func(cfg dkg.Config, hp *dkg.HonestPlayer, i int) transport.Player {
+	runScenario("all honest", params, func(cfg dkg.Config, hp *dkg.HonestPlayer, i int) engine.Player {
 		return hp
 	})
 
-	runScenario("dealer 4 crashed", params, func(cfg dkg.Config, hp *dkg.HonestPlayer, i int) transport.Player {
+	runScenario("dealer 4 crashed", params, func(cfg dkg.Config, hp *dkg.HonestPlayer, i int) engine.Player {
 		if i == 4 {
 			return &dkg.CrashPlayer{Id: 4}
 		}
 		return hp
 	})
 
-	out := runScenario("dealer 2 wrongs player 3", params, func(cfg dkg.Config, hp *dkg.HonestPlayer, i int) transport.Player {
+	out := runScenario("dealer 2 wrongs player 3", params, func(cfg dkg.Config, hp *dkg.HonestPlayer, i int) engine.Player {
 		if i == 2 {
 			return &dkg.WrongShareDealer{HonestPlayer: hp, Victims: []int{3}}
 		}
@@ -90,14 +90,14 @@ func main() {
 		}
 	}
 
-	runScenario("dealer 2 ignores complaint", params, func(cfg dkg.Config, hp *dkg.HonestPlayer, i int) transport.Player {
+	runScenario("dealer 2 ignores complaint", params, func(cfg dkg.Config, hp *dkg.HonestPlayer, i int) engine.Player {
 		if i == 2 {
 			return &dkg.WrongShareDealer{HonestPlayer: hp, Victims: []int{3}, RefuseResponse: true}
 		}
 		return hp
 	})
 
-	runScenario("player 5 complains falsely", params, func(cfg dkg.Config, hp *dkg.HonestPlayer, i int) transport.Player {
+	runScenario("player 5 complains falsely", params, func(cfg dkg.Config, hp *dkg.HonestPlayer, i int) engine.Player {
 		if i == 5 {
 			return &dkg.FalseComplainer{HonestPlayer: hp, Target: 1}
 		}

@@ -156,11 +156,7 @@ func TestGoldenRequiresAnalyzer(t *testing.T) {
 // diagnostics otherwise, so the offending line is one click away.
 func TestRealTreeClean(t *testing.T) {
 	t.Parallel()
-	m, err := Load("../..", LoadConfig{})
-	if err != nil {
-		t.Fatalf("loading the real module: %v", err)
-	}
-	for _, d := range Run(m, Analyzers()) {
+	for _, d := range Run(loadRealTree(t), Analyzers()) {
 		t.Errorf("real tree: %s", d)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -79,14 +80,29 @@ func TestLoadImportCycle(t *testing.T) {
 	}
 }
 
+// realTree is this repository, loaded at most once per test binary: a
+// full load is the package's slowest step, and the tests that inspect the
+// real tree share the result read-only.
+var realTree struct {
+	once sync.Once
+	m    *Module
+	err  error
+}
+
+func loadRealTree(t *testing.T) *Module {
+	t.Helper()
+	realTree.once.Do(func() { realTree.m, realTree.err = Load("../..", LoadConfig{}) })
+	if realTree.err != nil {
+		t.Fatalf("loading the real module: %v", realTree.err)
+	}
+	return realTree.m
+}
+
 // TestLoadLevelOrder proves the parallel type-checking still yields
 // imports-before-importers order in Module.Pkgs.
 func TestLoadLevelOrder(t *testing.T) {
 	t.Parallel()
-	m, err := Load("../..", LoadConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	m := loadRealTree(t)
 	seen := make(map[string]bool, len(m.Pkgs))
 	for _, pkg := range m.Pkgs {
 		for _, f := range pkg.Files {

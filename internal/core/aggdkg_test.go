@@ -5,7 +5,7 @@ import (
 
 	"repro/internal/bn254"
 	"repro/internal/dkg"
-	"repro/internal/transport"
+	"repro/internal/engine"
 )
 
 // badAggProofPlayer runs the Appendix G DKG but broadcasts a corrupted
@@ -16,7 +16,7 @@ type badAggProofPlayer struct {
 	*aggPlayer
 }
 
-func (p *badAggProofPlayer) Step(round int, delivered []transport.Message) ([]transport.Message, error) {
+func (p *badAggProofPlayer) Step(round int, delivered []engine.Message) ([]engine.Message, error) {
 	msgs, err := p.aggPlayer.Step(round, delivered)
 	if err != nil {
 		return nil, err
@@ -39,7 +39,7 @@ func (p *badAggProofPlayer) Step(round int, delivered []transport.Message) ([]tr
 func TestAggDKGDisqualifiesBadProof(t *testing.T) {
 	params := NewAggParams("aggdkg-cheater")
 	cfg := dkg.Config{N: 5, T: 2, NumSharings: Dim, Scheme: dkg.PedersenScheme{Params: params.LH}}
-	players := make([]transport.Player, cfg.N)
+	players := make([]engine.Player, cfg.N)
 	aggs := make([]*aggPlayer, cfg.N+1)
 	for i := 1; i <= cfg.N; i++ {
 		ap, err := newAggPlayer(params, cfg, i)
@@ -53,11 +53,7 @@ func TestAggDKGDisqualifiesBadProof(t *testing.T) {
 		}
 		players[i-1] = ap
 	}
-	net, err := transport.NewNetwork(players)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := net.Run(dkg.MaxRounds); err != nil {
+	if _, err := engine.RunLocal(players, dkg.MaxRounds); err != nil {
 		t.Fatal(err)
 	}
 	// All honest players exclude dealer 3 and still agree on a valid key.
@@ -115,7 +111,7 @@ func TestAggDKGMissingProofDisqualifies(t *testing.T) {
 	// excluded too.
 	params := NewAggParams("aggdkg-silent")
 	cfg := dkg.Config{N: 3, T: 1, NumSharings: Dim, Scheme: dkg.PedersenScheme{Params: params.LH}}
-	players := make([]transport.Player, cfg.N)
+	players := make([]engine.Player, cfg.N)
 	aggs := make([]*aggPlayer, cfg.N+1)
 	for i := 1; i <= cfg.N; i++ {
 		ap, err := newAggPlayer(params, cfg, i)
@@ -129,11 +125,7 @@ func TestAggDKGMissingProofDisqualifies(t *testing.T) {
 		}
 		players[i-1] = ap
 	}
-	net, err := transport.NewNetwork(players)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := net.Run(dkg.MaxRounds); err != nil {
+	if _, err := engine.RunLocal(players, dkg.MaxRounds); err != nil {
 		t.Fatal(err)
 	}
 	res, err := aggs[1].Result()
@@ -151,7 +143,7 @@ type proofSuppressor struct {
 	*aggPlayer
 }
 
-func (p *proofSuppressor) Step(round int, delivered []transport.Message) ([]transport.Message, error) {
+func (p *proofSuppressor) Step(round int, delivered []engine.Message) ([]engine.Message, error) {
 	msgs, err := p.aggPlayer.Step(round, delivered)
 	if err != nil {
 		return nil, err

@@ -7,8 +7,8 @@ import (
 
 	"repro/internal/bn254"
 	"repro/internal/dkg"
+	"repro/internal/engine"
 	"repro/internal/lhsps"
-	"repro/internal/transport"
 )
 
 // This file implements the aggregation extension of Appendix G. The
@@ -183,7 +183,7 @@ func newAggPlayer(params *AggParams, cfg dkg.Config, id int) (*aggPlayer, error)
 }
 
 // Step interleaves the extension with the inner protocol.
-func (p *aggPlayer) Step(round int, delivered []transport.Message) ([]transport.Message, error) {
+func (p *aggPlayer) Step(round int, delivered []engine.Message) ([]engine.Message, error) {
 	switch round {
 	case 0:
 		msgs, err := p.HonestPlayer.Step(round, delivered)
@@ -192,8 +192,8 @@ func (p *aggPlayer) Step(round int, delivered []transport.Message) ([]transport.
 		}
 		p.selfZ, p.selfR = aggDealProof(p.params, p.HonestPlayer)
 		payload := append(p.selfZ.Marshal(), p.selfR.Marshal()...)
-		return append(msgs, transport.Message{
-			To:      transport.Broadcast,
+		return append(msgs, engine.Message{
+			To:      engine.Broadcast,
 			Kind:    KindAggProof,
 			Payload: payload,
 		}), nil
@@ -271,9 +271,9 @@ func (p *aggPlayer) aggResult() (*AggKeyShares, error) {
 
 // AggDistKeygen runs the Appendix G distributed key generation among n
 // honest players.
-func AggDistKeygen(params *AggParams, n, t int) ([]*AggKeyShares, *transport.Stats, error) {
+func AggDistKeygen(params *AggParams, n, t int) ([]*AggKeyShares, *engine.Stats, error) {
 	cfg := dkg.Config{N: n, T: t, NumSharings: Dim, Scheme: dkg.PedersenScheme{Params: params.LH}}
-	players := make([]transport.Player, n)
+	players := make([]engine.Player, n)
 	aggs := make([]*aggPlayer, n+1)
 	for i := 1; i <= n; i++ {
 		ap, err := newAggPlayer(params, cfg, i)
@@ -283,11 +283,8 @@ func AggDistKeygen(params *AggParams, n, t int) ([]*AggKeyShares, *transport.Sta
 		players[i-1] = ap
 		aggs[i] = ap
 	}
-	net, err := transport.NewNetwork(players)
+	report, err := engine.RunLocal(players, dkg.MaxRounds)
 	if err != nil {
-		return nil, nil, err
-	}
-	if _, err := net.Run(dkg.MaxRounds); err != nil {
 		return nil, nil, err
 	}
 	views := make([]*AggKeyShares, n+1)
@@ -297,8 +294,7 @@ func AggDistKeygen(params *AggParams, n, t int) ([]*AggKeyShares, *transport.Sta
 			return nil, nil, err
 		}
 	}
-	stats := net.Stats()
-	return views, &stats, nil
+	return views, &report.Stats, nil
 }
 
 // AggShareSign produces a partial signature in the aggregation scheme:

@@ -27,9 +27,8 @@
 // are four Z_p scalars — constant size, independent of n.
 //
 // The package also implements the proactive refresh of Section 3.3
-// (refresh.go), the aggregation extension of Appendix G (aggregate.go),
-// and a one-message-per-signer distributed signing session over the
-// simulated network (session.go).
+// (refresh.go), share recovery (recovery.go) and the aggregation
+// extension of Appendix G (aggregate.go).
 package core
 
 import (
@@ -234,7 +233,7 @@ func FromDKGResult(params *Params, res *dkg.Result) (*KeyShares, error) {
 }
 
 // DistKeygen runs the full Dist-Keygen protocol among n honest players
-// over the simulated synchronous network and returns each player's view
+// in process, over the protocol engine, and returns each player's view
 // plus the traffic statistics. t+1 shares will be needed to sign; the
 // protocol requires n >= 2t+1.
 func DistKeygen(params *Params, n, t int) ([]*KeyShares, *dkg.Outcome, error) {

@@ -272,43 +272,6 @@ func TestVerifyRejectsNil(t *testing.T) {
 	}
 }
 
-func TestDistributedSignSession(t *testing.T) {
-	views := keyFixture(t)
-	msg := []byte("session test")
-	res, err := DistributedSign(views, fixtureT, []int{1, 2, 4}, nil, msg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !Verify(views[1].PK, msg, res.Signature) {
-		t.Fatal("session signature invalid")
-	}
-	// Non-interactivity (E7): exactly one message per signer, all unicast,
-	// all in the first round; no signer-to-signer traffic.
-	if res.Stats.UnicastMessages != 3 || res.Stats.BroadcastMessages != 0 {
-		t.Fatalf("expected 3 unicasts and 0 broadcasts, got %+v", res.Stats)
-	}
-	if res.Stats.CommunicationRounds() != 1 {
-		t.Fatalf("signing used %d communication rounds, want 1", res.Stats.CommunicationRounds())
-	}
-}
-
-func TestDistributedSignToleratesCorruptSigners(t *testing.T) {
-	views := keyFixture(t)
-	msg := []byte("byzantine signing")
-	// 5 signers, 2 of them (up to t) emit garbage: still succeeds.
-	res, err := DistributedSign(views, fixtureT, []int{1, 2, 3, 4, 5}, map[int]bool{2: true, 5: true}, msg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !Verify(views[1].PK, msg, res.Signature) {
-		t.Fatal("session signature invalid under corruption")
-	}
-	// With only t+1 signers of which one corrupt, combining must fail.
-	if _, err := DistributedSign(views, fixtureT, []int{1, 2, 3}, map[int]bool{2: true}, msg); err == nil {
-		t.Fatal("session succeeded without t+1 valid shares")
-	}
-}
-
 func TestProactiveRefresh(t *testing.T) {
 	views := keyFixture(t)
 	msg := []byte("proactive security")

@@ -7,7 +7,7 @@ import (
 
 	"repro/internal/bn254"
 	"repro/internal/dkg"
-	"repro/internal/transport"
+	"repro/internal/engine"
 )
 
 // This file implements the adaptive chosen-message security game of
@@ -26,13 +26,32 @@ import (
 // This does not (and cannot) prove unforgeability — that is Theorem 1 —
 // but it validates every interface the security definition relies on.
 
+// corruptingPlayer is the adaptive adversary's hook on one player: at
+// the start of round 2 (everyone has dealt in round 0, and the shares were
+// delivered and verified in round 1) it reads the player's full internal
+// state, polynomials included. The corrupted player keeps following the
+// protocol (a passive adversary); Byzantine deviations are exercised in
+// the dkg tests.
+type corruptingPlayer struct {
+	*dkg.HonestPlayer
+	leaked map[int]*dkg.InternalState
+}
+
+func (p *corruptingPlayer) Step(round int, delivered []engine.Message) ([]engine.Message, error) {
+	if round == 2 {
+		p.leaked[p.ID()] = p.InternalState()
+	}
+	return p.HonestPlayer.Step(round, delivered)
+}
+
 // corruptionGame runs Dist-Keygen with the adversary corrupting `corrupt`
 // players mid-protocol and returns the honest views plus the corrupted
 // states.
 func corruptionGame(t *testing.T, n, tThr int, corrupt []int) ([]*KeyShares, map[int]*dkg.InternalState) {
 	t.Helper()
 	cfg := dkg.Config{N: n, T: tThr, NumSharings: Dim, Scheme: dkg.PedersenScheme{Params: fixtureParams.LH}}
-	players := make([]transport.Player, n)
+	states := make(map[int]*dkg.InternalState)
+	players := make([]engine.Player, n)
 	honest := make([]*dkg.HonestPlayer, n+1)
 	for i := 1; i <= n; i++ {
 		hp, err := dkg.NewHonestPlayer(cfg, i)
@@ -42,39 +61,11 @@ func corruptionGame(t *testing.T, n, tThr int, corrupt []int) ([]*KeyShares, map
 		players[i-1] = hp
 		honest[i] = hp
 	}
-	net, err := transport.NewNetwork(players)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	corruptSet := make(map[int]bool, len(corrupt))
 	for _, c := range corrupt {
-		corruptSet[c] = true
+		players[c-1] = &corruptingPlayer{HonestPlayer: honest[c], leaked: states}
 	}
-	states := make(map[int]*dkg.InternalState)
-
-	// Round 0: everyone deals. Round 1: shares are delivered and verified.
-	if _, err := net.StepRound(); err != nil {
+	if _, err := engine.RunLocal(players, dkg.MaxRounds); err != nil {
 		t.Fatal(err)
-	}
-	if _, err := net.StepRound(); err != nil {
-		t.Fatal(err)
-	}
-	// Adaptive corruption mid-protocol: the adversary reads the
-	// full internal state (polynomials included) of its targets. The
-	// corrupted players keep following the protocol here (a passive
-	// adversary); Byzantine deviations are exercised in the dkg tests.
-	for c := range corruptSet {
-		states[c] = honest[c].InternalState()
-	}
-	for {
-		done, err := net.StepRound()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if done {
-			break
-		}
 	}
 
 	views := make([]*KeyShares, n+1)

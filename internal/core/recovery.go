@@ -5,10 +5,11 @@ import (
 	"fmt"
 	"io"
 	"math/big"
+	"slices"
 
 	"repro/internal/bn254"
+	"repro/internal/engine"
 	"repro/internal/shamir"
-	"repro/internal/transport"
 )
 
 // Share recovery (Section 3.3, after Herzberg et al. [46, Section 4]):
@@ -28,9 +29,12 @@ import (
 // a retry with a different helper set). One run handles all four scalar
 // components of SK_i in parallel.
 //
-// Message flow over the simulated network: (round 0) helpers exchange
-// mask evaluations; (round 1) helpers send blinded shares to the
-// recoverer; (round 2) the recoverer interpolates and verifies.
+// Message flow, one engine run: (round 0) helpers exchange mask
+// evaluations; (round 1) helpers send blinded shares to the recoverer;
+// (round 2) the recoverer interpolates and verifies. Only messages from
+// the declared helper set are accepted at either step, and the recoverer
+// interpolates over the helpers in sorted order, so a run's outcome does
+// not depend on who else speaks or on map iteration order.
 
 // Wire kinds of the recovery protocol.
 const (
@@ -59,7 +63,7 @@ type recoveryHelper struct {
 func (p *recoveryHelper) ID() int    { return p.id }
 func (p *recoveryHelper) Done() bool { return p.done }
 
-func (p *recoveryHelper) Step(round int, delivered []transport.Message) ([]transport.Message, error) {
+func (p *recoveryHelper) Step(round int, delivered []engine.Message) ([]engine.Message, error) {
 	switch round {
 	case 0:
 		// Sample masks vanishing at the target: delta(X) = (X - r)*q(X)
@@ -96,7 +100,7 @@ func (p *recoveryHelper) Step(round int, delivered []transport.Message) ([]trans
 			p.maskSums[k] = new(big.Int)
 		}
 		// Send evaluations to the other helpers (and count our own).
-		var out []transport.Message
+		var out []engine.Message
 		for _, h := range p.helpers {
 			vals := make([]*big.Int, recoveryComponents)
 			for k := 0; k < recoveryComponents; k++ {
@@ -108,7 +112,7 @@ func (p *recoveryHelper) Step(round int, delivered []transport.Message) ([]trans
 				}
 				continue
 			}
-			out = append(out, transport.Message{
+			out = append(out, engine.Message{
 				To:      h,
 				Kind:    KindRecoveryMask,
 				Payload: encodeScalars(vals),
@@ -119,7 +123,7 @@ func (p *recoveryHelper) Step(round int, delivered []transport.Message) ([]trans
 		// Accumulate the other helpers' masks, then send the blinded share.
 		seen := map[int]bool{p.id: true}
 		for _, m := range delivered {
-			if m.Kind != KindRecoveryMask || seen[m.From] {
+			if m.Kind != KindRecoveryMask || seen[m.From] || !isHelper(p.helpers, m.From) {
 				continue
 			}
 			vals, err := decodeScalars(m.Payload, recoveryComponents)
@@ -144,7 +148,7 @@ func (p *recoveryHelper) Step(round int, delivered []transport.Message) ([]trans
 			blinded[k] = p.fld.Add(own[k], p.maskSums[k])
 		}
 		p.done = true
-		return []transport.Message{{
+		return []engine.Message{{
 			To:      p.target,
 			Kind:    KindRecoveryBlind,
 			Payload: encodeScalars(blinded),
@@ -159,7 +163,7 @@ func (p *recoveryHelper) Step(round int, delivered []transport.Message) ([]trans
 type recoveryTarget struct {
 	id      int
 	t       int
-	helpers []int
+	helpers []int // sorted
 	pk      *PublicKey
 	vk      *VerificationKey
 	fld     *shamir.Field
@@ -172,9 +176,9 @@ type recoveryTarget struct {
 func (p *recoveryTarget) ID() int    { return p.id }
 func (p *recoveryTarget) Done() bool { return p.done }
 
-func (p *recoveryTarget) Step(round int, delivered []transport.Message) ([]transport.Message, error) {
+func (p *recoveryTarget) Step(round int, delivered []engine.Message) ([]engine.Message, error) {
 	for _, m := range delivered {
-		if m.Kind != KindRecoveryBlind {
+		if m.Kind != KindRecoveryBlind || !isHelper(p.helpers, m.From) {
 			continue
 		}
 		if _, dup := p.blinded[m.From]; dup {
@@ -198,14 +202,19 @@ func (p *recoveryTarget) Step(round int, delivered []transport.Message) ([]trans
 	return nil, nil
 }
 
-// reconstruct interpolates the blinded polynomial at the target index; the
-// masks vanish there, and the result must match VK_r.
+// reconstruct interpolates the blinded polynomial at the target index
+// over the first t+1 helpers (in sorted order) that delivered; the masks
+// vanish there, and the result must match VK_r.
 func (p *recoveryTarget) reconstruct() error {
 	recovered := [recoveryComponents]*big.Int{}
 	for k := 0; k < recoveryComponents; k++ {
 		var pts []shamir.Share
-		for i, vals := range p.blinded {
-			pts = append(pts, shamir.Share{X: i, Y: vals[k]})
+		for _, h := range p.helpers {
+			vals, ok := p.blinded[h]
+			if !ok {
+				continue
+			}
+			pts = append(pts, shamir.Share{X: h, Y: vals[k]})
 			if len(pts) == p.t+1 {
 				break
 			}
@@ -256,56 +265,23 @@ func decodeScalars(data []byte, n int) ([]*big.Int, error) {
 	return out, nil
 }
 
-// RecoverShare restores player lost's private share from the helpers
-// (at least t+1 of them) without reconstructing or revealing the secret.
-// views is the full 1-based key view (the lost player's own Share entry is
-// ignored); the recovered share is returned after passing the public VK
-// check.
-func RecoverShare(views []*KeyShares, t int, lost int, helpers []int, rng io.Reader) (*PrivateKeyShare, error) {
-	n := len(views) - 1
-	if lost < 1 || lost > n {
-		return nil, fmt.Errorf("core: lost index %d out of range", lost)
-	}
-	if len(helpers) < t+1 {
-		return nil, fmt.Errorf("core: %d helpers, need at least %d", len(helpers), t+1)
-	}
-	helperSet := make(map[int]bool, len(helpers))
-	for _, h := range helpers {
-		if h < 1 || h > n || h == lost {
-			return nil, fmt.Errorf("core: invalid helper %d", h)
-		}
-		helperSet[h] = true
-	}
-	fld, err := shamir.NewField(bn254.Order)
-	if err != nil {
-		return nil, err
-	}
+// isHelper reports whether id is in the sorted helper set.
+func isHelper(helpers []int, id int) bool {
+	_, ok := slices.BinarySearch(helpers, id)
+	return ok
+}
 
-	players := make([]transport.Player, 0, n)
-	var target *recoveryTarget
-	for i := 1; i <= n; i++ {
-		switch {
-		case i == lost:
-			target = &recoveryTarget{
-				id: i, t: t, helpers: helpers,
-				pk: views[1].PK, vk: views[1].VKs[lost],
-				fld: fld, blinded: make(map[int][]*big.Int),
-			}
-			players = append(players, target)
-		case helperSet[i]:
-			players = append(players, &recoveryHelper{
-				id: i, t: t, target: lost, helpers: helpers,
-				share: views[i].Share, rng: rng, fld: fld,
-			})
-		default:
-			players = append(players, &idlePlayer{id: i})
-		}
-	}
-	net, err := transport.NewNetwork(players)
+// RecoverShare restores player lost's private share from the helpers
+// (at least t+1 distinct ones) without reconstructing or revealing the
+// secret. views is the full 1-based key view (the lost player's own Share
+// entry is ignored); the recovered share is returned after passing the
+// public VK check.
+func RecoverShare(views []*KeyShares, t int, lost int, helpers []int, rng io.Reader) (*PrivateKeyShare, error) {
+	players, target, err := recoveryPlayers(views, t, lost, helpers, rng)
 	if err != nil {
 		return nil, err
 	}
-	if _, err := net.Run(6); err != nil {
+	if _, err := engine.RunLocal(players, 6); err != nil {
 		return nil, err
 	}
 	if target.share == nil {
@@ -314,11 +290,59 @@ func RecoverShare(views []*KeyShares, t int, lost int, helpers []int, rng io.Rea
 	return target.share, nil
 }
 
+// recoveryPlayers validates a recovery request and builds one state
+// machine per player: the target, the helpers, and idle fillers.
+func recoveryPlayers(views []*KeyShares, t int, lost int, helpers []int, rng io.Reader) ([]engine.Player, *recoveryTarget, error) {
+	n := len(views) - 1
+	if lost < 1 || lost > n {
+		return nil, nil, fmt.Errorf("core: lost index %d out of range", lost)
+	}
+	sorted := slices.Clone(helpers)
+	slices.Sort(sorted)
+	for i, h := range sorted {
+		if h < 1 || h > n || h == lost {
+			return nil, nil, fmt.Errorf("core: invalid helper %d", h)
+		}
+		if i > 0 && sorted[i-1] == h {
+			return nil, nil, fmt.Errorf("core: duplicate helper %d", h)
+		}
+	}
+	if len(sorted) < t+1 {
+		return nil, nil, fmt.Errorf("core: %d helpers, need at least %d", len(sorted), t+1)
+	}
+	fld, err := shamir.NewField(bn254.Order)
+	if err != nil {
+		return nil, nil, err
+	}
+
+	players := make([]engine.Player, 0, n)
+	var target *recoveryTarget
+	for i := 1; i <= n; i++ {
+		switch {
+		case i == lost:
+			target = &recoveryTarget{
+				id: i, t: t, helpers: sorted,
+				pk: views[1].PK, vk: views[1].VKs[lost],
+				fld: fld, blinded: make(map[int][]*big.Int),
+			}
+			players = append(players, target)
+		case isHelper(sorted, i):
+			players = append(players, &recoveryHelper{
+				id: i, t: t, target: lost, helpers: sorted,
+				share: views[i].Share, rng: rng, fld: fld,
+			})
+		default:
+			players = append(players, &idlePlayer{id: i})
+		}
+	}
+	return players, target, nil
+}
+
 // idlePlayer fills non-participating slots.
 type idlePlayer struct{ id int }
 
 func (p *idlePlayer) ID() int    { return p.id }
 func (p *idlePlayer) Done() bool { return true }
-func (p *idlePlayer) Step(round int, delivered []transport.Message) ([]transport.Message, error) {
+func (p *idlePlayer) Step(round int, delivered []engine.Message) ([]engine.Message, error) {
 	return nil, nil
 }

@@ -2,7 +2,11 @@ package core
 
 import (
 	"crypto/rand"
+	"math/big"
+	"strings"
 	"testing"
+
+	"repro/internal/engine"
 )
 
 func TestShareRecoveryRestoresExactShare(t *testing.T) {
@@ -61,6 +65,9 @@ func TestShareRecoveryValidation(t *testing.T) {
 	if _, err := RecoverShare(views, fixtureT, 4, []int{1, 2, 99}, rand.Reader); err == nil {
 		t.Fatal("accepted an out-of-range helper")
 	}
+	if _, err := RecoverShare(views, fixtureT, 4, []int{1, 2, 2}, rand.Reader); err == nil || !strings.Contains(err.Error(), "duplicate helper 2") {
+		t.Fatalf("duplicate helper: err = %v", err)
+	}
 }
 
 func TestShareRecoveryAfterRefresh(t *testing.T) {
@@ -87,5 +94,42 @@ func TestShareRecoveryAfterRefresh(t *testing.T) {
 	}
 	if recovered.A1.Cmp(views[3].Share.A1) == 0 {
 		t.Fatal("recovered the stale pre-refresh share")
+	}
+}
+
+// rogueNonHelper is a player outside the helper set that injects a mask
+// into one helper and a blinded share into the target in round 0.
+type rogueNonHelper struct {
+	id, helper, target int
+}
+
+func (p *rogueNonHelper) ID() int    { return p.id }
+func (p *rogueNonHelper) Done() bool { return true }
+func (p *rogueNonHelper) Step(round int, _ []engine.Message) ([]engine.Message, error) {
+	if round != 0 {
+		return nil, nil
+	}
+	ones := encodeScalars([]*big.Int{big.NewInt(1), big.NewInt(1), big.NewInt(1), big.NewInt(1)})
+	return []engine.Message{
+		{To: p.helper, Kind: KindRecoveryMask, Payload: ones},
+		{To: p.target, Kind: KindRecoveryBlind, Payload: ones},
+	}, nil
+}
+
+// TestShareRecoveryIgnoresNonHelpers: with exactly t+1 helpers, messages
+// from a player outside the declared helper set must not reach the
+// helpers' mask sums or the target's interpolation.
+func TestShareRecoveryIgnoresNonHelpers(t *testing.T) {
+	views := keyFixture(t)
+	players, target, err := recoveryPlayers(views, fixtureT, 4, []int{5, 1, 2}, rand.Reader)
+	if err != nil {
+		t.Fatal(err)
+	}
+	players[3-1] = &rogueNonHelper{id: 3, helper: 1, target: 4}
+	if _, err := engine.RunLocal(players, 6); err != nil {
+		t.Fatal(err)
+	}
+	if target.share == nil || target.share.A1.Cmp(views[4].Share.A1) != 0 || target.share.B2.Cmp(views[4].Share.B2) != 0 {
+		t.Fatal("a non-helper's messages corrupted the recovered share")
 	}
 }

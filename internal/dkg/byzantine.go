@@ -2,7 +2,7 @@ package dkg
 
 import (
 	"repro/internal/bn254"
-	"repro/internal/transport"
+	"repro/internal/engine"
 )
 
 // This file provides Byzantine player implementations used by the failure-
@@ -16,14 +16,14 @@ type CrashPlayer struct {
 	Id int
 }
 
-// ID implements transport.Player.
+// ID implements engine.Player.
 func (p *CrashPlayer) ID() int { return p.Id }
 
-// Done implements transport.Player: a crashed player never reports.
+// Done implements engine.Player: a crashed player never reports.
 func (p *CrashPlayer) Done() bool { return true }
 
-// Step implements transport.Player.
-func (p *CrashPlayer) Step(round int, delivered []transport.Message) ([]transport.Message, error) {
+// Step implements engine.Player.
+func (p *CrashPlayer) Step(round int, delivered []engine.Message) ([]engine.Message, error) {
 	return nil, nil
 }
 
@@ -40,7 +40,7 @@ type WrongShareDealer struct {
 }
 
 // Step overrides the honest behaviour in the dealing and response rounds.
-func (p *WrongShareDealer) Step(round int, delivered []transport.Message) ([]transport.Message, error) {
+func (p *WrongShareDealer) Step(round int, delivered []engine.Message) ([]engine.Message, error) {
 	msgs, err := p.HonestPlayer.Step(round, delivered)
 	if err != nil {
 		return nil, err
@@ -93,14 +93,14 @@ type FalseComplainer struct {
 }
 
 // Step adds the spurious complaint to the honest output.
-func (p *FalseComplainer) Step(round int, delivered []transport.Message) ([]transport.Message, error) {
+func (p *FalseComplainer) Step(round int, delivered []engine.Message) ([]engine.Message, error) {
 	msgs, err := p.HonestPlayer.Step(round, delivered)
 	if err != nil {
 		return nil, err
 	}
 	if round == 1 {
-		msgs = append(msgs, transport.Message{
-			To:      transport.Broadcast,
+		msgs = append(msgs, engine.Message{
+			To:      engine.Broadcast,
 			Kind:    KindComplaint,
 			Payload: encodeComplaint(p.Target),
 		})
@@ -116,7 +116,7 @@ func (p *FalseComplainer) Step(round int, delivered []transport.Message) ([]tran
 type ExclusionRule func(deals map[int][][][]*bn254.G2) bool
 
 // decodeDeliveredDeals reconstructs the common broadcast view.
-func decodeDeliveredDeals(cfg Config, delivered []transport.Message) map[int][][][]*bn254.G2 {
+func decodeDeliveredDeals(cfg Config, delivered []engine.Message) map[int][][][]*bn254.G2 {
 	deals := make(map[int][][][]*bn254.G2)
 	for _, m := range delivered {
 		if m.Kind != KindDeal || !m.IsBroadcast() {
@@ -155,7 +155,7 @@ type BiasAttacker struct {
 }
 
 // Step runs the honest machine, injecting self-sabotage when Rule fires.
-func (p *BiasAttacker) Step(round int, delivered []transport.Message) ([]transport.Message, error) {
+func (p *BiasAttacker) Step(round int, delivered []engine.Message) ([]engine.Message, error) {
 	if round == 1 {
 		p.exclude = p.Rule(decodeDeliveredDeals(p.HonestPlayer.cfg, delivered))
 	}
@@ -198,7 +198,7 @@ type BiasHelper struct {
 }
 
 // Step adds the collusive complaint when the rule fires.
-func (p *BiasHelper) Step(round int, delivered []transport.Message) ([]transport.Message, error) {
+func (p *BiasHelper) Step(round int, delivered []engine.Message) ([]engine.Message, error) {
 	if round == 1 {
 		p.exclude = p.Rule(decodeDeliveredDeals(p.HonestPlayer.cfg, delivered))
 	}
@@ -207,8 +207,8 @@ func (p *BiasHelper) Step(round int, delivered []transport.Message) ([]transport
 		return nil, err
 	}
 	if round == 1 && p.exclude {
-		msgs = append(msgs, transport.Message{
-			To:      transport.Broadcast,
+		msgs = append(msgs, engine.Message{
+			To:      engine.Broadcast,
 			Kind:    KindComplaint,
 			Payload: encodeComplaint(p.AttackerID),
 		})

@@ -32,7 +32,6 @@
 package dkg
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"io"
@@ -44,7 +43,6 @@ import (
 	"repro/internal/engine"
 	"repro/internal/lhsps"
 	"repro/internal/shamir"
-	"repro/internal/transport"
 )
 
 // Message kinds on the wire.
@@ -284,10 +282,10 @@ func NewHonestPlayer(cfg Config, id int) (*HonestPlayer, error) {
 	}, nil
 }
 
-// ID implements transport.Player.
+// ID implements engine.Player.
 func (p *HonestPlayer) ID() int { return p.id }
 
-// Done implements transport.Player.
+// Done implements engine.Player.
 func (p *HonestPlayer) Done() bool { return p.done }
 
 // Result returns the protocol output once the player is done.
@@ -321,12 +319,12 @@ func (p *HonestPlayer) InternalState() *InternalState {
 	return &InternalState{ID: p.id, Polys: p.Polys, ReceivedShares: rs}
 }
 
-// Step implements transport.Player.
-func (p *HonestPlayer) Step(round int, delivered []transport.Message) ([]transport.Message, error) {
+// Step implements engine.Player.
+func (p *HonestPlayer) Step(round int, delivered []engine.Message) ([]engine.Message, error) {
 	if p.err != nil {
 		return nil, p.err
 	}
-	var out []transport.Message
+	var out []engine.Message
 	var err error
 	switch round {
 	case 0:
@@ -358,7 +356,7 @@ func (p *HonestPlayer) shareFor(k, j int) Share {
 }
 
 // deal samples the sharing polynomials and emits round-0 messages.
-func (p *HonestPlayer) deal() ([]transport.Message, error) {
+func (p *HonestPlayer) deal() ([]engine.Message, error) {
 	k := p.cfg.NumSharings
 	dim := p.cfg.Scheme.SecretDim()
 	p.Polys = make([][]*shamir.Polynomial, k)
@@ -389,8 +387,8 @@ func (p *HonestPlayer) deal() ([]transport.Message, error) {
 		}
 	}
 
-	msgs := []transport.Message{{
-		To:      transport.Broadcast,
+	msgs := []engine.Message{{
+		To:      engine.Broadcast,
 		Kind:    KindDeal,
 		Payload: encodeDeal(comms),
 	}}
@@ -399,7 +397,7 @@ func (p *HonestPlayer) deal() ([]transport.Message, error) {
 		for ki := 0; ki < k; ki++ {
 			shares[ki] = p.shareFor(ki, j)
 		}
-		msgs = append(msgs, transport.Message{
+		msgs = append(msgs, engine.Message{
 			To:      j,
 			Kind:    KindShare,
 			Payload: encodeShares(shares),
@@ -410,7 +408,7 @@ func (p *HonestPlayer) deal() ([]transport.Message, error) {
 
 // processDealsAndComplain verifies all received dealings and broadcasts
 // complaints against faulty dealers.
-func (p *HonestPlayer) processDealsAndComplain(delivered []transport.Message) ([]transport.Message, error) {
+func (p *HonestPlayer) processDealsAndComplain(delivered []engine.Message) ([]engine.Message, error) {
 	for _, m := range delivered {
 		switch m.Kind {
 		case KindDeal:
@@ -439,15 +437,15 @@ func (p *HonestPlayer) processDealsAndComplain(delivered []transport.Message) ([
 		}
 	}
 
-	var out []transport.Message
+	var out []engine.Message
 	for j := 1; j <= p.cfg.N; j++ {
 		d := p.dealer(j)
 		if p.verifyDealerShares(d) {
 			d.shareOK = true
 			continue
 		}
-		out = append(out, transport.Message{
-			To:      transport.Broadcast,
+		out = append(out, engine.Message{
+			To:      engine.Broadcast,
 			Kind:    KindComplaint,
 			Payload: encodeComplaint(j),
 		})
@@ -502,7 +500,7 @@ func verifySharesAgainstCommitments(scheme CommitScheme, comms [][][]*bn254.G2, 
 
 // processComplaintsAndRespond records complaints and, if this player was
 // accused, broadcasts the complainers' correct shares.
-func (p *HonestPlayer) processComplaintsAndRespond(delivered []transport.Message) ([]transport.Message, error) {
+func (p *HonestPlayer) processComplaintsAndRespond(delivered []engine.Message) ([]engine.Message, error) {
 	var accusers []int
 	for _, m := range delivered {
 		if m.Kind != KindComplaint || !m.IsBroadcast() {
@@ -547,8 +545,8 @@ func (p *HonestPlayer) processComplaintsAndRespond(delivered []transport.Message
 		}
 		entries = append(entries, responseEntry{Complainer: j, Shares: shares})
 	}
-	return []transport.Message{{
-		To:      transport.Broadcast,
+	return []engine.Message{{
+		To:      engine.Broadcast,
 		Kind:    KindResponse,
 		Payload: encodeResponse(entries),
 	}}, nil
@@ -556,7 +554,7 @@ func (p *HonestPlayer) processComplaintsAndRespond(delivered []transport.Message
 
 // processResponsesAndFinalize applies the disqualification rules and
 // produces the key material.
-func (p *HonestPlayer) processResponsesAndFinalize(delivered []transport.Message) error {
+func (p *HonestPlayer) processResponsesAndFinalize(delivered []engine.Message) error {
 	if p.done {
 		return nil
 	}
@@ -718,12 +716,12 @@ const MaxRounds = 8
 // Outcome bundles the per-player results of a driver run.
 type Outcome struct {
 	Results []*Result // index 0 unused; Results[i] for player i (nil if not honest)
-	Stats   transport.Stats
+	Stats   engine.Stats
 }
 
 // Run executes a DKG among n honest players and returns their results.
 func Run(cfg Config) (*Outcome, error) {
-	players := make([]transport.Player, cfg.N)
+	players := make([]engine.Player, cfg.N)
 	honest := make([]*HonestPlayer, cfg.N+1)
 	for i := 1; i <= cfg.N; i++ {
 		hp, err := NewHonestPlayer(cfg, i)
@@ -746,15 +744,8 @@ func Run(cfg Config) (*Outcome, error) {
 // and over-the-wire keygen/refresh paths execute identical routing and
 // stepping code and cannot drift. Players are stepped sequentially in ID
 // order, which keeps runs deterministic for a shared seeded Config.Rng.
-func RunWithPlayers(cfg Config, players []transport.Player, honest []*HonestPlayer) (*Outcome, error) {
-	peers := make([]engine.Peer, len(players))
-	for i, p := range players {
-		if p == nil {
-			return nil, fmt.Errorf("dkg: player %d is nil", i+1)
-		}
-		peers[i] = engine.LocalPeer{P: p}
-	}
-	report, err := engine.Run(context.Background(), peers, engine.RunConfig{MaxRounds: MaxRounds})
+func RunWithPlayers(cfg Config, players []engine.Player, honest []*HonestPlayer) (*Outcome, error) {
+	report, err := engine.RunLocal(players, MaxRounds)
 	if err != nil {
 		return nil, err
 	}

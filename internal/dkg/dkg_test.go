@@ -6,9 +6,9 @@ import (
 	"testing"
 
 	"repro/internal/bn254"
+	"repro/internal/engine"
 	"repro/internal/lhsps"
 	"repro/internal/shamir"
-	"repro/internal/transport"
 )
 
 var testParams = lhsps.NewParams("dkg-test")
@@ -64,7 +64,7 @@ func TestSharesInterpolateToDealtSecrets(t *testing.T) {
 	// interpolated shares must equal the sum of the dealers' secrets, and
 	// PK must equal g^_z^a g^_r^b for the reconstructed (a, b).
 	cfg := testConfig(5, 2, 2)
-	players := make([]transport.Player, cfg.N)
+	players := make([]engine.Player, cfg.N)
 	honest := make([]*HonestPlayer, cfg.N+1)
 	for i := 1; i <= cfg.N; i++ {
 		hp, err := NewHonestPlayer(cfg, i)
@@ -139,7 +139,7 @@ func TestVerificationKeysMatchShares(t *testing.T) {
 
 func TestCrashPlayerIsExcluded(t *testing.T) {
 	cfg := testConfig(5, 2, 2)
-	players := make([]transport.Player, cfg.N)
+	players := make([]engine.Player, cfg.N)
 	honest := make([]*HonestPlayer, cfg.N+1)
 	for i := 1; i <= cfg.N; i++ {
 		if i == 4 {
@@ -171,7 +171,7 @@ func TestCrashPlayerIsExcluded(t *testing.T) {
 
 func TestWrongShareDealerHealsViaResponse(t *testing.T) {
 	cfg := testConfig(5, 2, 2)
-	players := make([]transport.Player, cfg.N)
+	players := make([]engine.Player, cfg.N)
 	honest := make([]*HonestPlayer, cfg.N+1)
 	for i := 1; i <= cfg.N; i++ {
 		hp, err := NewHonestPlayer(cfg, i)
@@ -216,7 +216,7 @@ func TestWrongShareDealerHealsViaResponse(t *testing.T) {
 
 func TestUnresponsiveAccusedDealerIsDisqualified(t *testing.T) {
 	cfg := testConfig(5, 2, 2)
-	players := make([]transport.Player, cfg.N)
+	players := make([]engine.Player, cfg.N)
 	honest := make([]*HonestPlayer, cfg.N+1)
 	for i := 1; i <= cfg.N; i++ {
 		hp, err := NewHonestPlayer(cfg, i)
@@ -245,7 +245,7 @@ func TestUnresponsiveAccusedDealerIsDisqualified(t *testing.T) {
 
 func TestFalseComplaintDoesNotDisqualify(t *testing.T) {
 	cfg := testConfig(5, 2, 2)
-	players := make([]transport.Player, cfg.N)
+	players := make([]engine.Player, cfg.N)
 	honest := make([]*HonestPlayer, cfg.N+1)
 	for i := 1; i <= cfg.N; i++ {
 		hp, err := NewHonestPlayer(cfg, i)
@@ -309,7 +309,7 @@ func TestRefreshRejectsNonZeroConstantTerm(t *testing.T) {
 	refreshCfg.Refresh = true
 	normalCfg := testConfig(5, 2, 1)
 
-	players := make([]transport.Player, refreshCfg.N)
+	players := make([]engine.Player, refreshCfg.N)
 	honest := make([]*HonestPlayer, refreshCfg.N+1)
 	for i := 1; i <= refreshCfg.N; i++ {
 		c := refreshCfg
@@ -342,7 +342,7 @@ func TestInternalStateExposesEverything(t *testing.T) {
 	// The erasure-free model: after the run, corruption reveals the
 	// polynomials and all received shares.
 	cfg := testConfig(3, 1, 2)
-	players := make([]transport.Player, cfg.N)
+	players := make([]engine.Player, cfg.N)
 	honest := make([]*HonestPlayer, cfg.N+1)
 	for i := 1; i <= cfg.N; i++ {
 		hp, _ := NewHonestPlayer(cfg, i)
@@ -379,7 +379,7 @@ func TestPedersenBiasAttack(t *testing.T) {
 
 	biased := 0
 	for trial := 0; trial < trials; trial++ {
-		players := make([]transport.Player, cfg.N)
+		players := make([]engine.Player, cfg.N)
 		honest := make([]*HonestPlayer, cfg.N+1)
 		var attacker *BiasAttacker
 		rule := ExclusionRule(func(deals map[int][][][]*bn254.G2) bool {

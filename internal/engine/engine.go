@@ -1,9 +1,9 @@
 // Package engine is the transport-agnostic runtime for the round-based
 // protocols of this repository (Pedersen's DKG, the proactive refresh,
-// the one-round signing session). It factors the communication model of
-// the paper (Section 2.1) out of any particular delivery mechanism:
-// protocols are written once as Player state machines stepped once per
-// round, and the engine supplies
+// share recovery, the Appendix G aggregation keygen). It factors the
+// communication model of the paper (Section 2.1) out of any particular
+// delivery mechanism: protocols are written once as Player state
+// machines stepped once per round, and the engine supplies
 //
 //   - the Message type and the routing rules of the model — messages sent
 //     in round k are delivered at the beginning of round k+1, the sender
@@ -11,13 +11,13 @@
 //     messages reach only their recipient (private channels), broadcasts
 //     reach everybody identically (consistent broadcast) — implemented by
 //     Mailbox; and
-//   - a round driver, Run, that works over any delivery backend through
-//     the Peer interface: an in-process state machine (LocalPeer, the
-//     simulator backend used by internal/transport and the local keygen/
-//     refresh paths) or a remote daemon stepped over HTTP (the protocol
-//     sessions of repro/service).
+//   - the repository's only round driver, Run, that works over any
+//     delivery backend through the Peer interface: an in-process state
+//     machine (LocalPeer; RunLocal is the shorthand the local keygen,
+//     refresh, recovery and tests use) or a remote daemon stepped over
+//     HTTP (the protocol sessions of repro/service).
 //
-// Because the simulator and the networked service drive the identical
+// Because the in-process runs and the networked service drive the identical
 // routing and stepping code, a protocol that passes the in-process tests
 // behaves the same over the wire, and the two paths cannot drift.
 package engine

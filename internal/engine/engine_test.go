@@ -14,9 +14,12 @@ type echoPlayer struct {
 	id    int
 	seen  map[int][]Message // round -> delivered
 	done  bool
-	fail  int // round in which Step errors (-1 = never)
+	fail  int // round in which Step errors with errBoom (-1 = never)
+	forge int // sender claimed in the round-0 broadcast (0 = none)
 	stall time.Duration
 }
+
+var errBoom = errors.New("boom")
 
 func newEchoPlayer(id int) *echoPlayer {
 	return &echoPlayer{id: id, seen: make(map[int][]Message), fail: -1}
@@ -27,12 +30,12 @@ func (p *echoPlayer) Done() bool { return p.done }
 
 func (p *echoPlayer) Step(round int, delivered []Message) ([]Message, error) {
 	if round == p.fail {
-		return nil, errors.New("boom")
+		return nil, errBoom
 	}
 	p.seen[round] = delivered
 	switch round {
 	case 0:
-		return []Message{{To: Broadcast, Kind: "hello", Payload: []byte{byte(p.id)}}}, nil
+		return []Message{{From: p.forge, To: Broadcast, Kind: "hello", Payload: []byte{byte(p.id)}}}, nil
 	case 1:
 		var out []Message
 		for _, m := range delivered {
@@ -118,7 +121,8 @@ func TestMailboxRouting(t *testing.T) {
 
 func TestRunDeliversAndFinishes(t *testing.T) {
 	players := []*echoPlayer{newEchoPlayer(1), newEchoPlayer(2), newEchoPlayer(3)}
-	report, err := Run(context.Background(), localPeers(players...), RunConfig{MaxRounds: 8})
+	players[1].forge = 1 // player 2 claims to be player 1
+	report, err := RunLocal([]Player{players[0], players[1], players[2]}, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,9 +137,24 @@ func TestRunDeliversAndFinishes(t *testing.T) {
 		if len(p.seen[1]) != 3 {
 			t.Fatalf("player %d saw %d round-1 messages, want 3", p.id, len(p.seen[1]))
 		}
+		// The run stamps the authenticated sender: player 2's forged
+		// From is overwritten, so every sender appears exactly once.
+		for i, m := range p.seen[1] {
+			if m.From != i+1 {
+				t.Fatalf("player %d: round-1 message %d claims sender %d", p.id, i, m.From)
+			}
+		}
 	}
-	if report.Stats.BroadcastMessages != 3 || report.Stats.UnicastMessages != 6 {
-		t.Fatalf("stats = %+v", report.Stats)
+	st := report.Stats
+	if st.BroadcastMessages != 3 || st.UnicastMessages != 6 {
+		t.Fatalf("stats = %+v", st)
+	}
+	// Bytes are payload+kind: "hello"+1 per broadcast, "ack"+1 per unicast.
+	if st.BroadcastBytes != 3*6 || st.UnicastBytes != 6*4 {
+		t.Fatalf("byte stats = %+v", st)
+	}
+	if st.CommunicationRounds() != 2 || len(st.MessagesPerRound) != 2 || st.MessagesPerRound[0] != 3 || st.MessagesPerRound[1] != 6 {
+		t.Fatalf("MessagesPerRound = %v", st.MessagesPerRound)
 	}
 }
 
@@ -176,8 +195,8 @@ func TestRunExcludesFailedPeers(t *testing.T) {
 	// Without exclusion the same failure aborts the run.
 	players = []*echoPlayer{newEchoPlayer(1), newEchoPlayer(2), newEchoPlayer(3)}
 	players[1].fail = 1
-	if _, err := Run(context.Background(), localPeers(players...), RunConfig{MaxRounds: 8}); err == nil {
-		t.Fatal("expected error without ExcludeFailed")
+	if _, err := Run(context.Background(), localPeers(players...), RunConfig{MaxRounds: 8}); !errors.Is(err, errBoom) {
+		t.Fatalf("err = %v, want the Step error wrapped", err)
 	}
 }
 
@@ -273,6 +292,12 @@ func TestRunValidatesIDs(t *testing.T) {
 	}
 	if _, err := Run(context.Background(), nil, RunConfig{}); err == nil {
 		t.Fatal("accepted empty peer list")
+	}
+	if _, err := Run(context.Background(), []Peer{nil}, RunConfig{}); err == nil {
+		t.Fatal("accepted nil peer")
+	}
+	if _, err := RunLocal([]Player{nil}, 8); err == nil {
+		t.Fatal("RunLocal accepted nil player")
 	}
 }
 

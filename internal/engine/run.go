@@ -221,3 +221,18 @@ func Run(ctx context.Context, peers []Peer, cfg RunConfig) (*Report, error) {
 	report.Stats = mb.Stats()
 	return report, fmt.Errorf("%w (%d rounds)", ErrTooManyRounds, cfg.MaxRounds)
 }
+
+// RunLocal drives in-process players through engine.Run: sequentially in
+// ID order (so a shared seeded entropy source is read reproducibly),
+// without excluding failed players (the first Step error aborts the run)
+// and under a background context.
+func RunLocal(players []Player, maxRounds int) (*Report, error) {
+	peers := make([]Peer, len(players))
+	for i, p := range players {
+		if p == nil {
+			return nil, fmt.Errorf("engine: player %d is nil", i+1)
+		}
+		peers[i] = LocalPeer{P: p}
+	}
+	return Run(context.Background(), peers, RunConfig{MaxRounds: maxRounds})
+}

@@ -51,11 +51,11 @@
 // The internal packages implement every other system of the paper: the
 // BN254 pairing substrate (internal/bn254), the one-time linearly
 // homomorphic SPS (internal/lhsps), Pedersen's DKG (internal/dkg) over
-// the transport-agnostic protocol engine (internal/engine) with its
-// in-process simulator backend (internal/transport), the standard-model
-// construction of Section 4 (internal/stdmodel on internal/gs), the DLIN
-// variant of Appendix F (internal/dlin), and the baselines the paper
-// compares against (internal/baselines/...).
+// the transport-agnostic protocol engine (internal/engine) that drives
+// every round-based protocol, in process and over the wire, the
+// standard-model construction of Section 4 (internal/stdmodel on
+// internal/gs), the DLIN variant of Appendix F (internal/dlin), and the
+// baselines the paper compares against (internal/baselines/...).
 package tsig
 
 import (
