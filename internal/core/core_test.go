@@ -2,10 +2,12 @@ package core
 
 import (
 	"math/big"
+	"slices"
 	"sync"
 	"testing"
 
 	"repro/internal/bn254"
+	"repro/internal/engine"
 	"repro/internal/lhsps"
 	"repro/internal/shamir"
 )
@@ -269,6 +271,84 @@ func TestVerifyRejectsNil(t *testing.T) {
 	}
 	if Verify(views[1].PK, []byte("m"), &Signature{}) {
 		t.Fatal("empty signature accepted")
+	}
+}
+
+// sessionPlayer is an engine.Player whose behaviour is one closure,
+// returning the round's messages and whether the player is done.
+type sessionPlayer struct {
+	id   int
+	step func(round int, in []engine.Message) ([]engine.Message, bool)
+	done bool
+}
+
+func (p *sessionPlayer) ID() int    { return p.id }
+func (p *sessionPlayer) Done() bool { return p.done }
+func (p *sessionPlayer) Step(round int, in []engine.Message) ([]engine.Message, error) {
+	out, done := p.step(round, in)
+	p.done = done
+	return out, nil
+}
+
+// signSession runs one signing request through engine.RunLocal: in round
+// 0 each listed signer unicasts its partial signature (one bit flipped if
+// corrupted) to a combiner, player n+1, which combines what arrived.
+func signSession(t *testing.T, views []*KeyShares, signers []int, corrupted map[int]bool, msg []byte) (*Signature, error) {
+	t.Helper()
+	n := len(views) - 1
+	players := make([]engine.Player, n+1)
+	for i := 1; i <= n; i++ {
+		players[i-1] = &sessionPlayer{id: i, step: func(round int, _ []engine.Message) ([]engine.Message, bool) {
+			if round > 0 || !slices.Contains(signers, i) {
+				return nil, true
+			}
+			ps, err := ShareSign(fixtureParams, views[i].Share, msg)
+			if err != nil {
+				t.Errorf("ShareSign(%d): %v", i, err)
+				return nil, true
+			}
+			payload := ps.Marshal()
+			if corrupted[i] {
+				payload[len(payload)-1] ^= 0x01
+			}
+			return []engine.Message{{To: n + 1, Kind: "sign/partial", Payload: payload}}, true
+		}}
+	}
+	var sig *Signature
+	var combineErr error
+	players[n] = &sessionPlayer{id: n + 1, step: func(round int, in []engine.Message) ([]engine.Message, bool) {
+		if round == 0 {
+			return nil, false
+		}
+		var parts []*PartialSignature
+		for _, m := range in {
+			if ps, err := UnmarshalPartialSignature(m.Payload); err == nil && ps.Index == m.From {
+				parts = append(parts, ps)
+			}
+		}
+		sig, combineErr = Combine(views[1].PK, views[1].VKs, msg, parts, fixtureT)
+		return nil, true
+	}}
+	if _, err := engine.RunLocal(players, 5); err != nil {
+		t.Fatal(err)
+	}
+	return sig, combineErr
+}
+
+func TestDistributedSignToleratesCorruptSigners(t *testing.T) {
+	views := keyFixture(t)
+	msg := []byte("byzantine signing")
+	// 5 signers, 2 of them (up to t) emit garbage: still succeeds.
+	sig, err := signSession(t, views, []int{1, 2, 3, 4, 5}, map[int]bool{2: true, 5: true}, msg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !Verify(views[1].PK, msg, sig) {
+		t.Fatal("session signature invalid under corruption")
+	}
+	// With only t+1 signers of which one corrupt, combining must fail.
+	if _, err := signSession(t, views, []int{1, 2, 3}, map[int]bool{2: true}, msg); err == nil {
+		t.Fatal("session succeeded without t+1 valid shares")
 	}
 }
 

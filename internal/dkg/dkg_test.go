@@ -370,12 +370,14 @@ func TestInternalStateExposesEverything(t *testing.T) {
 func TestPedersenBiasAttack(t *testing.T) {
 	// E11: an adversary with two players biases Pr[lsb(PK) = 0] from 1/2
 	// to ~3/4 by selectively disqualifying its own contribution. We run
-	// many DKGs and compare empirical frequencies.
-	const trials = 40
+	// many DKGs and compare empirical frequencies. The trials share one
+	// seeded entropy stream, so the count is reproducible.
+	const trials = 160
 	predicate := func(pk *bn254.G2) bool {
 		return pk.Marshal()[bn254.G2SizeUncompressed-1]&1 == 0
 	}
 	cfg := testConfig(5, 2, 1)
+	cfg.Rng = newStreamRand("pedersen-bias-attack")
 
 	biased := 0
 	for trial := 0; trial < trials; trial++ {
@@ -426,7 +428,8 @@ func TestPedersenBiasAttack(t *testing.T) {
 		}
 	}
 	// Expected ~3/4 of trials satisfy the predicate; binomial with p=3/4,
-	// n=40 puts <60% below ~2.6 sigma. A uniform key would give ~50%.
+	// n=160 puts <=60% about 4.4 sigma below the mean. A uniform key
+	// would give ~50%.
 	if biased <= trials*60/100 {
 		t.Fatalf("bias attack ineffective: %d/%d trials satisfied the predicate", biased, trials)
 	}

@@ -1,9 +1,16 @@
+// Package transport holds the conformance tests of the paper's
+// communication model (Section 2.1: synchronous rounds, private and
+// authenticated point-to-point channels, consistent broadcast) for
+// in-process runs. The model is implemented once, by engine.RunLocal; the
+// tests here drive it with small toy protocols.
 package transport
 
 import (
 	"errors"
 	"fmt"
 	"testing"
+
+	"repro/internal/engine"
 )
 
 // echoPlayer broadcasts one message in round 0 and finishes after it has
@@ -18,7 +25,7 @@ type echoPlayer struct {
 func (p *echoPlayer) ID() int    { return p.id }
 func (p *echoPlayer) Done() bool { return p.done }
 
-func (p *echoPlayer) Step(round int, delivered []Message) ([]Message, error) {
+func (p *echoPlayer) Step(round int, delivered []engine.Message) ([]engine.Message, error) {
 	for _, m := range delivered {
 		if m.Kind == "hello" {
 			p.received[m.From] = true
@@ -28,41 +35,38 @@ func (p *echoPlayer) Step(round int, delivered []Message) ([]Message, error) {
 		p.done = true
 	}
 	if round == 0 {
-		return []Message{{To: Broadcast, Kind: "hello", Payload: []byte{byte(p.id)}}}, nil
+		return []engine.Message{{To: engine.Broadcast, Kind: "hello", Payload: []byte{byte(p.id)}}}, nil
 	}
 	return nil, nil
 }
 
-func newEchoNetwork(t *testing.T, n int) (*Network, []*echoPlayer) {
+// runEcho runs the echo protocol among n players.
+func runEcho(t *testing.T, n int) (*engine.Report, []*echoPlayer) {
 	t.Helper()
-	players := make([]Player, n)
+	players := make([]engine.Player, n)
 	raw := make([]*echoPlayer, n)
 	for i := 0; i < n; i++ {
 		raw[i] = &echoPlayer{id: i + 1, n: n, received: map[int]bool{}}
 		players[i] = raw[i]
 	}
-	net, err := NewNetwork(players)
+	report, err := engine.RunLocal(players, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return net, raw
+	return report, raw
 }
 
 func TestBroadcastReachesEveryone(t *testing.T) {
-	net, raw := newEchoNetwork(t, 5)
-	rounds, err := net.Run(10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rounds != 2 {
-		t.Fatalf("expected 2 rounds (send, deliver), got %d", rounds)
+	report, raw := runEcho(t, 5)
+	if report.Rounds != 2 {
+		t.Fatalf("expected 2 rounds (send, deliver), got %d", report.Rounds)
 	}
 	for _, p := range raw {
 		if len(p.received) != 5 {
 			t.Fatalf("player %d received %d broadcasts", p.id, len(p.received))
 		}
 	}
-	st := net.Stats()
+	st := report.Stats
 	if st.BroadcastMessages != 5 {
 		t.Fatalf("expected 5 broadcasts, got %d", st.BroadcastMessages)
 	}
@@ -75,19 +79,19 @@ func TestBroadcastReachesEveryone(t *testing.T) {
 type unicastPlayer struct {
 	id   int
 	n    int
-	got  []Message
+	got  []engine.Message
 	done bool
 }
 
 func (p *unicastPlayer) ID() int    { return p.id }
 func (p *unicastPlayer) Done() bool { return p.done }
 
-func (p *unicastPlayer) Step(round int, delivered []Message) ([]Message, error) {
+func (p *unicastPlayer) Step(round int, delivered []engine.Message) ([]engine.Message, error) {
 	p.got = append(p.got, delivered...)
 	switch round {
 	case 0:
 		to := p.id%p.n + 1
-		return []Message{{To: to, Kind: "secret", Payload: []byte(fmt.Sprintf("for-%d", to))}}, nil
+		return []engine.Message{{To: to, Kind: "secret", Payload: []byte(fmt.Sprintf("for-%d", to))}}, nil
 	default:
 		p.done = true
 		return nil, nil
@@ -96,17 +100,13 @@ func (p *unicastPlayer) Step(round int, delivered []Message) ([]Message, error) 
 
 func TestUnicastIsPrivateAndAuthenticated(t *testing.T) {
 	n := 4
-	players := make([]Player, n)
+	players := make([]engine.Player, n)
 	raw := make([]*unicastPlayer, n)
 	for i := 0; i < n; i++ {
 		raw[i] = &unicastPlayer{id: i + 1, n: n}
 		players[i] = raw[i]
 	}
-	net, err := NewNetwork(players)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := net.Run(5); err != nil {
+	if _, err := engine.RunLocal(players, 5); err != nil {
 		t.Fatal(err)
 	}
 	for _, p := range raw {
@@ -136,10 +136,10 @@ type spoofingPlayer struct {
 func (p *spoofingPlayer) ID() int    { return p.id }
 func (p *spoofingPlayer) Done() bool { return p.done }
 
-func (p *spoofingPlayer) Step(round int, delivered []Message) ([]Message, error) {
+func (p *spoofingPlayer) Step(round int, delivered []engine.Message) ([]engine.Message, error) {
 	p.done = true
 	if round == 0 {
-		return []Message{{From: 1, To: Broadcast, Kind: "forged"}}, nil
+		return []engine.Message{{From: 1, To: engine.Broadcast, Kind: "forged"}}, nil
 	}
 	return nil, nil
 }
@@ -147,14 +147,14 @@ func (p *spoofingPlayer) Step(round int, delivered []Message) ([]Message, error)
 // recorder remembers every message it sees.
 type recorder struct {
 	id   int
-	got  []Message
+	got  []engine.Message
 	done bool
 }
 
 func (p *recorder) ID() int    { return p.id }
 func (p *recorder) Done() bool { return p.done }
 
-func (p *recorder) Step(round int, delivered []Message) ([]Message, error) {
+func (p *recorder) Step(round int, delivered []engine.Message) ([]engine.Message, error) {
 	p.got = append(p.got, delivered...)
 	if round >= 1 {
 		p.done = true
@@ -165,41 +165,26 @@ func (p *recorder) Step(round int, delivered []Message) ([]Message, error) {
 func TestSenderIdentityCannotBeForged(t *testing.T) {
 	rec := &recorder{id: 1}
 	spoof := &spoofingPlayer{id: 2}
-	net, err := NewNetwork([]Player{rec, spoof})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := net.Run(5); err != nil {
+	if _, err := engine.RunLocal([]engine.Player{rec, spoof}, 5); err != nil {
 		t.Fatal(err)
 	}
 	if len(rec.got) != 1 {
 		t.Fatalf("recorder saw %d messages", len(rec.got))
 	}
 	if rec.got[0].From != 2 {
-		t.Fatalf("network let player 2 forge sender %d", rec.got[0].From)
+		t.Fatalf("run let player 2 forge sender %d", rec.got[0].From)
 	}
 }
 
 func TestNewNetworkValidation(t *testing.T) {
-	if _, err := NewNetwork(nil); err == nil {
+	if _, err := engine.RunLocal(nil, 3); err == nil {
 		t.Fatal("accepted empty player list")
 	}
-	if _, err := NewNetwork([]Player{&recorder{id: 7}}); err == nil {
+	if _, err := engine.RunLocal([]engine.Player{&recorder{id: 7}}, 3); err == nil {
 		t.Fatal("accepted wrong player ID order")
 	}
-	if _, err := NewNetwork([]Player{nil}); err == nil {
+	if _, err := engine.RunLocal([]engine.Player{nil}, 3); err == nil {
 		t.Fatal("accepted nil player")
-	}
-}
-
-func TestInvalidRecipientFailsRun(t *testing.T) {
-	bad := &badSender{id: 1}
-	net, err := NewNetwork([]Player{bad})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := net.Run(3); err == nil {
-		t.Fatal("expected error for invalid recipient")
 	}
 }
 
@@ -210,19 +195,15 @@ type badSender struct {
 
 func (p *badSender) ID() int    { return p.id }
 func (p *badSender) Done() bool { return p.done }
-func (p *badSender) Step(round int, delivered []Message) ([]Message, error) {
+func (p *badSender) Step(round int, delivered []engine.Message) ([]engine.Message, error) {
 	p.done = true
-	return []Message{{To: 99, Kind: "lost"}}, nil
+	return []engine.Message{{To: 99, Kind: "lost"}}, nil
 }
 
-func TestRunTimesOut(t *testing.T) {
-	stuck := &neverDone{id: 1}
-	net, err := NewNetwork([]Player{stuck})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := net.Run(3); err == nil {
-		t.Fatal("expected timeout error")
+func TestInvalidRecipientFailsRun(t *testing.T) {
+	_, err := engine.RunLocal([]engine.Player{&badSender{id: 1}}, 3)
+	if !errors.Is(err, engine.ErrInvalidRecipient) {
+		t.Fatalf("expected ErrInvalidRecipient, got %v", err)
 	}
 }
 
@@ -230,19 +211,14 @@ type neverDone struct{ id int }
 
 func (p *neverDone) ID() int    { return p.id }
 func (p *neverDone) Done() bool { return false }
-func (p *neverDone) Step(round int, delivered []Message) ([]Message, error) {
+func (p *neverDone) Step(round int, delivered []engine.Message) ([]engine.Message, error) {
 	return nil, nil
 }
 
-func TestStepErrorPropagates(t *testing.T) {
-	boom := &failing{id: 1}
-	net, err := NewNetwork([]Player{boom})
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, err = net.Run(3)
-	if err == nil || !errors.Is(err, errBoom) {
-		t.Fatalf("expected wrapped errBoom, got %v", err)
+func TestRunTimesOut(t *testing.T) {
+	_, err := engine.RunLocal([]engine.Player{&neverDone{id: 1}}, 3)
+	if !errors.Is(err, engine.ErrTooManyRounds) {
+		t.Fatalf("expected ErrTooManyRounds, got %v", err)
 	}
 }
 
@@ -252,36 +228,20 @@ type failing struct{ id int }
 
 func (p *failing) ID() int    { return p.id }
 func (p *failing) Done() bool { return false }
-func (p *failing) Step(round int, delivered []Message) ([]Message, error) {
+func (p *failing) Step(round int, delivered []engine.Message) ([]engine.Message, error) {
 	return nil, errBoom
 }
 
-func TestSwap(t *testing.T) {
-	net, _ := newEchoNetwork(t, 3)
-	old, err := net.Swap(2, &recorder{id: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if old.ID() != 2 {
-		t.Fatal("Swap returned wrong player")
-	}
-	if _, err := net.Swap(9, &recorder{id: 9}); err == nil {
-		t.Fatal("Swap accepted out-of-range id")
-	}
-	if _, err := net.Swap(1, &recorder{id: 3}); err == nil {
-		t.Fatal("Swap accepted mismatched replacement ID")
-	}
-	if net.Player(2).(*recorder) == nil {
-		t.Fatal("replacement not installed")
+func TestStepErrorPropagates(t *testing.T) {
+	_, err := engine.RunLocal([]engine.Player{&failing{id: 1}}, 3)
+	if err == nil || !errors.Is(err, errBoom) {
+		t.Fatalf("expected wrapped errBoom, got %v", err)
 	}
 }
 
 func TestStatsCountBytes(t *testing.T) {
-	net, _ := newEchoNetwork(t, 4)
-	if _, err := net.Run(5); err != nil {
-		t.Fatal(err)
-	}
-	st := net.Stats()
+	report, _ := runEcho(t, 4)
+	st := report.Stats
 	// Each broadcast: payload 1 byte + kind "hello" (5 bytes).
 	if st.BroadcastBytes != 4*6 {
 		t.Fatalf("broadcast bytes = %d, want 24", st.BroadcastBytes)
@@ -293,12 +253,9 @@ func TestStatsCountBytes(t *testing.T) {
 
 func TestCommunicationRounds(t *testing.T) {
 	// Echo protocol: all traffic is in round 0, so exactly one
-	// communication round despite two network rounds.
-	net, _ := newEchoNetwork(t, 3)
-	if _, err := net.Run(5); err != nil {
-		t.Fatal(err)
-	}
-	st := net.Stats()
+	// communication round despite two engine rounds.
+	report, _ := runEcho(t, 3)
+	st := report.Stats
 	if st.CommunicationRounds() != 1 {
 		t.Fatalf("CommunicationRounds = %d, want 1", st.CommunicationRounds())
 	}

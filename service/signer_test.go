@@ -8,6 +8,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 )
@@ -110,18 +111,20 @@ func TestSignerShedsLoadWhenSaturated(t *testing.T) {
 	srv := httptest.NewServer(s)
 	defer srv.Close()
 
-	// A large message makes each Share-Sign slow enough that a burst of
-	// concurrent requests must overflow the 1-worker/1-queued budget.
-	msg := bytes.Repeat([]byte("x"), 1<<19)
+	// Occupy the only worker slot, as an in-flight Share-Sign would, so
+	// the burst meets a saturated signer however the goroutines are
+	// scheduled: one request fits the 1-request queue, the rest overflow.
+	s.workers <- struct{}{}
+	s.inflight.Add(1)
+
+	msg := []byte("saturated signer")
 	const burst = 24
 	var ok, shed atomic.Int64
-	var start, done sync.WaitGroup
-	start.Add(1)
+	var done sync.WaitGroup
 	for range burst {
 		done.Add(1)
 		go func() {
 			defer done.Done()
-			start.Wait()
 			resp := postSign(t, srv.URL, msg)
 			defer resp.Body.Close()
 			switch resp.StatusCode {
@@ -134,13 +137,19 @@ func TestSignerShedsLoadWhenSaturated(t *testing.T) {
 			}
 		}()
 	}
-	start.Done()
-	done.Wait()
-	if ok.Load() == 0 {
-		t.Fatal("no request succeeded under load")
+	deadline := time.Now().Add(10 * time.Second)
+	for shed.Load() < burst-1 && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
 	}
-	if shed.Load() == 0 {
-		t.Fatal("saturated signer shed no load (expected some 503s)")
+	// Free the slot: the queued request now gets its worker.
+	<-s.workers
+	s.inflight.Add(-1)
+	done.Wait()
+	if ok.Load() != 1 {
+		t.Fatalf("%d requests succeeded, want exactly the queued one", ok.Load())
+	}
+	if shed.Load() != burst-1 {
+		t.Fatalf("saturated signer shed %d of %d requests, want %d", shed.Load(), burst, burst-1)
 	}
 	t.Logf("burst=%d ok=%d shed=%d", burst, ok.Load(), shed.Load())
 }
