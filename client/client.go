@@ -25,6 +25,8 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"strconv"
+	"time"
 
 	tsig "repro"
 	"repro/service"
@@ -93,6 +95,10 @@ type APIError struct {
 	Code      string // wire code (service.Code* constant), possibly empty
 	Message   string // server's human-readable message
 	RequestID string // the server's X-Request-ID echo, for log correlation
+	// RetryAfter is the server's Retry-After hint in its delta-seconds
+	// form (a shedding signer sends one with its 503 overloaded answer);
+	// zero when the header is absent or not a non-negative integer.
+	RetryAfter time.Duration
 }
 
 func (e *APIError) Error() string {
@@ -375,7 +381,8 @@ func (c *Client) doJSON(req *http.Request, out any) error {
 	if resp.StatusCode != http.StatusOK {
 		apiErr := &APIError{
 			Path: req.URL.Path, Status: resp.StatusCode,
-			RequestID: resp.Header.Get(service.HeaderRequestID),
+			RequestID:  resp.Header.Get(service.HeaderRequestID),
+			RetryAfter: retryAfter(resp.Header.Get("Retry-After")),
 		}
 		var er service.ErrorResponse
 		if json.Unmarshal(raw, &er) == nil && er.Error != "" {
@@ -387,4 +394,14 @@ func (c *Client) doJSON(req *http.Request, out any) error {
 		return apiErr
 	}
 	return json.Unmarshal(raw, out)
+}
+
+// retryAfter parses a Retry-After value in its delta-seconds form. The
+// HTTP-date form and anything malformed read as zero: no hint.
+func retryAfter(v string) time.Duration {
+	secs, err := strconv.ParseUint(v, 10, 32)
+	if err != nil {
+		return 0
+	}
+	return time.Duration(secs) * time.Second
 }

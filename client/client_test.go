@@ -10,6 +10,7 @@ import (
 	"net/http/httptest"
 	"sync"
 	"testing"
+	"time"
 
 	tsig "repro"
 	"repro/service"
@@ -199,18 +200,37 @@ func TestClientCustomTransport(t *testing.T) {
 }
 
 // TestClientOverloadedSigner: a signer that sheds load with the
-// overloaded code surfaces ErrOverloaded through the direct client.
+// overloaded code surfaces ErrOverloaded through the direct client, with
+// its Retry-After hint when the header holds delta-seconds and none
+// otherwise.
 func TestClientOverloadedSigner(t *testing.T) {
-	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		w.WriteHeader(http.StatusServiceUnavailable)
-		_, _ = w.Write([]byte(`{"error":"signer overloaded","code":"overloaded"}`))
-	}))
-	defer srv.Close()
-	c := &Client{BaseURL: srv.URL}
-	_, _, err := c.Sign(context.Background(), []byte("m"))
-	if !errors.Is(err, tsig.ErrOverloaded) {
-		t.Fatalf("want ErrOverloaded, got %v", err)
+	for header, want := range map[string]time.Duration{
+		"":                              0,
+		"1":                             time.Second,
+		"120":                           2 * time.Minute,
+		"-1":                            0,
+		"1.5":                           0,
+		"soon":                          0,
+		"Wed, 21 Oct 2015 07:28:00 GMT": 0,
+	} {
+		srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			w.Header().Set("Content-Type", "application/json")
+			if header != "" {
+				w.Header().Set("Retry-After", header)
+			}
+			w.WriteHeader(http.StatusServiceUnavailable)
+			_, _ = w.Write([]byte(`{"error":"signer overloaded","code":"overloaded"}`))
+		}))
+		c := &Client{BaseURL: srv.URL}
+		_, _, err := c.Sign(context.Background(), []byte("m"))
+		srv.Close()
+		if !errors.Is(err, tsig.ErrOverloaded) {
+			t.Fatalf("Retry-After %q: want ErrOverloaded, got %v", header, err)
+		}
+		var apiErr *APIError
+		if !errors.As(err, &apiErr) || apiErr.RetryAfter != want {
+			t.Fatalf("Retry-After %q: got %v, want RetryAfter %v", header, err, want)
+		}
 	}
 }
 

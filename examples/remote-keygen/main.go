@@ -14,8 +14,8 @@
 //     verifies against the refreshed keys.
 //
 // The protocol engine behind all of this (internal/engine) is the same
-// code the in-process simulator runs, so what the tests verify locally is
-// exactly what happens on the wire here.
+// code a local dkg.Run drives in process, so what the tests verify locally
+// is exactly what happens on the wire here.
 package main
 
 import (

@@ -32,6 +32,15 @@ func TestZeroAllocations(t *testing.T) {
 	pre := PrecomputeG2(G2Generator())
 	var f fp12
 
+	// The regular GLV ladder below MultiScalarMultSharedG1's table build.
+	k := scalarLimbs(new(big.Int).Sub(Order, big.NewInt(12345)))
+	var tables [2 * glvTableSize]G1
+	var tjac [glvTableSize]jacG1
+	var tscratch [2 * glvTableSize]fp
+	fillGLVTables(tables[:], tjac[:], tscratch[:], []*G1{p})
+	var terms [2]regularTerm
+	var q G1
+
 	for _, tc := range []struct {
 		name string
 		fn   func()
@@ -53,6 +62,13 @@ func TestZeroAllocations(t *testing.T) {
 		{"MillerLoopFixed", func() { f.SetOne(); MillerLoopFixed(p, pre, &f) }},
 		{"miller (fresh G2 argument)", func() { f.SetOne(); miller(p, g2Gen, &f) }},
 		{"finalExponentiation", func() { finalExponentiation(&f, &a12) }},
+		{"glvSplit+regularTerm.set", func() {
+			k1, k2, neg1, neg2 := glvSplit(&k)
+			terms[0].set(0, k1, neg1)
+			terms[1].set(glvTableSize, k2, neg2)
+		}},
+		{"lookupMasked", func() { q.lookupMasked(tables[:glvTableSize], -7, 0) }},
+		{"ladderRegular", func() { ladderRegular(&jac, tables[:], terms[:]) }},
 	} {
 		if n := testing.AllocsPerRun(10, tc.fn); n != 0 {
 			t.Errorf("%s: %v allocs/op, want 0", tc.name, n)
@@ -69,15 +85,15 @@ func TestZeroAllocations(t *testing.T) {
 // the field tower, the curve arithmetic or the pairing.
 func TestMathBigStaysAtTheBoundary(t *testing.T) {
 	allowed := map[string]string{
-		"constants.go":  "p, r and the pairing exponents are derived from u at init",
+		"constants.go":  "p, r, the pairing exponents and the GLV constants are derived from u at init",
 		"fp.go":         "SetBig, String; initField",
 		"bigexp.go":     "Fp2/Fp12/cyclotomic exponentiation by *big.Int exponents, NAF digits",
-		"scalarmult.go": "the scalar ladders",
+		"scalarmult.go": "the scalar ladders; scalarLimbs, where a scalar leaves math/big",
 		"scalar.go":     "RandScalar, HashToScalar",
 		"g1.go":         "ScalarMult, MultiScalarMultG1",
 		"g2.go":         "ScalarMult, MultiScalarMultG2",
 		"gt.go":         "Exp",
-		"msm.go":        "G1MSM",
+		"msm.go":        "G1MSM, MultiScalarMultSharedG1",
 		"fixedbase.go":  "FixedBase ScalarMult, CommitG2",
 	}
 	files, err := filepath.Glob("*.go")

@@ -174,7 +174,7 @@ func BenchmarkAblationMultiPair(b *testing.B) {
 // width around the ones pippengerWindow picks, and (for small n) the
 // per-term ScalarMult+Add sum.
 func BenchmarkAblationMSM(b *testing.B) {
-	for _, n := range []int{3, 8, 16, 32, 48, 64, 96, 128, 256, 512, 1024} {
+	for _, n := range []int{3, 8, 16, 32, 48, 64, 96, 128, 192, 256, 512, 1024} {
 		points := make([]*G1, n)
 		scalars := make([]*big.Int, n)
 		for i := range points {
@@ -182,7 +182,7 @@ func BenchmarkAblationMSM(b *testing.B) {
 			scalars[i] = benchScalar(b)
 		}
 		maxBits := Order.BitLen()
-		variants := []variant{{"strauss", func() { msmStrauss(points, scalars, maxBits) }}}
+		variants := []variant{{"strauss", func() { msmStrauss(points, scalars) }}}
 		for c := 3; c <= 9; c++ {
 			variants = append(variants, variant{fmt.Sprintf("pippenger-c%d", c), func() { msmPippengerWindow(points, scalars, maxBits, c) }})
 		}
@@ -196,6 +196,47 @@ func BenchmarkAblationMSM(b *testing.B) {
 		}
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) { interleave(b, variants...) })
 	}
+}
+
+// BenchmarkAblationGLV is the table behind the G1 ladders. "share-sign" is
+// Share-Sign's pair of 2-base MSMs over the same two hashed points with
+// negated secret scalars: the 4-bit Strauss ladder from before the GLV
+// split (twice, each reducing its scalars as G1MSM does), the regular GLV
+// ladder with one shared table, and the variable-time wNAF GLV ladder
+// (G1MSM, twice). "combine" is Combine's 3-point MSM with full-width
+// public coefficients.
+func BenchmarkAblationGLV(b *testing.B) {
+	h := []*G1{HashToG1("bench/glv", []byte{1}), HashToG1("bench/glv", []byte{2}), HashToG1("bench/glv", []byte{3})}
+	neg := func() *big.Int { return new(big.Int).Neg(benchScalar(b)) }
+	sets := [2][]*big.Int{{neg(), neg()}, {neg(), neg()}}
+	window4 := func(points []*G1, set []*big.Int) {
+		ks := make([]*big.Int, len(set))
+		for i, s := range set {
+			ks[i] = new(big.Int).Mod(s, Order)
+		}
+		msmStraussWindow4(points, ks, Order.BitLen())
+	}
+	wnaf := func(points []*G1, set []*big.Int) {
+		if _, err := G1MSM(points, set); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.Run("share-sign", func(b *testing.B) {
+		interleave(b,
+			variant{"strauss-4bit-x2", func() { window4(h[:2], sets[0]); window4(h[:2], sets[1]) }},
+			variant{"regular-glv-shared", func() {
+				if _, err := MultiScalarMultSharedG1(h[:2], sets[0], sets[1]); err != nil {
+					b.Fatal(err)
+				}
+			}},
+			variant{"wnaf-glv-x2", func() { wnaf(h[:2], sets[0]); wnaf(h[:2], sets[1]) }})
+	})
+	coeffs := []*big.Int{benchScalar(b), benchScalar(b), benchScalar(b)}
+	b.Run("combine", func(b *testing.B) {
+		interleave(b,
+			variant{"strauss-4bit", func() { window4(h, coeffs) }},
+			variant{"wnaf-glv", func() { wnaf(h, coeffs) }})
+	})
 }
 
 func BenchmarkMillerLoop(b *testing.B) {

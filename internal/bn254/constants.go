@@ -14,10 +14,11 @@
 // subgroup of Fp12*.
 //
 // Every derived constant (Frobenius coefficients, twist cofactor, final
-// exponentiation exponents, the G2 generator) is computed at package init
-// from u alone, so there are no long magic constants to mistype; the few
-// that the field arithmetic needs as compile-time constants (the limbs of
-// p and -1/p mod 2^64) are checked against the derived values at init.
+// exponentiation exponents, the G1 endomorphism and its lattice basis, the
+// G2 generator) is computed at package init from u alone, so there are no
+// long magic constants to mistype; the few that the field arithmetic needs
+// as compile-time constants (the limbs of p and -1/p mod 2^64) are checked
+// against the derived values at init.
 //
 // Fp is a fixed-width Montgomery field: four 64-bit limbs on math/bits,
 // value types on the stack, no allocation and no data-dependent branch
@@ -71,6 +72,10 @@ var (
 
 	// pSquared is p^2, used by Fp2 exponentiation helpers.
 	pSquared *big.Int
+
+	// glvLambda is λ = 36u^4 − 1, the cube root of unity mod r with
+	// φ(P) = [λ]P on G1 (glv.go).
+	glvLambda *big.Int
 )
 
 var (
@@ -108,6 +113,7 @@ func init() {
 	initScalars()
 	initField()
 	initTowerConstants()
+	initGLV()
 	initGenerators()
 }
 
@@ -189,6 +195,88 @@ func initTowerConstants() {
 	xiToPMinus1Over2.Set(&frobGamma[3])
 }
 
+// initGLV derives the endomorphism φ(x, y) = (βx, y) = [λ]P of G1 and
+// the constants glvSplit works with (glv.go), all from u:
+//
+//	β = −(18u^3 + 18u^2 + 9u + 2) mod p,   λ = 36u^4 − 1,
+//	(a1, b1) = (2u + 1, 6u^2 + 4u + 1),   (a2, b2) = (6u^2 + 2u, −(2u + 1)).
+//
+// Of the two cube roots of unity in Fp, β is the one that pairs with λ:
+// TestGLVConstants checks φ(G) = [λ]G.
+func initGLV() {
+	poly := func(c ...int64) *big.Int { // Σ c[i]·u^i
+		acc := new(big.Int)
+		for i := len(c) - 1; i >= 0; i-- {
+			acc.Mul(acc, u)
+			acc.Add(acc, big.NewInt(c[i]))
+		}
+		return acc
+	}
+	glvLambda = poly(-1, 0, 0, 0, 36)
+	t := new(big.Int).Mul(glvLambda, glvLambda)
+	t.Add(t, glvLambda)
+	if t.Add(t, big.NewInt(1)).Mod(t, Order).Sign() != 0 {
+		panic("bn254: λ is not a cube root of unity mod r")
+	}
+	beta := poly(2, 9, 18, 18)
+	glvBeta.SetBig(beta.Neg(beta))
+	var b3 fp
+	b3.Square(&glvBeta)
+	if !b3.Mul(&b3, &glvBeta).Equal(&fpOne) || glvBeta.Equal(&fpOne) {
+		panic("bn254: β is not a primitive cube root of unity in Fp")
+	}
+
+	a1, b1 := poly(1, 2), poly(1, 4, 6)
+	a2, b2 := poly(0, 2, 6), poly(-1, -2)
+	for _, v := range [][2]*big.Int{{a1, b1}, {a2, b2}} {
+		t.Mul(v[1], glvLambda)
+		if t.Add(t, v[0]).Mod(t, Order).Sign() != 0 {
+			panic("bn254: GLV basis vector is not in the lattice")
+		}
+	}
+	det := new(big.Int).Mul(a1, b2)
+	det.Sub(det, t.Mul(a2, b1))
+	if det.CmpAbs(Order) != 0 {
+		panic("bn254: GLV basis does not span the lattice")
+	}
+	// Babai rounding: (k, 0) = c1·(a1, b1) + c2·(a2, b2) over Q with
+	// c1 = k·b2/det and c2 = −k·b1/det. With g = round(2^256·b/det) and
+	// k < 2^254, round(k·g/2^256) is within 1/2 + 1/8 of c, so
+	// |k1| <= 5/8·(|a1| + |a2|) and |k2| <= 5/8·(|b1| + |b2|).
+	round := func(num *big.Int) *big.Int {
+		n, d := new(big.Int).Lsh(num, 257), new(big.Int).Lsh(det, 1)
+		if d.Sign() < 0 {
+			n.Neg(n)
+			d.Neg(d)
+		}
+		return n.Add(n, new(big.Int).Rsh(d, 1)).Div(n, d)
+	}
+	g1, g2 := round(b2), round(new(big.Int).Neg(b1))
+	if g1.Sign() < 0 || g2.Sign() < 0 || g1.BitLen() > 130 || g2.BitLen() > 130 {
+		panic("bn254: GLV rounding constants out of range")
+	}
+	halfBound := func(x, y *big.Int) bool { // 5/8·(|x| + |y|) < 2^127
+		s := new(big.Int).Abs(x)
+		s.Add(s, new(big.Int).Abs(y))
+		return s.Mul(s, big.NewInt(5)).BitLen() <= 130
+	}
+	if !halfBound(a1, a2) || !halfBound(b1, b2) {
+		panic("bn254: GLV basis too long for 127-bit halves")
+	}
+
+	mod := new(big.Int).Lsh(big.NewInt(1), 256)
+	limbs := func(x *big.Int) u256 { // two's complement mod 2^256
+		var buf [32]byte
+		new(big.Int).Mod(x, mod).FillBytes(buf[:])
+		return u256(loadLimbs(&buf))
+	}
+	glvA1, glvB1, glvA2, glvB2 = limbs(a1), limbs(b1), limbs(a2), limbs(b2)
+	glvRound1, glvRound2 = limbs(g1), limbs(g2)
+	orderLimbs = limbs(Order)
+	orderLimbs2 = limbs(new(big.Int).Lsh(Order, 1))
+	orderLimbs4 = limbs(new(big.Int).Lsh(Order, 2))
+}
+
 // initGenerators fixes the conventional G1 generator (1, 2), derives a G2
 // generator deterministically by hashing to the twist and clearing the
 // cofactor, and computes the GT generator as their pairing.
@@ -199,8 +287,9 @@ func initGenerators() {
 	if !g1Gen.isOnCurve() {
 		panic("bn254: (1,2) is not on E(Fp)")
 	}
-	// The raw ladders: ScalarMult would reduce r to zero first.
-	if !scalarMultJacG1(g1Gen, Order).IsInfinity() {
+	// The plain ladder: ScalarMult would reduce r to zero first, and the
+	// GLV split presumes the point already has order r.
+	if !scalarMultBinaryG1(g1Gen, Order).IsInfinity() {
 		panic("bn254: G1 generator does not have order r")
 	}
 	if new(G1).Double(g1Gen).IsInfinity() {

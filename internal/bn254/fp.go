@@ -183,6 +183,15 @@ func (z *fp) cmp(x *fp) int {
 	return 0
 }
 
+// cmov sets z = x when mask is all ones and leaves z unchanged when it is
+// zero, without a branch.
+func (z *fp) cmov(x *fp, mask uint64) {
+	z[0] ^= (z[0] ^ x[0]) & mask
+	z[1] ^= (z[1] ^ x[1]) & mask
+	z[2] ^= (z[2] ^ x[2]) & mask
+	z[3] ^= (z[3] ^ x[3]) & mask
+}
+
 func (z *fp) IsZero() bool { return z[0]|z[1]|z[2]|z[3] == 0 }
 
 func (z *fp) Equal(x *fp) bool {

@@ -150,7 +150,9 @@ func (e *G1) Sub(a, b *G1) *G1 {
 
 // ScalarMult sets e = k*a and returns e. The scalar is reduced modulo the
 // group order, so negative values select the inverse point. Internally it
-// uses an inversion-free Jacobian fixed-window ladder (see jacobian.go).
+// runs the width-5 NAF ladder on the GLV split in Jacobian coordinates
+// (scalarmult.go), in variable time: for public scalars. Secret scalars
+// go through MultiScalarMultSharedG1.
 func (e *G1) ScalarMult(a *G1, k *big.Int) *G1 {
 	var kr big.Int
 	kr.Mod(k, Order)
@@ -273,8 +275,8 @@ func (e *G1) String() string {
 
 // MultiScalarMultG1 computes sum_i scalars[i]*points[i]. This is the
 // "multi-exponentiation with two base elements" primitive the paper counts
-// in its cost analysis; the implementation (msm.go) picks windowed Strauss
-// or Pippenger buckets by batch size.
+// in its cost analysis; the implementation (msm.go) picks Strauss or
+// Pippenger buckets by batch size. Variable time, like G1MSM.
 func MultiScalarMultG1(points []*G1, scalars []*big.Int) (*G1, error) {
 	return G1MSM(points, scalars)
 }

@@ -2,10 +2,10 @@ package bn254
 
 // Jacobian-coordinate point arithmetic for scalar multiplication. The
 // public G1/G2 types stay affine (simple, canonical equality and
-// serialization); ScalarMult (scalarmult.go) internally converts to
-// Jacobian projective coordinates (X, Y, Z) with x = X/Z^2, y = Y/Z^3,
-// performs an inversion-free 4-bit fixed-window ladder, and converts back
-// with a single field inversion. A field inversion costs about 330
+// serialization); the scalar ladders (scalarmult.go, glv.go) internally
+// convert to Jacobian projective coordinates (X, Y, Z) with x = X/Z^2,
+// y = Y/Z^3, run inversion-free, and convert back with a single field
+// inversion. A field inversion costs about 330
 // multiplications, so every table of multiples is built in Jacobian form
 // too and normalized with one shared inversion (batchToAffine). The affine
 // Add/Double remain as the readable reference implementation and are
@@ -45,6 +45,14 @@ func (j *jacG1) toAffine(out *G1) *G1 {
 	out.y.Mul(&j.y, &zinv3)
 	out.notInf = true
 	return out
+}
+
+// cmov sets j = a when mask is all ones and leaves j unchanged when it is
+// zero, without a branch.
+func (j *jacG1) cmov(a *jacG1, mask uint64) {
+	j.x.cmov(&a.x, mask)
+	j.y.cmov(&a.y, mask)
+	j.z.cmov(&a.z, mask)
 }
 
 // double sets j = 2a (a may alias j).

@@ -5,13 +5,23 @@ import (
 	"math/big"
 )
 
-// Multi-scalar multiplication sum_i k_i * P_i. Two algorithms sit behind
-// G1MSM: a shared-doubling windowed Strauss ladder for small batches
-// (per-point affine tables, one doubling run for all points) and a
-// Pippenger bucket method for large ones (one bucket pass per window,
-// cost ~ windows*(n + 2^c) additions instead of windows*n table lookups).
-// Both are cross-checked against the naive per-term ScalarMult+Add oracle
-// in TestG1MSMMatchesNaive and quick-check equivalence tests.
+// Multi-scalar multiplication sum_i k_i * P_i.
+//
+// G1MSM is for public scalars (Lagrange coefficients, batch weights) and
+// runs in variable time. Two algorithms sit behind it: a shared-doubling
+// Strauss ladder for small batches (per-point signed odd tables for P and
+// φ(P), width-5 NAF digits, scalars longer than 128 bits split in two by
+// GLV, ~127 doublings for all points) and a Pippenger bucket method for
+// large ones (one bucket pass per window, cost ~ windows*(n + 2^c)
+// additions instead of windows*n table lookups).
+//
+// MultiScalarMultSharedG1 is for secret scalars (Share-Sign): several
+// scalar sets over the same bases share one table build, and each set runs
+// the regular GLV ladder of glv.go, whose operation sequence does not
+// depend on the scalars.
+//
+// All of them are cross-checked against the naive per-term oracle in
+// msm_test.go and glv_test.go.
 
 // set copies b into j.
 func (j *jacG1) set(b *jacG1) *jacG1 {
@@ -91,19 +101,18 @@ func (j *jacG1) add(a, b *jacG1) *jacG1 {
 }
 
 // pippengerThreshold is the batch size from which the bucket method is
-// used instead of the windowed Strauss ladder (the bucket accumulation's
-// fixed 2*(2^c-1) additions per window amortize away). Re-measured on the
-// limb field (BenchmarkAblationMSM, docs/PERF.md): Strauss wins by 7% at
-// 48 points, the two tie at 64, buckets win by 10% at 96.
-const pippengerThreshold = 64
+// used instead of the Strauss ladder (the bucket accumulation's fixed
+// 2*(2^c-1) additions per window amortize away). Re-measured with the GLV
+// Strauss ladder, which halves the doublings the buckets do not
+// (BenchmarkAblationMSM, docs/PERF.md): Strauss wins by 10% at 128
+// points, buckets by 5% at 192.
+const pippengerThreshold = 160
 
 // pippengerWindow picks the bucket window size for n points, balancing the
 // per-window bucket-accumulation cost 2^c against the n digit insertions.
 // The steps sit where neighbouring widths tie in BenchmarkAblationMSM.
 func pippengerWindow(n int) int {
 	switch {
-	case n < 96:
-		return 4
 	case n < 256:
 		return 5
 	case n < 512:
@@ -116,7 +125,8 @@ func pippengerWindow(n int) int {
 // G1MSM computes sum_i scalars[i] * points[i]. Scalars are reduced mod the
 // group order; zero scalars and points at infinity are skipped. The
 // algorithm is chosen by batch size: single scalar multiplication, shared-
-// doubling Strauss, or Pippenger buckets.
+// doubling Strauss, or Pippenger buckets. Variable time: for public
+// scalars only; secret scalars go through MultiScalarMultSharedG1.
 func G1MSM(points []*G1, scalars []*big.Int) (*G1, error) {
 	if len(points) != len(scalars) {
 		return nil, errors.New("bn254: mismatched multiscalar lengths")
@@ -150,40 +160,93 @@ func G1MSM(points []*G1, scalars []*big.Int) (*G1, error) {
 	case len(pts) == 1:
 		return scalarMultJacG1(pts[0], ks[0]), nil
 	case len(pts) < pippengerThreshold:
-		return msmStrauss(pts, ks, maxBits), nil
+		return msmStrauss(pts, ks), nil
 	default:
 		return msmPippenger(pts, ks, maxBits), nil
 	}
 }
 
-// msmStrauss is the interleaved windowed ladder: per-point 4-bit affine
-// tables share a single run of doublings across all points. The tables
-// are built in Jacobian form and made affine with one inversion for the
-// whole batch.
-func msmStrauss(points []*G1, scalars []*big.Int, maxBits int) *G1 {
-	const n = 1<<windowBits - 1
-	jac := make([]jacG1, n*len(points))
+// MultiScalarMultSharedG1 returns, for every scalar set s, the sum
+// sum_i s[i] * points[i]: several multi-scalar multiplications over the
+// same bases, for secret scalars. Scalars of any sign and size are reduced
+// mod the group order; points at infinity contribute nothing.
+//
+// The odd multiples 1P..15P of every base, and their images under φ (one
+// multiplication by β each), are built once for all sets and made affine
+// with one inversion. Each set then runs the regular GLV ladder (glv.go):
+// every scalar splits into two halves below 2^127, every half is 32 odd
+// nonzero digits, every table entry is read by a masked scan of its whole
+// table, and an even half is corrected by a masked select, so the
+// sequence of point operations is the same for every scalar. The outputs
+// share one inversion. What remains outside constant time is named in
+// glv.go.
+func MultiScalarMultSharedG1(points []*G1, scalarSets ...[]*big.Int) ([]*G1, error) {
+	bases := make([]*G1, 0, len(points)) // the finite points
+	idx := make([]int, 0, len(points))   // and their indices in points
 	for i, p := range points {
-		multiplesG1(jac[n*i:n*(i+1)], p)
+		if p == nil {
+			return nil, errors.New("bn254: nil multiscalar input")
+		}
+		if !p.IsInfinity() {
+			bases = append(bases, p)
+			idx = append(idx, i)
+		}
 	}
-	tables := make([]G1, len(jac))
-	batchToAffineG1(tables, jac, make([]fp, 2*len(jac)))
+	for _, set := range scalarSets {
+		if len(set) != len(points) {
+			return nil, errors.New("bn254: mismatched multiscalar lengths")
+		}
+		for _, s := range set {
+			if s == nil {
+				return nil, errors.New("bn254: nil multiscalar input")
+			}
+		}
+	}
 
-	var acc jacG1
-	acc.z.SetZero()
-	top := (maxBits + windowBits - 1) / windowBits * windowBits
-	for w := top - windowBits; w >= 0; w -= windowBits {
-		if w != top-windowBits {
-			for d := 0; d < windowBits; d++ {
-				acc.double(&acc)
-			}
+	const t = glvTableSize
+	n := len(bases)
+	tables := make([]G1, 2*t*n)
+	fillGLVTables(tables, make([]jacG1, t*n), make([]fp, 2*t*n), bases)
+
+	terms := make([]regularTerm, 2*n)
+	accs := make([]jacG1, len(scalarSets))
+	for s, set := range scalarSets {
+		for j, i := range idx {
+			k := scalarLimbs(set[i])
+			k1, k2, neg1, neg2 := glvSplit(&k)
+			terms[2*j].set(t*j, k1, neg1)
+			terms[2*j+1].set(t*(n+j), k2, neg2)
 		}
-		for i, s := range scalars {
-			if idx := scalarDigit(s, w, windowBits); idx != 0 {
-				acc.addMixed(&acc, &tables[n*i+idx-1])
-			}
-		}
+		ladderRegular(&accs[s], tables, terms)
 	}
+
+	out := make([]G1, len(accs))
+	batchToAffineG1(out, accs, make([]fp, 2*len(accs)))
+	res := make([]*G1, len(out))
+	for s := range out {
+		res[s] = &out[s]
+	}
+	return res, nil
+}
+
+// msmStrauss is the interleaved ladder over signed odd tables: each
+// point's odd multiples and those of its image under φ, made affine with
+// one inversion for the whole batch, and one shared run of doublings. A
+// scalar longer than 128 bits runs as its two GLV halves, so the run is
+// ~127 doublings. Variable time: for public scalars (reduced, positive).
+func msmStrauss(points []*G1, scalars []*big.Int) *G1 {
+	const t = glvTableSize
+	n := len(points)
+	tables := make([]G1, 2*t*n)
+	fillGLVTables(tables, make([]jacG1, t*n), make([]fp, 2*t*n), points)
+
+	terms := make([]wnafTerm, 0, 2*n)
+	for i, s := range scalars {
+		k := scalarLimbs(s)
+		terms = appendWNAFTerms(terms, t*i, t*(n+i), &k)
+	}
+	var acc jacG1
+	ladderWNAF(&acc, tables, terms)
 	return acc.toAffine(new(G1))
 }
 

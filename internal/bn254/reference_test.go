@@ -5,8 +5,8 @@ import "math/big"
 // Reference implementations the optimized paths are compared against: the
 // per-step affine G2 arithmetic behind the Miller loop (one Fp2 inversion
 // per line — what PrecomputeG2 did before the steps moved to Jacobian
-// coordinates with one shared inversion) and the square-and-multiply
-// final exponentiation.
+// coordinates with one shared inversion), the square-and-multiply final
+// exponentiation, and the G1 Strauss ladder from before the GLV split.
 
 // lineCoeffDoubleAffine computes the tangent-line coefficients at t and
 // doubles t in place.
@@ -150,6 +150,36 @@ func pairNaive(p *G1, q *G2) *GT {
 	out := &GT{}
 	out.v.Set(finalExponentiationNaive(&f))
 	return out
+}
+
+// msmStraussWindow4 is the G1 Strauss ladder before the GLV split: per-point
+// tables of 1P..15P, 4-bit unsigned windows over the full scalar length,
+// ~252 doublings. BenchmarkAblationGLV measures against it.
+func msmStraussWindow4(points []*G1, scalars []*big.Int, maxBits int) *G1 {
+	const n = 1<<windowBits - 1
+	jac := make([]jacG1, n*len(points))
+	for i, p := range points {
+		multiplesG1(jac[n*i:n*(i+1)], p)
+	}
+	tables := make([]G1, len(jac))
+	batchToAffineG1(tables, jac, make([]fp, 2*len(jac)))
+
+	var acc jacG1
+	acc.z.SetZero()
+	top := (maxBits + windowBits - 1) / windowBits * windowBits
+	for w := top - windowBits; w >= 0; w -= windowBits {
+		if w != top-windowBits {
+			for d := 0; d < windowBits; d++ {
+				acc.double(&acc)
+			}
+		}
+		for i, s := range scalars {
+			if idx := scalarDigit(s, w, windowBits); idx != 0 {
+				acc.addMixed(&acc, &tables[n*i+idx-1])
+			}
+		}
+	}
+	return acc.toAffine(new(G1))
 }
 
 // Field helpers that only the tests call.

@@ -208,19 +208,11 @@ func ShareSign(params *Params, sk *PrivateKeyShare, msg []byte) (*PartialSignatu
 		}
 		return out
 	}
-	z, err := bn254.MultiScalarMultG1(h, neg(sk.A))
+	zru, err := bn254.MultiScalarMultSharedG1(h, neg(sk.A), neg(sk.B), neg(sk.C))
 	if err != nil {
 		return nil, err
 	}
-	r, err := bn254.MultiScalarMultG1(h, neg(sk.B))
-	if err != nil {
-		return nil, err
-	}
-	u, err := bn254.MultiScalarMultG1(h, neg(sk.C))
-	if err != nil {
-		return nil, err
-	}
-	return &PartialSignature{Index: sk.Index, Z: z, R: r, U: u}, nil
+	return &PartialSignature{Index: sk.Index, Z: zru[0], R: zru[1], U: zru[2]}, nil
 }
 
 // verifyTriple checks the two verification equations for a (z, r, u)

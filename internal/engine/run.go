@@ -30,7 +30,7 @@ type StepResult struct {
 }
 
 // LocalPeer adapts an in-process Player to the Peer interface — the
-// simulator backend.
+// backend RunLocal uses.
 type LocalPeer struct {
 	P Player
 }

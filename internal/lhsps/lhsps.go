@@ -167,15 +167,12 @@ func (sk *PrivateKey) Sign(msg []*bn254.G1) (*Signature, error) {
 		negChi[k] = new(big.Int).Neg(sk.Chi[k])
 		negGamma[k] = new(big.Int).Neg(sk.Gamma[k])
 	}
-	z, err := bn254.MultiScalarMultG1(msg, negChi)
+	// One table over the message bases serves both secret scalar sets.
+	zr, err := bn254.MultiScalarMultSharedG1(msg, negChi, negGamma)
 	if err != nil {
 		return nil, err
 	}
-	r, err := bn254.MultiScalarMultG1(msg, negGamma)
-	if err != nil {
-		return nil, err
-	}
-	return &Signature{Z: z, R: r}, nil
+	return &Signature{Z: zr[0], R: zr[1]}, nil
 }
 
 // SignDerive publicly derives a signature on prod_i M_i^{w_i} from

@@ -25,9 +25,9 @@ import (
 // each round's outgoing messages from every signer, stamps the
 // authenticated sender identity, routes broadcasts to everybody and
 // unicasts to their recipient, and delivers them at the start of the next
-// round. The round loop itself is engine.Run, the identical code the
-// in-process simulator uses; the coordinator only contributes the HTTP
-// peer (remotePeer) and the finish/agreement phase.
+// round. The round loop itself is engine.Run, the identical code a local
+// dkg.Run drives through engine.RunLocal; the coordinator only contributes
+// the HTTP peer (remotePeer) and the finish/agreement phase.
 //
 // Fault model: a signer that is down, times out, or answers an error
 // during a round is excluded for the rest of the run (engine crash

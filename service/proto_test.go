@@ -185,7 +185,7 @@ func byzantineFactory(build func(hp *dkg.HonestPlayer) engine.Player) playerFact
 // TestE2E_DKGExcludesByzantineSigners replays the byzantine.go adversary
 // suite against the networked engine: a DKG session over HTTP completes
 // and the misbehaving signers end up excluded (or healed) exactly as in
-// the in-process simulator.
+// a local dkg.Run.
 func TestE2E_DKGExcludesByzantineSigners(t *testing.T) {
 	cases := []struct {
 		name     string

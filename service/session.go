@@ -25,9 +25,9 @@ import (
 //	POST /v1/proto/{dkg|refresh}/step   ProtoStepRequest   -> ProtoStepResponse
 //	POST /v1/proto/{dkg|refresh}/finish ProtoFinishRequest -> ProtoFinishResponse
 //
-// The player state machine behind a session is exactly the one the
-// in-process simulator runs (internal/dkg over internal/engine), so the
-// local and networked protocol paths cannot drift. The daemon's PRIVATE
+// The player state machine behind a session is exactly the one a local
+// dkg.Run drives through engine.RunLocal, so the local and networked
+// protocol paths cannot drift. The daemon's PRIVATE
 // outputs never leave the machine: finish returns only the public group
 // description, while the private share is installed into the signer's
 // serving state and persisted through its keyfile hook.
