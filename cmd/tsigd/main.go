@@ -47,7 +47,7 @@
 // tolerates up to t signers being down, slow, or Byzantine. During
 // protocol sessions (keygen, refresh) the coordinator relays the round
 // messages between signers; protect those links with TLS in production
-// (see the ROADMAP open items).
+// (see ROADMAP item 13).
 package main
 
 import (

@@ -347,3 +347,23 @@ func BenchmarkAblationLadder(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkAblationG2Subgroup is the table behind G2.Unmarshal's
+// membership test: the [r]Q ladder it replaced against the endomorphism
+// test, on a G2 point (both accept) and on a twist point outside G2 (both
+// reject); neither test's cost depends on the answer.
+func BenchmarkAblationG2Subgroup(b *testing.B) {
+	for _, c := range []struct {
+		name string
+		q    *G2
+	}{
+		{"in-G2", new(G2).ScalarBaseMult(benchScalar(b))},
+		{"off-G2", hashToTwistPoint("bench/subgroup", []byte("outside"))},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			interleave(b,
+				variant{"order-ladder", func() { inSubgroupByOrder(c.q) }},
+				variant{"endomorphism", func() { c.q.inSubgroup() }})
+		})
+	}
+}

@@ -172,11 +172,45 @@ func (e *G2) frobenius(a *G2) *G2 {
 	return e
 }
 
-// inSubgroup reports whether the point has order dividing r. The ladder
-// is the raw one: ScalarMult reduces its scalar modulo r first, and r
-// reduced is zero.
+// inSubgroup reports whether the twist point has order dividing r, by the
+// endomorphism test of El Housni, Guillevic and Piellard ("Co-factor
+// clearing and subgroup membership testing on pairing-friendly curves",
+// AFRICACRYPT 2022): on a BN twist, Q lies in G2 if and only if
+//
+//	[u+1]Q + ψ([u]Q) + ψ²([u]Q) = ψ³([2u]Q)
+//
+// with ψ the untwist-Frobenius-twist map. It costs one 63-bit NAF ladder
+// for [u]Q, three ψ, three additions and a doubling, all in Jacobian
+// coordinates with a projective comparison at the end: no inversion. It accepts exactly the
+// points the [r]Q ladder accepts (TestG2SubgroupMatchesOrderCheck,
+// FuzzG2SubgroupCheck keep that ladder as the oracle) at a quarter of its
+// length.
 func (e *G2) inSubgroup() bool {
-	return scalarMultJacG2(e, Order).IsInfinity()
+	if e.IsInfinity() {
+		return true
+	}
+	var q, uq, lhs, rhs, t jacG2
+	q.fromAffine(e)
+	var neg G2
+	neg.Neg(e)
+	uq.z.SetZero()
+	for i := len(uNAF) - 1; i >= 0; i-- {
+		uq.double(&uq)
+		switch uNAF[i] {
+		case 1:
+			uq.addMixed(&uq, e)
+		case -1:
+			uq.addMixed(&uq, &neg)
+		}
+	}
+	lhs.add(&uq, &q) // [u+1]Q
+	t.psi(&uq)       // ψ([u]Q)
+	lhs.add(&lhs, &t)
+	t.psi(&t) // ψ²([u]Q)
+	lhs.add(&lhs, &t)
+	rhs.psi(&t) // ψ³([u]Q), doubled below
+	rhs.double(&rhs)
+	return lhs.equal(&rhs)
 }
 
 // UnmarshalUnchecked decodes a 128-byte uncompressed encoding, validating

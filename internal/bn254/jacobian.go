@@ -276,6 +276,104 @@ func (j *jacG2) addMixed(a *jacG2, b *G2) *jacG2 {
 	return j
 }
 
+// set copies b into j.
+func (j *jacG2) set(b *jacG2) *jacG2 {
+	j.x.Set(&b.x)
+	j.y.Set(&b.y)
+	j.z.Set(&b.z)
+	return j
+}
+
+// add mirrors jacG1.add (add-2007-bl) over Fp2; any of the arguments may
+// alias j.
+func (j *jacG2) add(a, b *jacG2) *jacG2 {
+	if a.z.IsZero() {
+		return j.set(b)
+	}
+	if b.z.IsZero() {
+		return j.set(a)
+	}
+	var z1z1, z2z2 fp2
+	z1z1.Square(&a.z)
+	z2z2.Square(&b.z)
+	var u1, u2 fp2
+	u1.Mul(&a.x, &z2z2)
+	u2.Mul(&b.x, &z1z1)
+	var s1, s2 fp2
+	s1.Mul(&a.y, &b.z)
+	s1.Mul(&s1, &z2z2)
+	s2.Mul(&b.y, &a.z)
+	s2.Mul(&s2, &z1z1)
+	var h, r fp2
+	h.Sub(&u2, &u1)
+	r.Sub(&s2, &s1)
+	r.Double(&r)
+	if h.IsZero() {
+		if r.IsZero() {
+			return j.double(a)
+		}
+		j.z.SetZero()
+		return j
+	}
+	var i, jj, v, t fp2
+	t.Double(&h)
+	i.Square(&t)
+	jj.Mul(&h, &i)
+	v.Mul(&u1, &i)
+	var x3 fp2
+	x3.Square(&r)
+	x3.Sub(&x3, &jj)
+	x3.Sub(&x3, &v)
+	x3.Sub(&x3, &v)
+	var y3 fp2
+	y3.Sub(&v, &x3)
+	y3.Mul(&y3, &r)
+	t.Mul(&s1, &jj)
+	t.Double(&t)
+	y3.Sub(&y3, &t)
+	var z3 fp2
+	z3.Add(&a.z, &b.z)
+	z3.Square(&z3)
+	z3.Sub(&z3, &z1z1)
+	z3.Sub(&z3, &z2z2)
+	z3.Mul(&z3, &h)
+
+	j.x.Set(&x3)
+	j.y.Set(&y3)
+	j.z.Set(&z3)
+	return j
+}
+
+// psi is G2.frobenius in Jacobian form: with x = X/Z² and y = Y/Z³,
+// conjugating Z as well keeps both quotients, so
+// ψ(X:Y:Z) = (conj(X)·ξ^((p−1)/3) : conj(Y)·ξ^((p−1)/2) : conj(Z)).
+func (j *jacG2) psi(a *jacG2) *jacG2 {
+	j.x.Conjugate(&a.x)
+	j.x.Mul(&j.x, &xiToPMinus1Over3)
+	j.y.Conjugate(&a.y)
+	j.y.Mul(&j.y, &xiToPMinus1Over2)
+	j.z.Conjugate(&a.z)
+	return j
+}
+
+// equal reports whether j and a are the same point, comparing
+// X1·Z2² = X2·Z1² and Y1·Z2³ = Y2·Z1³ instead of normalizing either.
+func (j *jacG2) equal(a *jacG2) bool {
+	if j.z.IsZero() || a.z.IsZero() {
+		return j.z.IsZero() && a.z.IsZero()
+	}
+	var z1z1, z2z2, u1, u2, s1, s2 fp2
+	z1z1.Square(&j.z)
+	z2z2.Square(&a.z)
+	u1.Mul(&j.x, &z2z2)
+	u2.Mul(&a.x, &z1z1)
+	s1.Mul(&j.y, &a.z)
+	s1.Mul(&s1, &z2z2)
+	s2.Mul(&a.y, &j.z)
+	s2.Mul(&s2, &z1z1)
+	return u1.Equal(&u2) && s1.Equal(&s2)
+}
+
 // multiplesG1 fills out[i] = (i+1)*p in Jacobian form: even multiples by
 // doubling, odd ones by one mixed addition. p must be finite.
 func multiplesG1(out []jacG1, p *G1) {

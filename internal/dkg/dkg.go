@@ -119,14 +119,8 @@ func (s DLINScheme) Commit(coeffs []*big.Int) []*bn254.G2 {
 		w := bn254.CommitG2(s.precomp.hz, s.precomp.hu, coeffs[0], coeffs[2])
 		return []*bn254.G2{v, w}
 	}
-	v, err := bn254.MultiScalarMultG2([]*bn254.G2{s.Gz, s.Gr}, []*big.Int{coeffs[0], coeffs[1]})
-	if err != nil {
-		panic("dkg: internal multiscalar mismatch")
-	}
-	w, err := bn254.MultiScalarMultG2([]*bn254.G2{s.Hz, s.Hu}, []*big.Int{coeffs[0], coeffs[2]})
-	if err != nil {
-		panic("dkg: internal multiscalar mismatch")
-	}
+	v := msmG2([]*bn254.G2{s.Gz, s.Gr}, []*big.Int{coeffs[0], coeffs[1]})
+	w := msmG2([]*bn254.G2{s.Hz, s.Hu}, []*big.Int{coeffs[0], coeffs[2]})
 	return []*bn254.G2{v, w}
 }
 
@@ -178,59 +172,109 @@ type Result struct {
 	// Share[k] is this player's private key share for sharing k.
 	Share []Share
 	// Commitments[j][k][l] is dealer j's commitment row vector W^_jkl
-	// (dealers in Qual).
+	// (dealers in Qual). Commitments and Qual are read-only: the
+	// verification keys are derived from their sum, taken once.
 	Commitments map[int][][][]*bn254.G2
+
+	// rowSums[k][l] = sum_{j in Qual} W^_jkl, the commitment to the
+	// summed polynomials; nil on a Result not made by the protocol.
+	rowSums [][][]*bn254.G2
 }
 
 // VerificationKey computes VK_i[k] = prod_{j in Qual} prod_l W^_jkl^{i^l}
 // (component-wise rows) from public information, for any player index i.
+// The product over Qual is taken first, once per Result, so each VK is
+// one evaluation of the summed commitment rows at i.
 func (r *Result) VerificationKey(i int) [][]*bn254.G2 {
-	dim := r.Config.Scheme.CommitDim()
-	out := make([][]*bn254.G2, r.Config.NumSharings)
-	for k := range out {
-		acc := make([]*bn254.G2, dim)
-		for d := range acc {
-			acc[d] = new(bn254.G2)
-		}
-		for _, j := range r.Qual {
-			ev := evalCommitmentRows(r.Commitments[j][k], i)
-			for d := range acc {
-				acc[d].Add(acc[d], ev[d])
-			}
-		}
-		out[k] = acc
-	}
-	return out
+	return verificationKey(r.sums(), i)
 }
 
 // AllVerificationKeys returns VK_1..VK_N (index 0 unused).
 func (r *Result) AllVerificationKeys() [][][]*bn254.G2 {
+	sums := r.sums()
 	out := make([][][]*bn254.G2, r.Config.N+1)
 	for i := 1; i <= r.Config.N; i++ {
-		out[i] = r.VerificationKey(i)
+		out[i] = verificationKey(sums, i)
+	}
+	return out
+}
+
+func verificationKey(sums [][][]*bn254.G2, i int) [][]*bn254.G2 {
+	out := make([][]*bn254.G2, len(sums))
+	for k, rows := range sums {
+		out[k] = evalCommitmentRows(rows, i)
+	}
+	return out
+}
+
+// sums returns rowSums, or computes it for a Result built by hand.
+func (r *Result) sums() [][][]*bn254.G2 {
+	if r.rowSums != nil {
+		return r.rowSums
+	}
+	return sumCommitmentRows(r.Config, r.Qual, r.Commitments)
+}
+
+// sumCommitmentRows adds the dealers' commitment rows component-wise:
+// out[k][l][d] = sum_{j in qual} comms[j][k][l][d], each sum accumulated
+// in Jacobian coordinates and normalized once.
+func sumCommitmentRows(cfg Config, qual []int, comms map[int][][][]*bn254.G2) [][][]*bn254.G2 {
+	ones := make([]*big.Int, len(qual))
+	for q := range ones {
+		ones[q] = big.NewInt(1)
+	}
+	terms := make([]*bn254.G2, len(qual))
+	out := make([][][]*bn254.G2, cfg.NumSharings)
+	for k := range out {
+		out[k] = make([][]*bn254.G2, cfg.T+1)
+		for l := range out[k] {
+			out[k][l] = make([]*bn254.G2, cfg.Scheme.CommitDim())
+			for d := range out[k][l] {
+				for q, j := range qual {
+					terms[q] = comms[j][k][l][d]
+				}
+				out[k][l][d] = msmG2(terms, ones)
+			}
+		}
 	}
 	return out
 }
 
 // evalCommitmentRows computes prod_l W_l^{i^l} component-wise over the
-// commitment rows.
+// commitment rows: one multi-scalar multiplication per component, in
+// Jacobian coordinates with one normalization.
 func evalCommitmentRows(comms [][]*bn254.G2, i int) []*bn254.G2 {
-	dim := len(comms[0])
-	x := big.NewInt(int64(i))
-	pow := big.NewInt(1)
-	acc := make([]*bn254.G2, dim)
+	pows := powersOf(i, len(comms))
+	terms := make([]*bn254.G2, len(comms))
+	acc := make([]*bn254.G2, len(comms[0]))
 	for d := range acc {
-		acc[d] = new(bn254.G2)
-	}
-	var term bn254.G2
-	for _, w := range comms {
-		for d := range acc {
-			term.ScalarMult(w[d], pow)
-			acc[d].Add(acc[d], &term)
+		for l, w := range comms {
+			terms[l] = w[d]
 		}
-		pow = new(big.Int).Mul(pow, x)
+		acc[d] = msmG2(terms, pows)
 	}
 	return acc
+}
+
+// powersOf returns i^0, ..., i^(n-1).
+func powersOf(i, n int) []*big.Int {
+	x := big.NewInt(int64(i))
+	pows := make([]*big.Int, n)
+	pows[0] = big.NewInt(1)
+	for l := 1; l < n; l++ {
+		pows[l] = new(big.Int).Mul(pows[l-1], x)
+	}
+	return pows
+}
+
+// msmG2 is bn254.MultiScalarMultG2 on slices of equal length by
+// construction.
+func msmG2(points []*bn254.G2, scalars []*big.Int) *bn254.G2 {
+	sum, err := bn254.MultiScalarMultG2(points, scalars)
+	if err != nil {
+		panic("dkg: internal multiscalar mismatch")
+	}
+	return sum
 }
 
 // dealerState tracks what a player knows about one dealer.
@@ -478,7 +522,9 @@ func refreshConstantTermIsZero(comms [][][]*bn254.G2) bool {
 }
 
 // verifySharesAgainstCommitments checks Commit(share) == prod_l W_l^{i^l}
-// row-wise for every parallel sharing.
+// row-wise for every parallel sharing. It tests the equivalent
+// prod_l W_l^{i^l} · Commit(share)^-1 = 1 instead: one multi-scalar
+// multiplication per row, whose identity result needs no normalization.
 func verifySharesAgainstCommitments(scheme CommitScheme, comms [][][]*bn254.G2, shares []Share, i int) bool {
 	if len(comms) != len(shares) {
 		return false
@@ -487,10 +533,15 @@ func verifySharesAgainstCommitments(scheme CommitScheme, comms [][][]*bn254.G2, 
 		if len(shares[ki]) != scheme.SecretDim() {
 			return false
 		}
-		lhs := scheme.Commit(shares[ki])
-		rhs := evalCommitmentRows(comms[ki], i)
-		for d := range lhs {
-			if !lhs[d].Equal(rhs[d]) {
+		rows := comms[ki]
+		scalars := append(powersOf(i, len(rows)), big.NewInt(1))
+		terms := make([]*bn254.G2, len(scalars))
+		for d, c := range scheme.Commit(shares[ki]) {
+			for l, w := range rows {
+				terms[l] = w[d]
+			}
+			terms[len(rows)] = new(bn254.G2).Neg(c)
+			if !msmG2(terms, scalars).IsInfinity() {
 				return false
 			}
 		}
@@ -627,14 +678,8 @@ func (p *HonestPlayer) finalize() error {
 	}
 
 	dim := p.cfg.Scheme.SecretDim()
-	cdim := p.cfg.Scheme.CommitDim()
-	pk := make([][]*bn254.G2, p.cfg.NumSharings)
 	share := make([]Share, p.cfg.NumSharings)
-	for ki := range pk {
-		pk[ki] = make([]*bn254.G2, cdim)
-		for d := range pk[ki] {
-			pk[ki][d] = new(bn254.G2)
-		}
+	for ki := range share {
 		share[ki] = make(Share, dim)
 		for d := range share[ki] {
 			share[ki][d] = new(big.Int)
@@ -653,12 +698,18 @@ func (p *HonestPlayer) finalize() error {
 			return fmt.Errorf("dkg: qualified dealer %d left player %d without a valid share", j, p.id)
 		}
 		for ki := 0; ki < p.cfg.NumSharings; ki++ {
-			for c := 0; c < cdim; c++ {
-				pk[ki][c].Add(pk[ki][c], d.commitments[ki][0][c])
-			}
 			for di := 0; di < dim; di++ {
 				share[ki][di] = p.fld.Add(share[ki][di], d.myShares[ki][di])
 			}
+		}
+	}
+	// The public key is the constant row of the summed commitments.
+	sums := sumCommitmentRows(p.cfg, qual, comms)
+	pk := make([][]*bn254.G2, p.cfg.NumSharings)
+	for ki := range pk {
+		pk[ki] = make([]*bn254.G2, len(sums[ki][0]))
+		for d, w := range sums[ki][0] {
+			pk[ki][d] = new(bn254.G2).Set(w)
 		}
 	}
 
@@ -669,6 +720,7 @@ func (p *HonestPlayer) finalize() error {
 		PK:          pk,
 		Share:       share,
 		Commitments: comms,
+		rowSums:     sums,
 	}
 	p.done = true
 	return nil

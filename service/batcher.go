@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"slices"
 	"sync"
 	"time"
 
@@ -193,9 +194,12 @@ func (st *msgState) unverifiedFrom(i int) int {
 // next arrival. A suspect's answers are Share-Verified on arrival, while
 // the honest shares are still in flight, until one verifies in full. Items
 // that never reach quorum are completed with a QuorumError whose counts
-// cover verified shares only; the laggard signer requests are canceled as
-// soon as every message is settled. Every item is completed before fanOut
-// returns, all on this one goroutine.
+// cover verified shares only. Every item is completed before fanOut
+// returns, all on this one goroutine. Once every message is settled the
+// laggard signer requests are canceled — except when a suspect the first
+// wave probed has not answered yet: a detached goroutine then awaits it,
+// for up to one more hedge delay, and judges its answer like an on-time
+// one, while fanOut returns at once.
 func (tn *coordTenant) fanOut(ctx context.Context, items []*batchItem) {
 	c := tn.c
 	fanOutStart := time.Now()
@@ -220,8 +224,17 @@ func (tn *coordTenant) fanOut(ctx context.Context, items []*batchItem) {
 			}
 		}
 	}()
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
+	// The signer requests do not die with the caller: a probed suspect's
+	// may outlive it (the end of fanOut). The caller hanging up ends the
+	// fan-out, and that cancels them.
+	caller := ctx
+	ctx, cancel := context.WithCancel(context.WithoutCancel(ctx))
+	judgingLate := false // the late judge owns cancel
+	defer func() {
+		if !judgingLate {
+			cancel()
+		}
+	}()
 
 	msgs := make([][]byte, len(items))
 	for j, it := range items {
@@ -273,8 +286,12 @@ func (tn *coordTenant) fanOut(ctx context.Context, items []*batchItem) {
 	first, reserve := tn.wave(group.N, need, delay == 0)
 	ask(first)
 	waiting := make([]bool, group.N+1) // waiting[i]: signer i, asked in the first wave, has not answered
+	// probed[i]: signer i was a suspect, neither lagging nor down, when
+	// asked; its answer is judged even after the quorum (end of fanOut).
+	probed := make([]bool, group.N+1)
 	for _, i := range first {
 		waiting[i] = true
+		probed[i] = tn.suspect[i-1].Load() && !tn.lagging[i-1].Load() && !c.backendDown[i-1].Load()
 	}
 	// release asks up to k reserve signers, in rotation order.
 	release := func(k int) {
@@ -343,6 +360,37 @@ func (tn *coordTenant) fanOut(ctx context.Context, items []*batchItem) {
 			shareVerify(i, js)
 		}
 	}
+	// arrived books one answer: an error (not the caller hanging up) or an
+	// answer slower than the hedge leaves the rotation; an answer in time
+	// rejoins it.
+	arrived := func(i int, took time.Duration, err error) {
+		inflight--
+		waiting[i] = false
+		if err == nil || ctx.Err() == nil {
+			tn.lagging[i-1].Store(err != nil || (delay > 0 && took > delay))
+		}
+	}
+	// admit takes signer r.index's answer on messages js: a part that does
+	// not decode under its sender's index is a conviction, any other is
+	// held. A suspect's parts are Share-Verified at once, and an answer
+	// that is valid in full clears it.
+	admit := func(r signerResult, js []int) {
+		wellFormed := true
+		for _, j := range js {
+			ps := r.parts[j]
+			if ps == nil || ps.Index != r.index {
+				// Undecodable bytes or a replayed share under another index:
+				// Byzantine either way.
+				convict(states[j], r.index)
+				wellFormed = false
+				continue
+			}
+			states[j].held = append(states[j].held, heldShare{ps: ps, took: r.took})
+		}
+		if tn.suspect[r.index-1].Load() && shareVerify(r.index, js) && wellFormed {
+			tn.clearSuspect(r.index)
+		}
+	}
 	pending := func() []int {
 		js := make([]int, 0, remaining)
 		for j, st := range states {
@@ -384,19 +432,13 @@ func (tn *coordTenant) fanOut(ctx context.Context, items []*batchItem) {
 				release(len(reserve))
 			}
 			continue
-		case <-ctx.Done():
+		case <-caller.Done():
 			for _, j := range pending() {
-				items[j].complete(nil, ctx.Err())
+				items[j].complete(nil, caller.Err())
 			}
 			return
 		}
-		inflight--
-		waiting[r.index] = false
-		// An error (not the caller hanging up) or an answer slower than the
-		// hedge leaves the rotation; an answer in time rejoins it.
-		if r.err == nil || ctx.Err() == nil {
-			tn.lagging[r.index-1].Store(r.err != nil || (delay > 0 && r.took > delay))
-		}
+		arrived(r.index, r.took, r.err)
 		open := pending()
 		if r.err != nil {
 			for _, j := range open {
@@ -404,23 +446,7 @@ func (tn *coordTenant) fanOut(ctx context.Context, items []*batchItem) {
 			}
 			continue
 		}
-		wellFormed := true
-		for _, j := range open {
-			ps := r.parts[j]
-			if ps == nil || ps.Index != r.index {
-				// Undecodable bytes or a replayed share under another index:
-				// Byzantine either way.
-				convict(states[j], r.index)
-				wellFormed = false
-				continue
-			}
-			states[j].held = append(states[j].held, heldShare{ps: ps, took: r.took})
-		}
-		if tn.suspect[r.index-1].Load() {
-			if shareVerify(r.index, open) && wellFormed {
-				tn.clearSuspect(r.index)
-			}
-		}
+		admit(r, open)
 
 		// Everything that reached t+1 held shares on this arrival is combined
 		// and checked together.
@@ -477,6 +503,48 @@ func (tn *coordTenant) fanOut(ctx context.Context, items []*batchItem) {
 				settle(j, nil, fmt.Errorf("service: combined signature failed verification"))
 			}
 		}
+	}
+	// Every item settled, but a suspect asked as a probe may still be out:
+	// its answer is what convicts it again or clears it. A detached
+	// goroutine awaits it, so the callers do not, for up to one more hedge
+	// delay from now — never when there is no pace yet, and never for a
+	// lagging or down probe. The delay runs from the settling, not from the
+	// fan-out's start: a stall that held up the quorum holds up the
+	// suspect's answer too.
+	outstanding := func() bool {
+		return slices.ContainsFunc(first, func(i int) bool { return probed[i] && waiting[i] })
+	}
+	if remaining == 0 && delay > 0 && outstanding() {
+		judgingLate = true
+		go func() {
+			defer cancel() // release the laggards
+			defer func() {
+				if r := recover(); r != nil {
+					c.log.Error("judging a late probe panicked", "gid", tn.id, "panic", r)
+				}
+			}()
+			// The settled states went out with their outcomes; the late
+			// answers are held in fresh ones.
+			all := make([]int, len(states))
+			for j := range states {
+				states[j] = &msgState{done: true}
+				all[j] = j
+			}
+			deadline := time.NewTimer(delay)
+			defer deadline.Stop()
+			for outstanding() {
+				select {
+				case r := <-results:
+					arrived(r.index, r.took, r.err)
+					if probed[r.index] && r.err == nil {
+						admit(r, all)
+					}
+				case <-deadline.C:
+					return
+				}
+			}
+		}()
+		return
 	}
 	cancel() // release the laggards
 	// Valid counts verified shares only, and every Byzantine answer that

@@ -42,8 +42,6 @@ type signerMetrics struct {
 	stepSeconds      *metrics.Histogram  // one protocol round's local compute
 	sessionFinishes  *metrics.CounterVec // {proto}
 	sessionEvictions *metrics.Counter    // TTL garbage collections
-
-	precomputeRebuilds *metrics.Counter // pairing precompute builds (group installs)
 }
 
 func newSignerMetrics(s *Signer) *signerMetrics {
@@ -71,8 +69,6 @@ func newSignerMetrics(s *Signer) *signerMetrics {
 			"Protocol sessions finished (key material installed).", []string{"proto"}, 4),
 		sessionEvictions: r.NewCounter("tsig_proto_session_evictions_total",
 			"Protocol sessions evicted by the TTL garbage collector."),
-		precomputeRebuilds: r.NewCounter("tsig_pairing_precompute_rebuilds_total",
-			"Pairing precompute tables built for installed groups (cold loads and epoch changes)."),
 	}
 	r.NewGaugeFunc("tsig_signer_inflight",
 		"Requests holding or waiting for a signing worker.",
@@ -211,7 +207,10 @@ func registerBuildInfo(r *metrics.Registry) {
 // verification keys — and counts the build. A Group object carries its
 // precompute for life, so warm tenants (every resolve after the install)
 // increment nothing; a refresh or rotation installs a NEW Group object
-// and therefore counts as exactly one rebuild per daemon.
+// and therefore counts as exactly one rebuild. Only the coordinator warms
+// its groups: it verifies every signature, while a signer never runs a
+// pairing (the tables stay lazy there, built on a first verify if one
+// ever comes).
 func warmGroup(g *core.Group, rebuilds *metrics.Counter) {
 	if g != nil && g.Precompute() {
 		rebuilds.Inc()

@@ -318,3 +318,129 @@ func TestCombineFailureWithoutCulprit(t *testing.T) {
 		}
 	}
 }
+
+// lateProbe is a RoundTripper that scripts one fan-out at a time with
+// gates instead of sleeps. The suspect's request is held until the test
+// releases it — after the fan-out has settled every item on the others'
+// shares. The stuck signer's request never answers: it returns when its
+// context is canceled, which fanOut does only once it is done judging,
+// and that is what the test waits on.
+type lateProbe struct {
+	suspect, stuck string
+
+	mu           sync.Mutex
+	release, end chan struct{}
+}
+
+// arm opens the gates for the next fan-out: close release to let the
+// suspect answer; end closes when the fan-out has canceled its laggards.
+func (lp *lateProbe) arm() (release, end chan struct{}) {
+	lp.mu.Lock()
+	defer lp.mu.Unlock()
+	lp.release, lp.end = make(chan struct{}), make(chan struct{})
+	return lp.release, lp.end
+}
+
+func (lp *lateProbe) RoundTrip(r *http.Request) (*http.Response, error) {
+	lp.mu.Lock()
+	release, end := lp.release, lp.end
+	lp.mu.Unlock()
+	switch {
+	case strings.HasPrefix(r.URL.String(), lp.stuck):
+		<-r.Context().Done()
+		close(end)
+		return nil, r.Context().Err()
+	case strings.HasPrefix(r.URL.String(), lp.suspect):
+		select {
+		case <-release:
+		case <-r.Context().Done():
+			return nil, r.Context().Err()
+		}
+	}
+	return http.DefaultTransport.RoundTrip(r)
+}
+
+// TestSuspectAnsweringAfterQuorumIsJudged: a suspect asked as a probe
+// whose answer arrives only after the honest quorum settled the request is
+// still judged, by the same checks as an on-time answer. A Byzantine one
+// is convicted exactly once per Sign; a healed one is cleared. Signer 2 is
+// a lagging probe that never answers, and is not waited for. Sign returns
+// before the suspect answers, unbatched as well as through the window
+// batcher: the judging never holds up a caller.
+func TestSuspectAnsweringAfterQuorumIsJudged(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		window time.Duration
+	}{{"unbatched", 0}, {"windowed", time.Millisecond}} {
+		t.Run(tc.name, func(t *testing.T) { testLateSuspect(t, tc.window) })
+	}
+}
+
+func testLateSuspect(t *testing.T, window time.Duration) {
+	f := testFixture(t)
+	var evil atomic.Bool
+	urls := startSigners(t, f, func(i int, h http.Handler) http.Handler {
+		if i != rusher {
+			return h
+		}
+		bad := tamperSign(h)
+		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if evil.Load() {
+				bad.ServeHTTP(w, r)
+				return
+			}
+			h.ServeHTTP(w, r)
+		})
+	})
+	const stuck = 2
+	lp := &lateProbe{suspect: urls[rusher-1], stuck: urls[stuck-1]}
+	c, err := NewCoordinator(f.group, urls, CoordinatorConfig{
+		SignerTimeout: time.Minute,
+		HTTPClient:    &http.Client{Transport: lp},
+		BatchWindow:   window,
+		Logger:        debugLogger(&logBuf{}),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	parkHedge(c)
+	c.def.suspect[rusher-1].Store(true)
+	c.def.lagging[stuck-1].Store(true)
+	fl := &optimisticFleet{c: c}
+
+	sign := func(msg string) {
+		t.Helper()
+		release, end := lp.arm()
+		// The suspect is held until Sign has returned.
+		sig, report, err := c.Sign(context.Background(), []byte(msg))
+		if err != nil {
+			t.Fatalf("%s: %v", msg, err)
+		}
+		if !core.Verify(f.group.PK, []byte(msg), sig) || contains(report.Signers, rusher) || contains(report.Signers, stuck) {
+			t.Fatalf("%s: signers %v, want a verified honest quorum without %d and %d", msg, report.Signers, rusher, stuck)
+		}
+		close(release)
+		<-end
+	}
+
+	evil.Store(true)
+	for _, msg := range []string{"late liar 1", "late liar 2"} {
+		before := fl.counters()
+		sign(msg)
+		fl.expectDelta(t, msg, before, counters{checks: 1, rusherFailures: 1})
+		if !c.def.suspect[rusher-1].Load() {
+			t.Fatalf("%s: late Byzantine answer cleared the suspect", msg)
+		}
+	}
+
+	evil.Store(false)
+	before := fl.counters()
+	sign("late reformed")
+	fl.expectDelta(t, "late reformed", before, counters{checks: 1})
+	if c.def.suspect[rusher-1].Load() {
+		t.Fatal("a valid late answer left the signer suspect")
+	}
+	if !c.def.lagging[stuck-1].Load() {
+		t.Fatal("the stuck probe left the lagging state without answering")
+	}
+}

@@ -37,7 +37,7 @@ import (
 // risk an undersized quorum. The surviving signers' finish responses must
 // agree byte-for-byte on the resulting public group.
 //
-// Trust model (see the ROADMAP open items): the coordinator is trusted as
+// Trust model (see ROADMAP item 13): the coordinator is trusted as
 // the broadcast channel (consistency) and relays the private share
 // messages between signers, so deployments must protect signer links with
 // TLS and authenticate the coordinator to the signers. Protecting the

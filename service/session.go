@@ -236,7 +236,7 @@ func (h *protoHost) gc() {
 // SAME session id is a conflict (a retrying driver must not reset a
 // state machine it already stepped); a start under a fresh id REPLACES
 // any existing session of the kind — the daemon trusts whoever drives it
-// (see the ROADMAP auth open item), and an aborted run must not lock the
+// (see ROADMAP item 13), and an aborted run must not lock the
 // slot until the TTL. The replaced session's steps answer 404.
 func (h *protoHost) create(sess *protoSession) error {
 	h.mu.Lock()
@@ -542,7 +542,6 @@ func (s *Signer) handleProtoFinish(proto string) http.HandlerFunc {
 			return
 		}
 		tn.state.Store(&signerState{group: group, share: share})
-		warmGroup(group, s.met.precomputeRebuilds)
 		delete(tn.proto.sessions, proto)
 		s.met.sessionFinishes.WithLabelValues(proto).Inc()
 		s.log.Info("protocol session finished, key material installed",

@@ -196,7 +196,6 @@ func NewDaemonSigner(cfg DaemonConfig) (*Signer, error) {
 	s.def = s.newTenant(registry.DefaultGroup)
 	if cfg.Group != nil {
 		s.def.state.Store(&signerState{group: cfg.Group, share: cfg.Share})
-		warmGroup(cfg.Group, s.met.precomputeRebuilds)
 		// Adopt file-provided key material into the keystore: a later
 		// restart from -keystore-dir alone (no -group/-share) must keep
 		// serving the default group, and the manifest record written
@@ -208,7 +207,6 @@ func NewDaemonSigner(cfg DaemonConfig) (*Signer, error) {
 	} else if m, err := reg.LoadMember(registry.DefaultGroup, index); err == nil {
 		st := &signerState{group: m.Group(), share: m.PrivateShare()}
 		s.def.state.Store(st)
-		warmGroup(st.group, s.met.precomputeRebuilds)
 	} else if !errors.Is(err, os.ErrNotExist) {
 		return nil, fmt.Errorf("service: loading default keystore: %w", err)
 	}
@@ -316,7 +314,6 @@ func (s *Signer) tenant(gid string, create bool) (*signerTenant, error) {
 	if m, err := s.reg.LoadMember(gid, s.index); err == nil {
 		st := &signerState{group: m.Group(), share: m.PrivateShare()}
 		tn.state.Store(st)
-		warmGroup(st.group, s.met.precomputeRebuilds)
 	} else if !errors.Is(err, os.ErrNotExist) {
 		return nil, fmt.Errorf("service: loading keystore for group %q: %w", gid, err)
 	}
