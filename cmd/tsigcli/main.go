@@ -15,9 +15,9 @@
 //	tsigcli combine -group keys/group.json -msg "hello" -out final.sig 1.psig 3.psig 5.psig
 //	tsigcli verify  -group keys/group.json -msg "hello" -sig final.sig
 //
-// A multi-tenant fleet (tsigd with -keystore-dir) hosts many independent
-// key groups; the group subcommands manage them and -gid scopes sign and
-// refresh to one tenant:
+// A tsigd fleet is multi-tenant: it hosts many independent key groups;
+// the group subcommands manage them and -gid scopes sign and refresh to
+// one tenant:
 //
 //	tsigcli group create -remote http://coordinator:9090 -gid payments -t 2 -domain payments/v1
 //	tsigcli group list   -remote http://coordinator:9090

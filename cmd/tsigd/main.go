@@ -4,13 +4,15 @@
 //
 // # Fully distributed lifecycle (no trusted dealer anywhere)
 //
-// Daemons can start with ZERO key material and generate it themselves by
-// running the distributed keygen over the wire — each share is born on
-// its own daemon and never leaves it:
+// Every daemon keeps its key material in one place, the multi-tenant
+// keystore named by -keystore-dir (required). Daemons can start with
+// ZERO key material and generate it themselves by running the
+// distributed keygen over the wire — each share is born on its own
+// daemon and never leaves it:
 //
-//	tsigd signer      -keystore /var/lib/tsig -index 1 -listen :8071
+//	tsigd signer      -keystore-dir /var/lib/tsig -index 1 -listen :8071
 //	...               (one keyless daemon per server, indices 1..n)
-//	tsigd coordinator -group keys/group.json -listen :9090 \
+//	tsigd coordinator -keystore-dir /var/lib/tsig-coord -listen :9090 \
 //	    -signers http://host1:8071,...,http://host5:8075
 //
 //	tsigcli keygen  -remote http://coordinator:9090 -t 2 -domain my-app -dir keys/
@@ -18,20 +20,28 @@
 //	tsigcli refresh -remote http://coordinator:9090 -group keys/group.json
 //
 // The keygen run drives Pedersen's DKG across the signers (one broadcast
-// round in the fault-free case), each daemon persists its share via its
-// keystore, the coordinator persists the public group file, and the
-// quorum immediately serves signatures. The refresh run re-randomizes
-// every share in place (Section 3.3) without changing the public key.
+// round in the fault-free case), each daemon persists its share in its
+// keystore, the coordinator persists the public group in its own, and
+// the quorum immediately serves signatures. The refresh run
+// re-randomizes every share in place (Section 3.3) without changing the
+// public key; restarts serve the refreshed epoch.
 //
-// # Dealer-based keystores
+// # Seeding from dealer files
 //
-// A pre-generated keystore (tsigcli keygen -n 5 -t 2 -dir keys/) still
-// works:
+// A pre-generated keystore (tsigcli keygen -n 5 -t 2 -dir keys/) seeds
+// the default group:
 //
-//	tsigd signer      -group keys/group.json -share keys/share-1.json -listen :8071
+//	tsigd signer      -keystore-dir /var/lib/tsig -group keys/group.json -share keys/share-1.json -listen :8071
 //	...
-//	tsigd coordinator -group keys/group.json -listen :9090 \
+//	tsigd coordinator -keystore-dir /var/lib/tsig-coord -group keys/group.json -listen :9090 \
 //	    -signers http://host1:8071,http://host2:8072,...
+//
+// Seed files are installed only while the keystore holds no default
+// group. Afterwards the keystore wins: the same key there (perhaps
+// refreshed since) is served and the files are ignored, and a different
+// key is a startup error. Seeding is also how a directory written by the
+// retired -keystore DIR mode migrates: pass its group.json and
+// share-<i>.json once.
 //
 // Clients then obtain full signatures with a single request:
 //
@@ -60,7 +70,6 @@ import (
 	"net/http/pprof"
 	"os"
 	"os/signal"
-	"path/filepath"
 	"strings"
 	"syscall"
 	"time"
@@ -156,16 +165,15 @@ func (lf *logFlags) startDebug(metrics http.Handler, logger *slog.Logger) {
 
 func cmdSigner(args []string) error {
 	fs := flag.NewFlagSet("signer", flag.ExitOnError)
-	groupPath := fs.String("group", "group.json", "group file (public key material)")
-	sharePath := fs.String("share", "", "this server's private share file")
-	keystore := fs.String("keystore", "", "keystore directory: load group.json and share-<index>.json when present, persist keygen/refresh results there (requires -index)")
-	index := fs.Int("index", 0, "this daemon's 1-based player index (required with -keystore; otherwise taken from the share)")
+	keystoreDir := fs.String("keystore-dir", "", "keystore directory (required): the group registry and every tenant's key material, where keygen and refresh results are persisted")
+	groupPath := fs.String("group", "group.json", "seed group file, read with -share")
+	sharePath := fs.String("share", "", "seed share file: with -group, installed as the default group's key material when the keystore holds none")
+	index := fs.Int("index", 0, "this daemon's 1-based player index (required without -share; otherwise taken from the share)")
 	listen := fs.String("listen", ":8071", "listen address")
 	workers := fs.Int("workers", 0, "max concurrent signing operations (0 = default)")
 	queue := fs.Int("queue", 0, "max requests waiting for a worker (0 = default)")
 	maxBatch := fs.Int("max-batch", 0, "max messages per /v1/sign-batch request (0 = default)")
 	sessionTTL := fs.Duration("session-ttl", 0, "protocol session GC timeout (0 = default 2m)")
-	keystoreDir := fs.String("keystore-dir", "", "multi-tenant keystore directory: persists the group registry and every tenant's key material (without it, non-default tenants live in memory only)")
 	lf := addLogFlags(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -174,78 +182,37 @@ func cmdSigner(args []string) error {
 	if err != nil {
 		return fmt.Errorf("signer: %w", err)
 	}
-
+	if *keystoreDir == "" {
+		return fmt.Errorf("signer: -keystore-dir is required")
+	}
+	reg, err := registry.Open(registry.Config{Dir: *keystoreDir})
+	if err != nil {
+		return fmt.Errorf("signer: opening keystore dir: %w", err)
+	}
 	cfg := service.DaemonConfig{
 		Signer: service.SignerConfig{
 			MaxWorkers: *workers, MaxQueue: *queue, MaxBatch: *maxBatch,
 		},
 		Index:      *index,
 		SessionTTL: *sessionTTL,
+		Registry:   reg,
 		Logger:     logger,
 	}
-	if *keystoreDir != "" {
-		reg, err := registry.Open(registry.Config{Dir: *keystoreDir})
-		if err != nil {
-			return fmt.Errorf("signer: opening keystore dir: %w", err)
-		}
-		cfg.Registry = reg
-	}
-	switch {
-	case *keystore != "":
-		// Keystore mode: the daemon owns a directory. It loads existing
-		// material and persists whatever the distributed protocols
-		// produce, so a daemon may start keyless and become a signer the
-		// moment the remote keygen completes.
-		if *index < 1 {
-			return fmt.Errorf("signer: -keystore requires -index")
-		}
-		gp := filepath.Join(*keystore, "group.json")
-		sp := filepath.Join(*keystore, fmt.Sprintf("share-%d.json", *index))
-		cfg.Persist = persistShare(gp, sp)
-		// Only genuine non-existence means "keyless": any other Stat
-		// failure (permissions, I/O) must abort startup — starting
-		// keyless would let a later keygen overwrite a share that is
-		// merely unreadable right now.
-		switch _, err := os.Stat(sp); {
-		case err == nil:
-			member, err := tsig.LoadMember(gp, sp)
-			if err != nil {
-				return err
-			}
-			if member.Index() != *index {
-				return fmt.Errorf("signer: %s holds share %d, not %d", sp, member.Index(), *index)
-			}
-			cfg.Group, cfg.Share = member.Group(), member.PrivateShare()
-		case errors.Is(err, os.ErrNotExist):
-			logger.Info("no key material yet; waiting for a distributed keygen",
-				"component", "signer", "signer", *index, "keystore", *keystore)
-		default:
-			return fmt.Errorf("signer: checking %s: %w", sp, err)
-		}
-	case *sharePath != "":
-		// Explicit file mode (the historical flags). LoadMember validates
-		// the keystore as a whole (group invariants plus share bounds), so
-		// a corrupt or mismatched pair fails here. Refresh results are
-		// persisted back to the same paths.
+	if *sharePath != "" {
+		// LoadMember validates the pair as a whole (group invariants plus
+		// share bounds), so a corrupt or mismatched seed fails here.
 		member, err := tsig.LoadMember(*groupPath, *sharePath)
 		if err != nil {
 			return err
 		}
 		cfg.Group, cfg.Share = member.Group(), member.PrivateShare()
-		cfg.Persist = persistShare(*groupPath, *sharePath)
-	case *keystoreDir != "":
-		// Registry-only mode: the multi-tenant keystore is the single
-		// source of key material. The daemon recovers the default group's
-		// share from it when present, else starts keyless.
-		if *index < 1 {
-			return fmt.Errorf("signer: -keystore-dir requires -index")
-		}
-	default:
-		return fmt.Errorf("signer: -share, -keystore, or -keystore-dir is required")
 	}
 
 	signer, err := service.NewDaemonSigner(cfg)
 	if err != nil {
+		if *sharePath != "" {
+			return fmt.Errorf("signer: seeding from %s and %s: %w", *groupPath, *sharePath, err)
+		}
 		return err
 	}
 	lf.startDebug(signer.Metrics(), logger)
@@ -260,18 +227,10 @@ func cmdSigner(args []string) error {
 	return serve(*listen, signer, logger)
 }
 
-// persistShare writes new key material through to disk via the keyfile
-// package — called by the daemon after a keygen or refresh session, and
-// before the material is installed for serving.
-func persistShare(groupPath, sharePath string) func(*tsig.Group, *tsig.PrivateKeyShare) error {
-	return func(g *tsig.Group, sk *tsig.PrivateKeyShare) error {
-		return tsig.WriteMember(groupPath, sharePath, g, sk)
-	}
-}
-
 func cmdCoordinator(args []string) error {
 	fs := flag.NewFlagSet("coordinator", flag.ExitOnError)
-	groupPath := fs.String("group", "group.json", "group file; loaded when present, (re)written after a keygen or refresh run")
+	keystoreDir := fs.String("keystore-dir", "", "keystore directory (required): the group registry and every tenant's public group, where keygen and refresh results are persisted")
+	groupPath := fs.String("group", "group.json", "seed group file, read when present: installed as the default group when the keystore holds none")
 	signers := fs.String("signers", "", "comma-separated signer base URLs, in share order (1..n)")
 	listen := fs.String("listen", ":9090", "listen address")
 	timeout := fs.Duration("timeout", 5*time.Second, "per-signer request timeout")
@@ -280,7 +239,6 @@ func cmdCoordinator(args []string) error {
 	batchWindow := fs.Duration("batch-window", 0,
 		"collect concurrent sign requests for this long and fan them out as one batch (0 disables)")
 	maxBatch := fs.Int("max-batch", 0, "max messages per batch (0 = default)")
-	keystoreDir := fs.String("keystore-dir", "", "multi-tenant keystore directory: persists the group registry and every tenant's public group (without it, non-default tenants live in memory only)")
 	lf := addLogFlags(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -292,25 +250,23 @@ func cmdCoordinator(args []string) error {
 	if *signers == "" {
 		return fmt.Errorf("coordinator: -signers is required")
 	}
+	if *keystoreDir == "" {
+		return fmt.Errorf("coordinator: -keystore-dir is required")
+	}
 	urls := strings.Split(*signers, ",")
 	for i := range urls {
 		urls[i] = strings.TrimRight(strings.TrimSpace(urls[i]), "/")
+	}
+	reg, err := registry.Open(registry.Config{Dir: *keystoreDir})
+	if err != nil {
+		return fmt.Errorf("coordinator: opening keystore dir: %w", err)
 	}
 	cfg := service.CoordinatorConfig{
 		SignerTimeout: *timeout, CacheSize: *cache,
 		BatchWindow: *batchWindow, MaxBatch: *maxBatch,
 		ProtoRoundTimeout: *protoTimeout,
-		PersistGroup: func(g *tsig.Group) error {
-			return tsig.WriteGroup(*groupPath, g)
-		},
-		Logger: logger,
-	}
-	if *keystoreDir != "" {
-		reg, err := registry.Open(registry.Config{Dir: *keystoreDir})
-		if err != nil {
-			return fmt.Errorf("coordinator: opening keystore dir: %w", err)
-		}
-		cfg.Registry = reg
+		Registry:          reg,
+		Logger:            logger,
 	}
 
 	var coord *service.Coordinator
@@ -318,24 +274,26 @@ func cmdCoordinator(args []string) error {
 	switch {
 	case err == nil:
 		if coord, err = service.NewCoordinator(group, urls, cfg); err != nil {
-			return err
+			return fmt.Errorf("coordinator: seeding from %s: %w", *groupPath, err)
 		}
-		logger.Info("coordinator listening",
-			"component", "coordinator", "addr", *listen, "backends", len(urls),
-			"n", group.N, "t", group.T, "domain", group.Domain)
 	case errors.Is(err, os.ErrNotExist):
-		// No group yet: start keyless and wait for a remote keygen run
-		// (tsigcli keygen -remote) to produce one; it is persisted to
-		// -group and served from then on.
+		// No seed: serve whatever the keystore holds, or start keyless and
+		// wait for a remote keygen run (tsigcli keygen -remote).
 		if coord, err = service.NewKeylessCoordinator(urls, cfg); err != nil {
 			return err
 		}
-		logger.Info("coordinator listening (keyless); POST /v1/proto/dkg/run to generate a key",
-			"component", "coordinator", "addr", *listen, "backends", len(urls))
 	default:
 		return err
 	}
 	lf.startDebug(coord.Metrics(), logger)
+	if g := coord.Group(); g != nil {
+		logger.Info("coordinator listening",
+			"component", "coordinator", "addr", *listen, "backends", len(urls),
+			"n", g.N, "t", g.T, "domain", g.Domain)
+	} else {
+		logger.Info("coordinator listening (keyless); POST /v1/proto/dkg/run to generate a key",
+			"component", "coordinator", "addr", *listen, "backends", len(urls))
+	}
 	return serve(*listen, coord, logger)
 }
 

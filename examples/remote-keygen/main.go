@@ -40,8 +40,8 @@ func main() {
 	urls := make([]string, n)
 	for i := 1; i <= n; i++ {
 		// In production each daemon persists through its keystore
-		// (tsigd signer -keystore dir -index i); the demo keeps the key
-		// material in memory.
+		// (tsigd signer -keystore-dir DIR -index i); the demo keeps the
+		// registry, and so the key material, in memory.
 		s, err := service.NewDaemonSigner(service.DaemonConfig{Index: i})
 		if err != nil {
 			log.Fatal(err)

@@ -78,7 +78,7 @@ func Load(dir string, cfg LoadConfig) (*Module, error) {
 	if err != nil {
 		return nil, err
 	}
-	fset := token.NewFileSet()
+	fset, std := stdImporter()
 	raw, err := parseModule(fset, root, modPath, cfg)
 	if err != nil {
 		return nil, err
@@ -93,10 +93,7 @@ func Load(dir string, cfg LoadConfig) (*Module, error) {
 		Fset:   fset,
 		byPath: make(map[string]*Package, len(order)),
 	}
-	imp := &moduleImporter{
-		m:   m,
-		std: importer.ForCompiler(fset, "source", nil),
-	}
+	imp := &moduleImporter{m: m, std: std}
 	// Type-check level by level: every package's module-internal imports
 	// live in strictly earlier levels, so the members of one level are
 	// independent and check concurrently. byPath is only written at the
@@ -347,11 +344,31 @@ func toposort(raw map[string]*rawPkg) ([]*rawPkg, error) {
 	return order, nil
 }
 
+// The standard library is type-checked from source once per process:
+// every Load shares one FileSet and one source importer, whose package
+// cache then serves each later load (a test binary loads many corpora,
+// and several pull in net/http). stdMu serializes the importer, which is
+// not safe for concurrent use.
+var (
+	stdOnce sync.Once
+	stdFset *token.FileSet
+	stdImp  types.Importer
+	stdMu   sync.Mutex
+)
+
+func stdImporter() (*token.FileSet, types.Importer) {
+	stdOnce.Do(func() {
+		stdFset = token.NewFileSet()
+		stdImp = importer.ForCompiler(stdFset, "source", nil)
+	})
+	return stdFset, stdImp
+}
+
 // moduleImporter resolves module-internal imports to already-checked
-// packages and delegates everything else to the $GOROOT source importer.
+// packages and delegates everything else to the shared $GOROOT source
+// importer.
 type moduleImporter struct {
 	m   *Module
-	mu  sync.Mutex // the source importer is not safe for concurrent use
 	std types.Importer
 }
 
@@ -365,9 +382,9 @@ func (mi *moduleImporter) Import(path string) (*types.Package, error) {
 		}
 		return nil, fmt.Errorf("analysis: internal import %q not loaded (cycle?)", path)
 	}
-	mi.mu.Lock()
+	stdMu.Lock()
 	pkg, err := mi.std.Import(path)
-	mi.mu.Unlock()
+	stdMu.Unlock()
 	if err != nil {
 		return nil, fmt.Errorf("analysis: importing %q: %w", path, err)
 	}

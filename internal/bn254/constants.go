@@ -315,6 +315,3 @@ func G1Generator() *G1 { return new(G1).Set(g1Gen) }
 
 // G2Generator returns a copy of the fixed generator of G2.
 func G2Generator() *G2 { return new(G2).Set(g2Gen) }
-
-// GTGenerator returns a copy of e(G1Generator, G2Generator).
-func GTGenerator() *GT { return new(GT).Set(gtGen) }

@@ -125,6 +125,17 @@ func TestEIP197Generator(t *testing.T) {
 	}
 }
 
+// GTGenerator returns a copy of e(G1Generator, G2Generator) as paired at
+// init.
+func GTGenerator() *GT { return new(GT).Set(gtGen) }
+
+// IsInSubgroup reports whether e^r = 1.
+func (e *GT) IsInSubgroup() bool {
+	var t fp12
+	t.Exp(&e.v, Order)
+	return t.IsOne()
+}
+
 // GTGenerator must be the pairing of the two generators. (It once was not:
 // the generators were paired at init before the Miller loop's NAF schedule
 // had been derived, so the loop body never ran.)

@@ -96,63 +96,3 @@ func CommitG2(f, g *FixedBaseG2, a, b *big.Int) *G2 {
 	g.accumulate(&acc, &br)
 	return acc.toAffine(new(G2))
 }
-
-// FixedBaseG1 mirrors FixedBaseG2 for G1 bases (used for the fixed g of
-// the standard-model scheme and the aggregation generators).
-type FixedBaseG1 struct {
-	base  *G1
-	table [fixedWindows][1<<fixedWindowBits - 1]G1
-}
-
-// NewFixedBaseG1 precomputes the tables for base (see NewFixedBaseG2).
-func NewFixedBaseG1(base *G1) *FixedBaseG1 {
-	f := &FixedBaseG1{base: new(G1).Set(base)}
-	if base.IsInfinity() {
-		return f
-	}
-	const n = len(f.table[0])
-	scratch := make([]fp, 2*n*fixedWindows)
-
-	var windowsJac [fixedWindows]jacG1
-	var windows [fixedWindows]G1
-	windowsJac[0].fromAffine(base)
-	for i := 1; i < fixedWindows; i++ {
-		windowsJac[i] = windowsJac[i-1]
-		for s := 0; s < fixedWindowBits; s++ {
-			windowsJac[i].double(&windowsJac[i])
-		}
-	}
-	batchToAffineG1(windows[:], windowsJac[:], scratch)
-
-	jac := make([]jacG1, n*fixedWindows)
-	for i := range windows {
-		multiplesG1(jac[n*i:n*(i+1)], &windows[i])
-	}
-	flat := make([]G1, len(jac))
-	batchToAffineG1(flat, jac, scratch)
-	for i := range f.table {
-		copy(f.table[i][:], flat[n*i:])
-	}
-	return f
-}
-
-// Base returns a copy of the table's base point.
-func (f *FixedBaseG1) Base() *G1 { return new(G1).Set(f.base) }
-
-func (f *FixedBaseG1) accumulate(acc *jacG1, k *big.Int) {
-	for i := 0; i < fixedWindows; i++ {
-		if digit := scalarDigit(k, i*fixedWindowBits, fixedWindowBits); digit != 0 {
-			acc.addMixed(acc, &f.table[i][digit-1])
-		}
-	}
-}
-
-// ScalarMult computes k*base (k reduced modulo the group order).
-func (f *FixedBaseG1) ScalarMult(k *big.Int) *G1 {
-	var kr big.Int
-	kr.Mod(k, Order)
-	var acc jacG1
-	acc.z.SetZero()
-	f.accumulate(&acc, &kr)
-	return acc.toAffine(new(G1))
-}

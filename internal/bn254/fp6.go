@@ -98,14 +98,6 @@ func (z *fp6) Mul(x, y *fp6) *fp6 {
 
 func (z *fp6) Square(x *fp6) *fp6 { return z.Mul(x, x) }
 
-// MulFp2 sets z = x * s for s in Fp2.
-func (z *fp6) MulFp2(x *fp6, s *fp2) *fp6 {
-	z.b0.Mul(&x.b0, s)
-	z.b1.Mul(&x.b1, s)
-	z.b2.Mul(&x.b2, s)
-	return z
-}
-
 // MulByV sets z = x * v, i.e. (b0, b1, b2) -> (xi*b2, b0, b1).
 func (z *fp6) MulByV(x *fp6) *fp6 {
 	var t0 fp2

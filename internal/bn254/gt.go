@@ -80,10 +80,10 @@ func (e *GT) Marshal() []byte {
 }
 
 // Unmarshal decodes a 384-byte GT encoding. It validates coefficient
-// ranges but not subgroup membership (which costs an exponentiation; use
-// IsInSubgroup when needed). Note that Exp and Inverse assume the element
-// lies in the cyclotomic subgroup — true for every pairing output — so a
-// caller accepting untrusted GT encodings must check IsInSubgroup first.
+// ranges but not subgroup membership (which costs an exponentiation,
+// e^r = 1). Note that Exp and Inverse assume the element lies in the
+// cyclotomic subgroup — true for every pairing output — so a caller
+// accepting untrusted GT encodings must check membership first.
 func (e *GT) Unmarshal(data []byte) error {
 	if len(data) != GTSize {
 		return fmt.Errorf("bn254: invalid GT encoding length %d", len(data))
@@ -101,13 +101,6 @@ func (e *GT) Unmarshal(data []byte) error {
 	}
 	e.v = v
 	return nil
-}
-
-// IsInSubgroup reports whether e^r = 1.
-func (e *GT) IsInSubgroup() bool {
-	var t fp12
-	t.Exp(&e.v, Order)
-	return t.IsOne()
 }
 
 // String implements fmt.Stringer for debugging (prefix of the encoding).

@@ -374,20 +374,8 @@ func (j *jacG2) equal(a *jacG2) bool {
 	return u1.Equal(&u2) && s1.Equal(&s2)
 }
 
-// multiplesG1 fills out[i] = (i+1)*p in Jacobian form: even multiples by
+// multiplesG2 fills out[i] = (i+1)*p in Jacobian form: even multiples by
 // doubling, odd ones by one mixed addition. p must be finite.
-func multiplesG1(out []jacG1, p *G1) {
-	out[0].fromAffine(p)
-	for i := 1; i < len(out); i++ {
-		if i%2 == 1 {
-			out[i].double(&out[i/2])
-		} else {
-			out[i].addMixed(&out[i-1], p)
-		}
-	}
-}
-
-// multiplesG2 mirrors multiplesG1 over Fp2.
 func multiplesG2(out []jacG2, p *G2) {
 	out[0].fromAffine(p)
 	for i := 1; i < len(out); i++ {

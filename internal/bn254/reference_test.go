@@ -152,6 +152,19 @@ func pairNaive(p *G1, q *G2) *GT {
 	return out
 }
 
+// multiplesG1 is multiplesG2 over G1: it fills out[i] = (i+1)*p in Jacobian form: even multiples by
+// doubling, odd ones by one mixed addition. p must be finite.
+func multiplesG1(out []jacG1, p *G1) {
+	out[0].fromAffine(p)
+	for i := 1; i < len(out); i++ {
+		if i%2 == 1 {
+			out[i].double(&out[i/2])
+		} else {
+			out[i].addMixed(&out[i-1], p)
+		}
+	}
+}
+
 // msmStraussWindow4 is the G1 Strauss ladder before the GLV split: per-point
 // tables of 1P..15P, 4-bit unsigned windows over the full scalar length,
 // ~252 doublings. BenchmarkAblationGLV measures against it.

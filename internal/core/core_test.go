@@ -152,7 +152,7 @@ func TestCombineMatchesCentralizedSigner(t *testing.T) {
 		for _, i := range []int{1, 2, 3} {
 			shares = append(shares, shamir.Share{X: i, Y: get(views[i].Share)})
 		}
-		s, err := fld.Reconstruct(shares)
+		s, err := fld.Interpolate(shares, new(big.Int))
 		if err != nil {
 			t.Fatal(err)
 		}

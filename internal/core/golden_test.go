@@ -6,6 +6,7 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"flag"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -132,8 +133,15 @@ func TestGoldenScheme(t *testing.T) {
 		if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		if err := keyfile.WriteKeystore(keystore, goldenDomain, goldenN, goldenT, views); err != nil {
+		g, err := core.NewGroup(goldenDomain, goldenN, goldenT, views[1])
+		if err != nil {
 			t.Fatal(err)
+		}
+		for i := 1; i <= goldenN; i++ {
+			sharePath := filepath.Join(keystore, fmt.Sprintf("share-%d.json", i))
+			if err := keyfile.WriteMember(filepath.Join(keystore, "group.json"), sharePath, g, views[i].Share); err != nil {
+				t.Fatal(err)
+			}
 		}
 		return
 	}

@@ -125,20 +125,6 @@ func (g *Group) ShareVerify(msg []byte, ps *PartialSignature) bool {
 	return ShareVerify(g.PK, vk, msg, ps)
 }
 
-// CheckShare is the error-typed form of ShareVerify: nil for a valid
-// partial signature, an error wrapping ErrInvalidShare (or
-// ErrIndexOutOfRange) otherwise.
-func (g *Group) CheckShare(msg []byte, ps *PartialSignature) error {
-	if ps == nil {
-		return fmt.Errorf("core: nil partial signature: %w", ErrInvalidShare)
-	}
-	if g.VerificationKey(ps.Index) == nil {
-		return fmt.Errorf("core: partial signature index %d outside group 1..%d: %w (%w)",
-			ps.Index, g.N, ErrIndexOutOfRange, ErrInvalidShare)
-	}
-	return VerifyShare(g.PK, g.VKs[ps.Index], msg, ps)
-}
-
 // Combine assembles the unique full signature on msg from any t+1 valid
 // partial signatures, discarding invalid ones (robustness). The error
 // wraps ErrInsufficientShares when too few valid shares remain, and

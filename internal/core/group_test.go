@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"crypto"
 	"errors"
+	"fmt"
 	"sync"
 	"testing"
 )
@@ -258,4 +259,18 @@ func TestGroupRecoverShare(t *testing.T) {
 	if _, err := g.RecoverShare(helpers, 99, nil); !errors.Is(err, ErrIndexOutOfRange) {
 		t.Fatalf("want ErrIndexOutOfRange, got %v", err)
 	}
+}
+
+// CheckShare is the error-typed form of ShareVerify: nil for a valid
+// partial signature, an error wrapping ErrInvalidShare (or
+// ErrIndexOutOfRange) otherwise.
+func (g *Group) CheckShare(msg []byte, ps *PartialSignature) error {
+	if ps == nil {
+		return fmt.Errorf("core: nil partial signature: %w", ErrInvalidShare)
+	}
+	if g.VerificationKey(ps.Index) == nil {
+		return fmt.Errorf("core: partial signature index %d outside group 1..%d: %w (%w)",
+			ps.Index, g.N, ErrIndexOutOfRange, ErrInvalidShare)
+	}
+	return VerifyShare(g.PK, g.VKs[ps.Index], msg, ps)
 }

@@ -189,16 +189,6 @@ func (r *Result) VerificationKey(i int) [][]*bn254.G2 {
 	return verificationKey(r.sums(), i)
 }
 
-// AllVerificationKeys returns VK_1..VK_N (index 0 unused).
-func (r *Result) AllVerificationKeys() [][][]*bn254.G2 {
-	sums := r.sums()
-	out := make([][][]*bn254.G2, r.Config.N+1)
-	for i := 1; i <= r.Config.N; i++ {
-		out[i] = verificationKey(sums, i)
-	}
-	return out
-}
-
 func verificationKey(sums [][][]*bn254.G2, i int) [][]*bn254.G2 {
 	out := make([][]*bn254.G2, len(sums))
 	for k, rows := range sums {

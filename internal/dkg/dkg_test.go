@@ -95,11 +95,11 @@ func TestSharesInterpolateToDealtSecrets(t *testing.T) {
 			sharesA = append(sharesA, shamir.Share{X: i, Y: out.Results[i].Share[k][0]})
 			sharesB = append(sharesB, shamir.Share{X: i, Y: out.Results[i].Share[k][1]})
 		}
-		gotA, err := fld.Reconstruct(sharesA)
+		gotA, err := fld.Interpolate(sharesA, new(big.Int))
 		if err != nil {
 			t.Fatal(err)
 		}
-		gotB, err := fld.Reconstruct(sharesB)
+		gotB, err := fld.Interpolate(sharesB, new(big.Int))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -292,7 +292,7 @@ func TestRefreshPreservesKeyAndChangesShares(t *testing.T) {
 		for _, i := range []int{1, 3, 5} {
 			shares = append(shares, shamir.Share{X: i, Y: out.Results[i].Share[k][0]})
 		}
-		secret, err := fld.Reconstruct(shares)
+		secret, err := fld.Interpolate(shares, new(big.Int))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -141,3 +141,13 @@ func BenchmarkAllVerificationKeys(b *testing.B) {
 		})
 	}
 }
+
+// AllVerificationKeys returns VK_1..VK_N (index 0 unused).
+func (r *Result) AllVerificationKeys() [][][]*bn254.G2 {
+	sums := r.sums()
+	out := make([][][]*bn254.G2, r.Config.N+1)
+	for i := 1; i <= r.Config.N; i++ {
+		out[i] = verificationKey(sums, i)
+	}
+	return out
+}

@@ -178,15 +178,15 @@ func TestDLINSharesInterpolateConsistently(t *testing.T) {
 			sb = append(sb, shamir.Share{X: i, Y: views[i].Share.B[k]})
 			sc = append(sc, shamir.Share{X: i, Y: views[i].Share.C[k]})
 		}
-		a, err := fld.Reconstruct(sa)
+		a, err := fld.Interpolate(sa, new(big.Int))
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := fld.Reconstruct(sb)
+		b, err := fld.Interpolate(sb, new(big.Int))
 		if err != nil {
 			t.Fatal(err)
 		}
-		c, err := fld.Reconstruct(sc)
+		c, err := fld.Interpolate(sc, new(big.Int))
 		if err != nil {
 			t.Fatal(err)
 		}

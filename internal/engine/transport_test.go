@@ -1,9 +1,9 @@
-// Package transport holds the conformance tests of the paper's
-// communication model (Section 2.1: synchronous rounds, private and
-// authenticated point-to-point channels, consistent broadcast) for
-// in-process runs. The model is implemented once, by engine.RunLocal; the
-// tests here drive it with small toy protocols.
-package transport
+// The conformance tests of the paper's communication model (Section 2.1:
+// synchronous rounds, private and authenticated point-to-point channels,
+// consistent broadcast) for in-process runs. The model is implemented
+// once, by engine.RunLocal; the tests here drive it with small toy
+// protocols from outside the package, through its exported surface only.
+package engine_test
 
 import (
 	"errors"

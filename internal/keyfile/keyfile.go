@@ -16,7 +16,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
-	"path/filepath"
 
 	"repro/internal/core"
 )
@@ -191,24 +190,6 @@ func LoadMember(groupPath, sharePath string) (*core.Member, error) {
 		return nil, fmt.Errorf("keyfile: %s does not fit %s: %w", sharePath, groupPath, err)
 	}
 	return m, nil
-}
-
-// WriteKeystore writes the complete Dist-Keygen output — group.json plus
-// share-i.json for every server — into dir.
-func WriteKeystore(dir, domain string, n, t int, views []*core.KeyShares) error {
-	g, err := core.NewGroup(domain, n, t, views[1])
-	if err != nil {
-		return fmt.Errorf("keyfile: %w", err)
-	}
-	if err := WriteGroup(filepath.Join(dir, "group.json"), g); err != nil {
-		return err
-	}
-	for i := 1; i <= n; i++ {
-		if err := WriteShare(filepath.Join(dir, fmt.Sprintf("share-%d.json", i)), views[i].Share); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 func hexConcat(parts ...string) ([]byte, error) {

@@ -19,8 +19,14 @@ func writeFixtureKeystore(t *testing.T) (string, []*core.KeyShares) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := WriteKeystore(dir, "keyfile-test/v1", 3, 1, views); err != nil {
+	g, err := core.NewGroup("keyfile-test/v1", 3, 1, views[1])
+	if err != nil {
 		t.Fatal(err)
+	}
+	for i := 1; i <= 3; i++ {
+		if err := WriteMember(filepath.Join(dir, "group.json"), filepath.Join(dir, fmt.Sprintf("share-%d.json", i)), g, views[i].Share); err != nil {
+			t.Fatal(err)
+		}
 	}
 	return dir, views
 }

@@ -11,8 +11,7 @@ import (
 // ordinary signature scheme in the random oracle model by hashing the
 // message to a vector of K+1 = 2 group elements and signing that vector.
 // The result is exactly the centralized version of the paper's Section 3
-// threshold scheme, and is used in tests as the reference the threshold
-// Combine output is checked against.
+// threshold scheme; the tests use it as a reference.
 
 // ROScheme is a full-fledged (non-threshold) signature scheme built from
 // the one-time LHSPS via a random oracle.

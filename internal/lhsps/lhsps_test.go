@@ -2,6 +2,7 @@ package lhsps
 
 import (
 	"crypto/rand"
+	"errors"
 	"math/big"
 	"testing"
 	"testing/quick"
@@ -286,4 +287,79 @@ func TestTemplateViewMatchesVerify(t *testing.T) {
 	if tv.VerifyTemplate(msg, []*bn254.G1{sig.Z}) {
 		t.Fatal("template view accepted wrong tuple length")
 	}
+}
+
+// AddPrivateKeys returns the key with component-wise summed exponents.
+// Signatures under the inputs multiply into signatures under the output —
+// the key homomorphism of footnote 4 in the paper.
+func AddPrivateKeys(keys ...*PrivateKey) (*PrivateKey, error) {
+	if len(keys) == 0 {
+		return nil, errors.New("lhsps: no keys to add")
+	}
+	n := len(keys[0].Chi)
+	params := keys[0].Public.Params
+	chi := make([]*big.Int, n)
+	gamma := make([]*big.Int, n)
+	for k := 0; k < n; k++ {
+		chi[k] = new(big.Int)
+		gamma[k] = new(big.Int)
+	}
+	for _, key := range keys {
+		if len(key.Chi) != n {
+			return nil, errors.New("lhsps: mismatched key dimensions")
+		}
+		for k := 0; k < n; k++ {
+			chi[k].Add(chi[k], key.Chi[k])
+			chi[k].Mod(chi[k], bn254.Order)
+			gamma[k].Add(gamma[k], key.Gamma[k])
+			gamma[k].Mod(gamma[k], bn254.Order)
+		}
+	}
+	gk := make([]*bn254.G2, n)
+	for k := 0; k < n; k++ {
+		gk[k] = commitPair(params, chi[k], gamma[k])
+	}
+	return &PrivateKey{
+		Public: &PublicKey{Params: params, Gk: gk},
+		Chi:    chi,
+		Gamma:  gamma,
+	}, nil
+}
+
+// MulPublicKeys multiplies public keys component-wise: the public-key side
+// of the key homomorphism.
+func MulPublicKeys(keys ...*PublicKey) (*PublicKey, error) {
+	if len(keys) == 0 {
+		return nil, errors.New("lhsps: no keys to multiply")
+	}
+	n := keys[0].N()
+	params := keys[0].Params
+	gk := make([]*bn254.G2, n)
+	for k := range gk {
+		gk[k] = new(bn254.G2)
+	}
+	for _, key := range keys {
+		if key.N() != n {
+			return nil, errors.New("lhsps: mismatched key dimensions")
+		}
+		for k := 0; k < n; k++ {
+			gk[k].Add(gk[k], key.Gk[k])
+		}
+	}
+	return &PublicKey{Params: params, Gk: gk}, nil
+}
+
+// MulSignatures multiplies signatures component-wise (the signature side of
+// the key homomorphism).
+func MulSignatures(sigs ...*Signature) (*Signature, error) {
+	if len(sigs) == 0 {
+		return nil, errors.New("lhsps: no signatures to multiply")
+	}
+	z := new(bn254.G1)
+	r := new(bn254.G1)
+	for _, s := range sigs {
+		z.Add(z, s.Z)
+		r.Add(r, s.R)
+	}
+	return &Signature{Z: z, R: r}, nil
 }

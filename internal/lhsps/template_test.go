@@ -12,9 +12,8 @@ import (
 //
 //	1 = prod_mu e(Z_mu, F^_{j,mu}) * prod_k e(M_k, G^_{j,k}),  j = 1..m.
 //
-// TemplateView exposes a scheme instance in that shape; the generic
-// transforms of Appendix D (and the threshold constructions) only depend
-// on this view. The DP-based scheme of Section 2.3 instantiates it with
+// TemplateView exposes a scheme instance in that shape, so the tests can
+// hold it to the template's reference semantics. The DP-based scheme of Section 2.3 instantiates it with
 // ns = 2, m = 1; the DLIN-based scheme of Appendix F has ns = 3, m = 2.
 type TemplateView struct {
 	// NS is the signature length ns, M the number of verification

@@ -33,9 +33,6 @@ func NewField(q *big.Int) (*Field, error) {
 	return &Field{q: new(big.Int).Set(q)}, nil
 }
 
-// Modulus returns a copy of the field modulus.
-func (f *Field) Modulus() *big.Int { return new(big.Int).Set(f.q) }
-
 // Reduce returns x mod q as a fresh integer.
 func (f *Field) Reduce(x *big.Int) *big.Int { return new(big.Int).Mod(x, f.q) }
 
@@ -122,9 +119,6 @@ func (f *Field) PolynomialFromCoeffs(coeffs []*big.Int) (*Polynomial, error) {
 	}
 	return &Polynomial{field: f, coeffs: cp}, nil
 }
-
-// Degree returns the formal degree (len(coeffs)-1).
-func (p *Polynomial) Degree() int { return len(p.coeffs) - 1 }
 
 // Secret returns a copy of the constant term f(0).
 func (p *Polynomial) Secret() *big.Int { return new(big.Int).Set(p.coeffs[0]) }
@@ -251,9 +245,4 @@ func (f *Field) Interpolate(shares []Share, at *big.Int) (*big.Int, error) {
 		acc.Mod(acc, f.q)
 	}
 	return acc, nil
-}
-
-// Reconstruct recovers the secret f(0) from shares.
-func (f *Field) Reconstruct(shares []Share) (*big.Int, error) {
-	return f.Interpolate(shares, new(big.Int))
 }

@@ -46,7 +46,7 @@ func TestReconstructRoundTrip(t *testing.T) {
 	if len(shares) != n {
 		t.Fatalf("got %d shares", len(shares))
 	}
-	got, err := f.Reconstruct(shares[:tDeg+1])
+	got, err := f.Interpolate(shares[:tDeg+1], new(big.Int))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +71,7 @@ func TestAnySubsetReconstructs(t *testing.T) {
 		for _, idx := range perm {
 			subset = append(subset, shares[idx])
 		}
-		got, err := f.Reconstruct(subset)
+		got, err := f.Interpolate(subset, new(big.Int))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -92,7 +92,7 @@ func TestTooFewSharesGiveWrongSecret(t *testing.T) {
 		t.Fatal(err)
 	}
 	shares := poly.Shares(n)
-	got, err := f.Reconstruct(shares[:tDeg])
+	got, err := f.Interpolate(shares[:tDeg], new(big.Int))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +118,7 @@ func TestLagrangeIdentity(t *testing.T) {
 	for _, i := range indices {
 		acc.Add(acc, f.Mul(lambda[i], poly.EvalAt(i)))
 	}
-	acc.Mod(acc, f.Modulus())
+	acc.Mod(acc, f.q)
 	if acc.Cmp(big.NewInt(5)) != 0 {
 		t.Fatalf("Lagrange identity failed: got %s", acc)
 	}
@@ -198,7 +198,7 @@ func TestQuickReconstruct(t *testing.T) {
 		for _, idx := range perm {
 			subset = append(subset, shares[idx])
 		}
-		got, err := f.Reconstruct(subset)
+		got, err := f.Interpolate(subset, new(big.Int))
 		return err == nil && got.Cmp(secret) == 0
 	}
 	if err := quick.Check(prop, cfg); err != nil {
@@ -230,7 +230,7 @@ func TestQuickLagrangeSumsToOneOnConstants(t *testing.T) {
 		for _, l := range lambda {
 			acc.Add(acc, l)
 		}
-		acc.Mod(acc, f.Modulus())
+		acc.Mod(acc, f.q)
 		return acc.Cmp(big.NewInt(1)) == 0
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 40}); err != nil {
@@ -250,8 +250,8 @@ func TestEvalHorner(t *testing.T) {
 	if got := poly.Eval(big.NewInt(10)); got.Cmp(big.NewInt(321)) != 0 {
 		t.Fatalf("Eval(10) = %s, want 321", got)
 	}
-	if poly.Degree() != 2 {
-		t.Fatalf("degree %d", poly.Degree())
+	if len(poly.coeffs)-1 != 2 {
+		t.Fatalf("degree %d", len(poly.coeffs)-1)
 	}
 	if poly.Coeff(1).Cmp(big.NewInt(2)) != 0 {
 		t.Fatal("Coeff(1) wrong")

@@ -44,15 +44,10 @@ type CoordinatorConfig struct {
 	// excluded as crashed for the rest of the run. Default
 	// DefaultProtoRoundTimeout.
 	ProtoRoundTimeout time.Duration
-	// PersistGroup, when set, is called with the new group after a
-	// successful keygen or refresh run, once it is installed. It applies
-	// to the default group only — other tenants persist through Registry.
-	PersistGroup func(*core.Group) error
-	// Registry is the multi-tenant group registry (tsigd -keystore-dir).
-	// Nil means a memory-only registry: tenants can still be minted over
-	// the wire, but nothing survives a restart. When file-backed and the
-	// coordinator is constructed keyless, the default group is loaded
-	// from its keystore if present.
+	// Registry is the multi-tenant group registry (tsigd -keystore-dir),
+	// the one place public groups are made durable. Nil means a
+	// memory-only registry: tenants can still be minted over the wire,
+	// but nothing survives a restart.
 	Registry *registry.Registry
 	// Logger receives the daemon's structured logs (request-scoped lines
 	// at Debug, backend outage edges and protocol runs at Info/Warn).
@@ -112,8 +107,9 @@ func (c CoordinatorConfig) withDefaults() CoordinatorConfig {
 // Like the signer, the coordinator is a multi-tenant KMS front: every
 // route above also exists as /v1/g/{groupID}/..., dispatching to that
 // tenant's group over the SAME signer fleet, and the un-namespaced form
-// aliases the "default" group. A DKG run against an unknown group ID
-// mints the tenant across the whole fleet.
+// aliases the "default" group — an ordinary tenant in the registry like
+// every other. A DKG run against an unknown group ID mints the tenant
+// across the whole fleet.
 type Coordinator struct {
 	urls   []string // urls[i-1] serves share i
 	cfg    CoordinatorConfig
@@ -121,11 +117,10 @@ type Coordinator struct {
 	flight *flightGroup // shared across tenants; keys carry the group ID
 	mux    *http.ServeMux
 
-	// reg is the tenant registry; def the default tenant, an ordinary
-	// coordTenant pinned here instead of living in the hot LRU.
+	// reg is the tenant registry: every tenant's record and public
+	// group, and the hot LRU its live state is served from.
 	reg      *registry.Registry
 	tenantMu sync.Mutex // serializes tenant minting and hot-cache fills
-	def      *coordTenant
 
 	met *coordMetrics
 	log *slog.Logger
@@ -137,8 +132,7 @@ type Coordinator struct {
 
 // coordTenant is one tenant's signing state on the coordinator: the
 // group view, the per-tenant request batcher, and the protocol-run
-// lock. The default tenant is pinned on the Coordinator; others live in
-// the registry's hot LRU.
+// lock. It lives in the registry's hot LRU.
 type coordTenant struct {
 	c  *Coordinator
 	id string
@@ -202,8 +196,12 @@ type signOutcome struct {
 	unreachable []int
 }
 
-// NewCoordinator builds a coordinator for the group; signerURLs[i-1] must
-// be the base URL of the signer holding share i.
+// NewCoordinator builds a coordinator seeded with the default group;
+// signerURLs[i-1] must be the base URL of the signer holding share i. The
+// seed is installed as the default group's first epoch only when the
+// registry holds none; a registry copy under the same public key (it may
+// be a later, refreshed epoch) is served instead, and one under another
+// public key fails construction.
 func NewCoordinator(group *core.Group, signerURLs []string, cfg CoordinatorConfig) (*Coordinator, error) {
 	if group == nil {
 		return nil, fmt.Errorf("service: nil group (use NewKeylessCoordinator to start before keygen)")
@@ -211,50 +209,23 @@ func NewCoordinator(group *core.Group, signerURLs []string, cfg CoordinatorConfi
 	if len(signerURLs) != group.N {
 		return nil, fmt.Errorf("service: %d signer URLs for a group of n=%d", len(signerURLs), group.N)
 	}
-	c, err := newCoordinator(signerURLs, cfg)
-	if err != nil {
-		return nil, err
-	}
-	c.def.group.Store(group)
-	warmGroup(group, c.met.precomputeRebuilds)
-	// Adopt the file-provided group into the keystore: a later restart
-	// from -keystore-dir alone must keep serving the default group, and
-	// the manifest record written below would otherwise claim a
-	// readiness the keystore can't back. No-op for memory registries.
-	if err := c.reg.SaveGroup(registry.DefaultGroup, group); err != nil {
-		return nil, fmt.Errorf("service: adopting default group into the keystore: %w", err)
-	}
-	if err := syncDefaultRecord(c.reg, group); err != nil {
-		return nil, err
-	}
-	return c, nil
+	return newCoordinator(signerURLs, cfg, group)
 }
 
-// NewKeylessCoordinator builds a coordinator that holds no group yet: it
-// can drive a distributed keygen across its signers (RunDKG, or POST
-// /v1/proto/dkg/run) and starts serving signatures the moment the keygen
+// NewKeylessCoordinator builds a coordinator without a seed group: it
+// serves whatever default group its registry holds, and otherwise can
+// drive a distributed keygen across its signers (RunDKG, or POST
+// /v1/proto/dkg/run), serving signatures the moment the keygen
 // completes. Until then, signing requests are refused with
-// ErrNoKeyMaterial. With a file-backed registry whose default keystore
-// exists, the default group is loaded from disk instead.
+// ErrNoKeyMaterial.
 func NewKeylessCoordinator(signerURLs []string, cfg CoordinatorConfig) (*Coordinator, error) {
 	if len(signerURLs) < 3 {
 		return nil, fmt.Errorf("service: %d signer URLs, need at least 3 (n >= 2t+1, t >= 1)", len(signerURLs))
 	}
-	c, err := newCoordinator(signerURLs, cfg)
-	if err != nil {
-		return nil, err
-	}
-	if g, err := c.reg.LoadGroup(registry.DefaultGroup); err == nil {
-		c.def.group.Store(g)
-		warmGroup(g, c.met.precomputeRebuilds)
-	}
-	if err := syncDefaultRecord(c.reg, c.Group()); err != nil {
-		return nil, err
-	}
-	return c, nil
+	return newCoordinator(signerURLs, cfg, nil)
 }
 
-func newCoordinator(signerURLs []string, cfg CoordinatorConfig) (*Coordinator, error) {
+func newCoordinator(signerURLs []string, cfg CoordinatorConfig, seed *core.Group) (*Coordinator, error) {
 	c := &Coordinator{
 		urls:   signerURLs,
 		cfg:    cfg.withDefaults(),
@@ -279,7 +250,6 @@ func newCoordinator(signerURLs []string, cfg CoordinatorConfig) (*Coordinator, e
 		c.cache.hits, c.cache.misses = c.met.cacheHits, c.met.cacheMisses
 	}
 	c.flight.coalesced = c.met.coalesced
-	c.def = newCoordTenant(c, DefaultGroupID)
 	c.mux = http.NewServeMux()
 	// Every tenant-scoped route exists un-namespaced (the default group,
 	// byte-identical to the pre-tenancy surface) and namespaced under
@@ -308,28 +278,28 @@ func newCoordinator(signerURLs []string, cfg CoordinatorConfig) (*Coordinator, e
 	c.mux.HandleFunc("/readyz", methodNotAllowed(http.MethodGet))
 	c.mux.HandleFunc("/v1/groups", methodNotAllowed(http.MethodGet))
 	c.mux.HandleFunc("/v1/g/{gid}", methodNotAllowed(http.MethodDelete))
+
+	// The default tenant resolves like any other; the first start
+	// registers its record, so /v1/groups and /readyz list it at once.
+	tn, err := c.tenant(DefaultGroupID, true)
+	switch {
+	case errors.Is(err, ErrGroupDeleted) && seed == nil:
+		// A tombstoned default group stays tombstoned and answers 410.
+	case err != nil:
+		return nil, err
+	case seed != nil:
+		if err := seedDefault(c.reg, c.log, tn.group.Load(), seed, func() error { return tn.installGroup(seed) }); err != nil {
+			return nil, err
+		}
+	}
 	return c, nil
 }
 
-func newCoordTenant(c *Coordinator, id string) *coordTenant {
-	tn := &coordTenant{c: c, id: id, suspect: make([]atomic.Bool, len(c.urls)), lagging: make([]atomic.Bool, len(c.urls))}
-	if c.cfg.BatchWindow > 0 {
-		tn.batch = newBatcher(tn, c.cfg.BatchWindow, c.cfg.MaxBatch)
-	}
-	return tn
-}
-
-// tenant resolves a group ID (empty aliases the default group) to its
-// live coordinator state, loading cold tenants' public groups from the
-// registry keystore. With create set — the DKG-run path — an unknown ID
-// is registered as a new keyless tenant.
+// tenant resolves a group ID to its live coordinator state, loading
+// cold tenants' public groups from the registry keystore. With create
+// set — the DKG-run path and the constructor's default tenant — an
+// unknown ID is registered as a new keyless tenant.
 func (c *Coordinator) tenant(gid string, create bool) (*coordTenant, error) {
-	if gid == "" || gid == DefaultGroupID {
-		if rec, ok := c.reg.Get(DefaultGroupID); ok && rec.Deleted {
-			return nil, fmt.Errorf("service: group %q is tombstoned: %w", DefaultGroupID, ErrGroupDeleted)
-		}
-		return c.def, nil
-	}
 	if err := registry.ValidateID(gid); err != nil {
 		return nil, err
 	}
@@ -350,7 +320,10 @@ func (c *Coordinator) tenant(gid string, create bool) (*coordTenant, error) {
 	if v, ok := c.reg.HotGet(gid); ok {
 		return v.(*coordTenant), nil
 	}
-	tn := newCoordTenant(c, gid)
+	tn := &coordTenant{c: c, id: gid, suspect: make([]atomic.Bool, len(c.urls)), lagging: make([]atomic.Bool, len(c.urls))}
+	if c.cfg.BatchWindow > 0 {
+		tn.batch = newBatcher(tn, c.cfg.BatchWindow, c.cfg.MaxBatch)
+	}
 	if g, err := c.reg.LoadGroup(gid); err == nil {
 		tn.group.Store(g)
 		warmGroup(g, c.met.precomputeRebuilds)
@@ -361,11 +334,11 @@ func (c *Coordinator) tenant(gid string, create bool) (*coordTenant, error) {
 	return tn, nil
 }
 
-// forTenant adapts a tenant-scoped handler onto the mux, resolving
-// {gid} (or the default group) before the handler runs.
+// forTenant adapts a tenant-scoped handler onto the mux, resolving the
+// request's group before the handler runs.
 func (c *Coordinator) forTenant(h func(*coordTenant, http.ResponseWriter, *http.Request)) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
-		tn, err := c.tenant(r.PathValue("gid"), false)
+		tn, err := c.tenant(groupOf(r), false)
 		if err != nil {
 			writeGroupError(w, err)
 			return
@@ -374,9 +347,15 @@ func (c *Coordinator) forTenant(h func(*coordTenant, http.ResponseWriter, *http.
 	}
 }
 
-// Group returns the coordinator's public group description — nil until
-// key material exists (keyless coordinators before their first keygen).
-func (c *Coordinator) Group() *core.Group { return c.def.group.Load() }
+// Group returns the default group's public description — nil until key
+// material exists (keyless coordinators before their first keygen).
+func (c *Coordinator) Group() *core.Group {
+	tn, err := c.tenant(DefaultGroupID, false)
+	if err != nil {
+		return nil
+	}
+	return tn.group.Load()
+}
 
 // Metrics returns the coordinator's metric registry as an http.Handler
 // (Prometheus text exposition), for mounting on a separate debug

@@ -93,3 +93,24 @@ func downURL(t *testing.T) string {
 	srv.Close()
 	return url
 }
+
+// defTenant is the coordinator's live default-group state, resolved
+// through the registry exactly as an un-namespaced request resolves it.
+// White-box tests read and stage per-tenant state through it.
+func (c *Coordinator) defTenant() *coordTenant {
+	tn, err := c.tenant(DefaultGroupID, false)
+	if err != nil {
+		panic(err)
+	}
+	return tn
+}
+
+// defTenant is the signer's live default-group state (see
+// Coordinator.defTenant).
+func (s *Signer) defTenant() *signerTenant {
+	tn, err := s.tenant(DefaultGroupID, false)
+	if err != nil {
+		panic(err)
+	}
+	return tn
+}

@@ -9,6 +9,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -673,5 +674,215 @@ func TestFileKeyAdoption(t *testing.T) {
 	}
 	if c2.Group() == nil || !c2.Group().PK.Equal(f.group.PK) {
 		t.Fatal("restarted coordinator did not recover the adopted default group")
+	}
+}
+
+// fleetDirs is one keystore directory per signer (1-based) plus the
+// coordinator's: a fleet whose every daemon keeps its registry on disk,
+// so it can be torn down and rebuilt over the same state.
+type fleetDirs struct {
+	signer []string
+	coord  string
+}
+
+func newFleetDirs(t *testing.T, n int) fleetDirs {
+	d := fleetDirs{signer: make([]string, n+1), coord: t.TempDir()}
+	for i := 1; i <= n; i++ {
+		d.signer[i] = t.TempDir()
+	}
+	return d
+}
+
+// start builds a fleet over the directories, every registry's hot LRU
+// bounded by hotCap (0 = the default). With a seed group, signer i is
+// seeded with shares[i] and the coordinator with the group, as tsigd
+// -group/-share do; without one, the fleet starts from whatever its
+// registries hold. stop closes the signer servers.
+func (d fleetDirs) start(t *testing.T, hotCap int, seed *core.Group, shares []*core.PrivateKeyShare) (*Coordinator, []*Signer, func()) {
+	t.Helper()
+	open := func(dir string) *registry.Registry {
+		reg, err := registry.Open(registry.Config{Dir: dir, HotCap: hotCap})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return reg
+	}
+	n := len(d.signer) - 1
+	urls := make([]string, n)
+	signers := make([]*Signer, n+1)
+	var servers []*httptest.Server
+	stop := func() {
+		for _, srv := range servers {
+			srv.Close()
+		}
+	}
+	for i := 1; i <= n; i++ {
+		cfg := DaemonConfig{Index: i, Registry: open(d.signer[i])}
+		if seed != nil {
+			cfg.Group, cfg.Share = seed, shares[i]
+		}
+		s, err := NewDaemonSigner(cfg)
+		if err != nil {
+			stop()
+			t.Fatal(err)
+		}
+		srv := httptest.NewServer(s)
+		servers = append(servers, srv)
+		signers[i], urls[i-1] = s, srv.URL
+	}
+	var c *Coordinator
+	var err error
+	if seed != nil {
+		c, err = NewCoordinator(seed, urls, CoordinatorConfig{Registry: open(d.coord)})
+	} else {
+		c, err = NewKeylessCoordinator(urls, CoordinatorConfig{Registry: open(d.coord)})
+	}
+	if err != nil {
+		stop()
+		t.Fatal(err)
+	}
+	return c, signers, stop
+}
+
+// TestSeededRestartKeepsRefresh: a fleet seeded from dealer files
+// (-group/-share plus -keystore-dir) refreshes, then every daemon
+// restarts from the SAME files and directories. The seeds must not
+// bring the pre-refresh sharing back: the registry's refreshed epoch is
+// what every daemon serves, and the fleet still signs.
+func TestSeededRestartKeepsRefresh(t *testing.T) {
+	f := testFixture(t)
+	ctx := context.Background()
+	dirs := newFleetDirs(t, f.group.N)
+	coord, _, stop := dirs.start(t, 0, f.group, f.shares)
+	refreshed, report, err := coord.RunRefresh(ctx)
+	stop()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(report.Crashed) != 0 {
+		t.Fatalf("refresh excluded %v", report.Crashed)
+	}
+	if string(refreshed.Marshal()) == string(f.group.Marshal()) {
+		t.Fatal("refresh did not change the verification keys")
+	}
+
+	coord, signers, stop := dirs.start(t, 0, f.group, f.shares)
+	defer stop()
+	want := refreshed.Marshal()
+	if g := coord.Group(); g == nil || string(g.Marshal()) != string(want) {
+		t.Fatal("restarted coordinator serves the pre-refresh group")
+	}
+	if rec, _ := coord.reg.Get(DefaultGroupID); rec.Epoch != 2 {
+		t.Fatalf("coordinator epoch %d after seed+refresh+restart, want 2", rec.Epoch)
+	}
+	for i := 1; i <= f.group.N; i++ {
+		if g := signers[i].Group(); g == nil || string(g.Marshal()) != string(want) {
+			t.Fatalf("restarted signer %d serves the pre-refresh group", i)
+		}
+		if rec, _ := signers[i].reg.Get(DefaultGroupID); rec.Epoch != 2 {
+			t.Fatalf("signer %d epoch %d after seed+refresh+restart, want 2", i, rec.Epoch)
+		}
+	}
+	msg := []byte("the old share never comes back")
+	sig, rep, err := coord.Sign(ctx, msg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !refreshed.Verify(msg, sig) || len(rep.Invalid) != 0 {
+		t.Fatalf("restarted fleet: verify=%v invalid=%v", refreshed.Verify(msg, sig), rep.Invalid)
+	}
+}
+
+// TestSeedWithForeignKeyFails: a registry that already holds a default
+// group (minted by a DKG) plus seed files from ANOTHER key is outside
+// input pointing at the wrong directory. Both constructors refuse it and
+// name the keystore, instead of silently serving either key.
+func TestSeedWithForeignKeyFails(t *testing.T) {
+	dirs := newFleetDirs(t, 3)
+	coord, _, stop := dirs.start(t, 0, nil, nil)
+	if _, _, err := coord.RunDKG(context.Background(), 1, "seed-foreign/v1"); err != nil {
+		stop()
+		t.Fatal(err)
+	}
+	stop()
+
+	params := core.NewParams("seed-foreign/v1")
+	views, _, err := core.DistKeygen(params, 3, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	foreign, err := core.NewGroup("seed-foreign/v1", 3, 1, views[1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg, err := registry.Open(registry.Config{Dir: dirs.signer[1]})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = NewDaemonSigner(DaemonConfig{Group: foreign, Share: views[1].Share, Registry: reg})
+	if err == nil || !strings.Contains(err.Error(), reg.GroupDir(DefaultGroupID)) {
+		t.Fatalf("signer seeded with a foreign key: err = %v", err)
+	}
+	creg, err := registry.Open(registry.Config{Dir: dirs.coord})
+	if err != nil {
+		t.Fatal(err)
+	}
+	urls := []string{downURL(t), downURL(t), downURL(t)}
+	_, err = NewCoordinator(foreign, urls, CoordinatorConfig{Registry: creg})
+	if err == nil || !strings.Contains(err.Error(), creg.GroupDir(DefaultGroupID)) {
+		t.Fatalf("coordinator seeded with a foreign key: err = %v", err)
+	}
+}
+
+// TestDefaultTenantSurvivesEviction: with file-backed registries whose
+// hot LRU holds ONE tenant, minting a second tenant evicts the default
+// group on every daemon. It is an ordinary tenant, so both its routes
+// fault it back in from the keystores and sign under its key.
+func TestDefaultTenantSurvivesEviction(t *testing.T) {
+	ctx := context.Background()
+	coord, signers, stop := newFleetDirs(t, 3).start(t, 1, nil, nil)
+	defer stop()
+	group, _, err := coord.RunDKG(ctx, 1, "evict/default")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := coord.RunDKGGroup(ctx, "pay", 1, "evict/pay", false); err != nil {
+		t.Fatal(err)
+	}
+	regs := []*registry.Registry{coord.reg}
+	for _, s := range signers[1:] {
+		regs = append(regs, s.reg)
+	}
+	for _, reg := range regs {
+		if _, hot := reg.HotGet(DefaultGroupID); hot {
+			t.Fatal("minting a second tenant did not evict the default group")
+		}
+	}
+
+	srv := httptest.NewServer(coord)
+	defer srv.Close()
+	for k, path := range []string{"/v1/sign", "/v1/g/default/sign"} {
+		msg := []byte(fmt.Sprintf("evicted and back %d", k))
+		body, _ := json.Marshal(SignRequest{Message: msg})
+		st, raw := httpPost(t, srv.URL+path, string(body))
+		if st != http.StatusOK {
+			t.Fatalf("%s = %d: %s", path, st, raw)
+		}
+		var resp SignatureResponse
+		if err := json.Unmarshal(raw, &resp); err != nil {
+			t.Fatal(err)
+		}
+		sig, err := core.UnmarshalSignature(resp.Signature)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !group.Verify(msg, sig) {
+			t.Fatalf("%s signed under another key", path)
+		}
+	}
+	for _, reg := range regs {
+		if _, hot := reg.HotGet(DefaultGroupID); !hot {
+			t.Fatal("signing did not fault the default group back in")
+		}
 	}
 }

@@ -126,7 +126,7 @@ func newOptimisticFleet(t *testing.T, group *core.Group, pick func(j int) bool) 
 // so a wave without it would wait out SignerTimeout. A suspect (or
 // lagging) rusher is asked anyway, as a probe.
 func (fl *optimisticFleet) ctx() context.Context {
-	fl.c.def.rotation.Store(0)
+	fl.c.defTenant().rotation.Store(0)
 	fl.reqs++
 	return WithRequestID(context.Background(), fmt.Sprintf("optimistic-%d", fl.reqs))
 }
@@ -190,7 +190,7 @@ func TestOptimisticCombineConvictsThenGoesEager(t *testing.T) {
 	convicted("fallback", sign("a: fresh tenant"))
 	// The failed combine sends its t+1 held shares to Share-Verify.
 	fl.expectDelta(t, "fallback", before, counters{checks: fixT + 1, fallbacks: 1, rusherFailures: 1})
-	if !fl.c.def.suspect[rusher-1].Load() {
+	if !fl.c.defTenant().suspect[rusher-1].Load() {
 		t.Fatal("convicted signer not marked suspect")
 	}
 
@@ -207,7 +207,7 @@ func TestOptimisticCombineConvictsThenGoesEager(t *testing.T) {
 		t.Fatalf("reformed signer: signers %v invalid %v", report.Signers, report.Invalid)
 	}
 	fl.expectDelta(t, "reformed", before, counters{checks: 1})
-	if fl.c.def.suspect[rusher-1].Load() {
+	if fl.c.defTenant().suspect[rusher-1].Load() {
 		t.Fatal("suspect flag survived a fully valid answer")
 	}
 
@@ -312,8 +312,8 @@ func TestCombineFailureWithoutCulprit(t *testing.T) {
 		t.Fatalf("got %v, want the combined-signature error", err)
 	}
 	fl.expectDelta(t, "no culprit", counters{}, counters{checks: fixT + 1, fallbacks: 1})
-	for i := range fl.c.def.suspect {
-		if fl.c.def.suspect[i].Load() {
+	for i := range fl.c.defTenant().suspect {
+		if fl.c.defTenant().suspect[i].Load() {
 			t.Fatalf("signer %d marked suspect without a bad share", i+1)
 		}
 	}
@@ -404,8 +404,8 @@ func testLateSuspect(t *testing.T, window time.Duration) {
 		t.Fatal(err)
 	}
 	parkHedge(c)
-	c.def.suspect[rusher-1].Store(true)
-	c.def.lagging[stuck-1].Store(true)
+	c.defTenant().suspect[rusher-1].Store(true)
+	c.defTenant().lagging[stuck-1].Store(true)
 	fl := &optimisticFleet{c: c}
 
 	sign := func(msg string) {
@@ -428,7 +428,7 @@ func testLateSuspect(t *testing.T, window time.Duration) {
 		before := fl.counters()
 		sign(msg)
 		fl.expectDelta(t, msg, before, counters{checks: 1, rusherFailures: 1})
-		if !c.def.suspect[rusher-1].Load() {
+		if !c.defTenant().suspect[rusher-1].Load() {
 			t.Fatalf("%s: late Byzantine answer cleared the suspect", msg)
 		}
 	}
@@ -437,10 +437,10 @@ func testLateSuspect(t *testing.T, window time.Duration) {
 	before := fl.counters()
 	sign("late reformed")
 	fl.expectDelta(t, "late reformed", before, counters{checks: 1})
-	if c.def.suspect[rusher-1].Load() {
+	if c.defTenant().suspect[rusher-1].Load() {
 		t.Fatal("a valid late answer left the signer suspect")
 	}
-	if !c.def.lagging[stuck-1].Load() {
+	if !c.defTenant().lagging[stuck-1].Load() {
 		t.Fatal("the stuck probe left the lagging state without answering")
 	}
 }

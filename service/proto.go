@@ -152,8 +152,8 @@ func newSessionID() (string, error) {
 // (n >= 2t+1). No trusted dealer exists anywhere — each signer's share is
 // born on its own daemon and never leaves it; the coordinator only relays
 // protocol messages and learns the public outcome. On success the
-// resulting group is installed (and persisted via the PersistGroup hook)
-// and the coordinator immediately serves /v1/sign for it.
+// resulting group is installed (and persisted through the registry) and
+// the coordinator immediately serves /v1/sign for it.
 func (c *Coordinator) RunDKG(ctx context.Context, t int, domain string) (*core.Group, *ProtoReport, error) {
 	return c.RunDKGGroup(ctx, DefaultGroupID, t, domain, false)
 }
@@ -443,8 +443,9 @@ func (tn *coordTenant) runProtoInner(ctx context.Context, proto string, n, t int
 	return &protoOutcome{group: group, qual: ref.Qual}, report, nil
 }
 
-// installGroup installs a new group view for the tenant, then persists
-// it (when configured). Install-before-persist is deliberate and the
+// installGroup installs a new group view for the tenant — a finished
+// keygen or refresh, or the coordinator's seed — then persists it
+// through the registry. Install-before-persist is deliberate and the
 // OPPOSITE of the signers' ordering: the signers' finish already
 // installed their private shares, so the coordinator refusing to serve
 // the agreed group would wedge the whole quorum over a local disk
@@ -470,13 +471,6 @@ func (tn *coordTenant) installGroup(group *core.Group) error {
 	var persistErr error
 	if err := c.reg.Put(rec); err != nil {
 		persistErr = err
-	}
-	// The legacy PersistGroup hook predates tenancy and captures a single
-	// path — it stays scoped to the default group.
-	if tn.id == DefaultGroupID && c.cfg.PersistGroup != nil {
-		if err := c.cfg.PersistGroup(group); err != nil {
-			persistErr = err
-		}
 	}
 	if err := c.reg.SaveGroup(tn.id, group); err != nil {
 		persistErr = err
@@ -521,14 +515,14 @@ func (c *Coordinator) handleProtoRun(proto string) http.HandlerFunc {
 				return
 			}
 			var tn *coordTenant
-			if tn, err = c.tenant(r.PathValue("gid"), true); err != nil {
+			if tn, err = c.tenant(groupOf(r), true); err != nil {
 				writeGroupError(w, err)
 				return
 			}
 			group, report, err = tn.runDKG(r.Context(), req.T, req.Domain, req.Rotate)
 		case ProtoRefresh:
 			var tn *coordTenant
-			if tn, err = c.tenant(r.PathValue("gid"), false); err != nil {
+			if tn, err = c.tenant(groupOf(r), false); err != nil {
 				writeGroupError(w, err)
 				return
 			}

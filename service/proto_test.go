@@ -1,16 +1,16 @@
 package service
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"net/http/httptest"
-	"sync"
 	"testing"
 
 	"repro/internal/bn254"
-	"repro/internal/core"
 	"repro/internal/dkg"
 	"repro/internal/engine"
+	"repro/service/registry"
 )
 
 // startDaemonQuorum starts n keyless signer daemons on loopback HTTP and
@@ -50,21 +50,12 @@ func startDaemonQuorum(t *testing.T, n int, cfg CoordinatorConfig,
 // TestE2E_DKGOverHTTP is the paper's "born distributively" story over the
 // wire: five keyless daemons (n=5, t=2) run the distributed keygen over
 // loopback HTTP with no trusted dealer and no pre-distributed key
-// material, and the quorum immediately serves verified signatures.
+// material, each makes its share durable in its own keystore, and the
+// quorum immediately serves verified signatures.
 func TestE2E_DKGOverHTTP(t *testing.T) {
-	var mu sync.Mutex
-	persisted := map[int]int{} // index -> persist calls
-	coord, signers := startDaemonQuorum(t, 5, CoordinatorConfig{}, func(i int, s *Signer) {
-		s.persist = func(g *core.Group, sk *core.PrivateKeyShare) error {
-			mu.Lock()
-			defer mu.Unlock()
-			if sk.Index != i {
-				t.Errorf("daemon %d persisting share %d", i, sk.Index)
-			}
-			persisted[i]++
-			return nil
-		}
-	}, nil)
+	dirs := newFleetDirs(t, 5)
+	coord, signers, stop := dirs.start(t, 0, nil, nil)
+	defer stop()
 
 	group, report, err := coord.RunDKG(context.Background(), 2, "proto-e2e/v1")
 	if err != nil {
@@ -81,13 +72,27 @@ func TestE2E_DKGOverHTTP(t *testing.T) {
 	if report.Rounds > 3 {
 		t.Fatalf("fault-free DKG took %d rounds", report.Rounds)
 	}
-	mu.Lock()
+	// Each daemon's registry holds its own share of the new group, at
+	// epoch 1 in the manifest on disk.
 	for i := 1; i <= 5; i++ {
-		if persisted[i] != 1 {
-			t.Fatalf("daemon %d persisted %d times, want 1", i, persisted[i])
+		m, err := signers[i].reg.LoadMember(DefaultGroupID, i)
+		if err != nil {
+			t.Fatalf("daemon %d keystore: %v", i, err)
+		}
+		if m.Index() != i || !bytes.Equal(m.PrivateShare().Marshal(), signers[i].defTenant().state.Load().share.Marshal()) {
+			t.Fatalf("daemon %d keystore holds share %d, not the one it serves", i, m.Index())
+		}
+		if string(m.Group().Marshal()) != string(group.Marshal()) {
+			t.Fatalf("daemon %d keystore holds another group", i)
+		}
+		reg, err := registry.Open(registry.Config{Dir: dirs.signer[i]})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rec, _ := reg.Get(DefaultGroupID); rec.Epoch != 1 {
+			t.Fatalf("daemon %d manifest epoch %d, want 1", i, rec.Epoch)
 		}
 	}
-	mu.Unlock()
 
 	// Every daemon and the coordinator agree on the group.
 	want := group.Marshal()
@@ -198,7 +203,7 @@ func TestE2E_DKGExcludesByzantineSigners(t *testing.T) {
 			name: "wrong share healed",
 			mutate: func(i int, s *Signer) {
 				if i == 2 {
-					s.def.proto.factory = byzantineFactory(func(hp *dkg.HonestPlayer) engine.Player {
+					s.defTenant().proto.factory = byzantineFactory(func(hp *dkg.HonestPlayer) engine.Player {
 						return &dkg.WrongShareDealer{HonestPlayer: hp, Victims: []int{4}}
 					})
 				}
@@ -211,7 +216,7 @@ func TestE2E_DKGExcludesByzantineSigners(t *testing.T) {
 			name: "wrong share unjustified",
 			mutate: func(i int, s *Signer) {
 				if i == 2 {
-					s.def.proto.factory = byzantineFactory(func(hp *dkg.HonestPlayer) engine.Player {
+					s.defTenant().proto.factory = byzantineFactory(func(hp *dkg.HonestPlayer) engine.Player {
 						return &dkg.WrongShareDealer{HonestPlayer: hp, Victims: []int{4}, RefuseResponse: true}
 					})
 				}
@@ -224,7 +229,7 @@ func TestE2E_DKGExcludesByzantineSigners(t *testing.T) {
 			name: "false complaint",
 			mutate: func(i int, s *Signer) {
 				if i == 5 {
-					s.def.proto.factory = byzantineFactory(func(hp *dkg.HonestPlayer) engine.Player {
+					s.defTenant().proto.factory = byzantineFactory(func(hp *dkg.HonestPlayer) engine.Player {
 						return &dkg.FalseComplainer{HonestPlayer: hp, Target: 1}
 					})
 				}
@@ -240,11 +245,11 @@ func TestE2E_DKGExcludesByzantineSigners(t *testing.T) {
 			mutate: func(i int, s *Signer) {
 				switch i {
 				case 2:
-					s.def.proto.factory = byzantineFactory(func(hp *dkg.HonestPlayer) engine.Player {
+					s.defTenant().proto.factory = byzantineFactory(func(hp *dkg.HonestPlayer) engine.Player {
 						return &dkg.BiasAttacker{HonestPlayer: hp, Rule: alwaysExclude}
 					})
 				case 5:
-					s.def.proto.factory = byzantineFactory(func(hp *dkg.HonestPlayer) engine.Player {
+					s.defTenant().proto.factory = byzantineFactory(func(hp *dkg.HonestPlayer) engine.Player {
 						return &dkg.BiasHelper{HonestPlayer: hp, AttackerID: 2, Rule: alwaysExclude}
 					})
 				}
@@ -258,7 +263,7 @@ func TestE2E_DKGExcludesByzantineSigners(t *testing.T) {
 			name: "silent player",
 			mutate: func(i int, s *Signer) {
 				if i == 3 {
-					s.def.proto.factory = func(proto string, cfg dkg.Config, id int) (engine.Player, *dkg.HonestPlayer, error) {
+					s.defTenant().proto.factory = func(proto string, cfg dkg.Config, id int) (engine.Player, *dkg.HonestPlayer, error) {
 						return &dkg.CrashPlayer{Id: id}, nil, nil
 					}
 				}

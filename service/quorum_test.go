@@ -75,8 +75,8 @@ func newCountedCoordinator(t *testing.T, urls []string, timeout time.Duration) (
 // setPace sets the default tenant's pace for every batch size, which puts
 // its hedge at hedgeFactor × d.
 func setPace(c *Coordinator, d time.Duration) {
-	for k := range c.def.pace {
-		c.def.pace[k].Store(int64(d))
+	for k := range c.defTenant().pace {
+		c.defTenant().pace[k].Store(int64(d))
 	}
 }
 
@@ -176,7 +176,7 @@ func TestQuorumFirstProbesSuspectsAndDownBackends(t *testing.T) {
 	if !c.backendDown[down-1].Load() {
 		t.Fatalf("signer %d not marked down by the first fan-out", down)
 	}
-	c.def.markSuspect(liar)
+	c.defTenant().markSuspect(liar)
 	parkHedge(c)
 
 	for r := range 6 {
@@ -191,7 +191,7 @@ func TestQuorumFirstProbesSuspectsAndDownBackends(t *testing.T) {
 			t.Fatalf("fan-out %d: signers %v", r, report.Signers)
 		}
 	}
-	if !c.def.suspect[liar-1].Load() {
+	if !c.defTenant().suspect[liar-1].Load() {
 		t.Fatal("Byzantine probe cleared its suspect flag")
 	}
 }
@@ -222,7 +222,7 @@ func TestWaveErrorReleasesReserve(t *testing.T) {
 	ac.take(fixN)
 	parkHedge(c)
 	failing.Store(true)
-	c.def.rotation.Store(0) // the wave is signers 1..t+1, the broken one among them
+	c.defTenant().rotation.Store(0) // the wave is signers 1..t+1, the broken one among them
 
 	report := signOK(t, c, "release: wave member errors")
 	hits := ac.take(fixT + 2)
@@ -235,7 +235,7 @@ func TestWaveErrorReleasesReserve(t *testing.T) {
 	if got := c.met.fanoutHedges.Value(); got != 0 {
 		t.Fatalf("hedges = %d, want 0 (an error releases the reserve, not the timer)", got)
 	}
-	if !c.def.lagging[broken-1].Load() {
+	if !c.defTenant().lagging[broken-1].Load() {
 		t.Fatalf("signer %d answered 500 and is not lagging", broken)
 	}
 
@@ -249,7 +249,7 @@ func TestWaveErrorReleasesReserve(t *testing.T) {
 	// Fixed, it rejoins once a probe's answer is read before the fan-out
 	// settles; after that a fan-out asks t+1 again.
 	failing.Store(false)
-	for r := 0; c.def.lagging[broken-1].Load(); r++ {
+	for r := 0; c.defTenant().lagging[broken-1].Load(); r++ {
 		if r == 20 {
 			t.Fatalf("signer %d still lagging after %d answered probes", broken, r)
 		}
@@ -292,7 +292,7 @@ func TestStalledWaveMemberIsHedged(t *testing.T) {
 	// meet on a loaded box and the straggler misses by far.
 	setPace(c, slow/20)
 	stalling.Store(true)
-	c.def.rotation.Store(0) // the wave is signers 1..t+1, the stalled one among them
+	c.defTenant().rotation.Store(0) // the wave is signers 1..t+1, the stalled one among them
 
 	start := time.Now()
 	report := signOK(t, c, "hedge: wave member stalls")
@@ -308,7 +308,7 @@ func TestStalledWaveMemberIsHedged(t *testing.T) {
 	if hits := ac.take(fixN); totalAsks(hits) != fixN {
 		t.Fatalf("asked %v, want the t+1=%d wave and the whole reserve", hits, fixT+1)
 	}
-	if !c.def.lagging[stalled-1].Load() {
+	if !c.defTenant().lagging[stalled-1].Load() {
 		t.Fatalf("signer %d missed the hedge and is not lagging", stalled)
 	}
 

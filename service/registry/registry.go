@@ -308,13 +308,6 @@ func (r *Registry) HotPut(id string, v any) {
 	}
 }
 
-// HotDrop removes id's hot state (rotation, deletion).
-func (r *Registry) HotDrop(id string) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.dropHotLocked(id)
-}
-
 func (r *Registry) dropHotLocked(id string) {
 	if el, ok := r.hot[id]; ok {
 		r.hotLRU.Remove(el)

@@ -201,9 +201,11 @@ func TestHotLRUEviction(t *testing.T) {
 	if r.HotLen() != 2 {
 		t.Fatalf("HotLen = %d, want 2", r.HotLen())
 	}
-	r.HotDrop("a")
+	if err := r.Tombstone("a"); err != nil {
+		t.Fatal(err)
+	}
 	if _, ok := r.HotGet("a"); ok {
-		t.Fatal("a survived HotDrop")
+		t.Fatal("a survived its tombstone")
 	}
 }
 

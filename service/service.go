@@ -36,10 +36,24 @@
 // the keygen across the fleet, and installs per-tenant keystores.
 package service
 
-// DefaultGroupID is the group the un-namespaced /v1/* routes serve; it
-// mirrors registry.DefaultGroup without forcing wire-level callers to
-// import the registry package.
-const DefaultGroupID = "default"
+import (
+	"net/http"
+
+	"repro/service/registry"
+)
+
+// DefaultGroupID is the group the un-namespaced /v1/* routes serve,
+// re-exported so wire-level callers need not import the registry.
+const DefaultGroupID = registry.DefaultGroup
+
+// groupOf is the group a tenant-scoped request addresses: {gid} on the
+// namespaced routes, the default group on their un-namespaced aliases.
+func groupOf(r *http.Request) string {
+	if gid := r.PathValue("gid"); gid != "" {
+		return gid
+	}
+	return DefaultGroupID
+}
 
 // maxRequestBytes caps inbound request bodies (and mirrors the cap on
 // response bodies read back from signers), so an oversized payload is

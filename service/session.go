@@ -291,7 +291,7 @@ func (s *Signer) handleProtoStart(proto string) http.HandlerFunc {
 		// Tenant resolution happens only after the body validated: a
 		// malformed start request against an unknown group ID must not
 		// register a junk tenant. Only a DKG start may mint one.
-		tn, err := s.tenant(r.PathValue("gid"), proto == ProtoDKG)
+		tn, err := s.tenant(groupOf(r), proto == ProtoDKG)
 		if err != nil {
 			writeGroupError(w, err)
 			return
@@ -402,7 +402,7 @@ func (s *Signer) handleProtoStep(proto string) http.HandlerFunc {
 			writeErrorCode(w, http.StatusBadRequest, CodeBadRequest, err.Error())
 			return
 		}
-		tn, err := s.tenant(r.PathValue("gid"), false)
+		tn, err := s.tenant(groupOf(r), false)
 		if err != nil {
 			writeGroupError(w, err)
 			return
@@ -463,7 +463,7 @@ func (s *Signer) handleProtoFinish(proto string) http.HandlerFunc {
 			writeErrorCode(w, http.StatusBadRequest, CodeBadRequest, err.Error())
 			return
 		}
-		tn, err := s.tenant(r.PathValue("gid"), false)
+		tn, err := s.tenant(groupOf(r), false)
 		if err != nil {
 			writeGroupError(w, err)
 			return
@@ -521,32 +521,19 @@ func (s *Signer) handleProtoFinish(proto string) http.HandlerFunc {
 			share = next.Share
 		}
 
-		// Persist BEFORE installing: if the keystore write fails the
-		// session stays open, the daemon keeps serving its previous state,
-		// and the driver sees the failure instead of a daemon whose disk
-		// and memory disagree after a restart. The registry record is
-		// updated in the same window — the epoch bump is what gates
-		// replayed rotation attempts.
-		if err := s.persistTenant(tn, group, share); err != nil {
-			writeErrorCode(w, http.StatusInternalServerError, CodeBackend,
-				fmt.Sprintf("persisting key material: %v", err))
+		// If persisting fails the session stays open, the daemon keeps
+		// serving its previous state, and the coordinator running the
+		// protocol sees the failure.
+		epoch, err := s.install(tn, group, share)
+		if err != nil {
+			writeErrorCode(w, http.StatusInternalServerError, CodeBackend, err.Error())
 			return
 		}
-		rec, _ := s.reg.Get(tn.id)
-		rec.ID = tn.id
-		rec.Domain, rec.N, rec.T = group.Domain, group.N, group.T
-		rec.Epoch++
-		if err := s.reg.Put(rec); err != nil {
-			writeErrorCode(w, http.StatusInternalServerError, CodeBackend,
-				fmt.Sprintf("persisting group record: %v", err))
-			return
-		}
-		tn.state.Store(&signerState{group: group, share: share})
 		delete(tn.proto.sessions, proto)
 		s.met.sessionFinishes.WithLabelValues(proto).Inc()
 		s.log.Info("protocol session finished, key material installed",
 			"request_id", RequestIDFromContext(r.Context()),
-			"gid", tn.id, "proto", proto, "session", req.Session, "epoch", rec.Epoch)
+			"gid", tn.id, "proto", proto, "session", req.Session, "epoch", epoch)
 		writeJSON(w, http.StatusOK, ProtoFinishResponse{
 			Index: s.index,
 			Qual:  res.Qual,
@@ -555,14 +542,23 @@ func (s *Signer) handleProtoFinish(proto string) http.HandlerFunc {
 	}
 }
 
-// persistTenant writes a tenant's new key material through to durable
-// storage: the legacy Persist hook fires for the default group, and the
-// registry keystore (a no-op when memory-only) covers every tenant.
-func (s *Signer) persistTenant(tn *signerTenant, g *core.Group, sk *core.PrivateKeyShare) error {
-	if tn.id == DefaultGroupID && s.persist != nil {
-		if err := s.persist(g, sk); err != nil {
-			return err
-		}
+// install makes new key material for a tenant — a finished keygen or
+// refresh, or a daemon's seed — durable, then serves it. The keystore is
+// written BEFORE the material is installed, so a failed write leaves the
+// tenant serving its previous state instead of a daemon whose disk and
+// memory disagree after a restart. The record's epoch is bumped in the
+// same window; it is what gates replayed rotation attempts.
+func (s *Signer) install(tn *signerTenant, g *core.Group, sk *core.PrivateKeyShare) (epoch uint64, err error) {
+	if err := s.reg.SaveMember(tn.id, g, sk); err != nil {
+		return 0, fmt.Errorf("persisting key material: %w", err)
 	}
-	return s.reg.SaveMember(tn.id, g, sk)
+	rec, _ := s.reg.Get(tn.id)
+	rec.ID = tn.id
+	rec.Domain, rec.N, rec.T = g.Domain, g.N, g.T
+	rec.Epoch++
+	if err := s.reg.Put(rec); err != nil {
+		return 0, fmt.Errorf("persisting group record: %w", err)
+	}
+	tn.state.Store(&signerState{group: g, share: sk})
+	return rec.Epoch, nil
 }

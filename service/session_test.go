@@ -70,7 +70,7 @@ func TestE2E_RefreshOverHTTP(t *testing.T) {
 		if newGroup.VKs[i].Equal(f.group.VKs[i]) {
 			t.Fatalf("verification key %d did not re-randomize", i)
 		}
-		st := signers[i].def.state.Load()
+		st := signers[i].defTenant().state.Load()
 		if st.share.A1.Cmp(f.shares[i].A1) == 0 {
 			t.Fatalf("signer %d share did not re-randomize", i)
 		}
@@ -184,7 +184,7 @@ func TestE2E_RefreshWithCrashedSigner(t *testing.T) {
 		t.Fatal("second refresh changed the public key")
 	}
 	// The stale daemon must NOT have applied the second epoch.
-	if st := signers[stale].def.state.Load(); !st.group.PK.Equal(f.group.PK) || !st.group.VKs[stale].Equal(f.group.VKs[stale]) {
+	if st := signers[stale].defTenant().state.Load(); !st.group.PK.Equal(f.group.PK) || !st.group.VKs[stale].Equal(f.group.VKs[stale]) {
 		t.Fatal("stale signer mutated its key material during the epoch it was excluded from")
 	}
 	msg2 := []byte("second epoch, still signing")
@@ -320,7 +320,7 @@ func TestSessionGC(t *testing.T) {
 		t.Fatal(err)
 	}
 	now := time.Now()
-	s.def.proto.now = func() time.Time { return now }
+	s.defTenant().proto.now = func() time.Time { return now }
 	srv := httptest.NewServer(s)
 	t.Cleanup(srv.Close)
 

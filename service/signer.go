@@ -63,10 +63,10 @@ type signerState struct {
 //
 // Every /v1/* route above also exists group-namespaced as
 // /v1/g/{groupID}/...; the un-namespaced form is an alias for the
-// "default" group, so pre-tenancy clients keep working unchanged. A
-// tenant other than the default is minted by running a DKG against its
-// ID (see session.go); its key material lives in the registry's
-// per-tenant keystore and is faulted back in on demand.
+// "default" group, so pre-tenancy clients keep working unchanged. The
+// default group is an ordinary tenant: like any other it is minted by a
+// DKG run against its ID (see session.go), its key material lives in the
+// registry's per-tenant keystore, and it is faulted back in on demand.
 //
 // Share-Sign is deterministic and needs no peer interaction, so the
 // Signer keeps no per-request state and any number of replicas of the
@@ -81,19 +81,12 @@ type Signer struct {
 	index int // the daemon's fixed 1-based player identity
 	cfg   SignerConfig
 
-	// persist, when set, writes new key material through before it is
-	// installed (the tsigd keyfile hook). It fires for the DEFAULT group
-	// only; other tenants persist through the registry's keystores.
-	persist func(*core.Group, *core.PrivateKeyShare) error
-
 	sessionTTL time.Duration
 
-	// reg is the tenant registry; def is the default tenant, an ordinary
-	// signerTenant pinned here instead of living in the hot LRU, so the
-	// un-namespaced routes and /v1/g/default act on the same material.
+	// reg is the tenant registry: every tenant's record and keystore, and
+	// the hot LRU its live state is served from.
 	reg      *registry.Registry
 	tenantMu sync.Mutex // serializes tenant minting and hot-cache fills
-	def      *signerTenant
 
 	workers  chan struct{} // semaphore: MaxWorkers slots
 	inflight atomic.Int64  // requests holding or waiting for a slot
@@ -104,17 +97,12 @@ type Signer struct {
 }
 
 // signerTenant is one tenant's live state on a signer: the key material
-// and the protocol-session host. The default tenant is pinned on the
-// Signer; others live in the registry's hot LRU and are rebuilt from
-// their keystore when faulted back in.
+// and the protocol-session host. It lives in the registry's hot LRU and
+// is rebuilt from the tenant's keystore when faulted back in.
 type signerTenant struct {
 	id    string
 	state atomic.Pointer[signerState]
 	proto *protoHost
-}
-
-func (s *Signer) newTenant(id string) *signerTenant {
-	return &signerTenant{id: id, proto: newProtoHost(s.sessionTTL, s.met.sessionEvictions)}
 }
 
 // NewSigner builds a signer for one share of the given group.
@@ -130,23 +118,21 @@ type DaemonConfig struct {
 	// Index is the daemon's 1-based player identity. Required when no key
 	// material is given; otherwise it must be absent or match the share.
 	Index int
-	// Group and Share are the initial key material; both nil for a
-	// keyless daemon.
+	// Group and Share seed the default group; both nil for a keyless
+	// daemon. They are installed as its first epoch, exactly as a
+	// finished keygen would be, only when the registry holds no default
+	// key material. Material already there is served instead (it may be
+	// a later, refreshed epoch); material under another public key fails
+	// construction.
 	Group *core.Group
 	Share *core.PrivateKeyShare
-	// Persist, when set, is called with new key material (after keygen or
-	// refresh) before it is installed; a failure keeps the old state. It
-	// applies to the default group only — other tenants persist through
-	// Registry.
-	Persist func(*core.Group, *core.PrivateKeyShare) error
 	// SessionTTL bounds how long an untouched protocol session survives
 	// (default DefaultSessionTTL).
 	SessionTTL time.Duration
-	// Registry is the multi-tenant group registry (tsigd -keystore-dir).
-	// Nil means a memory-only registry: tenants can still be minted over
-	// the wire, but nothing survives a restart. When file-backed and no
-	// explicit Group/Share is given, the default group's key material is
-	// loaded from its keystore.
+	// Registry is the multi-tenant group registry (tsigd -keystore-dir),
+	// the one place key material is made durable. Nil means a
+	// memory-only registry: tenants can still be minted over the wire,
+	// but nothing survives a restart.
 	Registry *registry.Registry
 	// Logger receives the daemon's structured logs (request-scoped lines
 	// at Debug, lifecycle at Info). Nil means slog.Default().
@@ -183,7 +169,6 @@ func NewDaemonSigner(cfg DaemonConfig) (*Signer, error) {
 	s := &Signer{
 		index:      index,
 		cfg:        cfg.Signer.withDefaults(),
-		persist:    cfg.Persist,
 		sessionTTL: cfg.SessionTTL,
 		reg:        reg,
 		log:        cfg.Logger,
@@ -193,32 +178,28 @@ func NewDaemonSigner(cfg DaemonConfig) (*Signer, error) {
 	}
 	s.log = s.log.With("component", "signer", "signer", index)
 	s.met = newSignerMetrics(s)
-	s.def = s.newTenant(registry.DefaultGroup)
-	if cfg.Group != nil {
-		s.def.state.Store(&signerState{group: cfg.Group, share: cfg.Share})
-		// Adopt file-provided key material into the keystore: a later
-		// restart from -keystore-dir alone (no -group/-share) must keep
-		// serving the default group, and the manifest record written
-		// below would otherwise claim a readiness the keystore can't
-		// back. No-op for memory-only registries.
-		if err := reg.SaveMember(registry.DefaultGroup, cfg.Group, cfg.Share); err != nil {
-			return nil, fmt.Errorf("service: adopting default group into the keystore: %w", err)
-		}
-	} else if m, err := reg.LoadMember(registry.DefaultGroup, index); err == nil {
-		st := &signerState{group: m.Group(), share: m.PrivateShare()}
-		s.def.state.Store(st)
-	} else if !errors.Is(err, os.ErrNotExist) {
-		return nil, fmt.Errorf("service: loading default keystore: %w", err)
-	}
-	if err := syncDefaultRecord(reg, s.Group()); err != nil {
+	// The default tenant resolves like any other; the first start
+	// registers its record, so /v1/groups and /readyz list it at once.
+	tn, err := s.tenant(DefaultGroupID, true)
+	switch {
+	case errors.Is(err, ErrGroupDeleted) && cfg.Group == nil:
+		// A tombstoned default group stays tombstoned and answers 410.
+	case err != nil:
 		return nil, err
+	case cfg.Group != nil:
+		if err := seedDefault(reg, s.log, s.Group(), cfg.Group, func() error {
+			_, err := s.install(tn, cfg.Group, cfg.Share)
+			return err
+		}); err != nil {
+			return nil, err
+		}
 	}
 	s.workers = make(chan struct{}, s.cfg.MaxWorkers)
 	s.mux = http.NewServeMux()
 	// Every tenant-scoped route exists twice: un-namespaced (the default
 	// group — the pre-tenancy surface, byte-identical) and namespaced
-	// under /v1/g/{gid}. PathValue("gid") is "" on the former, which the
-	// tenant resolver maps to the default group.
+	// under /v1/g/{gid}. PathValue("gid") is "" on the former, which
+	// groupOf maps to the default group.
 	for _, pre := range []string{"/v1", "/v1/g/{gid}"} {
 		s.mux.HandleFunc("POST "+pre+"/sign", s.forTenant(s.handleSign))
 		s.mux.HandleFunc("POST "+pre+"/sign-batch", s.forTenant(s.handleSignBatch))
@@ -259,37 +240,36 @@ func NewDaemonSigner(cfg DaemonConfig) (*Signer, error) {
 // listener (tsigd -debug-addr).
 func (s *Signer) Metrics() http.Handler { return s.met.reg }
 
-// syncDefaultRecord reconciles the registry's default-group record with
-// the key material the daemon actually holds, creating it on first run.
-// An existing epoch is preserved (the registry survives restarts and
-// counts keygens across them); a keyed daemon whose record still says
-// epoch 0 — legacy keystore, fresh registry — is bumped to 1.
-func syncDefaultRecord(reg *registry.Registry, g *core.Group) error {
-	rec, ok := reg.Get(registry.DefaultGroup)
-	rec.ID = registry.DefaultGroup
-	if g != nil {
-		rec.Domain, rec.N, rec.T = g.Domain, g.N, g.T
-		if rec.Epoch == 0 {
-			rec.Epoch = 1
+// seedDefault applies a daemon's seed group to the default tenant, whose
+// registry copy is held (nil when there is none). With none, install
+// makes the seed its first epoch, exactly as a finished keygen would.
+// Otherwise the registry's copy wins — it may be a later, refreshed
+// epoch — and a seed under another public key is refused, because a
+// registry and seed files from two different keys are outside input
+// pointing at the wrong directory.
+func seedDefault(reg *registry.Registry, log *slog.Logger, held, seed *core.Group, install func() error) error {
+	if held == nil {
+		if err := install(); err != nil {
+			return fmt.Errorf("service: seeding the default group: %w", err)
 		}
-	} else if !ok {
-		rec.Epoch = 0
+		return nil
 	}
-	return reg.Put(rec)
+	rec, _ := reg.Get(DefaultGroupID)
+	if !held.PK.Equal(seed.PK) {
+		return fmt.Errorf("service: the seed group and the registry's default group (keystore %q, epoch %d) have different public keys",
+			reg.GroupDir(DefaultGroupID), rec.Epoch)
+	}
+	log.Info("seed key material ignored: the registry already holds the default group",
+		"gid", DefaultGroupID, "epoch", rec.Epoch)
+	return nil
 }
 
-// tenant resolves a group ID (the empty string aliases the default
-// group) to its live state, faulting cold tenants in from their
-// keystores. With create set — used only by the DKG-start path — an
-// unknown ID is registered as a new keyless tenant instead of answering
-// ErrUnknownGroup. Tombstoned IDs always answer ErrGroupDeleted.
+// tenant resolves a group ID to its live state, faulting cold tenants in
+// from their keystores. With create set — used by the DKG-start path and
+// the constructor's default tenant — an unknown ID is registered as a
+// new keyless tenant instead of answering ErrUnknownGroup. Tombstoned
+// IDs always answer ErrGroupDeleted.
 func (s *Signer) tenant(gid string, create bool) (*signerTenant, error) {
-	if gid == "" || gid == registry.DefaultGroup {
-		if rec, ok := s.reg.Get(registry.DefaultGroup); ok && rec.Deleted {
-			return nil, fmt.Errorf("service: group %q is tombstoned: %w", registry.DefaultGroup, ErrGroupDeleted)
-		}
-		return s.def, nil
-	}
 	if err := registry.ValidateID(gid); err != nil {
 		return nil, err
 	}
@@ -310,7 +290,7 @@ func (s *Signer) tenant(gid string, create bool) (*signerTenant, error) {
 	if v, ok := s.reg.HotGet(gid); ok {
 		return v.(*signerTenant), nil
 	}
-	tn := s.newTenant(gid)
+	tn := &signerTenant{id: gid, proto: newProtoHost(s.sessionTTL, s.met.sessionEvictions)}
 	if m, err := s.reg.LoadMember(gid, s.index); err == nil {
 		st := &signerState{group: m.Group(), share: m.PrivateShare()}
 		tn.state.Store(st)
@@ -322,11 +302,11 @@ func (s *Signer) tenant(gid string, create bool) (*signerTenant, error) {
 }
 
 // forTenant adapts a tenant-scoped handler onto the mux: it resolves
-// {gid} (or the default group on the un-namespaced routes) and rejects
-// unknown, invalid, and tombstoned IDs before the handler runs.
+// the request's group and rejects unknown, invalid, and tombstoned IDs
+// before the handler runs.
 func (s *Signer) forTenant(h func(*signerTenant, http.ResponseWriter, *http.Request)) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
-		tn, err := s.tenant(r.PathValue("gid"), false)
+		tn, err := s.tenant(groupOf(r), false)
 		if err != nil {
 			writeGroupError(w, err)
 			return
@@ -403,10 +383,14 @@ func (s *Signer) handleGroupDelete(w http.ResponseWriter, r *http.Request) {
 // Index returns the signer's 1-based server index.
 func (s *Signer) Index() int { return s.index }
 
-// Group returns the signer's current group view — nil until key material
-// exists.
+// Group returns the signer's current view of the default group — nil
+// until key material exists.
 func (s *Signer) Group() *core.Group {
-	if st := s.def.state.Load(); st != nil {
+	tn, err := s.tenant(DefaultGroupID, false)
+	if err != nil {
+		return nil
+	}
+	if st := tn.state.Load(); st != nil {
 		return st.group
 	}
 	return nil
