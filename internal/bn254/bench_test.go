@@ -48,6 +48,16 @@ func interleave(b *testing.B, variants ...variant) {
 	}
 }
 
+// repeat returns fn run n times: one timed slice for operations shorter
+// than reading the clock.
+func repeat(n int, fn func()) func() {
+	return func() {
+		for i := 0; i < n; i++ {
+			fn()
+		}
+	}
+}
+
 func BenchmarkAblationScalarMult(b *testing.B) {
 	k := benchScalar(b)
 	p := G1Generator()
@@ -295,22 +305,15 @@ func BenchmarkFpOps(b *testing.B) {
 	a2, b2 := fp2{x, y}, fp2{y, x}
 	// Sixteen calls per timed slice: one call is shorter than reading the
 	// clock.
-	x16 := func(fn func()) func() {
-		return func() {
-			for i := 0; i < 16; i++ {
-				fn()
-			}
-		}
-	}
 	b.Run("mul-x16", func(b *testing.B) {
 		interleave(b,
-			variant{"limbs", x16(func() { x.Mul(&x, &y) })},
-			variant{"big.Int", x16(func() { ox.Mul(&ox, &oy) })})
+			variant{"limbs", repeat(16, func() { x.Mul(&x, &y) })},
+			variant{"big.Int", repeat(16, func() { ox.Mul(&ox, &oy) })})
 	})
 	b.Run("add-x16", func(b *testing.B) {
 		interleave(b,
-			variant{"limbs", x16(func() { x.Add(&x, &y) })},
-			variant{"big.Int", x16(func() { ox.Add(&ox, &oy) })})
+			variant{"limbs", repeat(16, func() { x.Add(&x, &y) })},
+			variant{"big.Int", repeat(16, func() { ox.Add(&ox, &oy) })})
 	})
 	b.Run("inverse", func(b *testing.B) {
 		interleave(b,
@@ -324,8 +327,15 @@ func BenchmarkFpOps(b *testing.B) {
 	})
 	b.Run("fp2-x16", func(b *testing.B) {
 		interleave(b,
-			variant{"mul", x16(func() { a2.Mul(&a2, &b2) })},
-			variant{"square", x16(func() { a2.Square(&a2) })})
+			variant{"mul", repeat(16, func() { a2.Mul(&a2, &b2) })},
+			variant{"square", repeat(16, func() { a2.Square(&a2) })})
+	})
+	e := Pair(G1Generator(), G2Generator())
+	f, g := e.v, e.v
+	b.Run("fp12", func(b *testing.B) {
+		interleave(b,
+			variant{"mul", func() { f.Mul(&f, &g) }},
+			variant{"cyclotomic-square", func() { g.cyclotomicSquare(&g) }})
 	})
 }
 
@@ -366,4 +376,46 @@ func BenchmarkAblationG2Subgroup(b *testing.B) {
 				variant{"endomorphism", func() { c.q.inSubgroup() }})
 		})
 	}
+}
+
+// BenchmarkAblationFpMul is the table behind fp.Mul's no-carry schedule
+// and fp2.Mul's lazy reduction: the product they replaced (mulReference,
+// Karatsuba on three reduced products) against them, alone as a 64-long
+// dependent chain and under the Fp2 and G2 formulas that call them most.
+// "karatsuba" is the old fp2.Mul on the new fp.Mul.
+func BenchmarkAblationFpMul(b *testing.B) {
+	k0, _ := rand.Int(rand.Reader, P)
+	k1, _ := rand.Int(rand.Reader, P)
+	var x, y fp
+	x.SetBig(k0)
+	y.SetBig(k1)
+	b.Run("fp.Mul-x64", func(b *testing.B) {
+		xo, xn := x, x
+		interleave(b,
+			variant{"reference", repeat(64, func() { mulReference(&xo, &xo, &y) })},
+			variant{"new", repeat(64, func() { xn.Mul(&xn, &y) })})
+	})
+	b.Run("fp2.Mul-x16", func(b *testing.B) {
+		ao, an, c := fp2{x, y}, fp2{x, y}, fp2{y, x}
+		ak := ao
+		interleave(b,
+			variant{"reference", repeat(16, func() { fp2MulReference(&ao, &ao, &c) })},
+			variant{"karatsuba", repeat(16, func() { fp2MulKaratsuba(&ak, &ak, &c) })},
+			variant{"new", repeat(16, func() { an.Mul(&an, &c) })})
+	})
+	b.Run("fp2.Square-x16", func(b *testing.B) {
+		ao, an := fp2{x, y}, fp2{x, y}
+		interleave(b,
+			variant{"reference", repeat(16, func() { fp2SquareReference(&ao, &ao) })},
+			variant{"new", repeat(16, func() { an.Square(&an) })})
+	})
+	b.Run("g2.addMixed-x4", func(b *testing.B) {
+		q := HashToG2("bench/fpmul", nil)
+		var jo, jn jacG2
+		jo.fromAffine(G2Generator())
+		jn.fromAffine(G2Generator())
+		interleave(b,
+			variant{"reference", repeat(4, func() { addMixedReference(&jo, &jo, q) })},
+			variant{"new", repeat(4, func() { jn.addMixed(&jn, q) })})
+	})
 }

@@ -9,10 +9,11 @@ import (
 
 // fp is an element of the prime field Fp, held as four little-endian
 // 64-bit limbs in Montgomery form: the limbs are the integer a*R mod p for
-// the element a, with R = 2^256, and are always fully reduced (< p). The
-// zero value is the field's zero element. Methods follow the math/big
-// convention — the receiver is the destination and is returned — and every
-// argument may alias the receiver.
+// the element a, with R = 2^256, and are always fully reduced (< p),
+// except the transient sums of addUnreduced, which go only to a product's
+// first argument. The zero value is the field's zero element. Methods
+// follow the math/big convention — the receiver is the destination and is
+// returned — and every argument may alias the receiver.
 //
 // Montgomery form is entered in SetBytes, SetBytesReduce, SetBig and
 // SetInt64 and left in Bytes, cmp and String; everything between works on
@@ -50,6 +51,11 @@ func initField() {
 	}
 	if low := uint64(q0); low*qInvNeg != ^uint64(0) {
 		panic("bn254: qInvNeg is not -1/p mod 2^64")
+	}
+	// Mul's no-carry schedule needs the top limb of p below
+	// (2^64-1)/2 - 1, which also keeps 2p within four limbs.
+	if uint64(q3) >= (^uint64(0))/2-1 {
+		panic("bn254: p is too wide for the no-carry Montgomery product")
 	}
 	r := new(big.Int).Lsh(big.NewInt(1), 256)
 	new(big.Int).Mod(r, P).FillBytes(buf[:])
@@ -247,82 +253,333 @@ func (z *fp) Sub(x, y *fp) *fp {
 // Neg sets z = -x; 0 - 0 does not borrow, so zero stays zero.
 func (z *fp) Neg(x *fp) *fp { return z.Sub(&fp{}, x) }
 
-// madd returns the two words of a*b + c + d, which cannot overflow them:
-// (2^64-1)^2 + 2(2^64-1) = 2^128 - 1.
-func madd(a, b, c, d uint64) (hi, lo uint64) {
-	hi, lo = bits.Mul64(a, b)
-	var carry uint64
-	lo, carry = bits.Add64(lo, c, 0)
-	hi, _ = bits.Add64(hi, 0, carry)
-	lo, carry = bits.Add64(lo, d, 0)
-	hi, _ = bits.Add64(hi, 0, carry)
-	return hi, lo
-}
-
-// Mul sets z = x*y: word-serial Montgomery multiplication (CIOS), one
-// round per limb of x. A round adds x[i]*y to the accumulator t, adds the
-// multiple m*p that clears t's low word, and drops that word. After round
-// i, t = (x[0..i]*y + M*p) / 2^(64(i+1)) with M < 2^(64(i+1)), hence
-// t < y + p: for y < p the accumulator stays below 2p < 2^255, so it needs
-// no fifth word, and one masked subtraction finishes. The bound asks
-// nothing of x beyond four limbs, which is what SetBytesReduce relies on.
+// Mul sets z = x*y: word-serial Montgomery multiplication (CIOS) in the
+// "no-carry" schedule of Botrel and El Housni (ePrint 2022/1400), one
+// round per limb of x. A round adds x[i]*y to the accumulator t, then the
+// multiple m*p that clears t's low word, and drops that word. Each sum
+// forms its four 128-bit products first and adds them as two carry
+// chains, the low words into their columns and the high words one column
+// up, so no addition carries twice and the products do not wait on the
+// additions.
+//
+// The bound. After round i, t = (x[0..i]*y + M*p) / 2^(64(i+1)) with
+// x[0..i], M < 2^(64(i+1)), hence t < y + p. Inside round i the sum
+// t + x[i]*y + m*p is below 2^64 * (y + p), which for y < p is below
+// 2^64 * 2p < 2^320 (initField checks that 2p fits four limbs): the fifth
+// word t4 holds its top word exactly and every chain ends in it without a
+// carry out. After the last round t < y + p < 2p, so one masked subtraction
+// finishes. The bound asks nothing of x beyond four limbs, which is what
+// SetBytesReduce relies on.
 func (z *fp) Mul(x, y *fp) *fp {
 	y0, y1, y2, y3 := y[0], y[1], y[2], y[3]
-	var t0, t1, t2, t3, a, c, lo, m uint64
+	var t0, t1, t2, t3, t4, c, m uint64
+	var h0, h1, h2, h3, l0, l1, l2, l3 uint64
 
+	// Round 0 starts from t = 0: the low words of x[0]*y are t itself.
 	v := x[0]
-	a, lo = bits.Mul64(v, y0)
-	m = lo * qInvNeg
-	c, _ = madd(m, q0, lo, 0)
-	a, lo = madd(v, y1, a, 0)
-	c, t0 = madd(m, q1, lo, c)
-	a, lo = madd(v, y2, a, 0)
-	c, t1 = madd(m, q2, lo, c)
-	a, lo = madd(v, y3, a, 0)
-	c, t2 = madd(m, q3, lo, c)
-	t3 = c + a
+	h0, t0 = bits.Mul64(v, y0)
+	h1, t1 = bits.Mul64(v, y1)
+	h2, t2 = bits.Mul64(v, y2)
+	t4, t3 = bits.Mul64(v, y3)
+	t1, c = bits.Add64(t1, h0, 0)
+	t2, c = bits.Add64(t2, h1, c)
+	t3, c = bits.Add64(t3, h2, c)
+	t4 += c
+	// t += m*p clears the low word, whose carry is all that is kept; the
+	// high-word chain writes one column down, which drops that word.
+	m = t0 * qInvNeg
+	h0, l0 = bits.Mul64(m, q0)
+	h1, l1 = bits.Mul64(m, q1)
+	h2, l2 = bits.Mul64(m, q2)
+	h3, l3 = bits.Mul64(m, q3)
+	_, c = bits.Add64(t0, l0, 0)
+	t1, c = bits.Add64(t1, l1, c)
+	t2, c = bits.Add64(t2, l2, c)
+	t3, c = bits.Add64(t3, l3, c)
+	t4 += h3 + c
+	t0, c = bits.Add64(t1, h0, 0)
+	t1, c = bits.Add64(t2, h1, c)
+	t2, c = bits.Add64(t3, h2, c)
+	t3 = t4 + c
 
+	// Rounds 1 to 3 add x[i]*y to t first, then reduce as above.
 	v = x[1]
-	a, lo = madd(v, y0, t0, 0)
-	m = lo * qInvNeg
-	c, _ = madd(m, q0, lo, 0)
-	a, lo = madd(v, y1, t1, a)
-	c, t0 = madd(m, q1, lo, c)
-	a, lo = madd(v, y2, t2, a)
-	c, t1 = madd(m, q2, lo, c)
-	a, lo = madd(v, y3, t3, a)
-	c, t2 = madd(m, q3, lo, c)
-	t3 = c + a
+	h0, l0 = bits.Mul64(v, y0)
+	h1, l1 = bits.Mul64(v, y1)
+	h2, l2 = bits.Mul64(v, y2)
+	h3, l3 = bits.Mul64(v, y3)
+	t0, c = bits.Add64(t0, l0, 0)
+	t1, c = bits.Add64(t1, l1, c)
+	t2, c = bits.Add64(t2, l2, c)
+	t3, c = bits.Add64(t3, l3, c)
+	t4 = h3 + c
+	t1, c = bits.Add64(t1, h0, 0)
+	t2, c = bits.Add64(t2, h1, c)
+	t3, c = bits.Add64(t3, h2, c)
+	t4 += c
+	m = t0 * qInvNeg
+	h0, l0 = bits.Mul64(m, q0)
+	h1, l1 = bits.Mul64(m, q1)
+	h2, l2 = bits.Mul64(m, q2)
+	h3, l3 = bits.Mul64(m, q3)
+	_, c = bits.Add64(t0, l0, 0)
+	t1, c = bits.Add64(t1, l1, c)
+	t2, c = bits.Add64(t2, l2, c)
+	t3, c = bits.Add64(t3, l3, c)
+	t4 += h3 + c
+	t0, c = bits.Add64(t1, h0, 0)
+	t1, c = bits.Add64(t2, h1, c)
+	t2, c = bits.Add64(t3, h2, c)
+	t3 = t4 + c
 
 	v = x[2]
-	a, lo = madd(v, y0, t0, 0)
-	m = lo * qInvNeg
-	c, _ = madd(m, q0, lo, 0)
-	a, lo = madd(v, y1, t1, a)
-	c, t0 = madd(m, q1, lo, c)
-	a, lo = madd(v, y2, t2, a)
-	c, t1 = madd(m, q2, lo, c)
-	a, lo = madd(v, y3, t3, a)
-	c, t2 = madd(m, q3, lo, c)
-	t3 = c + a
+	h0, l0 = bits.Mul64(v, y0)
+	h1, l1 = bits.Mul64(v, y1)
+	h2, l2 = bits.Mul64(v, y2)
+	h3, l3 = bits.Mul64(v, y3)
+	t0, c = bits.Add64(t0, l0, 0)
+	t1, c = bits.Add64(t1, l1, c)
+	t2, c = bits.Add64(t2, l2, c)
+	t3, c = bits.Add64(t3, l3, c)
+	t4 = h3 + c
+	t1, c = bits.Add64(t1, h0, 0)
+	t2, c = bits.Add64(t2, h1, c)
+	t3, c = bits.Add64(t3, h2, c)
+	t4 += c
+	m = t0 * qInvNeg
+	h0, l0 = bits.Mul64(m, q0)
+	h1, l1 = bits.Mul64(m, q1)
+	h2, l2 = bits.Mul64(m, q2)
+	h3, l3 = bits.Mul64(m, q3)
+	_, c = bits.Add64(t0, l0, 0)
+	t1, c = bits.Add64(t1, l1, c)
+	t2, c = bits.Add64(t2, l2, c)
+	t3, c = bits.Add64(t3, l3, c)
+	t4 += h3 + c
+	t0, c = bits.Add64(t1, h0, 0)
+	t1, c = bits.Add64(t2, h1, c)
+	t2, c = bits.Add64(t3, h2, c)
+	t3 = t4 + c
 
 	v = x[3]
-	a, lo = madd(v, y0, t0, 0)
-	m = lo * qInvNeg
-	c, _ = madd(m, q0, lo, 0)
-	a, lo = madd(v, y1, t1, a)
-	c, t0 = madd(m, q1, lo, c)
-	a, lo = madd(v, y2, t2, a)
-	c, t1 = madd(m, q2, lo, c)
-	a, lo = madd(v, y3, t3, a)
-	c, t2 = madd(m, q3, lo, c)
-	t3 = c + a
+	h0, l0 = bits.Mul64(v, y0)
+	h1, l1 = bits.Mul64(v, y1)
+	h2, l2 = bits.Mul64(v, y2)
+	h3, l3 = bits.Mul64(v, y3)
+	t0, c = bits.Add64(t0, l0, 0)
+	t1, c = bits.Add64(t1, l1, c)
+	t2, c = bits.Add64(t2, l2, c)
+	t3, c = bits.Add64(t3, l3, c)
+	t4 = h3 + c
+	t1, c = bits.Add64(t1, h0, 0)
+	t2, c = bits.Add64(t2, h1, c)
+	t3, c = bits.Add64(t3, h2, c)
+	t4 += c
+	m = t0 * qInvNeg
+	h0, l0 = bits.Mul64(m, q0)
+	h1, l1 = bits.Mul64(m, q1)
+	h2, l2 = bits.Mul64(m, q2)
+	h3, l3 = bits.Mul64(m, q3)
+	_, c = bits.Add64(t0, l0, 0)
+	t1, c = bits.Add64(t1, l1, c)
+	t2, c = bits.Add64(t2, l2, c)
+	t3, c = bits.Add64(t3, l3, c)
+	t4 += h3 + c
+	t0, c = bits.Add64(t1, h0, 0)
+	t1, c = bits.Add64(t2, h1, c)
+	t2, c = bits.Add64(t3, h2, c)
+	t3 = t4 + c
 
 	z.reduceOnce(t0, t1, t2, t3)
 	return z
 }
 
 func (z *fp) Square(x *fp) *fp { return z.Mul(x, x) }
+
+// fpWide is a double-width integer, eight little-endian limbs: a product
+// of two limb vectors before Montgomery reduction. fp2.Mul combines three
+// of them and reduces twice, where three Mul calls would reduce three
+// times.
+type fpWide [8]uint64
+
+// mul sets w = x*y for any four-limb x and y, row by row with the carry
+// chains of Mul: each row's four products first, then their low words and
+// their high words, one column up, as two chains.
+func (w *fpWide) mul(x, y *fp) *fpWide {
+	y0, y1, y2, y3 := y[0], y[1], y[2], y[3]
+	var t0, t1, t2, t3, t4, c uint64
+	var h0, h1, h2, h3, l0, l1, l2, l3 uint64
+
+	v := x[0]
+	h0, w[0] = bits.Mul64(v, y0)
+	h1, t1 = bits.Mul64(v, y1)
+	h2, t2 = bits.Mul64(v, y2)
+	t4, t3 = bits.Mul64(v, y3)
+	t1, c = bits.Add64(t1, h0, 0)
+	t2, c = bits.Add64(t2, h1, c)
+	t3, c = bits.Add64(t3, h2, c)
+	t4 += c
+
+	// Row i adds x[i]*y from column i up; the five accumulator words
+	// rotate, and the column that row i completes is written out.
+	v = x[1]
+	h0, l0 = bits.Mul64(v, y0)
+	h1, l1 = bits.Mul64(v, y1)
+	h2, l2 = bits.Mul64(v, y2)
+	h3, l3 = bits.Mul64(v, y3)
+	w[1], c = bits.Add64(t1, l0, 0)
+	t2, c = bits.Add64(t2, l1, c)
+	t3, c = bits.Add64(t3, l2, c)
+	t4, c = bits.Add64(t4, l3, c)
+	t0 = h3 + c
+	t2, c = bits.Add64(t2, h0, 0)
+	t3, c = bits.Add64(t3, h1, c)
+	t4, c = bits.Add64(t4, h2, c)
+	t0 += c
+
+	v = x[2]
+	h0, l0 = bits.Mul64(v, y0)
+	h1, l1 = bits.Mul64(v, y1)
+	h2, l2 = bits.Mul64(v, y2)
+	h3, l3 = bits.Mul64(v, y3)
+	w[2], c = bits.Add64(t2, l0, 0)
+	t3, c = bits.Add64(t3, l1, c)
+	t4, c = bits.Add64(t4, l2, c)
+	t0, c = bits.Add64(t0, l3, c)
+	t1 = h3 + c
+	t3, c = bits.Add64(t3, h0, 0)
+	t4, c = bits.Add64(t4, h1, c)
+	t0, c = bits.Add64(t0, h2, c)
+	t1 += c
+
+	v = x[3]
+	h0, l0 = bits.Mul64(v, y0)
+	h1, l1 = bits.Mul64(v, y1)
+	h2, l2 = bits.Mul64(v, y2)
+	h3, l3 = bits.Mul64(v, y3)
+	w[3], c = bits.Add64(t3, l0, 0)
+	t4, c = bits.Add64(t4, l1, c)
+	t0, c = bits.Add64(t0, l2, c)
+	t1, c = bits.Add64(t1, l3, c)
+	t2 = h3 + c
+	t4, c = bits.Add64(t4, h0, 0)
+	t0, c = bits.Add64(t0, h1, c)
+	t1, c = bits.Add64(t1, h2, c)
+	t2 += c
+
+	w[4], w[5], w[6], w[7] = t4, t0, t1, t2
+	return w
+}
+
+// sub sets w = w - x, plus p*R when that borrows. For w and x in [0, p*R)
+// the result stays in [0, p*R), which is what montReduce takes.
+func (w *fpWide) sub(x *fpWide) *fpWide {
+	var b uint64
+	w[0], b = bits.Sub64(w[0], x[0], 0)
+	w[1], b = bits.Sub64(w[1], x[1], b)
+	w[2], b = bits.Sub64(w[2], x[2], b)
+	w[3], b = bits.Sub64(w[3], x[3], b)
+	w[4], b = bits.Sub64(w[4], x[4], b)
+	w[5], b = bits.Sub64(w[5], x[5], b)
+	w[6], b = bits.Sub64(w[6], x[6], b)
+	w[7], b = bits.Sub64(w[7], x[7], b)
+	wrap := -b // all ones when w < x: add p*R back
+	var c uint64
+	w[4], c = bits.Add64(w[4], q0&wrap, 0)
+	w[5], c = bits.Add64(w[5], q1&wrap, c)
+	w[6], c = bits.Add64(w[6], q2&wrap, c)
+	w[7], _ = bits.Add64(w[7], q3&wrap, c)
+	return w
+}
+
+// montReduce sets z = w/R mod p for w < p*R: Mul's reduction rounds on
+// the low half, then the high half added. The rounds leave
+// (w_low + M*p)/R <= p with M < R, and the high half is below p, so the sum
+// is below 2p and one masked subtraction finishes.
+func (z *fp) montReduce(w *fpWide) *fp {
+	t0, t1, t2, t3 := w[0], w[1], w[2], w[3]
+	var t4, c, m uint64
+	var h0, h1, h2, h3, l0, l1, l2, l3 uint64
+
+	m = t0 * qInvNeg
+	h0, l0 = bits.Mul64(m, q0)
+	h1, l1 = bits.Mul64(m, q1)
+	h2, l2 = bits.Mul64(m, q2)
+	h3, l3 = bits.Mul64(m, q3)
+	_, c = bits.Add64(t0, l0, 0)
+	t1, c = bits.Add64(t1, l1, c)
+	t2, c = bits.Add64(t2, l2, c)
+	t3, c = bits.Add64(t3, l3, c)
+	t4 = h3 + c
+	t0, c = bits.Add64(t1, h0, 0)
+	t1, c = bits.Add64(t2, h1, c)
+	t2, c = bits.Add64(t3, h2, c)
+	t3 = t4 + c
+
+	m = t0 * qInvNeg
+	h0, l0 = bits.Mul64(m, q0)
+	h1, l1 = bits.Mul64(m, q1)
+	h2, l2 = bits.Mul64(m, q2)
+	h3, l3 = bits.Mul64(m, q3)
+	_, c = bits.Add64(t0, l0, 0)
+	t1, c = bits.Add64(t1, l1, c)
+	t2, c = bits.Add64(t2, l2, c)
+	t3, c = bits.Add64(t3, l3, c)
+	t4 = h3 + c
+	t0, c = bits.Add64(t1, h0, 0)
+	t1, c = bits.Add64(t2, h1, c)
+	t2, c = bits.Add64(t3, h2, c)
+	t3 = t4 + c
+
+	m = t0 * qInvNeg
+	h0, l0 = bits.Mul64(m, q0)
+	h1, l1 = bits.Mul64(m, q1)
+	h2, l2 = bits.Mul64(m, q2)
+	h3, l3 = bits.Mul64(m, q3)
+	_, c = bits.Add64(t0, l0, 0)
+	t1, c = bits.Add64(t1, l1, c)
+	t2, c = bits.Add64(t2, l2, c)
+	t3, c = bits.Add64(t3, l3, c)
+	t4 = h3 + c
+	t0, c = bits.Add64(t1, h0, 0)
+	t1, c = bits.Add64(t2, h1, c)
+	t2, c = bits.Add64(t3, h2, c)
+	t3 = t4 + c
+
+	m = t0 * qInvNeg
+	h0, l0 = bits.Mul64(m, q0)
+	h1, l1 = bits.Mul64(m, q1)
+	h2, l2 = bits.Mul64(m, q2)
+	h3, l3 = bits.Mul64(m, q3)
+	_, c = bits.Add64(t0, l0, 0)
+	t1, c = bits.Add64(t1, l1, c)
+	t2, c = bits.Add64(t2, l2, c)
+	t3, c = bits.Add64(t3, l3, c)
+	t4 = h3 + c
+	t0, c = bits.Add64(t1, h0, 0)
+	t1, c = bits.Add64(t2, h1, c)
+	t2, c = bits.Add64(t3, h2, c)
+	t3 = t4 + c
+
+	t0, c = bits.Add64(t0, w[4], 0)
+	t1, c = bits.Add64(t1, w[5], c)
+	t2, c = bits.Add64(t2, w[6], c)
+	t3, _ = bits.Add64(t3, w[7], c)
+	z.reduceOnce(t0, t1, t2, t3)
+	return z
+}
+
+// addUnreduced sets z = x + y without reducing: below 2p < 2^255 for
+// reduced x and y, a valid first argument of Mul and fpWide.mul, which take
+// any four limbs there.
+func (z *fp) addUnreduced(x, y *fp) *fp {
+	var c uint64
+	z[0], c = bits.Add64(x[0], y[0], 0)
+	z[1], c = bits.Add64(x[1], y[1], c)
+	z[2], c = bits.Add64(x[2], y[2], c)
+	z[3], _ = bits.Add64(x[3], y[3], c)
+	return z
+}
 
 // rootPower sets z = x^((p-3)/4) with a fixed 4-bit window. The schedule
 // depends only on the exponent, a public constant. Three results hang off

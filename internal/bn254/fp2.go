@@ -72,28 +72,34 @@ func (z *fp2) Conjugate(x *fp2) *fp2 {
 
 func (z *fp2) Mul(x, y *fp2) *fp2 {
 	// (a + bi)(c + di) = (ac - bd) + (ad + bc)i, via Karatsuba:
-	// ad + bc = (a+b)(c+d) - ac - bd — three field multiplications and
-	// five additions, each addition about a sixth of a multiplication.
-	var ac, bd, s, t fp
-	ac.Mul(&x.c0, &y.c0)
-	bd.Mul(&x.c1, &y.c1)
-	s.Add(&x.c0, &x.c1)
-	t.Add(&y.c0, &y.c1)
-	s.Mul(&s, &t)
-	s.Sub(&s, &ac)
-	z.c1.Sub(&s, &bd)
-	z.c0.Sub(&ac, &bd)
+	// ad + bc = (a+b)(c+d) - ac - bd. The three products stay double-width
+	// and unreduced (lazy reduction), so only the two results pay for a
+	// Montgomery reduction. Bounds, with a, b, c, d < p < R/4: the sums
+	// are below 2p; ad + bc < 2p^2 < p*R, and ac - bd is lifted into
+	// [0, p*R) by fpWide.sub, so both fit montReduce.
+	var u, v fp
+	u.addUnreduced(&x.c0, &x.c1)
+	v.addUnreduced(&y.c0, &y.c1)
+	var ac, bd, s fpWide
+	ac.mul(&x.c0, &y.c0)
+	bd.mul(&x.c1, &y.c1)
+	s.mul(&u, &v)
+	s.sub(&ac).sub(&bd) // (a+b)(c+d) >= ac + bd: never wraps
+	ac.sub(&bd)
+	z.c1.montReduce(&s)
+	z.c0.montReduce(&ac)
 	return z
 }
 
 func (z *fp2) Square(x *fp2) *fp2 {
-	// (a + bi)^2 = (a+b)(a-b) + 2ab*i.
-	var apb, amb, ab fp
-	apb.Add(&x.c0, &x.c1)
+	// (a + bi)^2 = (a+b)(a-b) + 2ab*i. a+b and 2a are Mul's first
+	// arguments, which may be unreduced.
+	var apb, amb, a2 fp
+	apb.addUnreduced(&x.c0, &x.c1)
 	amb.Sub(&x.c0, &x.c1)
-	ab.Mul(&x.c0, &x.c1)
+	a2.addUnreduced(&x.c0, &x.c0)
+	z.c1.Mul(&a2, &x.c1)
 	z.c0.Mul(&apb, &amb)
-	z.c1.Double(&ab)
 	return z
 }
 

@@ -328,6 +328,16 @@ func checkFpOps(t *testing.T, rawX, rawY []byte) {
 	z.f.SetBytesReduce(&digest)
 	z.o.SetBig(new(big.Int).SetBytes(digest[:]))
 	z.check(t, "SetBytesReduce")
+
+	// Below it, Mul's contract: any four-limb x times a reduced y is
+	// reduced. On limbs x and y*R the product is x*y*R/R = x*y mod p, whose
+	// canonical bytes are x*y/R mod p.
+	raw := loadLimbs(&digest)
+	z.f.Mul(&raw, &y.f)
+	z.o.v.Mul(new(big.Int).SetBytes(digest[:]), &y.o.v)
+	z.o.v.Mul(&z.o.v, new(big.Int).ModInverse(new(big.Int).Lsh(big.NewInt(1), 256), P))
+	z.o.v.Mod(&z.o.v, P)
+	z.check(t, "Mul(unreduced x, y)")
 }
 
 // fpSeeds are the values the issue names plus the edges of the limb
@@ -349,6 +359,13 @@ func fpSeeds() [][]byte {
 		be(new(big.Int).Lsh(big.NewInt(1), 64)), be(new(big.Int).Lsh(big.NewInt(1), 255)),
 		be(new(big.Int).SetUint64(^uint64(0))),
 		{}, {0x01}, bytes.Repeat([]byte{0x01}, 33), // wrong lengths
+		// Unreduced x for Mul: 2p-1, the largest multiple of p below
+		// 2^256, and (p-1)^2 as 64 bytes. With the seeds above they pair
+		// into the all-ones digest through SetBytesReduce (x = 2^256-1,
+		// y = R mod p, whose limbs are R^2), (p-1)*(p-1) and 0*(p-1).
+		be(new(big.Int).Sub(new(big.Int).Lsh(P, 1), big.NewInt(1))),
+		be(new(big.Int).Mul(P, new(big.Int).Div(r, P))),
+		new(big.Int).Mul(pm(1), pm(1)).FillBytes(make([]byte, 64)),
 	}
 	return seeds
 }
@@ -448,6 +465,80 @@ func FuzzFp2Ops(f *testing.F) {
 		}
 		checkFp2Ops(t, a0, a1, b0, b1)
 	})
+}
+
+// TestMulMatchesReference holds Mul to the CIOS body it replaced on
+// every four-limb x — seeded random limbs, the edges around p, 2p and
+// 2^256 — and y in {R^2, p-1, random below p}.
+func TestMulMatchesReference(t *testing.T) {
+	limbs := func(label string, i int) fp {
+		d := expandMessage("fp-mul-reference/"+label, nil, uint32(i))
+		return loadLimbs(&d)
+	}
+	pLimbs := fp{q0, q1, q2, q3}
+	ones := ^uint64(0)
+	xs := []fp{{}, {1}, pLimbs, {q0 - 1, q1, q2, q3}, {q0 + 1, q1, q2, q3}, {ones, ones, ones, ones}, {0, 0, 0, 1 << 63}}
+	for i := 0; i < 2000; i++ {
+		xs = append(xs, limbs("x", i))
+	}
+	ys := []fp{fpR2, {q0 - 1, q1, q2, q3}}
+	for i := 0; i < 50; i++ {
+		y := limbs("y", i)
+		y.reduceOnce(y[0], y[1], y[2], y[3]&(1<<62-1)) // below 2^254 < 2p, then below p
+		ys = append(ys, y)
+	}
+	for _, x := range xs {
+		for _, y := range ys {
+			var got, want fp
+			got.Mul(&x, &y)
+			mulReference(&want, &x, &y)
+			if got != want {
+				t.Fatalf("Mul(%x, %x) = %x, reference %x", x, y, got, want)
+			}
+			if !lessThanModulus(&got) {
+				t.Fatalf("Mul(%x, %x) = %x is not reduced", x, y, got)
+			}
+		}
+	}
+}
+
+// TestFp2MulMatchesKaratsuba holds fp2.Mul's lazy reduction to Karatsuba
+// on reduced products, on components at the edges (0, 1, p-1, p-2, R mod
+// p) and seeded random ones, with the receiver aliasing either operand.
+func TestFp2MulMatchesKaratsuba(t *testing.T) {
+	edges := []fp{{}, fpOne, {1}, {q0 - 1, q1, q2, q3}, {q0 - 2, q1, q2, q3}}
+	for i := 0; i < 8; i++ {
+		d := expandMessage("fp2-mul-karatsuba", nil, uint32(i))
+		var e fp
+		edges = append(edges, *e.SetBytesReduce(&d))
+	}
+	var xs []fp2
+	for _, a := range edges {
+		for _, b := range edges {
+			xs = append(xs, fp2{a, b})
+		}
+	}
+	for _, x := range xs {
+		for _, y := range xs {
+			var got, want fp2
+			got.Mul(&x, &y)
+			fp2MulKaratsuba(&want, &x, &y)
+			if got != want {
+				t.Fatalf("fp2 Mul(%s, %s) = %s, Karatsuba %s", &x, &y, &got, &want)
+			}
+			if !lessThanModulus(&got.c0) || !lessThanModulus(&got.c1) {
+				t.Fatalf("fp2 Mul(%s, %s) = %x not reduced", &x, &y, got)
+			}
+			z := x
+			if z.Mul(&z, &y); z != want {
+				t.Fatal("fp2 z.Mul(z, y) differs")
+			}
+			z = y
+			if z.Mul(&x, &z); z != want {
+				t.Fatal("fp2 z.Mul(x, z) differs")
+			}
+		}
+	}
 }
 
 // TestFpMatchesOracleRandom is the fuzz bodies on seeded random inputs, so

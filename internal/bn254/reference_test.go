@@ -1,12 +1,17 @@
 package bn254
 
-import "math/big"
+import (
+	"math/big"
+	"math/bits"
+)
 
 // Reference implementations the optimized paths are compared against: the
 // per-step affine G2 arithmetic behind the Miller loop (one Fp2 inversion
 // per line — what PrecomputeG2 did before the steps moved to Jacobian
 // coordinates with one shared inversion), the square-and-multiply final
-// exponentiation, and the G1 Strauss ladder from before the GLV split.
+// exponentiation, the G1 Strauss ladder from before the GLV split, and the
+// Montgomery product from before the no-carry schedule with the Fp2 and G2
+// formulas on top of it (and fp2.Mul before lazy reduction).
 
 // lineCoeffDoubleAffine computes the tangent-line coefficients at t and
 // doubles t in place.
@@ -227,4 +232,174 @@ func (z *fp2) isSquare() bool {
 	b2.Square(&z.c1)
 	norm.Add(&a2, &b2)
 	return norm.isSquare()
+}
+
+// maddReference returns the two words of a*b + c + d, which cannot
+// overflow them: (2^64-1)^2 + 2(2^64-1) = 2^128 - 1.
+func maddReference(a, b, c, d uint64) (hi, lo uint64) {
+	hi, lo = bits.Mul64(a, b)
+	var carry uint64
+	lo, carry = bits.Add64(lo, c, 0)
+	hi, _ = bits.Add64(hi, 0, carry)
+	lo, carry = bits.Add64(lo, d, 0)
+	hi, _ = bits.Add64(hi, 0, carry)
+	return hi, lo
+}
+
+// mulReference is fp.Mul before the no-carry schedule: the same CIOS
+// rounds, each word product added into the accumulator with its own two
+// carries (maddReference). It keeps Mul's contract — any four-limb x,
+// y < p, a fully reduced result — and TestMulMatchesReference holds the
+// two to it.
+// mulReference is fp.Mul before the no-carry schedule: the same CIOS
+// rounds, each word product added into the accumulator with its own two
+// carries (maddReference). It keeps Mul's contract — any four-limb x,
+// y < p, a fully reduced result — and TestMulMatchesReference holds the
+// two to each other.
+func mulReference(z, x, y *fp) *fp {
+	y0, y1, y2, y3 := y[0], y[1], y[2], y[3]
+	var t0, t1, t2, t3, a, c, lo, m uint64
+
+	v := x[0]
+	a, lo = bits.Mul64(v, y0)
+	m = lo * qInvNeg
+	c, _ = maddReference(m, q0, lo, 0)
+	a, lo = maddReference(v, y1, a, 0)
+	c, t0 = maddReference(m, q1, lo, c)
+	a, lo = maddReference(v, y2, a, 0)
+	c, t1 = maddReference(m, q2, lo, c)
+	a, lo = maddReference(v, y3, a, 0)
+	c, t2 = maddReference(m, q3, lo, c)
+	t3 = c + a
+
+	v = x[1]
+	a, lo = maddReference(v, y0, t0, 0)
+	m = lo * qInvNeg
+	c, _ = maddReference(m, q0, lo, 0)
+	a, lo = maddReference(v, y1, t1, a)
+	c, t0 = maddReference(m, q1, lo, c)
+	a, lo = maddReference(v, y2, t2, a)
+	c, t1 = maddReference(m, q2, lo, c)
+	a, lo = maddReference(v, y3, t3, a)
+	c, t2 = maddReference(m, q3, lo, c)
+	t3 = c + a
+
+	v = x[2]
+	a, lo = maddReference(v, y0, t0, 0)
+	m = lo * qInvNeg
+	c, _ = maddReference(m, q0, lo, 0)
+	a, lo = maddReference(v, y1, t1, a)
+	c, t0 = maddReference(m, q1, lo, c)
+	a, lo = maddReference(v, y2, t2, a)
+	c, t1 = maddReference(m, q2, lo, c)
+	a, lo = maddReference(v, y3, t3, a)
+	c, t2 = maddReference(m, q3, lo, c)
+	t3 = c + a
+
+	v = x[3]
+	a, lo = maddReference(v, y0, t0, 0)
+	m = lo * qInvNeg
+	c, _ = maddReference(m, q0, lo, 0)
+	a, lo = maddReference(v, y1, t1, a)
+	c, t0 = maddReference(m, q1, lo, c)
+	a, lo = maddReference(v, y2, t2, a)
+	c, t1 = maddReference(m, q2, lo, c)
+	a, lo = maddReference(v, y3, t3, a)
+	c, t2 = maddReference(m, q3, lo, c)
+	t3 = c + a
+
+	z.reduceOnce(t0, t1, t2, t3)
+	return z
+}
+
+// fp2MulKaratsuba is fp2.Mul before lazy reduction: Karatsuba on three
+// reduced Mul products.
+func fp2MulKaratsuba(z, x, y *fp2) *fp2 {
+	var ac, bd, s, t fp
+	ac.Mul(&x.c0, &y.c0)
+	bd.Mul(&x.c1, &y.c1)
+	s.Add(&x.c0, &x.c1)
+	t.Add(&y.c0, &y.c1)
+	s.Mul(&s, &t)
+	s.Sub(&s, &ac)
+	z.c1.Sub(&s, &bd)
+	z.c0.Sub(&ac, &bd)
+	return z
+}
+
+// fp2MulReference is fp2MulKaratsuba on mulReference: fp2.Mul before both
+// the no-carry schedule and lazy reduction.
+func fp2MulReference(z, x, y *fp2) *fp2 {
+	var ac, bd, s, t fp
+	mulReference(&ac, &x.c0, &y.c0)
+	mulReference(&bd, &x.c1, &y.c1)
+	s.Add(&x.c0, &x.c1)
+	t.Add(&y.c0, &y.c1)
+	mulReference(&s, &s, &t)
+	s.Sub(&s, &ac)
+	z.c1.Sub(&s, &bd)
+	z.c0.Sub(&ac, &bd)
+	return z
+}
+
+// fp2SquareReference is fp2.Square on mulReference.
+func fp2SquareReference(z, x *fp2) *fp2 {
+	var apb, amb, ab fp
+	apb.Add(&x.c0, &x.c1)
+	amb.Sub(&x.c0, &x.c1)
+	mulReference(&ab, &x.c0, &x.c1)
+	mulReference(&z.c0, &apb, &amb)
+	z.c1.Double(&ab)
+	return z
+}
+
+// addMixedReference is jacG2.addMixed on fp2MulReference and
+// fp2SquareReference.
+func addMixedReference(j, a *jacG2, b *G2) *jacG2 {
+	if a.z.IsZero() {
+		return j.fromAffine(b)
+	}
+	var z1z1, u2, s2 fp2
+	fp2SquareReference(&z1z1, &a.z)
+	fp2MulReference(&u2, &b.x, &z1z1)
+	fp2MulReference(&s2, &b.y, &a.z)
+	fp2MulReference(&s2, &s2, &z1z1)
+	var h, r fp2
+	h.Sub(&u2, &a.x)
+	r.Sub(&s2, &a.y)
+	r.Double(&r)
+	if h.IsZero() {
+		if r.IsZero() {
+			return j.double(a)
+		}
+		j.z.SetZero()
+		return j
+	}
+	var hh, i4, jj, v fp2
+	fp2SquareReference(&hh, &h)
+	i4.Double(&hh)
+	i4.Double(&i4)
+	fp2MulReference(&jj, &h, &i4)
+	fp2MulReference(&v, &a.x, &i4)
+	var x3 fp2
+	fp2SquareReference(&x3, &r)
+	x3.Sub(&x3, &jj)
+	x3.Sub(&x3, &v)
+	x3.Sub(&x3, &v)
+	var y3, t fp2
+	y3.Sub(&v, &x3)
+	fp2MulReference(&y3, &y3, &r)
+	fp2MulReference(&t, &a.y, &jj)
+	t.Double(&t)
+	y3.Sub(&y3, &t)
+	var z3 fp2
+	z3.Add(&a.z, &h)
+	fp2SquareReference(&z3, &z3)
+	z3.Sub(&z3, &z1z1)
+	z3.Sub(&z3, &hh)
+
+	j.x.Set(&x3)
+	j.y.Set(&y3)
+	j.z.Set(&z3)
+	return j
 }

@@ -1,8 +1,13 @@
 package bn254
 
 import (
+	"bytes"
 	"crypto/rand"
+	"encoding/hex"
 	"fmt"
+	"math/big"
+	"os"
+	"path/filepath"
 	"testing"
 )
 
@@ -105,4 +110,51 @@ func FuzzG2SubgroupCheck(f *testing.F) {
 			t.Fatalf("x = %s: inSubgroup = %v, [r]Q ladder = %v", &x, got, want)
 		}
 	})
+}
+
+// TestSmallOrderTwistPoint pins testdata/twist_order_10069.hex, the point
+// the dkg tests plant in a dealer's commitment: the G2 cofactor 2p - r has
+// the prime factor 10069, and the file holds a twist point T != 0 with
+// [10069]T = 0 — on the curve, so UnmarshalUnchecked takes it, and outside
+// G2, so Unmarshal does not. It is [r(2p-r)/10069]P for the twist point P
+// with abscissa 1.
+func TestSmallOrderTwistPoint(t *testing.T) {
+	raw, err := os.ReadFile(filepath.Join("testdata", "twist_order_10069.hex"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	enc, err := hex.DecodeString(string(bytes.TrimSpace(raw)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	order := big.NewInt(10069)
+	cofactor := new(big.Int).Sub(new(big.Int).Lsh(P, 1), Order)
+	if new(big.Int).Mod(cofactor, order).Sign() != 0 {
+		t.Fatal("10069 does not divide the G2 cofactor 2p - r")
+	}
+	var q G2
+	if err := q.UnmarshalUnchecked(enc); err != nil {
+		t.Fatalf("UnmarshalUnchecked: %v", err)
+	}
+	if !q.isOnTwist() || q.IsInfinity() {
+		t.Fatal("T must be a finite point of the twist")
+	}
+	if !new(G2).scalarMultRaw(&q, order).IsInfinity() {
+		t.Fatal("[10069]T != 0")
+	}
+	if q.inSubgroup() || inSubgroupByOrder(&q) {
+		t.Fatal("T lies in G2")
+	}
+	if err := new(G2).Unmarshal(enc); err == nil {
+		t.Fatal("Unmarshal accepted a point of order 10069")
+	}
+
+	p, ok := twistPointAt(&fp2{c0: fpOne})
+	if !ok {
+		t.Fatal("no twist point with abscissa 1")
+	}
+	k := new(big.Int).Mul(Order, new(big.Int).Div(cofactor, order))
+	if want := new(G2).scalarMultRaw(p, k); !want.Equal(&q) && !want.Equal(new(G2).Neg(&q)) {
+		t.Fatal("T is not [r(2p-r)/10069]P for the point with abscissa 1")
+	}
 }

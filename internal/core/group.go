@@ -34,12 +34,14 @@ type Group struct {
 	precompOnce sync.Once
 }
 
-// Precompute eagerly builds every Miller-loop line precomputation the
-// group's verification paths consume: the generators g^_z, g^_r, the
-// public key slots (g^_1, g^_2) and all n verification keys. It reports
-// whether THIS call performed the build — false when a previous call (or
-// lazy first use) already warmed the group — which is what the service
-// tier's rebuild counter observes.
+// Precompute eagerly builds the Miller-loop line precomputations that
+// every signature check consumes: the generators g^_z, g^_r and the public
+// key slots (g^_1, g^_2). A verification key's tables are built on its
+// first Share-Verify, by the once-only cache behind VerificationKey, so a
+// signer no one ever accuses costs nothing here. It reports whether THIS
+// call performed the build — false when a previous call (or lazy first
+// use) already warmed the group — which is what the service tier's rebuild
+// counter observes.
 //
 // Epoch invalidation is structural: a refresh or rotation produces a NEW
 // Group with NEW VerificationKey objects (ApplyRefresh), so stale line
@@ -52,11 +54,6 @@ func (g *Group) Precompute() bool {
 		built = true
 		g.Params.LH.PreparedGenerators()
 		g.PK.lhspsKey().Prepared()
-		for i := 1; i < len(g.VKs); i++ {
-			if g.VKs[i] != nil {
-				g.VKs[i].lhspsKey(g.Params).Prepared()
-			}
-		}
 	})
 	return built
 }

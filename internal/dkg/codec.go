@@ -14,7 +14,9 @@ import (
 // commitments is NOT checked at decode time: for any dealer that survives
 // the complaint phase, the Pedersen-VSS equations verified by the honest
 // majority pin every commitment into the order-r subgroup (see the
-// UnmarshalUnchecked documentation).
+// UnmarshalUnchecked documentation). A small-order component fails every
+// honest player's own share check, so each one complains
+// (TestDealerWithSmallOrderCommitmentIsDisqualified).
 
 const scalarLen = 32
 

@@ -1,8 +1,12 @@
 package dkg
 
 import (
+	"bytes"
+	"encoding/hex"
 	"math/big"
 	mathrand "math/rand"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"repro/internal/bn254"
@@ -333,6 +337,113 @@ func TestRefreshRejectsNonZeroConstantTerm(t *testing.T) {
 		for _, q := range out.Results[i].Qual {
 			if q == 3 {
 				t.Fatal("non-zero refresh dealing stayed in QUAL")
+			}
+		}
+	}
+}
+
+// smallOrderDealer is honest except that it adds a point of order 10069
+// to the constant commitment of its first sharing. Only the per-dealer
+// share checks stand between that point and the group key: deals are
+// decoded without a G2 membership test (codec.go).
+type smallOrderDealer struct {
+	*HonestPlayer
+	torsion *bn254.G2
+}
+
+func (p *smallOrderDealer) Step(round int, delivered []engine.Message) ([]engine.Message, error) {
+	msgs, err := p.HonestPlayer.Step(round, delivered)
+	if err != nil || round != 0 {
+		return msgs, err
+	}
+	cfg := p.HonestPlayer.cfg
+	for i := range msgs {
+		if msgs[i].Kind != KindDeal {
+			continue
+		}
+		comms, err := decodeDeal(msgs[i].Payload, cfg.NumSharings, cfg.T, cfg.Scheme.CommitDim())
+		if err != nil {
+			return nil, err
+		}
+		comms[0][0][0] = new(bn254.G2).Add(comms[0][0][0], p.torsion)
+		msgs[i].Payload = encodeDeal(comms)
+	}
+	return msgs, nil
+}
+
+// complaintRecorder is an honest player that notes whom it accuses.
+type complaintRecorder struct {
+	*HonestPlayer
+	accused []int
+}
+
+func (p *complaintRecorder) Step(round int, delivered []engine.Message) ([]engine.Message, error) {
+	msgs, err := p.HonestPlayer.Step(round, delivered)
+	for _, m := range msgs {
+		if m.Kind == KindComplaint {
+			if j, err := decodeComplaint(m.Payload); err == nil {
+				p.accused = append(p.accused, j)
+			}
+		}
+	}
+	return msgs, err
+}
+
+func TestDealerWithSmallOrderCommitmentIsDisqualified(t *testing.T) {
+	raw, err := os.ReadFile(filepath.Join("..", "bn254", "testdata", "twist_order_10069.hex"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	enc, err := hex.DecodeString(string(bytes.TrimSpace(raw)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	torsion := new(bn254.G2)
+	if err := torsion.UnmarshalUnchecked(enc); err != nil {
+		t.Fatal(err)
+	}
+
+	const bad = 2
+	cfg := testConfig(5, 2, 2)
+	players := make([]engine.Player, cfg.N)
+	honest := make([]*HonestPlayer, cfg.N+1)
+	recorders := make(map[int]*complaintRecorder)
+	for i := 1; i <= cfg.N; i++ {
+		hp, err := NewHonestPlayer(cfg, i)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if i == bad {
+			players[i-1] = &smallOrderDealer{HonestPlayer: hp, torsion: torsion}
+			continue
+		}
+		recorders[i] = &complaintRecorder{HonestPlayer: hp}
+		players[i-1] = recorders[i]
+		honest[i] = hp
+	}
+	out, err := RunWithPlayers(cfg, players, honest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, r := range recorders {
+		if len(r.accused) != 1 || r.accused[0] != bad {
+			t.Errorf("player %d accused %v, want [%d]", i, r.accused, bad)
+		}
+		res := out.Results[i]
+		for _, q := range res.Qual {
+			if q == bad {
+				t.Errorf("player %d kept dealer %d in Qual %v", i, bad, res.Qual)
+			}
+		}
+		rows := append([][]*bn254.G2(nil), res.PK...)
+		for j := 1; j <= cfg.N; j++ {
+			rows = append(rows, res.VerificationKey(j)...)
+		}
+		for _, row := range rows {
+			for _, w := range row {
+				if err := new(bn254.G2).Unmarshal(w.Marshal()); err != nil {
+					t.Fatalf("player %d: key element outside G2: %v", i, err)
+				}
 			}
 		}
 	}

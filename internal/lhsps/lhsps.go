@@ -225,7 +225,7 @@ func (pk *PublicKey) Verify(msg []*bn254.G1, sig *Signature) bool {
 // vector restriction. The threshold schemes use this for partial-signature
 // checks where the "message" includes fixed generators. All G2 arguments
 // are fixed per key, so the check runs on precomputed Miller-loop lines
-// with the Miller loops sharded across cores.
+// in one product loop.
 func (pk *PublicKey) VerifyRelation(msg []*bn254.G1, sig *Signature) bool {
 	if sig == nil || sig.Z == nil || sig.R == nil || len(msg) != pk.N() {
 		return false

@@ -203,14 +203,16 @@ func registerBuildInfo(r *metrics.Registry) {
 }
 
 // warmGroup builds a freshly resolved group's pairing precompute — the
-// Miller-loop line tables for its generators, public key, and
-// verification keys — and counts the build. A Group object carries its
-// precompute for life, so warm tenants (every resolve after the install)
-// increment nothing; a refresh or rotation installs a NEW Group object
-// and therefore counts as exactly one rebuild. Only the coordinator warms
-// its groups: it verifies every signature, while a signer never runs a
-// pairing (the tables stay lazy there, built on a first verify if one
-// ever comes).
+// Miller-loop line tables for its generators and public key, which every
+// signature's Verify reads — and counts the build. Verification-key tables
+// are not part of it: the quorum-first sign path runs Share-Verify only to
+// convict, so each key's tables are built on its first check. A Group
+// object carries its precompute for life, so warm tenants (every resolve
+// after the install) increment nothing; a refresh or rotation installs a
+// NEW Group object and therefore counts as exactly one rebuild. Only the
+// coordinator warms its groups: it verifies every signature, while a
+// signer never runs a pairing (the tables stay lazy there, built on a
+// first verify if one ever comes).
 func warmGroup(g *core.Group, rebuilds *metrics.Counter) {
 	if g != nil && g.Precompute() {
 		rebuilds.Inc()
