@@ -41,6 +41,15 @@ func TestZeroAllocations(t *testing.T) {
 	var terms [2]regularTerm
 	var q G1
 
+	// The comb below CommitG2's *big.Int boundary.
+	fg := NewFixedBaseG2(G2Generator())
+	fh := NewFixedBaseG2(HashToG2("alloc-test", nil))
+	var combTerms [2]combTerm
+	combTerms[0].set(fg, big.NewInt(12345))
+	combTerms[1].set(fh, new(big.Int).Sub(Order, big.NewInt(6789)))
+	var q2 G2
+	var jac2 jacG2
+
 	for _, tc := range []struct {
 		name string
 		fn   func()
@@ -69,6 +78,9 @@ func TestZeroAllocations(t *testing.T) {
 		}},
 		{"lookupMasked", func() { q.lookupMasked(tables[:glvTableSize], -7, 0) }},
 		{"ladderRegular", func() { ladderRegular(&jac, tables[:], terms[:]) }},
+		{"comb.recode", func() { defaultComb.recode(&combTerms[1].digits, &k) }},
+		{"combLookup", func() { q2.combLookup(fg.table[:defaultComb.entries()], 17, ^uint64(0)) }},
+		{"comb.ladder", func() { defaultComb.ladder(&jac2, combTerms[:]) }},
 	} {
 		if n := testing.AllocsPerRun(10, tc.fn); n != 0 {
 			t.Errorf("%s: %v allocs/op, want 0", tc.name, n)
@@ -94,7 +106,7 @@ func TestMathBigStaysAtTheBoundary(t *testing.T) {
 		"g2.go":         "ScalarMult, MultiScalarMultG2",
 		"gt.go":         "Exp",
 		"msm.go":        "G1MSM, MultiScalarMultSharedG1",
-		"fixedbase.go":  "FixedBase ScalarMult, CommitG2",
+		"fixedbase.go":  "FixedBaseG2.ScalarMult and CommitG2 take *big.Int scalars; combTerm.set hands them to scalarLimbs",
 	}
 	files, err := filepath.Glob("*.go")
 	if err != nil {

@@ -4,6 +4,7 @@ import (
 	"crypto/rand"
 	"fmt"
 	"math/big"
+	"reflect"
 	"testing"
 	"time"
 )
@@ -114,21 +115,38 @@ func BenchmarkAblationCyclotomicSquare(b *testing.B) {
 		variant{"generic", func() { y.Square(&y) }})
 }
 
+// BenchmarkAblationFixedBase times CommitG2 on the comb of every shape in
+// combShapes, and the same shape with direct loads and sign branches
+// (variable time, not to ship), against the old 4-bit window, the generic
+// two-scalar ladder and the table builds, and reports each variant's two
+// tables in bytes.
 func BenchmarkAblationFixedBase(b *testing.B) {
 	g := G2Generator()
 	h := HashToG2("bench/fixedbase", nil)
-	fg := NewFixedBaseG2(g)
-	fh := NewFixedBaseG2(h)
 	a := benchScalar(b)
 	c := benchScalar(b)
-	interleave(b,
-		variant{"fixed-base-tables", func() { CommitG2(fg, fh, a, c) }},
+	wg, wh := newFixedWindowG2(g), newFixedWindowG2(h)
+	variants := []variant{{"window-4bit", func() { commitWindowG2(wg, wh, a, c) }}}
+	tableBytes := map[string]int{"window-4bit": 2 * len(wg.table) * len(wg.table[0]) * int(reflect.TypeOf(G2{}).Size())}
+	for _, s := range combShapes {
+		fg, fh := newFixedBaseG2(g, s), newFixedBaseG2(h, s)
+		name := fmt.Sprintf("comb-h%d-v%d", s.teeth, s.subTables)
+		variants = append(variants, variant{name, func() { CommitG2(fg, fh, a, c) }})
+		tableBytes[name] = 2 * len(fg.table) * int(reflect.TypeOf(combEntry{}).Size())
+		variants = append(variants, variant{name + "-vartime", func() { commitVarTime(fg, fh, a, c) }})
+	}
+	variants = append(variants,
 		variant{"strauss-multiscalar", func() {
 			if _, err := MultiScalarMultG2([]*G2{g, h}, []*big.Int{a, c}); err != nil {
 				b.Fatal(err)
 			}
 		}},
-		variant{"table-build", func() { NewFixedBaseG2(h) }})
+		variant{"table-build-window", func() { newFixedWindowG2(h) }},
+		variant{"table-build-comb", func() { NewFixedBaseG2(h) }})
+	interleave(b, variants...)
+	for name, n := range tableBytes {
+		b.ReportMetric(float64(n), name+"-table-B")
+	}
 }
 
 func BenchmarkAblationMillerLoop(b *testing.B) {

@@ -9,9 +9,11 @@ import (
 // per-step affine G2 arithmetic behind the Miller loop (one Fp2 inversion
 // per line — what PrecomputeG2 did before the steps moved to Jacobian
 // coordinates with one shared inversion), the square-and-multiply final
-// exponentiation, the G1 Strauss ladder from before the GLV split, and the
+// exponentiation, the G1 Strauss ladder from before the GLV split, the
 // Montgomery product from before the no-carry schedule with the Fp2 and G2
-// formulas on top of it (and fp2.Mul before lazy reduction).
+// formulas on top of it (and fp2.Mul before lazy reduction), and the G2
+// fixed-base window and a variable-time comb, both measured against the
+// constant-time comb.
 
 // lineCoeffDoubleAffine computes the tangent-line coefficients at t and
 // doubles t in place.
@@ -402,4 +404,103 @@ func addMixedReference(j, a *jacG2, b *G2) *jacG2 {
 	j.y.Set(&y3)
 	j.z.Set(&z3)
 	return j
+}
+
+// fixedWindowG2 is the fixed-base multiplication before the comb: 4-bit
+// windows, table[i][d−1] = d·16^i·base in affine form, 64 × 15 entries per
+// base. It skips zero digits and indexes its table by the digit: variable
+// time. BenchmarkAblationFixedBase measures the comb against it.
+type fixedWindowG2 struct {
+	table [64][15]G2
+}
+
+// newFixedWindowG2 builds the window tables of a finite base.
+func newFixedWindowG2(base *G2) *fixedWindowG2 {
+	f := &fixedWindowG2{}
+	const n = len(f.table[0])
+	const windows = len(f.table)
+	scratch := make([]fp2, 2*n*windows)
+	var windowsJac [windows]jacG2
+	var bases [windows]G2
+	windowsJac[0].fromAffine(base)
+	for i := 1; i < windows; i++ {
+		windowsJac[i] = windowsJac[i-1]
+		for s := 0; s < 4; s++ {
+			windowsJac[i].double(&windowsJac[i])
+		}
+	}
+	batchToAffineG2(bases[:], windowsJac[:], scratch)
+	jac := make([]jacG2, n*windows)
+	for i := range bases {
+		multiplesG2(jac[n*i:n*(i+1)], &bases[i])
+	}
+	flat := make([]G2, len(jac))
+	batchToAffineG2(flat, jac, scratch)
+	for i := range f.table {
+		copy(f.table[i][:], flat[n*i:])
+	}
+	return f
+}
+
+func (f *fixedWindowG2) accumulate(acc *jacG2, k *big.Int) {
+	for i := range f.table {
+		if digit := scalarDigit(k, 4*i, 4); digit != 0 {
+			acc.addMixed(acc, &f.table[i][digit-1])
+		}
+	}
+}
+
+// commitWindowG2 is CommitG2 on the window tables: all of f's additions,
+// then all of g's, into one accumulator.
+func commitWindowG2(f, g *fixedWindowG2, a, b *big.Int) *G2 {
+	var ar, br big.Int
+	ar.Mod(a, Order)
+	br.Mod(b, Order)
+	var acc jacG2
+	acc.z.SetZero()
+	f.accumulate(&acc, &ar)
+	g.accumulate(&acc, &br)
+	return acc.toAffine(new(G2))
+}
+
+// ladderVarTime is comb.ladder with the table loaded at the digit and the
+// sign applied by a branch: what the masked scans cost, and a variant not
+// to ship, since its loads and branches follow the secret digits.
+func (c *comb) ladderVarTime(acc *jacG2, terms []combTerm) {
+	n := c.entries()
+	var q G2
+	for s := c.steps - 1; s >= 0; s-- {
+		if s != c.steps-1 {
+			acc.double(acc)
+		}
+		for t := range terms {
+			for b := 0; b < c.subTables; b++ {
+				col := b*c.steps + s
+				e := &terms[t].table[b*n+int(terms[t].digits.idx[col])]
+				q.x.c0 = fp{e[0], e[1], e[2], e[3]}
+				q.x.c1 = fp{e[4], e[5], e[6], e[7]}
+				q.y.c0 = fp{e[8], e[9], e[10], e[11]}
+				q.y.c1 = fp{e[12], e[13], e[14], e[15]}
+				q.notInf = true
+				if terms[t].digits.neg[col] != 0 {
+					q.y.Neg(&q.y)
+				}
+				if s == c.steps-1 && t == 0 && b == 0 {
+					acc.fromAffine(&q)
+				} else {
+					acc.addMixed(acc, &q)
+				}
+			}
+		}
+	}
+}
+
+// commitVarTime is CommitG2 on ladderVarTime, for finite bases.
+func commitVarTime(f, g *FixedBaseG2, a, b *big.Int) *G2 {
+	var terms [2]combTerm
+	terms[0].set(f, a)
+	terms[1].set(g, b)
+	var acc jacG2
+	f.comb.ladderVarTime(&acc, terms[:])
+	return acc.toAffine(new(G2))
 }

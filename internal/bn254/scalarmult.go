@@ -21,7 +21,8 @@ const (
 	shortScalarBitsG2 = 96
 )
 
-// scalarDigit returns the width-bit digit of k that starts at bit start.
+// scalarDigit returns the width-bit digit of k that starts at bit start,
+// for the variable-time ladders on public scalars.
 func scalarDigit(k *big.Int, start, width int) int {
 	digit := 0
 	for d := width - 1; d >= 0; d-- {

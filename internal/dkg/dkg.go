@@ -32,6 +32,7 @@
 package dkg
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"io"
@@ -83,7 +84,8 @@ func (s PedersenScheme) Commit(coeffs []*big.Int) []*bn254.G2 {
 // DLINScheme commits to triples (a, b, c) as the pair
 // (g^_z^a g^_r^b, h^_z^a h^_u^c) — the dual commitment of Appendix F.
 // Construct it with NewDLINScheme so the fixed-base tables for the four
-// generators are shared across commitments.
+// generators are shared across commitments; a literal builds them anew
+// for every commitment.
 type DLINScheme struct {
 	Gz, Gr, Hz, Hu *bn254.G2
 
@@ -108,19 +110,20 @@ func (s DLINScheme) CommitDim() int { return 2 }
 
 // Commit implements CommitScheme.
 func (s DLINScheme) Commit(coeffs []*big.Int) []*bn254.G2 {
-	if s.precomp != nil {
-		s.precomp.once.Do(func() {
-			s.precomp.gz = bn254.NewFixedBaseG2(s.Gz)
-			s.precomp.gr = bn254.NewFixedBaseG2(s.Gr)
-			s.precomp.hz = bn254.NewFixedBaseG2(s.Hz)
-			s.precomp.hu = bn254.NewFixedBaseG2(s.Hu)
-		})
-		v := bn254.CommitG2(s.precomp.gz, s.precomp.gr, coeffs[0], coeffs[1])
-		w := bn254.CommitG2(s.precomp.hz, s.precomp.hu, coeffs[0], coeffs[2])
-		return []*bn254.G2{v, w}
+	pre := s.precomp
+	if pre == nil {
+		// A DLINScheme not made by NewDLINScheme has no shared tables:
+		// this call builds its own, so that secrets still run on the comb.
+		pre = &dlinPrecomp{}
 	}
-	v := msmG2([]*bn254.G2{s.Gz, s.Gr}, []*big.Int{coeffs[0], coeffs[1]})
-	w := msmG2([]*bn254.G2{s.Hz, s.Hu}, []*big.Int{coeffs[0], coeffs[2]})
+	pre.once.Do(func() {
+		pre.gz = bn254.NewFixedBaseG2(s.Gz)
+		pre.gr = bn254.NewFixedBaseG2(s.Gr)
+		pre.hz = bn254.NewFixedBaseG2(s.Hz)
+		pre.hu = bn254.NewFixedBaseG2(s.Hu)
+	})
+	v := bn254.CommitG2(pre.gz, pre.gr, coeffs[0], coeffs[1])
+	w := bn254.CommitG2(pre.hz, pre.hu, coeffs[0], coeffs[2])
 	return []*bn254.G2{v, w}
 }
 
@@ -275,6 +278,10 @@ type dealerState struct {
 	complainers map[int]bool
 	disqualified,
 	dealt bool
+	// dealIntact and sharesIntact record that the deal and the shares
+	// kept from this dealer are byte for byte what this player sent in
+	// round 0: set only for the player's own deal.
+	dealIntact, sharesIntact bool
 }
 
 // HonestPlayer is the protocol-following state machine for one player.
@@ -293,6 +300,11 @@ type HonestPlayer struct {
 	dealers map[int]*dealerState
 	result  *Result
 	err     error
+
+	// sentDeal and sentShares are the payloads of this player's round-0
+	// deal and of its shares for itself, until round 1 compares them with
+	// what was delivered.
+	sentDeal, sentShares []byte
 }
 
 // NewHonestPlayer creates the state machine for player id (1-based).
@@ -413,6 +425,12 @@ func (p *HonestPlayer) deal() ([]engine.Message, error) {
 	for ki := 0; ki < k; ki++ {
 		comms[ki] = make([][]*bn254.G2, p.cfg.T+1)
 		for l := 0; l <= p.cfg.T; l++ {
+			if p.cfg.Refresh && l == 0 {
+				// The constant terms are publicly zero, and every verifier
+				// checks that this row is the identity.
+				comms[ki][0] = identityRow(p.cfg.Scheme.CommitDim())
+				continue
+			}
 			coeffs := make([]*big.Int, dim)
 			for d := 0; d < dim; d++ {
 				coeffs[d] = p.Polys[ki][d].Coeff(l)
@@ -421,23 +439,37 @@ func (p *HonestPlayer) deal() ([]engine.Message, error) {
 		}
 	}
 
+	p.sentDeal = encodeDeal(comms)
 	msgs := []engine.Message{{
 		To:      engine.Broadcast,
 		Kind:    KindDeal,
-		Payload: encodeDeal(comms),
+		Payload: p.sentDeal,
 	}}
 	for j := 1; j <= p.cfg.N; j++ {
 		shares := make([]Share, k)
 		for ki := 0; ki < k; ki++ {
 			shares[ki] = p.shareFor(ki, j)
 		}
+		payload := encodeShares(shares)
+		if j == p.id {
+			p.sentShares = payload
+		}
 		msgs = append(msgs, engine.Message{
 			To:      j,
 			Kind:    KindShare,
-			Payload: encodeShares(shares),
+			Payload: payload,
 		})
 	}
 	return msgs, nil
+}
+
+// identityRow returns a commitment row of dim identity elements.
+func identityRow(dim int) []*bn254.G2 {
+	row := make([]*bn254.G2, dim)
+	for d := range row {
+		row[d] = new(bn254.G2)
+	}
+	return row
 }
 
 // processDealsAndComplain verifies all received dealings and broadcasts
@@ -459,6 +491,7 @@ func (p *HonestPlayer) processDealsAndComplain(delivered []engine.Message) ([]en
 			}
 			d.dealt = true
 			d.commitments = comms
+			d.dealIntact = m.From == p.id && bytes.Equal(m.Payload, p.sentDeal)
 		case KindShare:
 			shares, err := decodeShares(m.Payload, p.cfg.NumSharings, p.cfg.Scheme.SecretDim())
 			if err != nil {
@@ -467,14 +500,18 @@ func (p *HonestPlayer) processDealsAndComplain(delivered []engine.Message) ([]en
 			d := p.dealer(m.From)
 			if d.myShares == nil {
 				d.myShares = shares
+				d.sharesIntact = m.From == p.id && bytes.Equal(m.Payload, p.sentShares)
 			}
 		}
 	}
+	p.sentDeal, p.sentShares = nil, nil
 
 	var out []engine.Message
 	for j := 1; j <= p.cfg.N; j++ {
 		d := p.dealer(j)
-		if p.verifyDealerShares(d) {
+		// This player's own deal and shares, delivered unchanged, are
+		// consistent by construction; anything else is checked.
+		if d.dealIntact && d.sharesIntact || p.verifyDealerShares(d) {
 			d.shareOK = true
 			continue
 		}

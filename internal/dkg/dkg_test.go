@@ -654,3 +654,120 @@ func TestLargerConfiguration(t *testing.T) {
 		t.Fatal("VK_7 inconsistent with share")
 	}
 }
+
+// countingScheme counts the tuples committed to.
+type countingScheme struct {
+	CommitScheme
+	calls *int
+}
+
+func (s countingScheme) Commit(coeffs []*big.Int) []*bn254.G2 {
+	*s.calls++
+	return s.CommitScheme.Commit(coeffs)
+}
+
+// roundZero steps fresh players through round 0 and returns them with the
+// inbox each one receives for round 1.
+func roundZero(t *testing.T, cfg Config) ([]*HonestPlayer, [][]engine.Message) {
+	t.Helper()
+	players := make([]*HonestPlayer, cfg.N+1)
+	inbox := make([][]engine.Message, cfg.N+1)
+	for i := 1; i <= cfg.N; i++ {
+		hp, err := NewHonestPlayer(cfg, i)
+		if err != nil {
+			t.Fatal(err)
+		}
+		players[i] = hp
+	}
+	for i := 1; i <= cfg.N; i++ {
+		msgs, err := players[i].Step(0, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, m := range msgs {
+			m.From = i
+			for j := 1; j <= cfg.N; j++ {
+				if m.IsBroadcast() || m.To == j {
+					inbox[j] = append(inbox[j], m)
+				}
+			}
+		}
+	}
+	return players, inbox
+}
+
+func complaintsAgainst(t *testing.T, msgs []engine.Message) []int {
+	t.Helper()
+	var out []int
+	for _, m := range msgs {
+		if m.Kind == KindComplaint {
+			j, err := decodeComplaint(m.Payload)
+			if err != nil {
+				t.Fatal(err)
+			}
+			out = append(out, j)
+		}
+	}
+	return out
+}
+
+// TestDealSkipsZeroRowsAndOwnShares: in Refresh mode a dealer does not
+// commit to its publicly zero constant terms, and a player checks the
+// other dealers' shares but not its own, delivered unchanged.
+func TestDealSkipsZeroRowsAndOwnShares(t *testing.T) {
+	for _, refresh := range []bool{false, true} {
+		var calls int
+		cfg := testConfig(5, 2, 2)
+		cfg.Refresh = refresh
+		cfg.Scheme = countingScheme{cfg.Scheme, &calls}
+		players, inbox := roundZero(t, cfg)
+		rows := cfg.T + 1
+		if refresh {
+			rows = cfg.T
+		}
+		if want := cfg.N * cfg.NumSharings * rows; calls != want {
+			t.Fatalf("refresh=%v: %d dealers committed to %d tuples, want %d", refresh, cfg.N, calls, want)
+		}
+		calls = 0
+		out, err := players[1].Step(1, inbox[1])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if c := complaintsAgainst(t, out); len(c) != 0 {
+			t.Fatalf("refresh=%v: honest round 1 complained about %v", refresh, c)
+		}
+		if want := (cfg.N - 1) * cfg.NumSharings; calls != want {
+			t.Fatalf("refresh=%v: round 1 committed to %d tuples, want %d", refresh, calls, want)
+		}
+	}
+}
+
+// TestOwnDealAlteredInDeliveryDrawsComplaint: the shortcut for a player's
+// own deal holds only for the bytes it sent; a deal or share payload
+// altered on the way back is checked, fails, and draws the complaint.
+func TestOwnDealAlteredInDeliveryDrawsComplaint(t *testing.T) {
+	for _, kind := range []string{KindDeal, KindShare} {
+		cfg := testConfig(3, 1, 1)
+		players, inbox := roundZero(t, cfg)
+		var other []byte
+		for _, m := range inbox[1] {
+			if m.Kind == kind && m.From == 2 {
+				other = m.Payload
+			}
+		}
+		for i, m := range inbox[1] {
+			if m.Kind == kind && m.From == 1 {
+				// Dealer 2's payload: well formed, but not what dealer 1
+				// committed to or sent.
+				inbox[1][i].Payload = other
+			}
+		}
+		out, err := players[1].Step(1, inbox[1])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if c := complaintsAgainst(t, out); len(c) != 1 || c[0] != 1 {
+			t.Fatalf("%s altered: complaints against %v, want [1]", kind, c)
+		}
+	}
+}

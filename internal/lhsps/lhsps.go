@@ -32,7 +32,7 @@ import (
 type Params struct {
 	Gz, Gr *bn254.G2
 
-	// Fixed-base window tables for the generators, built lazily: the
+	// Fixed-base comb tables for the generators, built lazily: the
 	// two-generator Pedersen commitment is the hot operation of the DKG
 	// and every LHSPS key generation (see internal/bn254/fixedbase.go).
 	precompOnce sync.Once
@@ -141,8 +141,8 @@ func Keygen(params *Params, n int, rng io.Reader) (*PrivateKey, error) {
 	}, nil
 }
 
-// commitPair computes g^_z^a * g^_r^b via the precomputed fixed-base
-// window tables.
+// commitPair computes g^_z^a * g^_r^b on the precomputed fixed-base comb
+// tables, with no branch or table index on a or b.
 func commitPair(params *Params, a, b *big.Int) *bn254.G2 {
 	gz, gr := params.precomp()
 	return bn254.CommitG2(gz, gr, a, b)
