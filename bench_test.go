@@ -226,6 +226,18 @@ func BenchmarkCombine(b *testing.B) {
 	}
 }
 
+// BenchmarkCombinePreverified is the coordinator's optimistic combine:
+// interpolation of t+1 shares with no Share-Verify.
+func BenchmarkCombinePreverified(b *testing.B) {
+	setupFixtures(b)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := core.CombinePreverified(coreParts, benchT); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // ---- E5: DKG cost vs n ----
 
 func BenchmarkDKG(b *testing.B) {

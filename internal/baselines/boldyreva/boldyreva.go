@@ -75,14 +75,17 @@ func Deal(params *Params, n, t int, rng io.Reader) (*PublicKey, []*KeyShare, err
 	if err != nil {
 		return nil, nil, fmt.Errorf("boldyreva: dealing: %w", err)
 	}
-	pk := &PublicKey{Params: params, PK: new(bn254.G2).ScalarMult(params.Gen, poly.Secret())}
+	// The secret and every share are raised on the constant-time comb:
+	// one table for the whole deal.
+	gen := bn254.NewFixedBaseG2(params.Gen)
+	pk := &PublicKey{Params: params, PK: gen.ScalarMult(poly.Secret())}
 	shares := make([]*KeyShare, n+1)
 	for i := 1; i <= n; i++ {
 		xi := poly.EvalAt(i)
 		shares[i] = &KeyShare{
 			Index: i,
 			X:     xi,
-			VK:    new(bn254.G2).ScalarMult(params.Gen, xi),
+			VK:    gen.ScalarMult(xi),
 		}
 	}
 	return pk, shares, nil

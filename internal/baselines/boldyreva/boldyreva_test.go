@@ -2,6 +2,9 @@ package boldyreva
 
 import (
 	"crypto/rand"
+	"crypto/sha256"
+	"encoding/hex"
+	mrand "math/rand"
 	"testing"
 
 	"repro/internal/bn254"
@@ -99,5 +102,28 @@ func TestDealValidation(t *testing.T) {
 	params := NewParams("x")
 	if _, _, err := Deal(params, 2, 2, rand.Reader); err == nil {
 		t.Fatal("accepted n < t+1")
+	}
+}
+
+// TestDealKeysAreUnchanged pins the public key and every verification key
+// of a seeded deal: they are derived on the constant-time comb and must be
+// the bytes the variable-time ladder gives.
+func TestDealKeysAreUnchanged(t *testing.T) {
+	params := NewParams("boldyreva-golden")
+	pk, shares, err := Deal(params, 5, 2, mrand.New(mrand.NewSource(7)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := sha256.New()
+	h.Write(pk.PK.Marshal())
+	for i := 1; i <= 5; i++ {
+		if want := new(bn254.G2).ScalarMult(params.Gen, shares[i].X); !shares[i].VK.Equal(want) {
+			t.Fatalf("VK_%d differs from g^^x_%d", i, i)
+		}
+		h.Write(shares[i].VK.Marshal())
+	}
+	const golden = "c6de96ea38fe71bee98f32790b9bcd7e73702dd81c6a3ad119432d36b4e8143a"
+	if got := hex.EncodeToString(h.Sum(nil)); got != golden {
+		t.Fatalf("key bytes digest %s, want %s", got, golden)
 	}
 }

@@ -90,6 +90,37 @@ func TestZeroAllocations(t *testing.T) {
 	if n := testing.AllocsPerRun(5, func() { Pair(p, g2Gen) }); n != 1 {
 		t.Errorf("Pair: %v allocs/op, want 1 (the returned GT)", n)
 	}
+
+	// The MSMs keep their tables, scratch, terms and accumulators on the
+	// stack up to StackPoints bases and allocate only their results.
+	var pts [StackPoints]*G1
+	var ks [StackPoints]*big.Int
+	for i := range pts {
+		pts[i] = HashToG1("alloc-test/msm", []byte{byte(i)})
+		ks[i] = new(big.Int).Sub(Order, big.NewInt(int64(1000+i)))
+	}
+	for _, m := range []int{3, StackPoints} {
+		if n := testing.AllocsPerRun(5, func() { G1MSM(pts[:m], ks[:m]) }); n != 1 {
+			t.Errorf("G1MSM n=%d: %v allocs/op, want 1 (the returned point)", m, n)
+		}
+	}
+	sets := [2][]*big.Int{ks[:2], ks[2:4]}
+	if n := testing.AllocsPerRun(5, func() { MultiScalarMultSharedG1(pts[:2], sets[0], sets[1]) }); n != 2 {
+		t.Errorf("MultiScalarMultSharedG1 2 bases x 2 sets: %v allocs/op, want 2 (the returned points and their slice)", n)
+	}
+	g2s := []*G2{g2Gen, G2Generator()}
+	if n := testing.AllocsPerRun(5, func() { MultiScalarMultG2(g2s, ks[:2]) }); n != 1 {
+		t.Errorf("MultiScalarMultG2: %v allocs/op, want 1 (the returned point)", n)
+	}
+	var h G1
+	hd := NewHashDomain("alloc-test/hash")
+	if n := testing.AllocsPerRun(5, func() { hd.Hash(&h, []byte("message")) }); n != 0 {
+		t.Errorf("HashDomain.Hash: %v allocs/op, want 0", n)
+	}
+	slots := []*PairingSlot{{P: p, Pre: pre}, {P: g, Pre: pre}}
+	if n := testing.AllocsPerRun(5, func() { PairingCheckMixed(slots) }); n != 0 {
+		t.Errorf("PairingCheckMixed on precomputed lines: %v allocs/op, want 0", n)
+	}
 }
 
 // math/big may appear in this package only where a scalar or exponent

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/big"
 	"reflect"
+	"runtime"
 	"testing"
 	"time"
 )
@@ -265,6 +266,56 @@ func BenchmarkAblationGLV(b *testing.B) {
 			variant{"strauss-4bit", func() { window4(h, coeffs) }},
 			variant{"wnaf-glv", func() { wnaf(h, coeffs) }})
 	})
+}
+
+// BenchmarkAblationMSMScratch is the choice behind msmScratch: the
+// production Strauss MSM (working space in stack arrays up to StackPoints
+// points) against the same ladder on fresh slices, at Combine's shape (3)
+// and the stack capacity (8). Above it production takes fresh slices too.
+// Besides the time it reports each variant's heap bytes per call.
+func BenchmarkAblationMSMScratch(b *testing.B) {
+	for _, n := range []int{3, StackPoints} {
+		points := make([]*G1, n)
+		scalars := make([]*big.Int, n)
+		for i := range points {
+			points[i] = HashToG1("bench/msm-scratch", []byte{byte(i)})
+			scalars[i] = benchScalar(b)
+		}
+		variants := []variant{
+			{"stack", func() { msmStrauss(points, scalars) }},
+			{"make", func() { msmStraussMake(points, scalars) }},
+		}
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			interleave(b, variants...)
+			for _, v := range variants {
+				var before, after runtime.MemStats
+				runtime.ReadMemStats(&before)
+				const calls = 20
+				for range calls {
+					v.fn()
+				}
+				runtime.ReadMemStats(&after)
+				b.ReportMetric(float64(after.TotalAlloc-before.TotalAlloc)/calls, v.name+"-B/call")
+			}
+		})
+	}
+}
+
+// msmStraussMake is msmStrauss with fresh slices for its working space
+// at every size: the alternative BenchmarkAblationMSMScratch measures.
+func msmStraussMake(points []*G1, scalars []*big.Int) *G1 {
+	const t = glvTableSize
+	n := len(points)
+	tables := make([]G1, 2*t*n)
+	fillGLVTables(tables, make([]jacG1, t*n), make([]fp, 2*t*n), points)
+	terms := make([]wnafTerm, 0, 2*n)
+	for i, s := range scalars {
+		k := scalarLimbs(s)
+		terms = appendWNAFTerms(terms, t*i, t*(n+i), &k)
+	}
+	var acc jacG1
+	ladderWNAF(&acc, tables, terms)
+	return acc.toAffine(new(G1))
 }
 
 func BenchmarkMillerLoop(b *testing.B) {

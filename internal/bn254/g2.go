@@ -352,26 +352,31 @@ func (e *G2) String() string {
 }
 
 // MultiScalarMultG2 computes sum_i scalars[i]*points[i] with a shared
-// doubling chain.
+// doubling chain. Variable time: for public scalars (the DKG's powers of
+// player indices). The reduced scalars sit in a stack array up to
+// StackPoints points, as G1's working space does, so the returned point
+// is the only allocation.
 func MultiScalarMultG2(points []*G2, scalars []*big.Int) (*G2, error) {
 	if len(points) != len(scalars) {
 		return nil, errors.New("bn254: mismatched multiscalar lengths")
 	}
-	reduced := make([]*big.Int, len(scalars))
+	var kbuf [StackPoints]u256
+	reduced := kbuf[:]
+	if len(scalars) > len(kbuf) {
+		reduced = make([]u256, len(scalars))
+	}
+	reduced = reduced[:len(scalars)]
 	maxBits := 0
 	for i, s := range scalars {
-		r := new(big.Int).Mod(s, Order)
-		reduced[i] = r
-		if r.BitLen() > maxBits {
-			maxBits = r.BitLen()
-		}
+		reduced[i] = scalarLimbs(s)
+		maxBits = max(maxBits, reduced[i].bitLen())
 	}
 	var acc jacG2
 	acc.z.SetZero()
 	for i := maxBits - 1; i >= 0; i-- {
 		acc.double(&acc)
-		for j, r := range reduced {
-			if r.Bit(i) == 1 && !points[j].IsInfinity() {
+		for j := range reduced {
+			if reduced[j].bit(i) == 1 && !points[j].IsInfinity() {
 				acc.addMixed(&acc, points[j])
 			}
 		}

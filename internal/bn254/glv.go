@@ -50,6 +50,19 @@ var (
 	glvRound1, glvRound2 u256
 )
 
+// bit returns bit i of z.
+func (z *u256) bit(i int) uint64 { return z[i/64] >> (i % 64) & 1 }
+
+// bitLen returns the length of z in bits.
+func (z *u256) bitLen() int {
+	for i := 3; i >= 0; i-- {
+		if z[i] != 0 {
+			return 64*i + bits.Len64(z[i])
+		}
+	}
+	return 0
+}
+
 // sub sets z = x − y mod 2^256 and returns the borrow.
 func (z *u256) sub(x, y *u256) uint64 {
 	var b uint64

@@ -5,14 +5,23 @@ import (
 	"encoding/binary"
 )
 
+// appendFrame appends domain framed for expandFramed: its length as 8
+// big-endian bytes, then the domain itself.
+func appendFrame(dst []byte, domain string) []byte {
+	return append(binary.BigEndian.AppendUint64(dst, uint64(len(domain))), domain...)
+}
+
 // expandMessage derives a 32-byte digest from (domain, msg, counter) with
 // unambiguous length-prefixed framing.
 func expandMessage(domain string, msg []byte, ctr uint32) [32]byte {
+	return expandFramed(appendFrame(nil, domain), msg, ctr)
+}
+
+// expandFramed is expandMessage with the domain already framed.
+func expandFramed(prefix, msg []byte, ctr uint32) [32]byte {
 	h := sha256.New()
+	h.Write(prefix)
 	var lenBuf [8]byte
-	binary.BigEndian.PutUint64(lenBuf[:], uint64(len(domain)))
-	h.Write(lenBuf[:])
-	h.Write([]byte(domain))
 	binary.BigEndian.PutUint64(lenBuf[:], uint64(len(msg)))
 	h.Write(lenBuf[:])
 	h.Write(msg)
@@ -24,12 +33,44 @@ func expandMessage(domain string, msg []byte, ctr uint32) [32]byte {
 	return out
 }
 
-// HashToG1 hashes (domain, msg) onto a point of E(Fp) by try-and-increment.
-// BN curves have a prime-order G1 (cofactor 1), so no subgroup clearing is
-// required. The map is modeled as a random oracle in the paper's analysis.
-func HashToG1(domain string, msg []byte) *G1 {
+// HashDomain is a hash-to-G1 domain framed once, with the sub-domain that
+// picks the square root: hashing under it builds no string and allocates
+// nothing. Build it with NewHashDomain or HashVectorDomains.
+type HashDomain struct {
+	point, sign []byte // the framed domain and domain+"/sign"
+}
+
+// NewHashDomain frames domain for HashDomain.Hash.
+func NewHashDomain(domain string) HashDomain {
+	return frameDomain(make([]byte, 0, 2*(8+len(domain))+len(signSuffix)), domain)
+}
+
+const signSuffix = "/sign"
+
+// frameDomain frames domain and domain+signSuffix into buf.
+func frameDomain(buf []byte, domain string) HashDomain {
+	buf = appendFrame(buf, domain)
+	n := len(buf)
+	buf = binary.BigEndian.AppendUint64(buf, uint64(len(domain)+len(signSuffix)))
+	buf = append(append(buf, domain...), signSuffix...)
+	return HashDomain{point: buf[:n:n], sign: buf[n:]}
+}
+
+// HashVectorDomains returns the per-coordinate domains of
+// HashToG1Vector(domain, ·, n).
+func HashVectorDomains(domain string, n int) []HashDomain {
+	out := make([]HashDomain, n)
+	for k := range out {
+		out[k] = NewHashDomain(domainIndex(domain, k))
+	}
+	return out
+}
+
+// Hash sets out to the hash of msg onto G1 under d, the point
+// HashToG1 returns for d's domain.
+func (d *HashDomain) Hash(out *G1, msg []byte) {
 	for ctr := uint32(0); ; ctr++ {
-		digest := expandMessage(domain, msg, ctr)
+		digest := expandFramed(d.point, msg, ctr)
 		var x fp
 		x.SetBytesReduce(&digest)
 		var rhs, y fp
@@ -41,26 +82,39 @@ func HashToG1(domain string, msg []byte) *G1 {
 		}
 		// Choose the root canonically from a hash bit so the map is
 		// deterministic and (heuristically) unbiased.
-		signDigest := expandMessage(domain+"/sign", msg, ctr)
+		signDigest := expandFramed(d.sign, msg, ctr)
 		var ny fp
 		ny.Neg(&y)
 		wantGreater := signDigest[0]&1 == 1
 		if (y.cmp(&ny) > 0) != wantGreater {
 			y.Set(&ny)
 		}
-		p := &G1{notInf: true}
-		p.x.Set(&x)
-		p.y.Set(&y)
-		return p
+		*out = G1{x: x, y: y, notInf: true}
+		return
 	}
 }
 
+// HashToG1 hashes (domain, msg) onto a point of E(Fp) by try-and-increment.
+// BN curves have a prime-order G1 (cofactor 1), so no subgroup clearing is
+// required. The map is modeled as a random oracle in the paper's analysis.
+func HashToG1(domain string, msg []byte) *G1 {
+	var buf [128]byte
+	d := frameDomain(buf[:0], domain)
+	p := new(G1)
+	d.Hash(p, msg)
+	return p
+}
+
 // HashToG1Vector hashes msg to a vector of n independent G1 points, the
-// (H_1, ..., H_n) = H(M) map used by the signature schemes.
+// (H_1, ..., H_n) = H(M) map used by the signature schemes. Callers that
+// hash under one domain repeatedly keep HashVectorDomains instead.
 func HashToG1Vector(domain string, msg []byte, n int) []*G1 {
+	ds := HashVectorDomains(domain, n)
+	pts := make([]G1, n)
 	out := make([]*G1, n)
 	for k := range out {
-		out[k] = HashToG1(domainIndex(domain, k), msg)
+		ds[k].Hash(&pts[k], msg)
+		out[k] = &pts[k]
 	}
 	return out
 }
@@ -97,7 +151,7 @@ func hashToTwistPoint(domain string, msg []byte) *G2 {
 		if !y.Sqrt(&rhs) {
 			continue
 		}
-		signDigest := expandMessage(domain+"/sign", msg, ctr)
+		signDigest := expandMessage(domain+signSuffix, msg, ctr)
 		var ny fp2
 		ny.Neg(&y)
 		wantGreater := signDigest[0]&1 == 1

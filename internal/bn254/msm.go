@@ -122,17 +122,58 @@ func pippengerWindow(n int) int {
 	}
 }
 
+// StackPoints is the largest number of bases (pairing slots) whose working
+// space the MSM (pairing) kernels keep in fixed arrays on the caller's
+// stack; above it they fall back to fresh slices. It covers the scheme's
+// shapes: Share-Sign is 2 bases under 2 scalar sets (the DLIN variant 3
+// under 3), Combine t+1 points, BatchVerify and BatchShareVerify one point
+// per signature of a batch of up to 8, a verification 4 to 8 pairing
+// slots. Callers that gather the inputs of these kernels size their own
+// stack buffers with it, so that one bound governs the whole sign path
+// (docs/PERF.md, "Allocations on the sign path").
+const StackPoints = 8
+
+// msmStackSets is the number of scalar sets MultiScalarMultSharedG1 keeps
+// its accumulators for on the stack.
+const msmStackSets = 4
+
+// msmScratch is the table, Jacobian and field working space of one MSM
+// over up to StackPoints bases (~19 KiB).
+type msmScratch struct {
+	tables [2 * glvTableSize * StackPoints]G1
+	jac    [glvTableSize * StackPoints]jacG1
+	fp     [2 * glvTableSize * StackPoints]fp
+	wnaf   [2 * StackPoints]wnafTerm
+}
+
+// buffers returns fillGLVTables' buffers for n bases and room for the
+// variable-time ladder's 2n terms: s's arrays when they fit, fresh slices
+// otherwise.
+func (s *msmScratch) buffers(n int) (tables []G1, jac []jacG1, scratch []fp, wnaf []wnafTerm) {
+	const t = glvTableSize
+	if n <= StackPoints {
+		return s.tables[:2*t*n], s.jac[:t*n], s.fp[:2*t*n], s.wnaf[:0]
+	}
+	return make([]G1, 2*t*n), make([]jacG1, t*n), make([]fp, 2*t*n), make([]wnafTerm, 0, 2*n)
+}
+
 // G1MSM computes sum_i scalars[i] * points[i]. Scalars are reduced mod the
 // group order; zero scalars and points at infinity are skipped. The
 // algorithm is chosen by batch size: single scalar multiplication, shared-
 // doubling Strauss, or Pippenger buckets. Variable time: for public
-// scalars only; secret scalars go through MultiScalarMultSharedG1.
+// scalars only; secret scalars go through MultiScalarMultSharedG1. Up to
+// StackPoints points it allocates only the returned point.
 func G1MSM(points []*G1, scalars []*big.Int) (*G1, error) {
 	if len(points) != len(scalars) {
 		return nil, errors.New("bn254: mismatched multiscalar lengths")
 	}
-	pts := make([]*G1, 0, len(points))
-	ks := make([]*big.Int, 0, len(scalars))
+	var pbuf [StackPoints]*G1
+	var kbuf [StackPoints]*big.Int
+	pts, ks := pbuf[:0], kbuf[:0]
+	if len(points) > StackPoints {
+		pts = make([]*G1, 0, len(points))
+		ks = make([]*big.Int, 0, len(scalars))
+	}
 	maxBits := 0
 	for i, s := range scalars {
 		if points[i] == nil || s == nil {
@@ -180,9 +221,18 @@ func G1MSM(points []*G1, scalars []*big.Int) (*G1, error) {
 // sequence of point operations is the same for every scalar. The outputs
 // share one inversion. What remains outside constant time is named in
 // glv.go.
+//
+// Up to StackPoints bases and msmStackSets sets every working buffer
+// lives on the stack, and the only allocations are the returned points;
+// the recoded digits and the accumulators are wiped before returning.
 func MultiScalarMultSharedG1(points []*G1, scalarSets ...[]*big.Int) ([]*G1, error) {
-	bases := make([]*G1, 0, len(points)) // the finite points
-	idx := make([]int, 0, len(points))   // and their indices in points
+	var bbuf [StackPoints]*G1
+	var ibuf [StackPoints]int
+	bases, idx := bbuf[:0], ibuf[:0] // the finite points and their indices in points
+	if len(points) > StackPoints {
+		bases = make([]*G1, 0, len(points))
+		idx = make([]int, 0, len(points))
+	}
 	for i, p := range points {
 		if p == nil {
 			return nil, errors.New("bn254: nil multiscalar input")
@@ -205,11 +255,23 @@ func MultiScalarMultSharedG1(points []*G1, scalarSets ...[]*big.Int) ([]*G1, err
 
 	const t = glvTableSize
 	n := len(bases)
-	tables := make([]G1, 2*t*n)
-	fillGLVTables(tables, make([]jacG1, t*n), make([]fp, 2*t*n), bases)
+	var ms msmScratch
+	tables, jac, scratch, _ := ms.buffers(n)
+	fillGLVTables(tables, jac, scratch, bases)
 
-	terms := make([]regularTerm, 2*n)
-	accs := make([]jacG1, len(scalarSets))
+	var tbuf [2 * StackPoints]regularTerm
+	terms := tbuf[:]
+	if 2*n > len(tbuf) {
+		terms = make([]regularTerm, 2*n)
+	}
+	terms = terms[:2*n]
+	var abuf [msmStackSets]jacG1
+	var afp [2 * msmStackSets]fp
+	accs, accScratch := abuf[:], afp[:]
+	if len(scalarSets) > msmStackSets {
+		accs, accScratch = make([]jacG1, len(scalarSets)), make([]fp, 2*len(scalarSets))
+	}
+	accs = accs[:len(scalarSets)]
 	for s, set := range scalarSets {
 		for j, i := range idx {
 			k := scalarLimbs(set[i])
@@ -219,9 +281,11 @@ func MultiScalarMultSharedG1(points []*G1, scalarSets ...[]*big.Int) ([]*G1, err
 		}
 		ladderRegular(&accs[s], tables, terms)
 	}
+	clear(terms)
 
 	out := make([]G1, len(accs))
-	batchToAffineG1(out, accs, make([]fp, 2*len(accs)))
+	batchToAffineG1(out, accs, accScratch)
+	clear(accs)
 	res := make([]*G1, len(out))
 	for s := range out {
 		res[s] = &out[s]
@@ -237,10 +301,10 @@ func MultiScalarMultSharedG1(points []*G1, scalarSets ...[]*big.Int) ([]*G1, err
 func msmStrauss(points []*G1, scalars []*big.Int) *G1 {
 	const t = glvTableSize
 	n := len(points)
-	tables := make([]G1, 2*t*n)
-	fillGLVTables(tables, make([]jacG1, t*n), make([]fp, 2*t*n), points)
+	var ms msmScratch
+	tables, jac, scratch, terms := ms.buffers(n)
+	fillGLVTables(tables, jac, scratch, points)
 
-	terms := make([]wnafTerm, 0, 2*n)
 	for i, s := range scalars {
 		k := scalarLimbs(s)
 		terms = appendWNAFTerms(terms, t*i, t*(n+i), &k)

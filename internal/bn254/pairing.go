@@ -106,7 +106,7 @@ func miller(p *G1, q *G2, f *fp12) {
 		return
 	}
 	var buf [maxMillerLines]prepLine
-	cs := [1]millerCursor{{p: p, lines: buildLines(q, buf[:0])}}
+	cs := [1]millerCursor{{p: *p, lines: buildLines(q, buf[:0])}}
 	millerAccumulate(cs[:], f)
 }
 

@@ -198,17 +198,18 @@ func PrecomputeG2(q *G2) *G2Prepared {
 	return &G2Prepared{lines: buildLines(q, make([]prepLine, 0, millerLineCount()))}
 }
 
-// millerCursor is one slot's state inside millerAccumulate: the G1 point
-// and the lines of its G2 argument not yet consumed.
+// millerCursor is one slot's state inside millerAccumulate: a copy of the
+// G1 point (so that the caller's point stays where the caller put it) and
+// the lines of its G2 argument not yet consumed.
 type millerCursor struct {
-	p     *G1
+	p     G1
 	lines []prepLine
 }
 
 // mulNextLine multiplies acc by the cursor's next line evaluated at its P.
 func (c *millerCursor) mulNextLine(acc *fp12) {
 	var l lineEval
-	c.lines[0].evalInto(c.p, &l)
+	c.lines[0].evalInto(&c.p, &l)
 	c.lines = c.lines[1:]
 	mulByLine(acc, &l)
 }
@@ -248,7 +249,7 @@ func MillerLoopFixed(p *G1, pre *G2Prepared, f *fp12) {
 	if p.IsInfinity() || pre.infinity {
 		return
 	}
-	cs := [1]millerCursor{{p: p, lines: pre.lines}}
+	cs := [1]millerCursor{{p: *p, lines: pre.lines}}
 	millerAccumulate(cs[:], f)
 }
 
@@ -276,7 +277,7 @@ type PairingSlot struct {
 // Fixed and fresh slots interleave freely: a fresh slot's table is built
 // here and dropped afterwards.
 func millerProduct(slots []*PairingSlot, f *fp12) error {
-	var buf [8]millerCursor // the scheme's products have 4 to 8 slots
+	var buf [StackPoints]millerCursor
 	cs := buf[:0]
 	for _, s := range slots {
 		if s == nil || s.P == nil || (s.Q == nil && s.Pre == nil) {
@@ -290,7 +291,7 @@ func millerProduct(slots []*PairingSlot, f *fp12) error {
 			pre = PrecomputeG2(s.Q)
 		}
 		if !pre.infinity {
-			cs = append(cs, millerCursor{p: s.P, lines: pre.lines})
+			cs = append(cs, millerCursor{p: *s.P, lines: pre.lines})
 		}
 	}
 	if len(cs) != 0 {
@@ -302,22 +303,31 @@ func millerProduct(slots []*PairingSlot, f *fp12) error {
 // MultiPairMixed computes prod_i e(slots[i].P, slots[i].Q-or-Pre) with one
 // shared-squaring Miller loop and a single final exponentiation.
 func MultiPairMixed(slots []*PairingSlot) (*GT, error) {
-	var f fp12
-	f.SetOne()
-	if err := millerProduct(slots, &f); err != nil {
+	out := &GT{}
+	if err := multiPairMixed(slots, &out.v); err != nil {
 		return nil, err
 	}
-	out := &GT{}
-	finalExponentiation(&out.v, &f)
 	return out, nil
 }
 
+// multiPairMixed sets out to the product MultiPairMixed returns.
+func multiPairMixed(slots []*PairingSlot, out *fp12) error {
+	var f fp12
+	f.SetOne()
+	if err := millerProduct(slots, &f); err != nil {
+		return err
+	}
+	finalExponentiation(out, &f)
+	return nil
+}
+
 // PairingCheckMixed reports whether prod_i e(slots[i]) == 1, accepting any
-// mix of fixed-precomputed and fresh G2 arguments.
+// mix of fixed-precomputed and fresh G2 arguments. It allocates nothing
+// when every slot is precomputed and there are at most 8 of them.
 func PairingCheckMixed(slots []*PairingSlot) bool {
-	acc, err := MultiPairMixed(slots)
-	if err != nil {
+	var v fp12
+	if multiPairMixed(slots, &v) != nil {
 		return false
 	}
-	return acc.IsOne()
+	return v.IsOne()
 }

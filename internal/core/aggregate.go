@@ -302,7 +302,7 @@ func AggDistKeygen(params *AggParams, n, t int) ([]*AggKeyShares, *engine.Stats,
 // hashed message.
 func AggShareSign(pk *AggPublicKey, sk *PrivateKeyShare, msg []byte) (*PartialSignature, error) {
 	h := pk.Params.HashMessage(pk.hashInput(msg))
-	sig, err := sk.lhspsKey().Sign(h)
+	sig, err := sk.sign(h)
 	if err != nil {
 		return nil, fmt.Errorf("core: Agg-Share-Sign: %w", err)
 	}

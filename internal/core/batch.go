@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"crypto/rand"
 	"errors"
 	"fmt"
@@ -55,31 +56,55 @@ func BatchVerify(pk *PublicKey, entries []BatchEntry, rng io.Reader) (bool, erro
 	// 4-slot multi-pairing on precomputed lines plus four
 	// multi-exponentiations: prod_j e(H_kj, g^_k)^{delta_j} =
 	// e(prod_j H_kj^{delta_j}, g^_k).
-	zs := make([]*bn254.G1, len(entries))
-	rs := make([]*bn254.G1, len(entries))
-	h1s := make([]*bn254.G1, len(entries))
-	h2s := make([]*bn254.G1, len(entries))
-	for i, e := range entries {
-		zs[i] = e.Sig.Z
-		rs[i] = e.Sig.R
-		h := pk.Params.HashMessage(e.Msg)
-		h1s[i] = h[0]
-		h2s[i] = h[1]
+	hs := make([][Dim]bn254.G1, len(entries))
+	var buf [4][bn254.StackPoints]*bn254.G1
+	cols := newColumns(&buf, len(entries))
+	for j, e := range entries {
+		pk.Params.hashInto(&hs[j], e.Msg)
+		cols.set(j, e.Sig.Z, e.Sig.R, &hs[j])
 	}
-	var aggs [4]*bn254.G1
-	for i, col := range [][]*bn254.G1{zs, rs, h1s, h2s} {
-		if aggs[i], err = bn254.G1MSM(col, weights); err != nil {
-			return false, err
+	pkPrep := pk.lhspsKey().Prepared()
+	return cols.check(pk.Params, weights, pkPrep[0], pkPrep[1])
+}
+
+// columns are the z, r, H_1 and H_2 columns of a batch whose relations
+// all have the same four G2 arguments.
+type columns [4][]*bn254.G1
+
+// newColumns returns the columns of k entries, in buf when they fit.
+func newColumns(buf *[4][bn254.StackPoints]*bn254.G1, k int) columns {
+	var c columns
+	for i := range c {
+		if k <= bn254.StackPoints {
+			c[i] = buf[i][:k]
+		} else {
+			c[i] = make([]*bn254.G1, k)
 		}
 	}
-	gzPrep, grPrep := pk.Params.LH.PreparedGenerators()
-	pkPrep := pk.lhspsKey().Prepared()
-	return bn254.PairingCheckMixed([]*bn254.PairingSlot{
-		{P: aggs[0], Pre: gzPrep},
-		{P: aggs[1], Pre: grPrep},
-		{P: aggs[2], Pre: pkPrep[0]},
-		{P: aggs[3], Pre: pkPrep[1]},
-	}), nil
+	return c
+}
+
+// set fills in entry j.
+func (c columns) set(j int, z, r *bn254.G1, h *[Dim]bn254.G1) {
+	c[0][j], c[1][j], c[2][j], c[3][j] = z, r, &h[0], &h[1]
+}
+
+// check aggregates every column under the weights and checks
+// e(Z, g^_z) e(R, g^_r) e(H_1, v1) e(H_2, v2) = 1 on precomputed lines.
+func (c columns) check(params *Params, weights []*big.Int, v1, v2 *bn254.G2Prepared) (bool, error) {
+	gzPrep, grPrep := params.LH.PreparedGenerators()
+	pres := [4]*bn254.G2Prepared{gzPrep, grPrep, v1, v2}
+	var slots [4]bn254.PairingSlot
+	var ptrs [4]*bn254.PairingSlot
+	for i := range c {
+		agg, err := bn254.G1MSM(c[i], weights)
+		if err != nil {
+			return false, err
+		}
+		slots[i] = bn254.PairingSlot{P: agg, Pre: pres[i]}
+		ptrs[i] = &slots[i]
+	}
+	return bn254.PairingCheckMixed(ptrs[:]), nil
 }
 
 // ShareBatchEntry is one partial signature to batch-verify: the message
@@ -97,37 +122,38 @@ func (e ShareBatchEntry) wellFormed() bool {
 }
 
 // sampleWeights draws k independent 128-bit batching weights from rng
-// (crypto/rand when nil).
+// (crypto/rand when nil) with one read: weight j is bytes 16j..16j+15,
+// big-endian — the stream rand.Int would read for each weight in turn.
 func sampleWeights(k int, rng io.Reader) ([]*big.Int, error) {
 	if rng == nil {
 		rng = rand.Reader
 	}
-	bound := new(big.Int).Lsh(big.NewInt(1), batchWeightBits)
+	const size = batchWeightBits / 8
+	buf := make([]byte, k*size)
+	if _, err := io.ReadFull(rng, buf); err != nil {
+		return nil, fmt.Errorf("core: sampling batch weights: %w", err)
+	}
+	ints := make([]big.Int, k)
 	weights := make([]*big.Int, k)
 	for j := range weights {
-		delta, err := rand.Int(rng, bound)
-		if err != nil {
-			return nil, fmt.Errorf("core: sampling batch weight: %w", err)
-		}
-		weights[j] = delta
+		weights[j] = ints[j].SetBytes(buf[j*size : (j+1)*size])
 	}
 	return weights, nil
 }
 
-// hashEntries computes (H_1, H_2) for every entry, hashing each distinct
-// message once — the common shapes (one signer on k messages, k signers
-// on one message) both avoid redundant hash-to-curve work.
-func hashEntries(params *Params, entries []ShareBatchEntry) [][]*bn254.G1 {
-	byMsg := make(map[string][]*bn254.G1, len(entries))
-	hs := make([][]*bn254.G1, len(entries))
+// hashEntries computes (H_1, H_2) for every entry, hashing a message once
+// when consecutive entries sign it — the common shapes (one signer on k
+// messages, k signers on one message) do no redundant hash-to-curve work.
+func hashEntries(params *Params, entries []ShareBatchEntry) []*[Dim]bn254.G1 {
+	pts := make([][Dim]bn254.G1, len(entries))
+	hs := make([]*[Dim]bn254.G1, len(entries))
 	for j, e := range entries {
-		k := string(e.Msg)
-		h, ok := byMsg[k]
-		if !ok {
-			h = params.HashMessage(e.Msg)
-			byMsg[k] = h
+		if j > 0 && bytes.Equal(e.Msg, entries[j-1].Msg) {
+			hs[j] = hs[j-1]
+			continue
 		}
-		hs[j] = h
+		params.hashInto(&pts[j], e.Msg)
+		hs[j] = &pts[j]
 	}
 	return hs
 }
@@ -163,55 +189,39 @@ func BatchShareVerify(pk *PublicKey, entries []ShareBatchEntry, rng io.Reader) (
 		return false, err
 	}
 	hs := hashEntries(pk.Params, entries)
-
-	zs := make([]*bn254.G1, len(entries))
-	rs := make([]*bn254.G1, len(entries))
 	sameVK := true
-	for j, e := range entries {
-		zs[j] = e.PS.Z
-		rs[j] = e.PS.R
-		if e.VK != entries[0].VK {
-			sameVK = false
-		}
+	for _, e := range entries {
+		sameVK = sameVK && e.VK == entries[0].VK
 	}
-	zAgg, err := bn254.MultiScalarMultG1(zs, weights)
-	if err != nil {
-		return false, err
-	}
-	rAgg, err := bn254.MultiScalarMultG1(rs, weights)
-	if err != nil {
-		return false, err
-	}
-
-	gzPrep, grPrep := pk.Params.LH.PreparedGenerators()
 
 	if sameVK {
 		// One signer, k messages: prod_j e(H_kj, V_k)^{delta_j} =
 		// e(prod_j H_kj^{delta_j}, V_k), so two more multi-exponentiations
 		// reduce the check to a 4-slot multi-pairing on precomputed lines.
-		h1s := make([]*bn254.G1, len(entries))
-		h2s := make([]*bn254.G1, len(entries))
-		for j := range entries {
-			h1s[j] = hs[j][0]
-			h2s[j] = hs[j][1]
-		}
-		h1Agg, err := bn254.G1MSM(h1s, weights)
-		if err != nil {
-			return false, err
-		}
-		h2Agg, err := bn254.G1MSM(h2s, weights)
-		if err != nil {
-			return false, err
+		var buf [4][bn254.StackPoints]*bn254.G1
+		cols := newColumns(&buf, len(entries))
+		for j, e := range entries {
+			cols.set(j, e.PS.Z, e.PS.R, hs[j])
 		}
 		vkPrep := entries[0].VK.lhspsKey(pk.Params).Prepared()
-		return bn254.PairingCheckMixed([]*bn254.PairingSlot{
-			{P: zAgg, Pre: gzPrep},
-			{P: rAgg, Pre: grPrep},
-			{P: h1Agg, Pre: vkPrep[0]},
-			{P: h2Agg, Pre: vkPrep[1]},
-		}), nil
+		return cols.check(pk.Params, weights, vkPrep[0], vkPrep[1])
 	}
 
+	zs := make([]*bn254.G1, len(entries))
+	rs := make([]*bn254.G1, len(entries))
+	for j, e := range entries {
+		zs[j] = e.PS.Z
+		rs[j] = e.PS.R
+	}
+	zAgg, err := bn254.G1MSM(zs, weights)
+	if err != nil {
+		return false, err
+	}
+	rAgg, err := bn254.G1MSM(rs, weights)
+	if err != nil {
+		return false, err
+	}
+	gzPrep, grPrep := pk.Params.LH.PreparedGenerators()
 	slots := make([]*bn254.PairingSlot, 0, 2*len(entries)+2)
 	slots = append(slots,
 		&bn254.PairingSlot{P: zAgg, Pre: gzPrep},
@@ -219,8 +229,8 @@ func BatchShareVerify(pk *PublicKey, entries []ShareBatchEntry, rng io.Reader) (
 	)
 	for j, e := range entries {
 		var h1, h2 bn254.G1
-		h1.ScalarMult(hs[j][0], weights[j])
-		h2.ScalarMult(hs[j][1], weights[j])
+		h1.ScalarMult(&hs[j][0], weights[j])
+		h2.ScalarMult(&hs[j][1], weights[j])
 		vkPrep := e.VK.lhspsKey(pk.Params).Prepared()
 		slots = append(slots,
 			&bn254.PairingSlot{P: &h1, Pre: vkPrep[0]},

@@ -1,9 +1,11 @@
 package core
 
 import (
+	"bytes"
 	"crypto/rand"
 	"errors"
 	"fmt"
+	"math/big"
 	"testing"
 
 	"repro/internal/bn254"
@@ -357,5 +359,34 @@ func TestCheckSignatures(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestSampleWeightsMatchRandInt: the one-read weight draw yields the
+// weights rand.Int would draw from the same stream, one after the other.
+func TestSampleWeightsMatchRandInt(t *testing.T) {
+	bound := new(big.Int).Lsh(big.NewInt(1), batchWeightBits)
+	for _, k := range []int{1, 3, 8, 65} {
+		stream := make([]byte, k*batchWeightBits/8)
+		if _, err := rand.Read(stream); err != nil {
+			t.Fatal(err)
+		}
+		got, err := sampleWeights(k, bytes.NewReader(stream))
+		if err != nil {
+			t.Fatal(err)
+		}
+		r := bytes.NewReader(stream)
+		for j := range k {
+			want, err := rand.Int(r, bound)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got[j].Cmp(want) != 0 {
+				t.Fatalf("k=%d: weight %d is %x, rand.Int reads %x", k, j, got[j], want)
+			}
+		}
+	}
+	if _, err := sampleWeights(2, bytes.NewReader(make([]byte, 31))); err == nil {
+		t.Fatal("a short stream yielded weights")
 	}
 }

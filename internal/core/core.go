@@ -40,7 +40,6 @@ import (
 	"repro/internal/bn254"
 	"repro/internal/dkg"
 	"repro/internal/lhsps"
-	"repro/internal/shamir"
 )
 
 // Dim is the hash-vector dimension of the Section 3 scheme: messages are
@@ -51,8 +50,10 @@ const Dim = 2
 // (fixed by package bn254), the generators g^_z, g^_r derived from a
 // random oracle, and the domain of H: {0,1}* -> G^2.
 type Params struct {
-	LH         *lhsps.Params
-	hashDomain string
+	LH *lhsps.Params
+	// hash holds the framed per-coordinate domains of H, so hashing a
+	// message builds no string.
+	hash [Dim]bn254.HashDomain
 }
 
 // paramsCache memoizes NewParams per domain: deriving the generators runs
@@ -80,10 +81,8 @@ func NewParams(domain string) *Params {
 	}
 	paramsCache.Unlock()
 
-	p := &Params{
-		LH:         lhsps.NewParams(domain + "/gen"),
-		hashDomain: domain + "/H",
-	}
+	p := &Params{LH: lhsps.NewParams(domain + "/gen")}
+	copy(p.hash[:], bn254.HashVectorDomains(domain+"/H", Dim))
 
 	paramsCache.Lock()
 	defer paramsCache.Unlock()
@@ -102,7 +101,16 @@ func NewParams(domain string) *Params {
 
 // HashMessage computes (H_1, H_2) = H(M).
 func (p *Params) HashMessage(msg []byte) []*bn254.G1 {
-	return bn254.HashToG1Vector(p.hashDomain, msg, Dim)
+	h := new([Dim]bn254.G1)
+	p.hashInto(h, msg)
+	return []*bn254.G1{&h[0], &h[1]}
+}
+
+// hashInto sets h to H(M), allocating nothing.
+func (p *Params) hashInto(h *[Dim]bn254.G1, msg []byte) {
+	for k := range h {
+		p.hash[k].Hash(&h[k], msg)
+	}
 }
 
 // PublicKey is PK = (g^_1, g^_2).
@@ -145,15 +153,14 @@ type PrivateKeyShare struct {
 	A1, B1, A2, B2 *big.Int
 }
 
-// lhspsKey views the share as the LHSPS signing key it is: the four
-// scalars alone, which is all Sign reads. The public half (VK_i, two G2
-// commitments) is not built here — VerificationKeyOf computes it for the
-// callers that want it.
-func (sk *PrivateKeyShare) lhspsKey() *lhsps.PrivateKey {
-	return &lhsps.PrivateKey{
-		Chi:   []*big.Int{sk.A1, sk.A2},
-		Gamma: []*big.Int{sk.B1, sk.B2},
-	}
+// sign computes the LHSPS signature of the share's key — the four
+// scalars alone, which is all signing reads — on the hashed message h. The
+// key is viewed in place: no scalar is copied.
+func (sk *PrivateKeyShare) sign(h []*bn254.G1) (*lhsps.Signature, error) {
+	chi := [Dim]*big.Int{sk.A1, sk.A2}
+	gamma := [Dim]*big.Int{sk.B1, sk.B2}
+	key := lhsps.PrivateKey{Chi: chi[:], Gamma: gamma[:]}
+	return key.Sign(h)
 }
 
 // SizeBytes returns the storage footprint of the share: 4 scalars of 32
@@ -296,7 +303,7 @@ func UnmarshalPartialSignature(data []byte) (*PartialSignature, error) {
 // cost the paper reports.
 func ShareSign(params *Params, sk *PrivateKeyShare, msg []byte) (*PartialSignature, error) {
 	h := params.HashMessage(msg)
-	sig, err := sk.lhspsKey().Sign(h)
+	sig, err := sk.sign(h)
 	if err != nil {
 		return nil, fmt.Errorf("core: Share-Sign: %w", err)
 	}
@@ -311,8 +318,9 @@ func ShareVerify(pk *PublicKey, vk *VerificationKey, msg []byte, ps *PartialSign
 	if !(ShareBatchEntry{VK: vk, PS: ps}).wellFormed() {
 		return false
 	}
-	h := pk.Params.HashMessage(msg)
-	return vk.lhspsKey(pk.Params).VerifyRelation(h, &lhsps.Signature{Z: ps.Z, R: ps.R})
+	var h [Dim]bn254.G1
+	pk.Params.hashInto(&h, msg)
+	return vk.lhspsKey(pk.Params).VerifyRelation([]*bn254.G1{&h[0], &h[1]}, &lhsps.Signature{Z: ps.Z, R: ps.R})
 }
 
 // Combine assembles a full signature from partial signatures by Lagrange
@@ -356,23 +364,11 @@ func Combine(pk *PublicKey, vks []*VerificationKey, msg []byte, parts []*Partial
 		indices = append(indices, i)
 	}
 	sort.Ints(indices)
-	indices = indices[:t+1]
-
-	fld, err := shamir.NewField(bn254.Order)
-	if err != nil {
-		return nil, err
+	chosen := make([]*PartialSignature, t+1)
+	for k, i := range indices[:t+1] {
+		chosen[k] = valid[i]
 	}
-	lambda, err := fld.LagrangeAtZero(indices)
-	if err != nil {
-		return nil, err
-	}
-	weights := make([]*big.Int, 0, len(indices))
-	sigs := make([]*lhsps.Signature, 0, len(indices))
-	for _, i := range indices {
-		weights = append(weights, lambda[i])
-		sigs = append(sigs, &lhsps.Signature{Z: valid[i].Z, R: valid[i].R})
-	}
-	out, err := lhsps.SignDerive(weights, sigs)
+	out, err := interpolate(chosen)
 	if err != nil {
 		return nil, fmt.Errorf("core: Combine: %w", err)
 	}
@@ -397,8 +393,9 @@ func Verify(pk *PublicKey, msg []byte, sig *Signature) bool {
 	if sig == nil || sig.Z == nil || sig.R == nil {
 		return false
 	}
-	h := pk.Params.HashMessage(msg)
-	return pk.lhspsKey().VerifyRelation(h, sig)
+	var h [Dim]bn254.G1
+	pk.Params.hashInto(&h, msg)
+	return pk.lhspsKey().VerifyRelation([]*bn254.G1{&h[0], &h[1]}, sig)
 }
 
 // Verify checks a full signature under this key — the method form for

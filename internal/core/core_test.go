@@ -168,7 +168,7 @@ func TestCombineMatchesCentralizedSigner(t *testing.T) {
 	if pub := VerificationKeyOf(fixtureParams, central); !pub.V1.Equal(views[1].PK.G1) || !pub.V2.Equal(views[1].PK.G2) {
 		t.Fatal("interpolated secret does not match the public key")
 	}
-	want, err := central.lhspsKey().Sign(fixtureParams.HashMessage(msg))
+	want, err := central.sign(fixtureParams.HashMessage(msg))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,10 +3,9 @@ package core
 import (
 	"fmt"
 	"math/big"
+	"slices"
 
 	"repro/internal/bn254"
-	"repro/internal/lhsps"
-	"repro/internal/shamir"
 )
 
 // This file holds the complete wire codecs of the public API: every type
@@ -237,42 +236,26 @@ func UnmarshalKeyShares(params *Params, data []byte) (*KeyShares, error) {
 // performs. The caller owes the check: either every part already passed
 // ShareVerify, or — the service layer's optimistic hot path — the result
 // is put through Verify before it is used, and a failure sends the parts
-// to CheckShares. Duplicate indices are collapsed; at least t+1 distinct
-// indices are required.
+// to CheckShares. Duplicate indices are collapsed; the first t+1 distinct
+// indices are interpolated.
 func CombinePreverified(parts []*PartialSignature, t int) (*Signature, error) {
-	byIndex := make(map[int]*PartialSignature, len(parts))
-	indices := make([]int, 0, len(parts))
+	var buf [bn254.StackPoints]*PartialSignature
+	chosen := buf[:0]
 	for _, ps := range parts {
-		if ps == nil || ps.Index < 1 || ps.Z == nil || ps.R == nil {
+		if len(chosen) == t+1 {
+			break
+		}
+		if ps == nil || ps.Index < 1 || ps.Z == nil || ps.R == nil ||
+			slices.ContainsFunc(chosen, func(q *PartialSignature) bool { return q.Index == ps.Index }) {
 			continue
 		}
-		if _, dup := byIndex[ps.Index]; dup {
-			continue
-		}
-		byIndex[ps.Index] = ps
-		indices = append(indices, ps.Index)
+		chosen = append(chosen, ps)
 	}
-	if len(indices) < t+1 {
+	if len(chosen) < t+1 {
 		return nil, fmt.Errorf("core: %d distinct partial signatures, need %d: %w",
-			len(indices), t+1, ErrInsufficientShares)
+			len(chosen), t+1, ErrInsufficientShares)
 	}
-	indices = indices[:t+1]
-
-	fld, err := shamir.NewField(bn254.Order)
-	if err != nil {
-		return nil, err
-	}
-	lambda, err := fld.LagrangeAtZero(indices)
-	if err != nil {
-		return nil, err
-	}
-	weights := make([]*big.Int, 0, len(indices))
-	sigs := make([]*lhsps.Signature, 0, len(indices))
-	for _, i := range indices {
-		weights = append(weights, lambda[i])
-		sigs = append(sigs, &lhsps.Signature{Z: byIndex[i].Z, R: byIndex[i].R})
-	}
-	out, err := lhsps.SignDerive(weights, sigs)
+	out, err := interpolate(chosen)
 	if err != nil {
 		return nil, fmt.Errorf("core: CombinePreverified: %w", err)
 	}

@@ -278,9 +278,9 @@ type dealerState struct {
 	complainers map[int]bool
 	disqualified,
 	dealt bool
-	// dealIntact and sharesIntact record that the deal and the shares
-	// kept from this dealer are byte for byte what this player sent in
-	// round 0: set only for the player's own deal.
+	// dealIntact and sharesIntact record that a relayed copy of this
+	// player's own deal, and of its shares for itself, came back byte for
+	// byte as it sent them in round 0: set only for its own dealer entry.
 	dealIntact, sharesIntact bool
 }
 
@@ -439,6 +439,18 @@ func (p *HonestPlayer) deal() ([]engine.Message, error) {
 		}
 	}
 
+	// This player's own dealer entry holds what it dealt, never the
+	// relayed copy: a copy altered on the way back draws a complaint in
+	// round 1 (which the others ignore), not a failed run. Whether it
+	// dealt at all is still decided by the relay, as for every dealer: a
+	// deal that never came back is one nobody received.
+	own := p.dealer(p.id)
+	own.commitments = comms
+	own.myShares = make([]Share, k)
+	for ki := range own.myShares {
+		own.myShares[ki] = p.shareFor(ki, p.id)
+	}
+
 	p.sentDeal = encodeDeal(comms)
 	msgs := []engine.Message{{
 		To:      engine.Broadcast,
@@ -481,6 +493,12 @@ func (p *HonestPlayer) processDealsAndComplain(delivered []engine.Message) ([]en
 			if !m.IsBroadcast() {
 				continue // deals must be broadcast; ignore otherwise
 			}
+			if m.From == p.id {
+				d := p.dealer(p.id)
+				d.dealt = true
+				d.dealIntact = d.dealIntact || bytes.Equal(m.Payload, p.sentDeal)
+				continue
+			}
 			comms, err := decodeDeal(m.Payload, p.cfg.NumSharings, p.cfg.T, p.cfg.Scheme.CommitDim())
 			if err != nil {
 				continue // malformed: no commitments recorded -> complaint below
@@ -491,8 +509,12 @@ func (p *HonestPlayer) processDealsAndComplain(delivered []engine.Message) ([]en
 			}
 			d.dealt = true
 			d.commitments = comms
-			d.dealIntact = m.From == p.id && bytes.Equal(m.Payload, p.sentDeal)
 		case KindShare:
+			if m.From == p.id {
+				d := p.dealer(p.id)
+				d.sharesIntact = d.sharesIntact || bytes.Equal(m.Payload, p.sentShares)
+				continue
+			}
 			shares, err := decodeShares(m.Payload, p.cfg.NumSharings, p.cfg.Scheme.SecretDim())
 			if err != nil {
 				continue
@@ -500,7 +522,6 @@ func (p *HonestPlayer) processDealsAndComplain(delivered []engine.Message) ([]en
 			d := p.dealer(m.From)
 			if d.myShares == nil {
 				d.myShares = shares
-				d.sharesIntact = m.From == p.id && bytes.Equal(m.Payload, p.sentShares)
 			}
 		}
 	}
@@ -509,9 +530,15 @@ func (p *HonestPlayer) processDealsAndComplain(delivered []engine.Message) ([]en
 	var out []engine.Message
 	for j := 1; j <= p.cfg.N; j++ {
 		d := p.dealer(j)
-		// This player's own deal and shares, delivered unchanged, are
-		// consistent by construction; anything else is checked.
-		if d.dealIntact && d.sharesIntact || p.verifyDealerShares(d) {
+		// This player's own deal and shares are consistent by
+		// construction; a relayed copy that did not come back unchanged
+		// is still complained about. Every other dealer is checked.
+		if j == p.id {
+			d.shareOK = true
+			if d.dealIntact && d.sharesIntact {
+				continue
+			}
+		} else if p.verifyDealerShares(d) {
 			d.shareOK = true
 			continue
 		}

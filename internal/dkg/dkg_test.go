@@ -771,3 +771,68 @@ func TestOwnDealAlteredInDeliveryDrawsComplaint(t *testing.T) {
 		}
 	}
 }
+
+// TestOwnDealAlteredInDeliveryStillFinishes replays
+// TestOwnDealAlteredInDeliveryDrawsComplaint's altered deal and altered
+// share through rounds 2 and 3: a player's own dealer entry is what it
+// dealt, so the complaint it draws is ignored, every player finishes with
+// the same public key, and player 1's share matches its verification key.
+func TestOwnDealAlteredInDeliveryStillFinishes(t *testing.T) {
+	for _, kind := range []string{KindDeal, KindShare} {
+		cfg := testConfig(3, 1, 1)
+		players, inbox := roundZero(t, cfg)
+		var other []byte
+		for _, m := range inbox[1] {
+			if m.Kind == kind && m.From == 2 {
+				other = m.Payload
+			}
+		}
+		for i, m := range inbox[1] {
+			if m.Kind == kind && m.From == 1 {
+				inbox[1][i].Payload = other
+			}
+		}
+		for round := 1; round <= 3; round++ {
+			next := make([][]engine.Message, cfg.N+1)
+			for i := 1; i <= cfg.N; i++ {
+				out, err := players[i].Step(round, inbox[i])
+				if err != nil {
+					t.Fatalf("%s altered: player %d, round %d: %v", kind, i, round, err)
+				}
+				for _, m := range out {
+					m.From = i
+					for j := 1; j <= cfg.N; j++ {
+						if m.IsBroadcast() || m.To == j {
+							next[j] = append(next[j], m)
+						}
+					}
+				}
+			}
+			inbox = next
+		}
+		var ref *Result
+		for i := 1; i <= cfg.N; i++ {
+			res, err := players[i].Result()
+			if err != nil {
+				t.Fatalf("%s altered: player %d: %v", kind, i, err)
+			}
+			if len(res.Qual) != cfg.N {
+				t.Fatalf("%s altered: player %d QUAL = %v, want every dealer", kind, i, res.Qual)
+			}
+			if ref == nil {
+				ref = res
+			} else if !res.PK[0][0].Equal(ref.PK[0][0]) {
+				t.Fatalf("%s altered: player %d disagrees on the public key", kind, i)
+			}
+		}
+		res, _ := players[1].Result()
+		vk := res.VerificationKey(1)
+		for ki, share := range res.Share {
+			for d, c := range cfg.Scheme.Commit(share) {
+				if !c.Equal(vk[ki][d]) {
+					t.Fatalf("%s altered: player 1's share does not match its verification key", kind)
+				}
+			}
+		}
+	}
+}

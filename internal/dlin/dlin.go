@@ -201,16 +201,14 @@ type PartialSignature struct {
 // multi-exponentiations plus three hash-on-curve operations.
 func ShareSign(params *Params, sk *PrivateKeyShare, msg []byte) (*PartialSignature, error) {
 	h := params.HashMessage(msg)
-	neg := func(xs [Dim]*big.Int) []*big.Int {
-		out := make([]*big.Int, Dim)
-		for k := 0; k < Dim; k++ {
-			out[k] = new(big.Int).Neg(xs[k])
-		}
-		return out
-	}
-	zru, err := bn254.MultiScalarMultSharedG1(h, neg(sk.A), neg(sk.B), neg(sk.C))
+	// (z, r, u) = -(Σ a_k·H_k, Σ b_k·H_k, Σ c_k·H_k): the outputs are
+	// negated rather than the key, so no secret scalar is copied.
+	zru, err := bn254.MultiScalarMultSharedG1(h, sk.A[:], sk.B[:], sk.C[:])
 	if err != nil {
 		return nil, err
+	}
+	for _, p := range zru {
+		p.Neg(p)
 	}
 	return &PartialSignature{Index: sk.Index, Z: zru[0], R: zru[1], U: zru[2]}, nil
 }

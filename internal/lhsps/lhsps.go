@@ -156,38 +156,36 @@ func CommitPair(params *Params, a, b *big.Int) *bn254.G2 { return commitPair(par
 // The signing algorithm is deterministic — the property that makes the
 // derived threshold scheme non-interactive.
 func (sk *PrivateKey) Sign(msg []*bn254.G1) (*Signature, error) {
-	n := len(sk.Chi)
-	if len(msg) != n {
-		return nil, fmt.Errorf("lhsps: vector dimension %d, key dimension %d", len(msg), n)
-	}
-	negChi := make([]*big.Int, n)
-	negGamma := make([]*big.Int, n)
-	for k := 0; k < n; k++ {
-		negChi[k] = new(big.Int).Neg(sk.Chi[k])
-		negGamma[k] = new(big.Int).Neg(sk.Gamma[k])
+	if len(msg) != len(sk.Chi) {
+		return nil, fmt.Errorf("lhsps: vector dimension %d, key dimension %d", len(msg), len(sk.Chi))
 	}
 	// One table over the message bases serves both secret scalar sets.
-	zr, err := bn254.MultiScalarMultSharedG1(msg, negChi, negGamma)
+	// (z, r) = -(Σ chi_k·M_k, Σ gamma_k·M_k): the two outputs are negated
+	// rather than the key, so signing makes no copy of a secret scalar.
+	zr, err := bn254.MultiScalarMultSharedG1(msg, sk.Chi, sk.Gamma)
 	if err != nil {
 		return nil, err
 	}
+	zr[0].Neg(zr[0])
+	zr[1].Neg(zr[1])
 	return &Signature{Z: zr[0], R: zr[1]}, nil
 }
 
 // SignDerive publicly derives a signature on prod_i M_i^{w_i} from
-// signatures on the M_i.
-func SignDerive(weights []*big.Int, sigs []*Signature) (*Signature, error) {
+// signatures on the M_i. Up to bn254.StackPoints signatures it allocates
+// only the result.
+func SignDerive(weights []*big.Int, sigs []Signature) (*Signature, error) {
 	if len(weights) != len(sigs) {
 		return nil, errors.New("lhsps: mismatched derive inputs")
 	}
 	if len(sigs) == 0 {
 		return nil, errors.New("lhsps: empty derive inputs")
 	}
-	zs := make([]*bn254.G1, len(sigs))
-	rs := make([]*bn254.G1, len(sigs))
+	var zbuf, rbuf [bn254.StackPoints]*bn254.G1
+	zs, rs := zbuf[:0], rbuf[:0]
 	for i := range sigs {
-		zs[i] = sigs[i].Z
-		rs[i] = sigs[i].R
+		zs = append(zs, sigs[i].Z)
+		rs = append(rs, sigs[i].R)
 	}
 	z, err := bn254.G1MSM(zs, weights)
 	if err != nil {
@@ -232,15 +230,35 @@ func (pk *PublicKey) VerifyRelation(msg []*bn254.G1, sig *Signature) bool {
 	}
 	gzPrep, grPrep := pk.Params.PreparedGenerators()
 	gkPrep := pk.Prepared()
-	slots := make([]*bn254.PairingSlot, 0, pk.N()+2)
-	slots = append(slots,
-		&bn254.PairingSlot{P: sig.Z, Pre: gzPrep},
-		&bn254.PairingSlot{P: sig.R, Pre: grPrep},
-	)
-	for k, m := range msg {
-		slots = append(slots, &bn254.PairingSlot{P: m, Pre: gkPrep[k]})
+	n := pk.N() + 2
+	var vals [bn254.StackPoints]bn254.PairingSlot
+	var ptrs [bn254.StackPoints]*bn254.PairingSlot
+	if n > bn254.StackPoints {
+		return bn254.PairingCheckMixed(heapSlots(sig, gzPrep, grPrep, msg, gkPrep))
 	}
-	return bn254.PairingCheckMixed(slots)
+	vals[0] = bn254.PairingSlot{P: sig.Z, Pre: gzPrep}
+	vals[1] = bn254.PairingSlot{P: sig.R, Pre: grPrep}
+	for k, pre := range gkPrep {
+		vals[k+2] = bn254.PairingSlot{P: msg[k], Pre: pre}
+	}
+	for k := range n {
+		ptrs[k] = &vals[k]
+	}
+	return bn254.PairingCheckMixed(ptrs[:n])
+}
+
+// heapSlots is VerifyRelation's slot list for keys too long for the
+// stack. It holds copies of the G1 points, so that no caller's point has
+// to live on the heap for the sake of this rare path.
+func heapSlots(sig *Signature, gzPrep, grPrep *bn254.G2Prepared, msg []*bn254.G1, gkPrep []*bn254.G2Prepared) []*bn254.PairingSlot {
+	slots := []*bn254.PairingSlot{
+		{P: new(bn254.G1).Set(sig.Z), Pre: gzPrep},
+		{P: new(bn254.G1).Set(sig.R), Pre: grPrep},
+	}
+	for k, pre := range gkPrep {
+		slots = append(slots, &bn254.PairingSlot{P: new(bn254.G1).Set(msg[k]), Pre: pre})
+	}
+	return slots
 }
 
 // Marshal encodes the signature as two compressed G1 points (64 bytes,

@@ -91,7 +91,7 @@ func TestLinearHomomorphism(t *testing.T) {
 	}
 	w1, _ := bn254.RandScalar(rand.Reader)
 	w2, _ := bn254.RandScalar(rand.Reader)
-	derived, err := SignDerive([]*big.Int{w1, w2}, []*Signature{s1, s2})
+	derived, err := SignDerive([]*big.Int{w1, w2}, []Signature{*s1, *s2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -218,7 +218,7 @@ func TestQuickLinearCombinations(t *testing.T) {
 	prop := func(w1Raw, w2Raw int64) bool {
 		w1 := big.NewInt(w1Raw)
 		w2 := big.NewInt(w2Raw)
-		derived, err := SignDerive([]*big.Int{w1, w2}, []*Signature{s1, s2})
+		derived, err := SignDerive([]*big.Int{w1, w2}, []Signature{*s1, *s2})
 		if err != nil {
 			return false
 		}

@@ -196,10 +196,10 @@ func (st *msgState) unverifiedFrom(i int) int {
 // that never reach quorum are completed with a QuorumError whose counts
 // cover verified shares only. Every item is completed before fanOut
 // returns, all on this one goroutine. Once every message is settled the
-// laggard signer requests are canceled — except when a suspect the first
-// wave probed has not answered yet: a detached goroutine then awaits it,
-// for up to one more hedge delay, and judges its answer like an on-time
-// one, while fanOut returns at once.
+// laggard signer requests are canceled — all but a suspect the first wave
+// probed that has not answered yet: a detached goroutine then awaits it,
+// for as long as its request may take, and judges its answer like an
+// on-time one, while fanOut returns at once.
 func (tn *coordTenant) fanOut(ctx context.Context, items []*batchItem) {
 	c := tn.c
 	fanOutStart := time.Now()
@@ -225,14 +225,17 @@ func (tn *coordTenant) fanOut(ctx context.Context, items []*batchItem) {
 		}
 	}()
 	// The signer requests do not die with the caller: a probed suspect's
-	// may outlive it (the end of fanOut). The caller hanging up ends the
-	// fan-out, and that cancels them.
+	// may outlive it (the end of fanOut), so the probes are asked on a
+	// context of their own. The caller hanging up ends the fan-out, and
+	// that cancels both; settling every item cancels ctx, the laggards'.
 	caller := ctx
-	ctx, cancel := context.WithCancel(context.WithoutCancel(ctx))
-	judgingLate := false // the late judge owns cancel
+	ctx, cancel := context.WithCancel(context.WithoutCancel(caller))
+	defer cancel()
+	probeCtx, cancelProbes := context.WithCancel(context.WithoutCancel(caller))
+	judgingLate := false // the late judge owns cancelProbes
 	defer func() {
 		if !judgingLate {
-			cancel()
+			cancelProbes()
 		}
 	}()
 
@@ -272,19 +275,8 @@ func (tn *coordTenant) fanOut(ctx context.Context, items []*batchItem) {
 	need := group.T + 1
 	results := make(chan signerResult, group.N)
 	inflight := 0
-	ask := func(signers []int) {
-		for _, i := range signers {
-			inflight++
-			go func(i int) {
-				start := time.Now()
-				parts, err := tn.fetchPartials(ctx, i, msgs, body)
-				results <- signerResult{index: i, parts: parts, took: time.Since(start), err: err}
-			}(i)
-		}
-	}
 	delay := tn.hedgeDelay(len(items))
 	first, reserve := tn.wave(group.N, need, delay == 0)
-	ask(first)
 	waiting := make([]bool, group.N+1) // waiting[i]: signer i, asked in the first wave, has not answered
 	// probed[i]: signer i was a suspect, neither lagging nor down, when
 	// asked; its answer is judged even after the quorum (end of fanOut).
@@ -293,6 +285,21 @@ func (tn *coordTenant) fanOut(ctx context.Context, items []*batchItem) {
 		waiting[i] = true
 		probed[i] = tn.suspect[i-1].Load() && !tn.lagging[i-1].Load() && !c.backendDown[i-1].Load()
 	}
+	ask := func(signers []int) {
+		for _, i := range signers {
+			inflight++
+			rctx := ctx
+			if probed[i] {
+				rctx = probeCtx
+			}
+			go func(i int) {
+				start := time.Now()
+				parts, err := tn.fetchPartials(rctx, i, msgs, body)
+				results <- signerResult{index: i, parts: parts, took: time.Since(start), err: err}
+			}(i)
+		}
+	}
+	ask(first)
 	// release asks up to k reserve signers, in rotation order.
 	release := func(k int) {
 		k = max(0, min(k, len(reserve)))
@@ -360,15 +367,14 @@ func (tn *coordTenant) fanOut(ctx context.Context, items []*batchItem) {
 			shareVerify(i, js)
 		}
 	}
-	// arrived books one answer: an error (not the caller hanging up) or an
-	// answer slower than the hedge leaves the rotation; an answer in time
-	// rejoins it.
+	// arrived books one answer: an error or an answer slower than the hedge
+	// leaves the rotation; an answer in time rejoins it. No request this
+	// fan-out canceled gets here: the loop below ends before it cancels
+	// any, and the late judge passes over the laggards it let go.
 	arrived := func(i int, took time.Duration, err error) {
 		inflight--
 		waiting[i] = false
-		if err == nil || ctx.Err() == nil {
-			tn.lagging[i-1].Store(err != nil || (delay > 0 && took > delay))
-		}
+		tn.lagging[i-1].Store(err != nil || (delay > 0 && took > delay))
 	}
 	// admit takes signer r.index's answer on messages js: a part that does
 	// not decode under its sender's index is a conviction, any other is
@@ -504,20 +510,21 @@ func (tn *coordTenant) fanOut(ctx context.Context, items []*batchItem) {
 			}
 		}
 	}
-	// Every item settled, but a suspect asked as a probe may still be out:
-	// its answer is what convicts it again or clears it. A detached
-	// goroutine awaits it, so the callers do not, for up to one more hedge
-	// delay from now — never when there is no pace yet, and never for a
-	// lagging or down probe. The delay runs from the settling, not from the
-	// fan-out's start: a stall that held up the quorum holds up the
-	// suspect's answer too.
+	// Every item settled, so the laggards are released. A suspect asked as
+	// a probe may still be out, though: its answer is what convicts it
+	// again or clears it. A detached goroutine awaits it, so the callers
+	// do not, for as long as the probe's own request may take (its
+	// SignerTimeout) — never when there is no pace yet, and never for a
+	// lagging or down probe.
+	cancel()
 	outstanding := func() bool {
 		return slices.ContainsFunc(first, func(i int) bool { return probed[i] && waiting[i] })
 	}
 	if remaining == 0 && delay > 0 && outstanding() {
 		judgingLate = true
 		go func() {
-			defer cancel() // release the laggards
+			settled := time.Now()
+			defer cancelProbes()
 			defer func() {
 				if r := recover(); r != nil {
 					c.log.Error("judging a late probe panicked", "gid", tn.id, "panic", r)
@@ -530,23 +537,20 @@ func (tn *coordTenant) fanOut(ctx context.Context, items []*batchItem) {
 				states[j] = &msgState{done: true}
 				all[j] = j
 			}
-			deadline := time.NewTimer(delay)
-			defer deadline.Stop()
 			for outstanding() {
-				select {
-				case r := <-results:
-					arrived(r.index, r.took, r.err)
-					if probed[r.index] && r.err == nil {
-						admit(r, all)
-					}
-				case <-deadline.C:
-					return
+				r := <-results
+				if !probed[r.index] {
+					continue // a released laggard
+				}
+				arrived(r.index, r.took, r.err)
+				if r.err == nil {
+					admit(r, all)
 				}
 			}
+			c.log.Debug("late probes judged", "gid", tn.id, "after", time.Since(settled))
 		}()
 		return
 	}
-	cancel() // release the laggards
 	// Valid counts verified shares only, and every Byzantine answer that
 	// arrived is convicted before the accounting is read.
 	open := pending()

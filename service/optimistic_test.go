@@ -216,16 +216,17 @@ func TestOptimisticCombineConvictsThenGoesEager(t *testing.T) {
 	fl.expectDelta(t, "cleared", before, counters{})
 }
 
-// weightCounter stands in for crypto/rand.Reader and counts the 16-byte
-// reads — one per 128-bit batching weight; request ids read 8 bytes.
+// weightCounter stands in for crypto/rand.Reader and counts the 128-bit
+// batching weights drawn: a batch reads all of its weights at once, 16
+// bytes each; request ids read 8 bytes.
 type weightCounter struct {
 	inner   io.Reader
 	weights atomic.Int64
 }
 
 func (w *weightCounter) Read(p []byte) (int, error) {
-	if len(p) == 16 {
-		w.weights.Add(1)
+	if len(p)%16 == 0 {
+		w.weights.Add(int64(len(p) / 16))
 	}
 	return w.inner.Read(p)
 }
@@ -241,6 +242,7 @@ func TestHonestFleetPaysNoShareVerify(t *testing.T) {
 	t.Cleanup(func() { rand.Reader = saved }) // registered first: runs after the fleet is closed
 	f := testFixture(t)
 	fl := newOptimisticFleet(t, f.group, nil)
+	wc.weights.Store(0) // setting up may have drawn key material
 
 	sig, report, err := fl.c.Sign(fl.ctx(), []byte("honest single"))
 	if err != nil || !core.Verify(f.group.PK, []byte("honest single"), sig) {
@@ -323,8 +325,8 @@ func TestCombineFailureWithoutCulprit(t *testing.T) {
 // gates instead of sleeps. The suspect's request is held until the test
 // releases it — after the fan-out has settled every item on the others'
 // shares. The stuck signer's request never answers: it returns when its
-// context is canceled, which fanOut does only once it is done judging,
-// and that is what the test waits on.
+// context is canceled, which fanOut does when the items settle, while the
+// suspect is still held.
 type lateProbe struct {
 	suspect, stuck string
 
@@ -333,7 +335,8 @@ type lateProbe struct {
 }
 
 // arm opens the gates for the next fan-out: close release to let the
-// suspect answer; end closes when the fan-out has canceled its laggards.
+// suspect answer; end closes when the fan-out has canceled the stuck
+// laggard.
 func (lp *lateProbe) arm() (release, end chan struct{}) {
 	lp.mu.Lock()
 	defer lp.mu.Unlock()
@@ -394,11 +397,12 @@ func testLateSuspect(t *testing.T, window time.Duration) {
 	})
 	const stuck = 2
 	lp := &lateProbe{suspect: urls[rusher-1], stuck: urls[stuck-1]}
+	log := &logBuf{}
 	c, err := NewCoordinator(f.group, urls, CoordinatorConfig{
 		SignerTimeout: time.Minute,
 		HTTPClient:    &http.Client{Transport: lp},
 		BatchWindow:   window,
-		Logger:        debugLogger(&logBuf{}),
+		Logger:        debugLogger(log),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -408,6 +412,7 @@ func testLateSuspect(t *testing.T, window time.Duration) {
 	c.defTenant().lagging[stuck-1].Store(true)
 	fl := &optimisticFleet{c: c}
 
+	judged := 0
 	sign := func(msg string) {
 		t.Helper()
 		release, end := lp.arm()
@@ -419,8 +424,10 @@ func testLateSuspect(t *testing.T, window time.Duration) {
 		if !core.Verify(f.group.PK, []byte(msg), sig) || contains(report.Signers, rusher) || contains(report.Signers, stuck) {
 			t.Fatalf("%s: signers %v, want a verified honest quorum without %d and %d", msg, report.Signers, rusher, stuck)
 		}
+		awaitReleased(t, msg, end)
 		close(release)
-		<-end
+		judged++
+		awaitJudged(t, msg, log, judged)
 	}
 
 	evil.Store(true)
@@ -442,5 +449,79 @@ func testLateSuspect(t *testing.T, window time.Duration) {
 	}
 	if !c.defTenant().lagging[stuck-1].Load() {
 		t.Fatal("the stuck probe left the lagging state without answering")
+	}
+}
+
+// TestSuspectAnsweringLongAfterQuorumIsJudged: the late judge waits for a
+// probed suspect as long as the probe's own request may take
+// (SignerTimeout), not one hedge delay. A Byzantine suspect that answers
+// three hedge delays after the quorum settled the request is still
+// convicted, exactly once; the stuck laggard beside it is let go at settle.
+func TestSuspectAnsweringLongAfterQuorumIsJudged(t *testing.T) {
+	f := testFixture(t)
+	urls := startSigners(t, f, func(i int, h http.Handler) http.Handler {
+		if i != rusher {
+			return h
+		}
+		return tamperSign(h)
+	})
+	const stuck = 2
+	lp := &lateProbe{suspect: urls[rusher-1], stuck: urls[stuck-1]}
+	log := &logBuf{}
+	c, err := NewCoordinator(f.group, urls, CoordinatorConfig{
+		SignerTimeout: time.Minute,
+		HTTPClient:    &http.Client{Transport: lp},
+		Logger:        debugLogger(log),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	setPace(c, 5*time.Millisecond)
+	hedge := c.defTenant().hedgeDelay(1)
+	c.defTenant().suspect[rusher-1].Store(true)
+	c.defTenant().lagging[stuck-1].Store(true)
+	fl := &optimisticFleet{c: c}
+
+	const msg = "very late liar"
+	release, end := lp.arm()
+	before := fl.counters()
+	sig, report, err := c.Sign(context.Background(), []byte(msg))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !core.Verify(f.group.PK, []byte(msg), sig) || contains(report.Signers, rusher) || contains(report.Signers, stuck) {
+		t.Fatalf("signers %v, want a verified honest quorum without %d and %d", report.Signers, rusher, stuck)
+	}
+	awaitReleased(t, msg, end)
+	time.Sleep(3 * hedge)
+	close(release)
+	awaitJudged(t, msg, log, 1)
+	fl.expectDelta(t, msg, before, counters{checks: 1, rusherFailures: 1})
+	if !c.defTenant().suspect[rusher-1].Load() {
+		t.Fatal("the late Byzantine answer cleared the suspect")
+	}
+}
+
+// awaitReleased waits for lateProbe's stuck laggard to be canceled.
+func awaitReleased(t *testing.T, step string, end <-chan struct{}) {
+	t.Helper()
+	select {
+	case <-end:
+	case <-time.After(10 * time.Second):
+		t.Fatalf("%s: the stuck laggard was not released when the request settled", step)
+	}
+}
+
+// awaitJudged waits until n late judges have finished: each logs one
+// "late probes judged" line when it exits, and the counters it moves are
+// final from then on.
+func awaitJudged(t *testing.T, step string, log *logBuf, n int) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for strings.Count(log.String(), "late probes judged") < n {
+		if time.Now().After(deadline) {
+			t.Fatalf("%s: the late judge did not finish", step)
+		}
+		time.Sleep(time.Millisecond)
 	}
 }
