@@ -235,7 +235,7 @@ func cmdCoordinator(args []string) error {
 	listen := fs.String("listen", ":9090", "listen address")
 	timeout := fs.Duration("timeout", 5*time.Second, "per-signer request timeout")
 	protoTimeout := fs.Duration("proto-timeout", 0, "per-signer protocol round timeout for keygen/refresh runs (0 = default 10s)")
-	cache := fs.Int("cache", 0, "signature LRU cache size (0 = default, negative disables)")
+	cache := fs.Int("cache", 0, "signature LRU cache size in entries (0 = default, negative disables); memory follows the entries held, about 235 bytes each, not this bound")
 	batchWindow := fs.Duration("batch-window", 0,
 		"collect concurrent sign requests for this long and fan them out as one batch (0 disables)")
 	maxBatch := fs.Int("max-batch", 0, "max messages per batch (0 = default)")

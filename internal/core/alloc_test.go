@@ -36,6 +36,7 @@ func TestSignPathAllocations(t *testing.T) {
 		shareBatch[j] = ShareBatchEntry{Msg: m, VK: views[1].VKs[1], PS: p[0]}
 	}
 	single := []ShareBatchEntry{{Msg: msg, VK: views[1].VKs[1], PS: parts[0]}}
+	cross := crossSignerBatch(t, views)
 	ok := true
 
 	for _, tc := range []struct {
@@ -52,12 +53,14 @@ func TestSignPathAllocations(t *testing.T) {
 			func() { _, err = CombinePreverified(parts, fixtureT) }},
 		{"Verify", 0, "nothing",
 			func() { ok = Verify(pk, msg, sig) }},
-		{"BatchVerify k=8", 16, "the weights' read buffer, integers and slice (3) and each one's words (8), the hashes (1), the four aggregates (4)",
+		{"BatchVerify k=8", 9, "the weights' read buffer, words, integers and slice (4), the hashes (1), the four aggregates (4)",
 			func() { ok, err = BatchVerify(pk, batch, nil) }},
 		{"CheckShares k=1", 1, "the returned []bool",
 			func() { ok = CheckShares(pk, single)[0] }},
-		{"CheckShares one signer, k=8", 18, "the returned []bool (1), the weights (11), the hashes and their pointers (2), the four aggregates (4)",
+		{"CheckShares one signer, k=8", 11, "the returned []bool (1), the weights (4), the hashes and their pointers (2), the four aggregates (4)",
 			func() { ok = !slices.Contains(CheckShares(pk, shareBatch), false) }},
+		{"CheckShares 5 keys, k=8", 21, "the returned []bool (1), the weights (4), the hashes and their pointers (2), the z and r aggregates (2), two per key (10), the 12 slots (1) and their Miller cursors, above 8 (1)",
+			func() { ok = !slices.Contains(CheckShares(pk, cross), false) }},
 	} {
 		ok, err = true, nil
 		if got := testing.AllocsPerRun(10, tc.fn); got != tc.want {

@@ -7,6 +7,8 @@ import (
 	"fmt"
 	"io"
 	"math/big"
+	"math/bits"
+	"slices"
 	"sort"
 
 	"repro/internal/bn254"
@@ -124,19 +126,31 @@ func (e ShareBatchEntry) wellFormed() bool {
 // sampleWeights draws k independent 128-bit batching weights from rng
 // (crypto/rand when nil) with one read: weight j is bytes 16j..16j+15,
 // big-endian — the stream rand.Int would read for each weight in turn.
+// The weights' words share one backing array.
 func sampleWeights(k int, rng io.Reader) ([]*big.Int, error) {
 	if rng == nil {
 		rng = rand.Reader
 	}
 	const size = batchWeightBits / 8
+	const wordBytes = bits.UintSize / 8
 	buf := make([]byte, k*size)
 	if _, err := io.ReadFull(rng, buf); err != nil {
 		return nil, fmt.Errorf("core: sampling batch weights: %w", err)
 	}
+	words := make([]big.Word, k*size/wordBytes)
 	ints := make([]big.Int, k)
 	weights := make([]*big.Int, k)
 	for j := range weights {
-		weights[j] = ints[j].SetBytes(buf[j*size : (j+1)*size])
+		ws := words[j*size/wordBytes : (j+1)*size/wordBytes : (j+1)*size/wordBytes]
+		for i := range ws { // little-endian words of a big-endian number
+			end := (j+1)*size - i*wordBytes
+			var w uint64
+			for _, b := range buf[end-wordBytes : end] {
+				w = w<<8 | uint64(b)
+			}
+			ws[i] = big.Word(w)
+		}
+		weights[j] = ints[j].SetBits(ws)
 	}
 	return weights, nil
 }
@@ -164,13 +178,15 @@ func hashEntries(params *Params, entries []ShareBatchEntry) []*[Dim]bn254.G1 {
 //	e(z_j, g^_z) e(r_j, g^_r) e(H_1j, V^_1,ij) e(H_2j, V^_2,ij) = 1.
 //
 // With random 128-bit weights delta_j, the k relations collapse into one
-// multi-pairing of 2 + 2k slots: the z and r components aggregate as
+// multi-pairing of at most 2 + 2k slots: the z and r components aggregate as
 // prod z_j^{delta_j} (two multi-exponentiations) and the hash vectors
 // enter the product with exponent delta_j against each signer's key.
 // When every entry carries the same *VerificationKey — one signer
 // answering a k-message batch, the coordinator's hot path — the key
 // slots collapse too and the whole batch is a single 4-slot
-// multi-pairing plus four multi-exponentiations.
+// multi-pairing plus four multi-exponentiations. Across signers, the
+// entries of one key share its two slots, e(sum_j delta_j H_kj, V_k),
+// so the product has 2 + 2·(distinct keys) slots.
 //
 // It returns true only if (with probability 1 - 2^-128) every share is
 // individually valid. Callers needing to know WHICH share is bad after a
@@ -207,11 +223,15 @@ func BatchShareVerify(pk *PublicKey, entries []ShareBatchEntry, rng io.Reader) (
 		return cols.check(pk.Params, weights, vkPrep[0], vkPrep[1])
 	}
 
-	zs := make([]*bn254.G1, len(entries))
-	rs := make([]*bn254.G1, len(entries))
-	for j, e := range entries {
-		zs[j] = e.PS.Z
-		rs[j] = e.PS.R
+	// Several signers: the hash points of one key aggregate under their
+	// weights, prod_{j: VK_j = V} e(H_kj, V_k)^{delta_j} =
+	// e(sum_j delta_j H_kj, V_k), so each distinct key costs two MSMs and
+	// two slots — at most 2 + 2·(distinct keys) slots in all.
+	var zbuf, rbuf [bn254.StackPoints]*bn254.G1
+	zs, rs := zbuf[:0], rbuf[:0]
+	for _, e := range entries {
+		zs = append(zs, e.PS.Z)
+		rs = append(rs, e.PS.R)
 	}
 	zAgg, err := bn254.G1MSM(zs, weights)
 	if err != nil {
@@ -222,22 +242,45 @@ func BatchShareVerify(pk *PublicKey, entries []ShareBatchEntry, rng io.Reader) (
 		return false, err
 	}
 	gzPrep, grPrep := pk.Params.LH.PreparedGenerators()
-	slots := make([]*bn254.PairingSlot, 0, 2*len(entries)+2)
+	var slotBuf [2 + 2*bn254.StackPoints]bn254.PairingSlot
+	var ptrBuf [2 + 2*bn254.StackPoints]*bn254.PairingSlot
+	slots, ptrs := slotBuf[:0], ptrBuf[:0]
 	slots = append(slots,
-		&bn254.PairingSlot{P: zAgg, Pre: gzPrep},
-		&bn254.PairingSlot{P: rAgg, Pre: grPrep},
+		bn254.PairingSlot{P: zAgg, Pre: gzPrep},
+		bn254.PairingSlot{P: rAgg, Pre: grPrep},
 	)
+	var h1buf, h2buf [bn254.StackPoints]*bn254.G1
+	var wbuf [bn254.StackPoints]*big.Int
 	for j, e := range entries {
-		var h1, h2 bn254.G1
-		h1.ScalarMult(&hs[j][0], weights[j])
-		h2.ScalarMult(&hs[j][1], weights[j])
+		if slices.ContainsFunc(entries[:j], func(d ShareBatchEntry) bool { return d.VK == e.VK }) {
+			continue // aggregated with the key's first entry
+		}
+		h1s, h2s, ws := h1buf[:0], h2buf[:0], wbuf[:0]
+		for l := j; l < len(entries); l++ {
+			if entries[l].VK == e.VK {
+				h1s = append(h1s, &hs[l][0])
+				h2s = append(h2s, &hs[l][1])
+				ws = append(ws, weights[l])
+			}
+		}
+		h1, err := bn254.G1MSM(h1s, ws)
+		if err != nil {
+			return false, err
+		}
+		h2, err := bn254.G1MSM(h2s, ws)
+		if err != nil {
+			return false, err
+		}
 		vkPrep := e.VK.lhspsKey(pk.Params).Prepared()
 		slots = append(slots,
-			&bn254.PairingSlot{P: &h1, Pre: vkPrep[0]},
-			&bn254.PairingSlot{P: &h2, Pre: vkPrep[1]},
+			bn254.PairingSlot{P: h1, Pre: vkPrep[0]},
+			bn254.PairingSlot{P: h2, Pre: vkPrep[1]},
 		)
 	}
-	return bn254.PairingCheckMixed(slots), nil
+	for i := range slots {
+		ptrs = append(ptrs, &slots[i])
+	}
+	return bn254.PairingCheckMixed(ptrs), nil
 }
 
 // FindInvalidShares pinpoints the invalid entries of a share batch by

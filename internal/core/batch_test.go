@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"math/big"
+	"slices"
 	"testing"
 
 	"repro/internal/bn254"
@@ -155,6 +156,57 @@ func TestBatchShareVerifyAcceptsCrossSignerBatch(t *testing.T) {
 	}
 	if !ok {
 		t.Fatal("valid cross-signer batch rejected")
+	}
+}
+
+// crossSignerBatch is the robust Combine's shape across two messages:
+// signers 1..5 on one, 1..3 on another, so five keys, three of them twice.
+func crossSignerBatch(t *testing.T, views []*KeyShares) []ShareBatchEntry {
+	t.Helper()
+	var entries []ShareBatchEntry
+	for _, m := range []struct {
+		msg string
+		n   int
+	}{{"cross batch A", 5}, {"cross batch B", 3}} {
+		for i := 1; i <= m.n; i++ {
+			ps, err := ShareSign(fixtureParams, views[i].Share, []byte(m.msg))
+			if err != nil {
+				t.Fatal(err)
+			}
+			entries = append(entries, ShareBatchEntry{Msg: []byte(m.msg), VK: views[1].VKs[i], PS: ps})
+		}
+	}
+	return entries
+}
+
+// TestCrossSignerVerdictsMatchShareVerify: with any one share of the
+// mixed-key batch bad, or none, the batch check and CheckShares say what
+// per-share ShareVerify says.
+func TestCrossSignerVerdictsMatchShareVerify(t *testing.T) {
+	views := keyFixture(t)
+	pk := views[1].PK
+	for bad := -1; bad < 8; bad++ {
+		entries := crossSignerBatch(t, views)
+		if bad >= 0 {
+			ps := *entries[bad].PS
+			ps.Z, ps.R = ps.R, ps.Z
+			entries[bad].PS = &ps
+		}
+		want := make([]bool, len(entries))
+		allOK := true
+		for j, e := range entries {
+			want[j] = ShareVerify(pk, e.VK, e.Msg, e.PS)
+			allOK = allOK && want[j]
+		}
+		if allOK != (bad < 0) {
+			t.Fatalf("bad=%d: ShareVerify disagrees with the tampering", bad)
+		}
+		if ok, err := BatchShareVerify(pk, entries, rand.Reader); err != nil || ok != allOK {
+			t.Errorf("bad=%d: BatchShareVerify = %v, %v; want %v", bad, ok, err, allOK)
+		}
+		if got := CheckShares(pk, entries); !slices.Equal(got, want) {
+			t.Errorf("bad=%d: CheckShares = %v, want %v", bad, got, want)
+		}
 	}
 }
 

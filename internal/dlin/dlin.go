@@ -38,7 +38,9 @@ const Dim = 3
 // of H: {0,1}* -> G^3.
 type Params struct {
 	Gz, Gr, Hz, Hu *bn254.G2
-	hashDomain     string
+	// hash holds the framed per-coordinate domains of H, so hashing a
+	// message frames no domain string.
+	hash [Dim]bn254.HashDomain
 
 	schemeOnce   sync.Once
 	cachedScheme dkg.DLINScheme
@@ -49,13 +51,14 @@ type Params struct {
 // oracle ... while still making sure that no party knows their discrete
 // logarithms").
 func NewParams(domain string) *Params {
-	return &Params{
-		Gz:         bn254.HashToG2(domain+"/gz", nil),
-		Gr:         bn254.HashToG2(domain+"/gr", nil),
-		Hz:         bn254.HashToG2(domain+"/hz", nil),
-		Hu:         bn254.HashToG2(domain+"/hu", nil),
-		hashDomain: domain + "/H",
+	p := &Params{
+		Gz: bn254.HashToG2(domain+"/gz", nil),
+		Gr: bn254.HashToG2(domain+"/gr", nil),
+		Hz: bn254.HashToG2(domain+"/hz", nil),
+		Hu: bn254.HashToG2(domain+"/hu", nil),
 	}
+	copy(p.hash[:], bn254.HashVectorDomains(domain+"/H", Dim))
+	return p
 }
 
 // scheme returns the dual-commitment VSS for these parameters, sharing
@@ -67,9 +70,16 @@ func (p *Params) scheme() dkg.DLINScheme {
 	return p.cachedScheme
 }
 
-// HashMessage computes (H_1, H_2, H_3) = H(M).
+// HashMessage computes (H_1, H_2, H_3) = H(M). It allocates only its
+// result: the three points and the slice that points at them.
 func (p *Params) HashMessage(msg []byte) []*bn254.G1 {
-	return bn254.HashToG1Vector(p.hashDomain, msg, Dim)
+	pts := make([]bn254.G1, Dim)
+	out := make([]*bn254.G1, Dim)
+	for k := range out {
+		p.hash[k].Hash(&pts[k], msg)
+		out[k] = &pts[k]
+	}
+	return out
 }
 
 // PublicKey is PK = {g^_k, h^_k}^3_{k=1}.

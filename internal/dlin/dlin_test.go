@@ -208,3 +208,22 @@ func TestDLINFromDKGResultValidation(t *testing.T) {
 		t.Fatal("accepted wrong sharing count")
 	}
 }
+
+// TestHashMessageKeepsItsDomains pins HashMessage to the points of
+// bn254.HashToG1Vector under the "/H" domain and to its two result
+// allocations: the framed per-coordinate domains live in Params.
+func TestHashMessageKeepsItsDomains(t *testing.T) {
+	for _, msg := range [][]byte{nil, []byte("m"), []byte("a longer message to hash onto G1^3")} {
+		got := dlParams.HashMessage(msg)
+		want := bn254.HashToG1Vector("dlin-test/H", msg, Dim)
+		for k := range want {
+			if string(got[k].Marshal()) != string(want[k].Marshal()) {
+				t.Fatalf("HashMessage(%q)[%d] differs from HashToG1Vector", msg, k)
+			}
+		}
+	}
+	msg := []byte("allocation gate")
+	if n := testing.AllocsPerRun(20, func() { dlParams.HashMessage(msg) }); n != 2 {
+		t.Fatalf("HashMessage: %v allocs, want 2 (the points and the slice)", n)
+	}
+}

@@ -678,7 +678,7 @@ func TestCoordinatorRejectsBadInputWith400(t *testing.T) {
 func TestFlightGroupSurvivesLeaderPanic(t *testing.T) {
 	g := newFlightGroup()
 	var key cacheKey
-	key.digest[0] = 7
+	key.id[0] = 7
 
 	leaderIn := make(chan struct{})
 	release := make(chan struct{})
@@ -732,12 +732,17 @@ func TestFlightGroupSurvivesLeaderPanic(t *testing.T) {
 func TestSigCacheGetReturnsDefensiveCopy(t *testing.T) {
 	c := newSigCache(4)
 	var key cacheKey
-	sig := &core.Signature{}
-	c.add(key, sig, []int{1, 2, 3})
+	enc := bytes.Repeat([]byte{7}, core.SignatureSize)
+	c.add(key, enc, []int{1, 2, 3})
+	enc[0] = 8 // the cache holds its own copy of the encoding
 
-	_, signers, ok := c.get(key)
+	sig, signers, ok := c.get(key)
 	if !ok {
 		t.Fatal("missing entry")
+	}
+	sig[1] = 9 // and hands out a copy
+	if again, _, _ := c.get(key); again[0] != 7 || again[1] != 7 {
+		t.Fatalf("cached encoding changed through the caller's copies: % x", again[:2])
 	}
 	// A caller appending through the returned slice (as anything building
 	// a SignReport might) must not corrupt the cached entry.

@@ -5,7 +5,6 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"io"
 	"net/http"
 	"slices"
 	"sync"
@@ -494,8 +493,9 @@ func (tn *coordTenant) fanOut(ctx context.Context, items []*batchItem) {
 				paced = true
 				tn.observePace(len(items), fastest)
 			}
-			c.cache.add(items[j].key, ready[q].Sig, signers)
-			settle(j, &signOutcome{sig: ready[q].Sig, signers: signers, invalid: st.invalid, unreachable: st.unreachable}, nil)
+			enc := ready[q].Sig.Marshal()
+			c.cache.add(items[j].key, enc, signers)
+			settle(j, &signOutcome{sig: ready[q].Sig, enc: enc, signers: signers, invalid: st.invalid, unreachable: st.unreachable}, nil)
 		}
 		if len(failed) == 0 {
 			continue
@@ -606,7 +606,7 @@ func (tn *coordTenant) fetchPartials(ctx context.Context, index int, msgs [][]by
 	}
 	c.markBackendUp(index)
 	defer resp.Body.Close()
-	raw, err := io.ReadAll(io.LimitReader(resp.Body, maxRequestBytes))
+	raw, err := readBody(resp.Body, resp.ContentLength, maxRequestBytes)
 	if err != nil {
 		return nil, err
 	}

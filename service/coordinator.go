@@ -2,7 +2,6 @@ package service
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -15,6 +14,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/bn254"
 	"repro/internal/core"
 	"repro/service/registry"
 )
@@ -188,12 +188,32 @@ type SignReport struct {
 	Coalesced   bool  // rode another caller's in-flight fan-out
 }
 
-// signOutcome is what one fan-out (or cache hit) yields.
+// signOutcome is what one fan-out yields. Coalesced callers share it, so
+// Go callers get a copy of sig, never sig itself.
 type signOutcome struct {
 	sig         *core.Signature
+	enc         []byte // sig's encoding, marshaled once: cached and written as is
 	signers     []int
 	invalid     []int
 	unreachable []int
+}
+
+// signed is one signature on its way to a caller: its encoding, as
+// cached and as written on the wire, and the combined points when it
+// comes from a fan-out rather than the cache.
+type signed struct {
+	enc []byte
+	pts *core.Signature // nil on a cache hit
+}
+
+// private returns a signature the caller owns: a copy of the combined
+// points, or on a cache hit the stored encoding decoded. HTTP responses
+// write enc and never need it.
+func (s signed) private() (*core.Signature, error) {
+	if s.pts != nil {
+		return &core.Signature{Z: new(bn254.G1).Set(s.pts.Z), R: new(bn254.G1).Set(s.pts.R)}, nil
+	}
+	return core.UnmarshalSignature(s.enc)
 }
 
 // NewCoordinator builds a coordinator seeded with the default group;
@@ -386,10 +406,18 @@ func (c *Coordinator) SignGroup(ctx context.Context, gid string, msg []byte) (*c
 	if err != nil {
 		return nil, SignReport{}, err
 	}
-	return tn.sign(ctx, msg)
+	s, report, err := tn.sign(ctx, msg)
+	if err != nil {
+		return nil, report, err
+	}
+	sig, err := s.private()
+	if err != nil {
+		return nil, report, err
+	}
+	return sig, report, nil
 }
 
-func (tn *coordTenant) sign(ctx context.Context, msg []byte) (*core.Signature, SignReport, error) {
+func (tn *coordTenant) sign(ctx context.Context, msg []byte) (signed, SignReport, error) {
 	c := tn.c
 	c.met.requests.WithLabelValues(tn.id).Inc()
 	start := time.Now()
@@ -401,18 +429,18 @@ func (tn *coordTenant) sign(ctx context.Context, msg []byte) (*core.Signature, S
 	return sig, report, err
 }
 
-func (tn *coordTenant) signUncounted(ctx context.Context, msg []byte) (*core.Signature, SignReport, error) {
+func (tn *coordTenant) signUncounted(ctx context.Context, msg []byte) (signed, SignReport, error) {
 	c := tn.c
 	if len(msg) == 0 {
-		return nil, SignReport{}, ErrEmptyMessage
+		return signed{}, SignReport{}, ErrEmptyMessage
 	}
 	if tn.group.Load() == nil {
-		return nil, SignReport{}, fmt.Errorf("service: coordinator holds no group yet: %w", ErrNoKeyMaterial)
+		return signed{}, SignReport{}, fmt.Errorf("service: coordinator holds no group yet: %w", ErrNoKeyMaterial)
 	}
 	key := sigKey(tn.id, msg)
 	for {
 		if sig, signers, ok := c.cache.get(key); ok {
-			return sig, SignReport{Signers: signers, Cached: true}, nil
+			return signed{enc: sig[:]}, SignReport{Signers: signers, Cached: true}, nil
 		}
 		out, coalesced, err := c.flight.do(ctx, key, func() (*signOutcome, error) {
 			if tn.batch != nil {
@@ -432,9 +460,9 @@ func (tn *coordTenant) signUncounted(ctx context.Context, msg []byte) (*core.Sig
 				(errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)) {
 				continue
 			}
-			return nil, SignReport{Coalesced: coalesced}, err
+			return signed{}, SignReport{Coalesced: coalesced}, err
 		}
-		return out.sig, SignReport{
+		return signed{enc: out.enc, pts: out.sig}, SignReport{
 			Signers:     out.signers,
 			Invalid:     out.invalid,
 			Unreachable: out.unreachable,
@@ -579,20 +607,28 @@ func (c *Coordinator) SignBatchGroup(ctx context.Context, gid string, msgs [][]b
 	if err != nil {
 		return nil, err
 	}
-	return tn.signBatch(ctx, msgs)
+	sigs, results, err := tn.signBatch(ctx, msgs)
+	for j, s := range sigs {
+		if results[j].Err == nil {
+			results[j].Sig, results[j].Err = s.private()
+		}
+	}
+	return results, err
 }
 
-func (tn *coordTenant) signBatch(ctx context.Context, msgs [][]byte) ([]BatchResult, error) {
+// signBatch is SignBatchGroup with every signature as signed: sigs[j] is
+// set where results[j].Err is nil, and results[j].Sig is left nil.
+func (tn *coordTenant) signBatch(ctx context.Context, msgs [][]byte) (sigs []signed, results []BatchResult, err error) {
 	c := tn.c
 	c.met.batchRequests.WithLabelValues(tn.id).Inc()
 	if len(msgs) == 0 {
-		return nil, errors.New("service: empty batch")
+		return nil, nil, errors.New("service: empty batch")
 	}
 	if len(msgs) > c.cfg.MaxBatch {
-		return nil, fmt.Errorf("service: batch of %d messages exceeds limit %d: %w", len(msgs), c.cfg.MaxBatch, ErrBatchTooLarge)
+		return nil, nil, fmt.Errorf("service: batch of %d messages exceeds limit %d: %w", len(msgs), c.cfg.MaxBatch, ErrBatchTooLarge)
 	}
 	if tn.group.Load() == nil {
-		return nil, fmt.Errorf("service: coordinator holds no group yet: %w", ErrNoKeyMaterial)
+		return nil, nil, fmt.Errorf("service: coordinator holds no group yet: %w", ErrNoKeyMaterial)
 	}
 	// Each distinct cache-missing message either becomes a flight leader
 	// (it.item != nil) and rides this call's fan-out, or coalesces as a
@@ -601,7 +637,8 @@ func (tn *coordTenant) signBatch(ctx context.Context, msgs [][]byte) ([]BatchRes
 		item *batchItem
 		call *flightCall
 	}
-	results := make([]BatchResult, len(msgs))
+	sigs = make([]signed, len(msgs))
+	results = make([]BatchResult, len(msgs))
 	items := make([]*batchItem, 0, len(msgs)) // this call's flight-leader items, in order
 	waiterFor := make(map[cacheKey]waiter, len(msgs))
 	waiting := make([]waiter, len(msgs)) // per-message; zero value = settled above
@@ -612,7 +649,8 @@ func (tn *coordTenant) signBatch(ctx context.Context, msgs [][]byte) ([]BatchRes
 		}
 		key := sigKey(tn.id, msg)
 		if sig, signers, ok := c.cache.get(key); ok {
-			results[j] = BatchResult{Sig: sig, Report: SignReport{Signers: signers, Cached: true}}
+			sigs[j] = signed{enc: sig[:]}
+			results[j] = BatchResult{Report: SignReport{Signers: signers, Cached: true}}
 			continue
 		}
 		w, ok := waiterFor[key]
@@ -659,10 +697,9 @@ func (tn *coordTenant) signBatch(ctx context.Context, msgs [][]byte) ([]BatchRes
 				// The OTHER leader's client hung up mid-fan-out; this
 				// caller is still live, so sign the straggler itself
 				// (sign re-checks the cache and claims a fresh flight).
-				var sig *core.Signature
 				var report SignReport
-				if sig, report, err = tn.sign(ctx, msgs[j]); err == nil {
-					results[j] = BatchResult{Sig: sig, Report: report}
+				if sigs[j], report, err = tn.sign(ctx, msgs[j]); err == nil {
+					results[j] = BatchResult{Report: report}
 					continue
 				}
 			}
@@ -671,21 +708,22 @@ func (tn *coordTenant) signBatch(ctx context.Context, msgs [][]byte) ([]BatchRes
 			results[j] = BatchResult{Err: err}
 			continue
 		}
-		results[j] = BatchResult{Sig: out.sig, Report: SignReport{
+		sigs[j] = signed{enc: out.enc, pts: out.sig}
+		results[j] = BatchResult{Report: SignReport{
 			Signers:     out.signers,
 			Invalid:     out.invalid,
 			Unreachable: out.unreachable,
 			Coalesced:   w.item == nil,
 		}}
 	}
-	return results, ctx.Err()
+	return sigs, results, ctx.Err()
 }
 
 func (c *Coordinator) handleSign(tn *coordTenant, w http.ResponseWriter, r *http.Request) {
 	r.Body = http.MaxBytesReader(w, r.Body, maxRequestBytes)
 	var req SignRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeErrorCode(w, http.StatusBadRequest, CodeBadRequest, fmt.Sprintf("malformed request: %v", err))
+	if err := decodeJSON(r, maxRequestBytes, &req); err != nil {
+		writeErrorCode(w, http.StatusBadRequest, CodeBadRequest, err.Error())
 		return
 	}
 	// Client-side bad input is answered 400 here, before any fan-out —
@@ -702,7 +740,7 @@ func (c *Coordinator) handleSign(tn *coordTenant, w http.ResponseWriter, r *http
 		return
 	}
 	writeJSON(w, http.StatusOK, SignatureResponse{
-		Signature: sig.Marshal(),
+		Signature: sig.enc,
 		Signers:   report.Signers,
 		Cached:    report.Cached,
 		Coalesced: report.Coalesced,
@@ -713,8 +751,8 @@ func (c *Coordinator) handleSign(tn *coordTenant, w http.ResponseWriter, r *http
 func (c *Coordinator) handleSignBatch(tn *coordTenant, w http.ResponseWriter, r *http.Request) {
 	r.Body = http.MaxBytesReader(w, r.Body, maxRequestBytes)
 	var req SignBatchRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeErrorCode(w, http.StatusBadRequest, CodeBadRequest, fmt.Sprintf("malformed request: %v", err))
+	if err := decodeJSON(r, maxRequestBytes, &req); err != nil {
+		writeErrorCode(w, http.StatusBadRequest, CodeBadRequest, err.Error())
 		return
 	}
 	if len(req.Messages) == 0 {
@@ -728,7 +766,7 @@ func (c *Coordinator) handleSignBatch(tn *coordTenant, w http.ResponseWriter, r 
 	}
 	rid := RequestIDFromContext(r.Context())
 	c.log.Debug("sign-batch request", "request_id", rid, "gid", tn.id, "messages", len(req.Messages))
-	results, err := tn.signBatch(r.Context(), req.Messages)
+	sigs, results, err := tn.signBatch(r.Context(), req.Messages)
 	if err != nil {
 		writeSignError(w, r, err)
 		return
@@ -740,7 +778,7 @@ func (c *Coordinator) handleSignBatch(tn *coordTenant, w http.ResponseWriter, r 
 			continue
 		}
 		resp.Results[j] = BatchItemResponse{
-			Signature: res.Sig.Marshal(),
+			Signature: sigs[j].enc,
 			Signers:   res.Report.Signers,
 			Cached:    res.Report.Cached,
 		}

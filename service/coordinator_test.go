@@ -342,26 +342,29 @@ func TestCoordinatorFollowerSurvivesLeaderCancel(t *testing.T) {
 
 func TestSigCacheLRUEviction(t *testing.T) {
 	c := newSigCache(2)
-	k := func(b byte) cacheKey { var k cacheKey; k.digest[0] = b; return k }
-	sig := &core.Signature{}
-	c.add(k(1), sig, []int{1})
-	c.add(k(2), sig, []int{2})
+	k := func(b byte) cacheKey { var k cacheKey; k.id[0] = b; return k }
+	enc := func(b byte) []byte { return bytes.Repeat([]byte{b}, core.SignatureSize) }
+	c.add(k(1), enc(1), []int{1})
+	c.add(k(2), enc(2), []int{2})
 	if _, _, ok := c.get(k(1)); !ok { // touch 1: now 2 is LRU
 		t.Fatal("missing entry 1")
 	}
-	c.add(k(3), sig, []int{3}) // evicts 2
+	c.add(k(3), enc(3), []int{3}) // evicts 2, into its slot
 	if _, _, ok := c.get(k(2)); ok {
 		t.Fatal("entry 2 should have been evicted")
 	}
-	if _, signers, ok := c.get(k(1)); !ok || signers[0] != 1 {
+	if sig, signers, ok := c.get(k(1)); !ok || signers[0] != 1 || !bytes.Equal(sig[:], enc(1)) {
 		t.Fatal("entry 1 lost")
+	}
+	if sig, signers, ok := c.get(k(3)); !ok || signers[0] != 3 || !bytes.Equal(sig[:], enc(3)) {
+		t.Fatal("entry 3 not stored in the evicted slot")
 	}
 	if c.len() != 2 {
 		t.Fatalf("len %d", c.len())
 	}
 	// Disabled cache is inert.
 	var nilCache *sigCache
-	nilCache.add(k(9), sig, nil)
+	nilCache.add(k(9), enc(9), nil)
 	if _, _, ok := nilCache.get(k(9)); ok {
 		t.Fatal("nil cache returned a hit")
 	}

@@ -1,27 +1,37 @@
 package service
 
 import (
-	"container/list"
 	"crypto/sha256"
+	"encoding/binary"
+	"math"
 	"sync"
 
 	"repro/internal/core"
 	"repro/service/metrics"
+	"repro/service/registry"
 )
 
-// sigCache is a fixed-capacity LRU cache of combined signatures, keyed
-// by (group ID, message digest). The scheme is deterministic — one
-// message has exactly one signature under a given key — so cached
-// entries never go stale short of a key rotation, which drops the
-// rotated group's entries via dropGroup. The group ID is part of the
-// key because the cache is shared across tenants: two tenants signing
-// the same message have DIFFERENT signatures, and a digest-only key
-// would serve tenant A's signature to tenant B.
+// sigCache is a bounded LRU cache of combined signatures, keyed by
+// (group ID, message digest). The scheme is deterministic — one message
+// has exactly one signature under a given key — so cached entries never
+// go stale short of a key rotation, which drops the rotated group's
+// entries via dropGroup. The group ID is part of the key because the
+// cache is shared across tenants: two tenants signing the same message
+// have DIFFERENT signatures, and a digest-only key would serve tenant A's
+// signature to tenant B.
+//
+// An entry is one slot of a slab: the signature as its canonical
+// encoding (core.SignatureSize bytes, served as stored), the signer
+// list, and int32 links in LRU order. An index maps a key's 32-byte id
+// to its slot. Slab and index grow with the entries, up to cap, so
+// unused capacity costs nothing; a full cache reuses its least recently
+// used slot.
 type sigCache struct {
-	mu  sync.Mutex
-	cap int
-	ll  *list.List // front = most recently used
-	m   map[cacheKey]*list.Element
+	mu         sync.Mutex
+	cap        int
+	slots      []cacheSlot // every slot holds an entry
+	index      map[[32]byte]int32
+	head, tail int32 // most and least recently used slot; -1 when empty
 
 	// hits/misses are incremented inside get so every lookup path —
 	// Sign, SignBatch, and the window batcher — is counted once. Both
@@ -30,93 +40,160 @@ type sigCache struct {
 	misses *metrics.Counter
 }
 
+// cacheSlot is one cached signature.
+type cacheSlot struct {
+	id         [32]byte
+	gid        string // for dropGroup; shares the tenant's string
+	sig        [core.SignatureSize]byte
+	signers    []uint16 // share indices are 1..65535
+	prev, next int32    // neighbours in LRU order; -1 at either end
+}
+
 // cacheKey qualifies a message digest with the tenant it was signed
 // for. It doubles as the flight-coalescing key, so concurrent identical
 // requests coalesce only within one tenant.
 type cacheKey struct {
-	gid    string
-	digest [32]byte
+	gid string
+	id  [32]byte // SHA-256 of the length-framed gid and SHA-256(msg)
 }
 
-// sigKey builds the cache/flight key for one tenant's message.
+// sigKey builds the cache/flight key for one tenant's message, without
+// allocating for any registry-valid group ID.
 func sigKey(gid string, msg []byte) cacheKey {
-	return cacheKey{gid: gid, digest: sha256.Sum256(msg)}
-}
-
-type cacheEntry struct {
-	key     cacheKey
-	sig     *core.Signature
-	signers []int
+	digest := sha256.Sum256(msg)
+	var buf [8 + registry.MaxIDLen + sha256.Size]byte
+	b := binary.BigEndian.AppendUint64(buf[:0], uint64(len(gid)))
+	b = append(b, gid...)
+	b = append(b, digest[:]...)
+	return cacheKey{gid: gid, id: sha256.Sum256(b)}
 }
 
 func newSigCache(capacity int) *sigCache {
 	if capacity <= 0 {
 		return nil // caching disabled
 	}
-	return &sigCache{cap: capacity, ll: list.New(), m: make(map[cacheKey]*list.Element, capacity)}
+	// Slots are addressed by int32; 2^31 entries would be ~500 GB.
+	return &sigCache{cap: min(capacity, math.MaxInt32), head: -1, tail: -1}
 }
 
-func (c *sigCache) get(key cacheKey) (*core.Signature, []int, bool) {
+// get returns a copy of the cached encoding and signer list of key. The
+// signer list is the only allocation: callers surface it in SignReport
+// and may append to it.
+func (c *sigCache) get(key cacheKey) (sig [core.SignatureSize]byte, signers []int, ok bool) {
 	if c == nil {
-		return nil, nil, false
+		return sig, nil, false
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	el, ok := c.m[key]
+	i, ok := c.index[key.id]
 	if !ok {
 		c.misses.Inc()
-		return nil, nil, false
+		return sig, nil, false
 	}
 	c.hits.Inc()
-	c.ll.MoveToFront(el)
-	e := el.Value.(*cacheEntry)
-	// Defensive copy: callers surface the signer list in SignReport and
-	// may append to it; handing out the internal slice would let that
-	// corrupt the cached entry.
-	return e.sig, append([]int(nil), e.signers...), true
+	c.moveToFront(i)
+	s := &c.slots[i]
+	signers = make([]int, len(s.signers))
+	for p, v := range s.signers {
+		signers[p] = int(v)
+	}
+	return s.sig, signers, true
 }
 
-func (c *sigCache) add(key cacheKey, sig *core.Signature, signers []int) {
+// add caches the encoding sig (core.SignatureSize bytes) with its
+// signer list; both are copied.
+func (c *sigCache) add(key cacheKey, sig []byte, signers []int) {
 	if c == nil {
 		return
 	}
-	// Same aliasing hazard as get, from the other side: the caller's
-	// slice also rides out to Sign/SignBatch callers as
-	// SignReport.Signers, and a mutation there must not reach the cache.
-	signers = append([]int(nil), signers...)
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if el, ok := c.m[key]; ok {
-		c.ll.MoveToFront(el)
-		el.Value.(*cacheEntry).sig = sig
-		el.Value.(*cacheEntry).signers = signers
-		return
+	i, ok := c.index[key.id]
+	switch {
+	case ok:
+		c.unlink(i)
+	case len(c.slots) < c.cap:
+		if len(c.slots) == cap(c.slots) {
+			grown := make([]cacheSlot, len(c.slots), min(max(2*len(c.slots), 16), c.cap))
+			copy(grown, c.slots)
+			c.slots = grown
+		}
+		i = int32(len(c.slots))
+		c.slots = c.slots[:i+1]
+		if c.index == nil {
+			c.index = make(map[[32]byte]int32)
+		}
+	default:
+		i = c.tail // evict the least recently used entry into its slot
+		c.unlink(i)
+		delete(c.index, c.slots[i].id)
 	}
-	c.m[key] = c.ll.PushFront(&cacheEntry{key: key, sig: sig, signers: signers})
-	if c.ll.Len() > c.cap {
-		oldest := c.ll.Back()
-		c.ll.Remove(oldest)
-		delete(c.m, oldest.Value.(*cacheEntry).key)
+	s := &c.slots[i]
+	s.id, s.gid = key.id, key.gid
+	copy(s.sig[:], sig)
+	s.signers = s.signers[:0]
+	for _, v := range signers {
+		s.signers = append(s.signers, uint16(v))
 	}
+	c.index[key.id] = i
+	c.pushFront(i)
 }
 
 // dropGroup evicts every entry of one tenant — called when a rotation
 // replaces the tenant's key, so signatures under the old key cannot be
-// served for the new epoch.
+// served for the new epoch. The remaining entries move down over the
+// dropped ones and keep their LRU order.
 func (c *sigCache) dropGroup(gid string) {
 	if c == nil {
 		return
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	for el := c.ll.Front(); el != nil; {
-		next := el.Next()
-		if e := el.Value.(*cacheEntry); e.key.gid == gid {
-			c.ll.Remove(el)
-			delete(c.m, e.key)
+	to := make([]int32, len(c.slots)) // each slot's new position, -1 if dropped
+	n := int32(0)
+	for i := range c.slots {
+		if c.slots[i].gid == gid {
+			to[i] = -1
+			delete(c.index, c.slots[i].id)
+			continue
 		}
-		el = next
+		to[i] = n
+		n++
 	}
+	if int(n) == len(c.slots) {
+		return
+	}
+	// Relink the kept slots in LRU order under their new positions, then
+	// move them.
+	first := c.head
+	c.head, c.tail = -1, -1
+	last := int32(-1) // old position of the previous kept slot
+	for i, next := first, int32(0); i >= 0; i = next {
+		next = c.slots[i].next
+		if to[i] < 0 {
+			continue
+		}
+		if last < 0 {
+			c.head = to[i]
+			c.slots[i].prev = -1
+		} else {
+			c.slots[last].next = to[i]
+			c.slots[i].prev = to[last]
+		}
+		last = i
+	}
+	if last >= 0 {
+		c.slots[last].next = -1
+		c.tail = to[last]
+	}
+	for i, j := range to {
+		if j >= 0 && int(j) != i {
+			c.slots[j] = c.slots[i]
+			c.index[c.slots[j].id] = j
+		}
+	}
+	clear(c.slots[n:])
+	c.slots = c.slots[:n]
 }
 
 func (c *sigCache) len() int {
@@ -125,5 +202,39 @@ func (c *sigCache) len() int {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.ll.Len()
+	return len(c.slots)
+}
+
+// unlink takes slot i out of the LRU order.
+func (c *sigCache) unlink(i int32) {
+	s := &c.slots[i]
+	if s.prev >= 0 {
+		c.slots[s.prev].next = s.next
+	} else {
+		c.head = s.next
+	}
+	if s.next >= 0 {
+		c.slots[s.next].prev = s.prev
+	} else {
+		c.tail = s.prev
+	}
+}
+
+// pushFront makes slot i the most recently used.
+func (c *sigCache) pushFront(i int32) {
+	s := &c.slots[i]
+	s.prev, s.next = -1, c.head
+	if c.head >= 0 {
+		c.slots[c.head].prev = i
+	} else {
+		c.tail = i
+	}
+	c.head = i
+}
+
+func (c *sigCache) moveToFront(i int32) {
+	if c.head != i {
+		c.unlink(i)
+		c.pushFront(i)
+	}
 }

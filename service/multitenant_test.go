@@ -27,17 +27,18 @@ func TestSigCachePerTenant(t *testing.T) {
 	if ka == kb {
 		t.Fatal("cache keys for two tenants signing the same message collide")
 	}
-	if ka.digest != kb.digest {
-		t.Fatal("same message should hash to the same digest component")
+	if ka.id == kb.id {
+		t.Fatal("two tenants' index ids for the same message collide")
 	}
 
 	c := newSigCache(4)
-	sigA, sigB := &core.Signature{}, &core.Signature{}
-	c.add(ka, sigA, []int{1, 2})
+	var sigA, sigB [core.SignatureSize]byte
+	sigA[0], sigB[0] = 'a', 'b'
+	c.add(ka, sigA[:], []int{1, 2})
 	if _, _, ok := c.get(kb); ok {
 		t.Fatal("tenant beta got a cache hit on tenant alpha's signature")
 	}
-	c.add(kb, sigB, []int{3, 4})
+	c.add(kb, sigB[:], []int{3, 4})
 	if got, _, ok := c.get(ka); !ok || got != sigA {
 		t.Fatal("tenant alpha's entry was clobbered by tenant beta's")
 	}

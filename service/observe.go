@@ -183,6 +183,9 @@ func newCoordMetrics(c *Coordinator) *coordMetrics {
 	for i := 1; i <= n; i++ {
 		m.backendUp.WithLabelValues(signerIndexLabel(i)).Set(1)
 	}
+	r.NewGaugeFunc("tsig_coordinator_cache_entries",
+		"Signatures held in the signature LRU; its memory follows this count, not the configured capacity.",
+		func() float64 { return float64(c.cache.len()) })
 	registerBuildInfo(r)
 	registerRegistryMetrics(r, c.reg)
 	return m

@@ -135,6 +135,9 @@ func TestObservabilityE2E(t *testing.T) {
 	if v := metricValue(t, cm, `tsig_coordinator_cache_hits_total`); v < 1 {
 		t.Errorf("cache hits = %v, want >= 1", v)
 	}
+	if v := metricValue(t, cm, `tsig_coordinator_cache_entries`); v != 2 {
+		t.Errorf("cache entries = %v, want 2 (one message per tenant)", v)
+	}
 	if v := metricValue(t, cm, `tsig_proto_run_rounds_total{proto="dkg"}`); v < 2 {
 		t.Errorf("dkg rounds = %v, want >= 2", v)
 	}

@@ -8,7 +8,6 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
-	"io"
 	"net/http"
 	"sort"
 	"sync"
@@ -108,7 +107,7 @@ func (p *remotePeer) post(ctx context.Context, endpoint string, body, out any) e
 		return err
 	}
 	defer resp.Body.Close()
-	data, err := io.ReadAll(io.LimitReader(resp.Body, maxProtoRequestBytes))
+	data, err := readBody(resp.Body, resp.ContentLength, maxProtoRequestBytes)
 	if err != nil {
 		return err
 	}
@@ -491,7 +490,7 @@ func (c *Coordinator) handleProtoRun(proto string) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		r.Body = http.MaxBytesReader(w, r.Body, maxRequestBytes)
 		var req ProtoRunRequest
-		if err := decodeJSON(r, &req); err != nil {
+		if err := decodeJSON(r, maxRequestBytes, &req); err != nil {
 			writeErrorCode(w, http.StatusBadRequest, CodeBadRequest, err.Error())
 			return
 		}

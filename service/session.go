@@ -270,7 +270,7 @@ func (s *Signer) handleProtoStart(proto string) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		r.Body = http.MaxBytesReader(w, r.Body, maxProtoRequestBytes)
 		var req ProtoStartRequest
-		if err := decodeJSON(r, &req); err != nil {
+		if err := decodeJSON(r, maxProtoRequestBytes, &req); err != nil {
 			writeErrorCode(w, http.StatusBadRequest, CodeBadRequest, err.Error())
 			return
 		}
@@ -398,7 +398,7 @@ func (s *Signer) handleProtoStep(proto string) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		r.Body = http.MaxBytesReader(w, r.Body, maxProtoRequestBytes)
 		var req ProtoStepRequest
-		if err := decodeJSON(r, &req); err != nil {
+		if err := decodeJSON(r, maxProtoRequestBytes, &req); err != nil {
 			writeErrorCode(w, http.StatusBadRequest, CodeBadRequest, err.Error())
 			return
 		}
@@ -459,7 +459,7 @@ func (s *Signer) handleProtoFinish(proto string) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		r.Body = http.MaxBytesReader(w, r.Body, maxProtoRequestBytes)
 		var req ProtoFinishRequest
-		if err := decodeJSON(r, &req); err != nil {
+		if err := decodeJSON(r, maxProtoRequestBytes, &req); err != nil {
 			writeErrorCode(w, http.StatusBadRequest, CodeBadRequest, err.Error())
 			return
 		}

@@ -422,8 +422,8 @@ func (s *Signer) handleSign(tn *signerTenant, w http.ResponseWriter, r *http.Req
 		"request_id", RequestIDFromContext(r.Context()), "gid", tn.id)
 	r.Body = http.MaxBytesReader(w, r.Body, maxRequestBytes)
 	var req SignRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeErrorCode(w, http.StatusBadRequest, CodeBadRequest, fmt.Sprintf("malformed request: %v", err))
+	if err := decodeJSON(r, maxRequestBytes, &req); err != nil {
+		writeErrorCode(w, http.StatusBadRequest, CodeBadRequest, err.Error())
 		return
 	}
 	// Mirror of the coordinator's input check: an absent or empty message
@@ -465,8 +465,8 @@ func (s *Signer) handleSignBatch(tn *signerTenant, w http.ResponseWriter, r *htt
 	s.met.requests.WithLabelValues(tn.id, "sign_batch").Inc()
 	r.Body = http.MaxBytesReader(w, r.Body, maxRequestBytes)
 	var req SignBatchRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeErrorCode(w, http.StatusBadRequest, CodeBadRequest, fmt.Sprintf("malformed request: %v", err))
+	if err := decodeJSON(r, maxRequestBytes, &req); err != nil {
+		writeErrorCode(w, http.StatusBadRequest, CodeBadRequest, err.Error())
 		return
 	}
 	s.log.Debug("sign-batch request",
@@ -605,15 +605,6 @@ func (s *Signer) handleHealth(w http.ResponseWriter, _ *http.Request) {
 		Status: "ok", Index: s.index, Inflight: int(s.inflight.Load()),
 		Version: b.Version, GoVersion: b.GoVersion, Revision: b.Revision,
 	})
-}
-
-// decodeJSON decodes a request body, wrapping decode failures in the
-// message the handlers answer 400 with.
-func decodeJSON(r *http.Request, v any) error {
-	if err := json.NewDecoder(r.Body).Decode(v); err != nil {
-		return fmt.Errorf("malformed request: %v", err)
-	}
-	return nil
 }
 
 func writeJSON(w http.ResponseWriter, status int, v any) {
