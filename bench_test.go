@@ -41,10 +41,10 @@ var benchMsg = []byte("benchmark message for every scheme")
 var (
 	fixOnce sync.Once
 
-	coreParams *core.Params
-	coreViews  []*core.KeyShares
-	coreParts  []*core.PartialSignature
-	coreSig    *core.Signature
+	coreGroup   *Group
+	coreMembers []*Member // coreMembers[i-1] holds share i
+	coreParts   []*core.PartialSignature
+	coreSig     *core.Signature
 
 	smParams *stdmodel.Params
 	smViews  []*stdmodel.KeyShares
@@ -83,23 +83,15 @@ func mustB[T any](v T, err error) T {
 	return v
 }
 
-func mustB2[A, B any](a A, _ B, err error) A {
-	if err != nil && fixErr == nil {
-		fixErr = err
-	}
-	return a
-}
-
 func setupFixtures(b *testing.B) {
 	b.Helper()
 	fixOnce.Do(func() {
 		// Section 3.
-		coreParams = core.NewParams("bench/core")
-		coreViews = mustB2(core.DistKeygen(coreParams, benchN, benchT))
+		coreGroup, coreMembers, fixErr = NewScheme(WithDomain("bench/core")).Keygen(benchN, benchT)
 		for _, i := range []int{1, 2, 3} {
-			coreParts = append(coreParts, mustB(core.ShareSign(coreParams, coreViews[i].Share, benchMsg)))
+			coreParts = append(coreParts, mustB(coreMembers[i-1].SignShare(benchMsg)))
 		}
-		coreSig = mustB(core.Combine(coreViews[1].PK, coreViews[1].VKs, benchMsg, coreParts, benchT))
+		coreSig = mustB(coreGroup.Combine(benchMsg, coreParts))
 
 		// Section 4.
 		smParams = stdmodel.NewParams("bench/sm")
@@ -174,7 +166,7 @@ func BenchmarkShareSign(b *testing.B) {
 	setupFixtures(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := core.ShareSign(coreParams, coreViews[1].Share, benchMsg); err != nil {
+		if _, err := coreMembers[0].SignShare(benchMsg); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -186,7 +178,7 @@ func BenchmarkVerify(b *testing.B) {
 	setupFixtures(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if !core.Verify(coreViews[1].PK, benchMsg, coreSig) {
+		if !coreGroup.Verify(benchMsg, coreSig) {
 			b.Fatal("verify failed")
 		}
 	}
@@ -210,7 +202,7 @@ func BenchmarkShareVerify(b *testing.B) {
 	setupFixtures(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if !core.ShareVerify(coreViews[1].PK, coreViews[1].VKs[1], benchMsg, coreParts[0]) {
+		if !coreGroup.ShareVerify(benchMsg, coreParts[0]) {
 			b.Fatal("share verify failed")
 		}
 	}
@@ -220,7 +212,7 @@ func BenchmarkCombine(b *testing.B) {
 	setupFixtures(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := core.Combine(coreViews[1].PK, coreViews[1].VKs, benchMsg, coreParts, benchT); err != nil {
+		if _, err := coreGroup.Combine(benchMsg, coreParts); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -232,7 +224,7 @@ func BenchmarkCombinePreverified(b *testing.B) {
 	setupFixtures(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := core.CombinePreverified(coreParts, benchT); err != nil {
+		if _, err := coreGroup.CombinePreverified(coreParts); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -265,11 +257,11 @@ func BenchmarkProactiveRefresh(b *testing.B) {
 	setupFixtures(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		out, err := core.RunRefresh(coreParams, benchN, benchT)
+		out, err := core.RunRefresh(coreGroup.Params, benchN, benchT)
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, err := core.ApplyRefresh(coreViews[1], out.Results[1]); err != nil {
+		if _, err := coreMembers[0].ApplyRefreshResult(out.Results[1]); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -303,12 +295,12 @@ func BenchmarkTableAllSchemes(b *testing.B) {
 	setupFixtures(b)
 	b.Run("S3/ShareSign", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			_, _ = core.ShareSign(coreParams, coreViews[1].Share, benchMsg)
+			_, _ = coreMembers[0].SignShare(benchMsg)
 		}
 	})
 	b.Run("S3/Verify", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			core.Verify(coreViews[1].PK, benchMsg, coreSig)
+			coreGroup.Verify(benchMsg, coreSig)
 		}
 	})
 	b.Run("S4/ShareSign", func(b *testing.B) {
@@ -366,7 +358,7 @@ func BenchmarkTableSizes(b *testing.B) {
 			b.ReportMetric(0, "ns/op")
 		})
 	}
-	report("S3", len(coreSig.Marshal())*8, coreViews[1].Share.SizeBytes())
+	report("S3", len(coreSig.Marshal())*8, coreMembers[0].PrivateShare().SizeBytes())
 	report("S4", len(smSig.Marshal())*8, smViews[1].Share.SizeBytes())
 	report("AppF", len(dlSig.Marshal())*8, dlViews[1].Share.SizeBytes())
 	report("BoldyrevaBLS", len(blsSig.Marshal())*8, blsShares[1].SizeBytes())
@@ -466,9 +458,9 @@ func BenchmarkBatchVerify8(b *testing.B) {
 		msg := []byte(fmt.Sprintf("batch bench %d", i))
 		var parts []*core.PartialSignature
 		for _, j := range []int{1, 2, 3} {
-			parts = append(parts, mustB(core.ShareSign(coreParams, coreViews[j].Share, msg)))
+			parts = append(parts, mustB(coreMembers[j-1].SignShare(msg)))
 		}
-		sig := mustB(core.Combine(coreViews[1].PK, coreViews[1].VKs, msg, parts, benchT))
+		sig := mustB(coreGroup.Combine(msg, parts))
 		entries[i] = core.BatchEntry{Msg: msg, Sig: sig}
 	}
 	if fixErr != nil {
@@ -476,7 +468,7 @@ func BenchmarkBatchVerify8(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ok, err := core.BatchVerify(coreViews[1].PK, entries, rand.Reader)
+		ok, err := coreGroup.BatchVerify(entries, rand.Reader)
 		if err != nil || !ok {
 			b.Fatal("batch verify failed")
 		}
@@ -495,8 +487,8 @@ func shareBatch8(b *testing.B) []core.ShareBatchEntry {
 		msg := []byte(fmt.Sprintf("share batch bench %d", i))
 		entries[i] = core.ShareBatchEntry{
 			Msg: msg,
-			VK:  coreViews[1].VKs[2],
-			PS:  mustB(core.ShareSign(coreParams, coreViews[2].Share, msg)),
+			VK:  coreGroup.VKs[2],
+			PS:  mustB(coreMembers[1].SignShare(msg)),
 		}
 	}
 	if fixErr != nil {
@@ -509,7 +501,7 @@ func BenchmarkBatchShareVerify8(b *testing.B) {
 	entries := shareBatch8(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ok, err := core.BatchShareVerify(coreViews[1].PK, entries, rand.Reader)
+		ok, err := core.BatchShareVerify(coreGroup.PK, entries, rand.Reader)
 		if err != nil || !ok {
 			b.Fatal("batch share verify failed")
 		}
@@ -521,7 +513,7 @@ func BenchmarkShareVerify8Individually(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, e := range entries {
-			if !core.ShareVerify(coreViews[1].PK, e.VK, e.Msg, e.PS) {
+			if !coreGroup.ShareVerify(e.Msg, e.PS) {
 				b.Fatal("share verify failed")
 			}
 		}
@@ -537,14 +529,14 @@ func BenchmarkBatchShareVerifyCrossSigner8(b *testing.B) {
 	var entries []core.ShareBatchEntry
 	for i := 1; i <= 5; i++ {
 		entries = append(entries, core.ShareBatchEntry{
-			Msg: msgA, VK: coreViews[1].VKs[i],
-			PS: mustB(core.ShareSign(coreParams, coreViews[i].Share, msgA)),
+			Msg: msgA, VK: coreGroup.VKs[i],
+			PS: mustB(coreMembers[i-1].SignShare(msgA)),
 		})
 	}
 	for i := 1; i <= 3; i++ {
 		entries = append(entries, core.ShareBatchEntry{
-			Msg: msgB, VK: coreViews[1].VKs[i],
-			PS: mustB(core.ShareSign(coreParams, coreViews[i].Share, msgB)),
+			Msg: msgB, VK: coreGroup.VKs[i],
+			PS: mustB(coreMembers[i-1].SignShare(msgB)),
 		})
 	}
 	if fixErr != nil {
@@ -552,7 +544,7 @@ func BenchmarkBatchShareVerifyCrossSigner8(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ok, err := core.BatchShareVerify(coreViews[1].PK, entries, rand.Reader)
+		ok, err := core.BatchShareVerify(coreGroup.PK, entries, rand.Reader)
 		if err != nil || !ok {
 			b.Fatal("cross-signer batch verify failed")
 		}
@@ -566,9 +558,9 @@ func BenchmarkVerify8Individually(b *testing.B) {
 		msg := []byte(fmt.Sprintf("batch bench %d", i))
 		var parts []*core.PartialSignature
 		for _, j := range []int{1, 2, 3} {
-			parts = append(parts, mustB(core.ShareSign(coreParams, coreViews[j].Share, msg)))
+			parts = append(parts, mustB(coreMembers[j-1].SignShare(msg)))
 		}
-		sig := mustB(core.Combine(coreViews[1].PK, coreViews[1].VKs, msg, parts, benchT))
+		sig := mustB(coreGroup.Combine(msg, parts))
 		entries[i] = core.BatchEntry{Msg: msg, Sig: sig}
 	}
 	if fixErr != nil {
@@ -577,7 +569,7 @@ func BenchmarkVerify8Individually(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, e := range entries {
-			if !core.Verify(coreViews[1].PK, e.Msg, e.Sig) {
+			if !coreGroup.Verify(e.Msg, e.Sig) {
 				b.Fatal("verify failed")
 			}
 		}

@@ -45,7 +45,7 @@ func startService(t *testing.T, cfg service.CoordinatorConfig) string {
 	group, members := fixture(t)
 	urls := make([]string, group.N)
 	for i, m := range members {
-		s, err := service.NewSigner(group, m.PrivateShare(), service.SignerConfig{})
+		s, err := service.NewSigner(m, service.SignerConfig{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -241,7 +241,7 @@ func TestClientByzantineQuorumError(t *testing.T) {
 	group, members := fixture(t)
 	urls := make([]string, group.N)
 	for i, m := range members {
-		s, err := service.NewSigner(group, m.PrivateShare(), service.SignerConfig{})
+		s, err := service.NewSigner(m, service.SignerConfig{})
 		if err != nil {
 			t.Fatal(err)
 		}

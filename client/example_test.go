@@ -23,7 +23,7 @@ func startGroup(n, t int) (*tsig.Group, string, func()) {
 	var closers []func()
 	urls := make([]string, n)
 	for i, m := range members {
-		signer, err := service.NewSigner(group, m.PrivateShare(), service.SignerConfig{})
+		signer, err := service.NewSigner(m, service.SignerConfig{})
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -120,15 +120,14 @@ func tableSizes() {
 	rows := []sizesRow{}
 
 	// Section 3 scheme.
-	params := core.NewParams("tables/core")
-	views := must2(core.DistKeygen(params, 3, 1))
+	group, members := must2(tsig.NewScheme(tsig.WithDomain("tables/core")).Keygen(3, 1))
 	parts := []*core.PartialSignature{
-		must(core.ShareSign(params, views[1].Share, msg)),
-		must(core.ShareSign(params, views[2].Share, msg)),
+		must(members[0].SignShare(msg)),
+		must(members[1].SignShare(msg)),
 	}
-	sig := must(core.Combine(views[1].PK, views[1].VKs, msg, parts, 1))
+	sig := must(group.Combine(msg, parts))
 	rows = append(rows, sizesRow{"this paper S3 (LHSPS+DKG)", "RO", "none (DKG)", "yes",
-		len(sig.Marshal()) * 8, views[1].Share.SizeBytes(), "512"})
+		len(sig.Marshal()) * 8, members[0].PrivateShare().SizeBytes(), "512"})
 
 	// Section 4 standard model.
 	smParams := stdmodel.NewParams("tables/sm")
@@ -188,11 +187,11 @@ func tableSizes() {
 	}
 }
 
-func must2[A any, B any](a A, b B, err error) A {
+func must2[A any, B any](a A, b B, err error) (A, B) {
 	if err != nil {
 		log.Fatal(err)
 	}
-	return a
+	return a, b
 }
 
 // ---------------------------------------------------------------- E2/E3/E10
@@ -209,22 +208,21 @@ func tableOps() {
 	var rows []row
 
 	{
-		params := core.NewParams("tables/ops-core")
-		views := must2(core.DistKeygen(params, 5, 2))
+		group, members := must2(tsig.NewScheme(tsig.WithDomain("tables/ops-core")).Keygen(5, 2))
 		parts := func() []*core.PartialSignature {
 			var ps []*core.PartialSignature
-			for _, i := range []int{1, 2, 3} {
-				ps = append(ps, must(core.ShareSign(params, views[i].Share, msg)))
+			for _, m := range members[:3] {
+				ps = append(ps, must(m.SignShare(msg)))
 			}
 			return ps
 		}()
-		sig := must(core.Combine(views[1].PK, views[1].VKs, msg, parts, 2))
+		sig := must(group.Combine(msg, parts))
 		rows = append(rows, row{
 			scheme:      "S3 (this paper, RO)",
-			shareSign:   timeIt(iters, func() { _, _ = core.ShareSign(params, views[1].Share, msg) }),
-			shareVerify: timeIt(iters, func() { core.ShareVerify(views[1].PK, views[1].VKs[1], msg, parts[0]) }),
-			combine:     timeIt(iters, func() { _, _ = core.Combine(views[1].PK, views[1].VKs, msg, parts, 2) }),
-			vrfy:        timeIt(iters, func() { core.Verify(views[1].PK, msg, sig) }),
+			shareSign:   timeIt(iters, func() { _, _ = members[0].SignShare(msg) }),
+			shareVerify: timeIt(iters, func() { group.ShareVerify(msg, parts[0]) }),
+			combine:     timeIt(iters, func() { _, _ = group.Combine(msg, parts) }),
+			vrfy:        timeIt(iters, func() { group.Verify(msg, sig) }),
 		})
 	}
 	{
@@ -658,20 +656,20 @@ func writeBenchJSON(path string) error {
 		return full
 	}
 	msg := []byte("bench probe")
-	params := core.NewParams("bench/json")
-	views, _, err := core.DistKeygen(params, n, t)
+	scheme := tsig.NewScheme(tsig.WithDomain("bench/json"))
+	group, members, err := scheme.Keygen(n, t)
 	if err != nil {
 		return err
 	}
 	var parts []*core.PartialSignature
 	for _, i := range []int{1, 3, 5} {
-		ps, err := core.ShareSign(params, views[i].Share, msg)
+		ps, err := members[i-1].SignShare(msg)
 		if err != nil {
 			return err
 		}
 		parts = append(parts, ps)
 	}
-	sig, err := core.Combine(views[1].PK, views[1].VKs, msg, parts, t)
+	sig, err := group.Combine(msg, parts)
 	if err != nil {
 		return err
 	}
@@ -683,10 +681,10 @@ func writeBenchJSON(path string) error {
 			Name: name, NsPerOp: float64(timeIt(it, fn).Nanoseconds()), Iters: it,
 		})
 	}
-	measure("ShareSign", 10, func() { _, _ = core.ShareSign(params, views[1].Share, msg) })
-	measure("ShareVerify", 5, func() { core.ShareVerify(views[1].PK, views[1].VKs[1], msg, parts[0]) })
-	measure("Combine", 10, func() { _, _ = core.Combine(views[1].PK, views[1].VKs, msg, parts, t) })
-	measure("Verify", 5, func() { core.Verify(views[1].PK, msg, sig) })
+	measure("ShareSign", 10, func() { _, _ = members[0].SignShare(msg) })
+	measure("ShareVerify", 5, func() { group.ShareVerify(msg, parts[0]) })
+	measure("Combine", 10, func() { _, _ = group.Combine(msg, parts) })
+	measure("Verify", 5, func() { group.Verify(msg, sig) })
 	measure("DKG/n=5", 2, func() {
 		cfg := dkg.Config{N: n, T: t, NumSharings: core.Dim,
 			Scheme: dkg.PedersenScheme{Params: lhsps.NewParams("bench/json-dkg")}}
@@ -695,11 +693,11 @@ func writeBenchJSON(path string) error {
 		}
 	})
 	measure("ProactiveRefresh/n=5", 2, func() {
-		out, err := core.RunRefresh(params, n, t)
+		out, err := core.RunRefresh(scheme.Params(), n, t)
 		if err != nil {
 			log.Fatal(err)
 		}
-		if _, err := core.ApplyRefresh(views[1], out.Results[1]); err != nil {
+		if _, err := members[0].ApplyRefreshResult(out.Results[1]); err != nil {
 			log.Fatal(err)
 		}
 	})
@@ -721,27 +719,27 @@ func writeBenchJSON(path string) error {
 	}
 	for _, nt := range sweeps {
 		sn, st := nt[0], nt[1]
-		sviews, _, err := core.DistKeygen(params, sn, st)
+		sgroup, smembers, err := scheme.Keygen(sn, st)
 		if err != nil {
 			return err
 		}
 		var sparts []*core.PartialSignature
-		for i := 1; i <= st+1; i++ {
-			ps, err := core.ShareSign(params, sviews[i].Share, msg)
+		for _, m := range smembers[:st+1] {
+			ps, err := m.SignShare(msg)
 			if err != nil {
 				return err
 			}
 			sparts = append(sparts, ps)
 		}
-		ssig, err := core.Combine(sviews[1].PK, sviews[1].VKs, msg, sparts, st)
+		ssig, err := sgroup.Combine(msg, sparts)
 		if err != nil {
 			return err
 		}
 		suffix := fmt.Sprintf("/n=%d,t=%d", sn, st)
-		measure("ShareSign"+suffix, 5, func() { _, _ = core.ShareSign(params, sviews[1].Share, msg) })
-		measure("ShareVerify"+suffix, 5, func() { core.ShareVerify(sviews[1].PK, sviews[1].VKs[1], msg, sparts[0]) })
-		measure("Combine"+suffix, 5, func() { _, _ = core.Combine(sviews[1].PK, sviews[1].VKs, msg, sparts, st) })
-		measure("Verify"+suffix, 5, func() { core.Verify(sviews[1].PK, msg, ssig) })
+		measure("ShareSign"+suffix, 5, func() { _, _ = smembers[0].SignShare(msg) })
+		measure("ShareVerify"+suffix, 5, func() { sgroup.ShareVerify(msg, sparts[0]) })
+		measure("Combine"+suffix, 5, func() { _, _ = sgroup.Combine(msg, sparts) })
+		measure("Verify"+suffix, 5, func() { sgroup.Verify(msg, ssig) })
 	}
 
 	// Batch sweep: k full signatures through BatchVerify and k partials
@@ -757,26 +755,26 @@ func writeBenchJSON(path string) error {
 			bmsg := []byte(fmt.Sprintf("batch probe %d", j))
 			var bparts []*core.PartialSignature
 			for _, i := range []int{1, 3, 5} {
-				ps, err := core.ShareSign(params, views[i].Share, bmsg)
+				ps, err := members[i-1].SignShare(bmsg)
 				if err != nil {
 					return err
 				}
 				bparts = append(bparts, ps)
 			}
-			bsig, err := core.Combine(views[1].PK, views[1].VKs, bmsg, bparts, t)
+			bsig, err := group.Combine(bmsg, bparts)
 			if err != nil {
 				return err
 			}
 			entries[j] = core.BatchEntry{Msg: bmsg, Sig: bsig}
-			shareEntries[j] = core.ShareBatchEntry{Msg: bmsg, VK: views[1].VKs[1], PS: bparts[0]}
+			shareEntries[j] = core.ShareBatchEntry{Msg: bmsg, VK: group.VKs[1], PS: bparts[0]}
 		}
 		measure(fmt.Sprintf("BatchVerify/k=%d", bk), 5, func() {
-			if ok, err := core.BatchVerify(views[1].PK, entries, nil); err != nil || !ok {
+			if ok, err := group.BatchVerify(entries, nil); err != nil || !ok {
 				log.Fatalf("BatchVerify(k=%d) = %v, %v", bk, ok, err)
 			}
 		})
 		measure(fmt.Sprintf("BatchShareVerify/k=%d", bk), 5, func() {
-			if ok, err := core.BatchShareVerify(views[1].PK, shareEntries, nil); err != nil || !ok {
+			if ok, err := core.BatchShareVerify(group.PK, shareEntries, nil); err != nil || !ok {
 				log.Fatalf("BatchShareVerify(k=%d) = %v, %v", bk, ok, err)
 			}
 		})

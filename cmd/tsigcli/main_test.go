@@ -56,11 +56,11 @@ func TestRemoteSignWorkflow(t *testing.T) {
 	}
 	urls := make([]string, group.N)
 	for i := 1; i <= group.N; i++ {
-		share, err := tsig.LoadShare(filepath.Join(dir, "share-"+string(rune('0'+i))+".json"))
+		member, err := tsig.LoadMember(filepath.Join(dir, "group.json"), filepath.Join(dir, "share-"+string(rune('0'+i))+".json"))
 		if err != nil {
 			t.Fatal(err)
 		}
-		signer, err := service.NewSigner(group, share, service.SignerConfig{})
+		signer, err := service.NewSigner(member, service.SignerConfig{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -225,11 +225,11 @@ func TestRemoteSignTenantGid(t *testing.T) {
 	}
 	urls := make([]string, group.N)
 	for i := 1; i <= group.N; i++ {
-		share, err := tsig.LoadShare(filepath.Join(dir, "share-"+string(rune('0'+i))+".json"))
+		member, err := tsig.LoadMember(filepath.Join(dir, "group.json"), filepath.Join(dir, "share-"+string(rune('0'+i))+".json"))
 		if err != nil {
 			t.Fatal(err)
 		}
-		signer, err := service.NewSigner(group, share, service.SignerConfig{})
+		signer, err := service.NewSigner(member, service.SignerConfig{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -56,8 +56,12 @@
 // never talk to one another and keep no per-request state; the service
 // tolerates up to t signers being down, slow, or Byzantine. During
 // protocol sessions (keygen, refresh) the coordinator relays the round
-// messages between signers; protect those links with TLS in production
-// (see ROADMAP item 13).
+// messages between signers, private shares included, and reads them.
+// tsigd speaks plain HTTP — it has no TLS option — and a signer serves
+// every route to whoever reaches its port, coordinator or not: anyone
+// who can reach t+1 signers can sign, and anyone who can reach one can
+// delete its tenants. Run the signers on a network only the coordinator
+// can reach.
 package main
 
 import (
@@ -201,11 +205,9 @@ func cmdSigner(args []string) error {
 	if *sharePath != "" {
 		// LoadMember validates the pair as a whole (group invariants plus
 		// share bounds), so a corrupt or mismatched seed fails here.
-		member, err := tsig.LoadMember(*groupPath, *sharePath)
-		if err != nil {
+		if cfg.Member, err = tsig.LoadMember(*groupPath, *sharePath); err != nil {
 			return err
 		}
-		cfg.Group, cfg.Share = member.Group(), member.PrivateShare()
 	}
 
 	signer, err := service.NewDaemonSigner(cfg)

@@ -100,7 +100,7 @@ func main() {
 	}
 
 	fmt.Println("\n== Share recovery: server 2 crashed and lost its current share ==")
-	recovered, err := tsig.RecoverShare(group, []*tsig.Member{members[0], members[2], members[3]}, 2, nil)
+	recovered, err := group.RecoverShare([]*tsig.Member{members[0], members[2], members[3]}, 2, nil)
 	if err != nil {
 		log.Fatalf("recovery: %v", err)
 	}

@@ -40,7 +40,7 @@ func main() {
 	fmt.Println("\n== Starting 5 signer daemons on loopback ==")
 	urls := make([]string, n)
 	for i := 1; i <= n; i++ {
-		signer, err := service.NewSigner(group, members[i-1].PrivateShare(), service.SignerConfig{})
+		signer, err := service.NewSigner(members[i-1], service.SignerConfig{})
 		if err != nil {
 			log.Fatal(err)
 		}

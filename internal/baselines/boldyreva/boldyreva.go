@@ -115,10 +115,14 @@ func (s *Signature) Unmarshal(data []byte) error {
 }
 
 // ShareSign computes sigma_i = H(M)^{x_i}: one hash-on-curve and one
-// exponentiation.
+// exponentiation, on the regular ladder because x_i is secret.
 func ShareSign(params *Params, share *KeyShare, msg []byte) *PartialSignature {
 	h := params.HashMessage(msg)
-	return &PartialSignature{Index: share.Index, S: new(bn254.G1).ScalarMult(h, share.X)}
+	s, err := bn254.MultiScalarMultSharedG1([]*bn254.G1{h}, []*big.Int{share.X})
+	if err != nil {
+		panic(err) // x_i is nil: a malformed share
+	}
+	return &PartialSignature{Index: share.Index, S: s[0]}
 }
 
 // ShareVerify checks e(sigma_i, g^) == e(H(M), vk_i), i.e.

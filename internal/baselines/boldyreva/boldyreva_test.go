@@ -4,6 +4,7 @@ import (
 	"crypto/rand"
 	"crypto/sha256"
 	"encoding/hex"
+	"math/big"
 	mrand "math/rand"
 	"testing"
 
@@ -125,5 +126,34 @@ func TestDealKeysAreUnchanged(t *testing.T) {
 	const golden = "c6de96ea38fe71bee98f32790b9bcd7e73702dd81c6a3ad119432d36b4e8143a"
 	if got := hex.EncodeToString(h.Sum(nil)); got != golden {
 		t.Fatalf("key bytes digest %s, want %s", got, golden)
+	}
+}
+
+// TestShareSignMatchesScalarMult: Share-Sign on the regular ladder gives
+// the bytes of the variable-time G1.ScalarMult, for edge and random
+// shares.
+func TestShareSignMatchesScalarMult(t *testing.T) {
+	params := NewParams("boldyreva-ladder")
+	random, err := bn254.RandScalar(mrand.New(mrand.NewSource(11)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		x    *big.Int
+	}{
+		{"zero", big.NewInt(0)},
+		{"one", big.NewInt(1)},
+		{"r-1", new(big.Int).Sub(bn254.Order, big.NewInt(1))},
+		{"r+5", new(big.Int).Add(bn254.Order, big.NewInt(5))},
+		{"random", random},
+	} {
+		for _, msg := range []string{"", "m", "a longer message"} {
+			share := &KeyShare{Index: 3, X: tc.x}
+			want := new(bn254.G1).ScalarMult(params.HashMessage([]byte(msg)), tc.x)
+			if got := ShareSign(params, share, []byte(msg)); !got.S.Equal(want) || got.Index != 3 {
+				t.Fatalf("%s, %q: Share-Sign differs from G1.ScalarMult", tc.name, msg)
+			}
+		}
 	}
 }

@@ -118,8 +118,11 @@ func TestZeroAllocations(t *testing.T) {
 		t.Errorf("HashDomain.Hash: %v allocs/op, want 0", n)
 	}
 	slots := []*PairingSlot{{P: p, Pre: pre}, {P: g, Pre: pre}}
-	if n := testing.AllocsPerRun(5, func() { PairingCheckMixed(slots) }); n != 0 {
-		t.Errorf("PairingCheckMixed on precomputed lines: %v allocs/op, want 0", n)
+	for len(slots) <= 2+2*StackPoints {
+		if n := testing.AllocsPerRun(5, func() { PairingCheckMixed(slots) }); n != 0 {
+			t.Errorf("PairingCheckMixed on %d precomputed slots: %v allocs/op, want 0", len(slots), n)
+		}
+		slots = append(slots, &PairingSlot{P: p, Pre: pre}, &PairingSlot{P: g, Pre: pre})
 	}
 }
 

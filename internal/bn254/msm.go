@@ -15,10 +15,10 @@ import (
 // large ones (one bucket pass per window, cost ~ windows*(n + 2^c)
 // additions instead of windows*n table lookups).
 //
-// MultiScalarMultSharedG1 is for secret scalars (Share-Sign): several
-// scalar sets over the same bases share one table build, and each set runs
-// the regular GLV ladder of glv.go, whose operation sequence does not
-// depend on the scalars.
+// MultiScalarMultSharedG1 is for secret scalars (Share-Sign, the Appendix
+// G dealer's proof): several scalar sets over the same bases share one
+// table build, and each set runs the regular GLV ladder of glv.go, whose
+// operation sequence does not depend on the scalars.
 //
 // All of them are cross-checked against the naive per-term oracle in
 // msm_test.go and glv_test.go.

@@ -275,9 +275,11 @@ type PairingSlot struct {
 // slots across goroutines repeats the squaring chain in every shard, and
 // measured slower than one chain at 4, 8 and 16 slots (docs/PERF.md).
 // Fixed and fresh slots interleave freely: a fresh slot's table is built
-// here and dropped afterwards.
+// here and dropped afterwards. Up to 2 + 2·StackPoints slots — a
+// cross-signer share check over StackPoints keys — the cursors live on
+// the stack.
 func millerProduct(slots []*PairingSlot, f *fp12) error {
-	var buf [StackPoints]millerCursor
+	var buf [2 + 2*StackPoints]millerCursor
 	cs := buf[:0]
 	for _, s := range slots {
 		if s == nil || s.P == nil || (s.Q == nil && s.Pre == nil) {
@@ -323,7 +325,8 @@ func multiPairMixed(slots []*PairingSlot, out *fp12) error {
 
 // PairingCheckMixed reports whether prod_i e(slots[i]) == 1, accepting any
 // mix of fixed-precomputed and fresh G2 arguments. It allocates nothing
-// when every slot is precomputed and there are at most 8 of them.
+// when every slot is precomputed and there are at most 2 + 2·StackPoints
+// of them.
 func PairingCheckMixed(slots []*PairingSlot) bool {
 	var v fp12
 	if multiPairMixed(slots, &v) != nil {

@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"math/big"
 	"sync"
 
 	"repro/internal/bn254"
@@ -136,15 +137,17 @@ func (pk *AggPublicKey) hashInput(msg []byte) []byte {
 // KindAggProof is the wire kind of the extra DKG broadcast.
 const KindAggProof = "dkg/agg-proof"
 
-// aggDealProof computes (Z_i0, R_i0) from the dealer's polynomials.
-func aggDealProof(params *AggParams, hp *dkg.HonestPlayer) (*bn254.G1, *bn254.G1) {
-	negA1 := new(bn254.G1).Neg(new(bn254.G1).ScalarMult(params.G, hp.Polys[0][0].Secret()))
-	negA2 := new(bn254.G1).Neg(new(bn254.G1).ScalarMult(params.H, hp.Polys[1][0].Secret()))
-	z := new(bn254.G1).Add(negA1, negA2)
-	negB1 := new(bn254.G1).Neg(new(bn254.G1).ScalarMult(params.G, hp.Polys[0][1].Secret()))
-	negB2 := new(bn254.G1).Neg(new(bn254.G1).ScalarMult(params.H, hp.Polys[1][1].Secret()))
-	r := new(bn254.G1).Add(negB1, negB2)
-	return z, r
+// aggDealProof computes (Z_i0, R_i0) = (-(a_10 g + a_20 h),
+// -(b_10 g + b_20 h)) from the dealer's secret constant terms: one table
+// over (g, h) serves both secret scalar sets on the regular ladder.
+func aggDealProof(params *AggParams, hp *dkg.HonestPlayer) (*bn254.G1, *bn254.G1, error) {
+	zr, err := bn254.MultiScalarMultSharedG1([]*bn254.G1{params.G, params.H},
+		[]*big.Int{hp.Polys[0][0].Secret(), hp.Polys[1][0].Secret()},
+		[]*big.Int{hp.Polys[0][1].Secret(), hp.Polys[1][1].Secret()})
+	if err != nil {
+		return nil, nil, err
+	}
+	return zr[0].Neg(zr[0]), zr[1].Neg(zr[1]), nil
 }
 
 // verifyAggProof checks the public validity equation for one dealer. The
@@ -190,7 +193,9 @@ func (p *aggPlayer) Step(round int, delivered []engine.Message) ([]engine.Messag
 		if err != nil {
 			return nil, err
 		}
-		p.selfZ, p.selfR = aggDealProof(p.params, p.HonestPlayer)
+		if p.selfZ, p.selfR, err = aggDealProof(p.params, p.HonestPlayer); err != nil {
+			return nil, err
+		}
 		payload := append(p.selfZ.Marshal(), p.selfR.Marshal()...)
 		return append(msgs, engine.Message{
 			To:      engine.Broadcast,
@@ -321,13 +326,13 @@ func AggShareVerify(pk *AggPublicKey, vk *VerificationKey, msg []byte, ps *Parti
 // AggCombine interpolates t+1 valid partial signatures.
 func AggCombine(pk *AggPublicKey, vks []*VerificationKey, msg []byte, parts []*PartialSignature, t int) (*Signature, error) {
 	// Combine verifies against VKs with the PK||M hash input, so reuse the
-	// core Combine on the prefixed message.
-	return Combine(pk.inner(), vks, pk.hashInput(msg), parts, t)
+	// core combine on the prefixed message.
+	return combine(pk.inner(), vks, pk.hashInput(msg), parts, t)
 }
 
 // AggVerifySingle verifies one full signature under one aggregation key.
 func AggVerifySingle(pk *AggPublicKey, msg []byte, sig *Signature) bool {
-	return Verify(pk.inner(), pk.hashInput(msg), sig)
+	return pk.inner().Verify(pk.hashInput(msg), sig)
 }
 
 // AggEntry pairs a public key with a message (and, for Aggregate, the

@@ -1,11 +1,15 @@
 package core
 
 import (
+	"bytes"
 	"fmt"
+	"math/big"
+	mrand "math/rand"
 	"sync"
 	"testing"
 
 	"repro/internal/bn254"
+	"repro/internal/dkg"
 )
 
 // Aggregation fixture: two independent authorities (key groups) under the
@@ -194,5 +198,39 @@ func TestAggregateManySameKey(t *testing.T) {
 	}
 	if !AggregateVerify(entries, agg) {
 		t.Fatal("same-key aggregate rejected")
+	}
+}
+
+// TestAggDealProofMatchesScalarMult: the dealer's proof (Z_i0, R_i0),
+// computed on the regular ladder, is the bytes the variable-time
+// G1.ScalarMult gives, for several seeded dealers.
+func TestAggDealProofMatchesScalarMult(t *testing.T) {
+	params := NewAggParams("agg-ladder")
+	neg := func(p, q *bn254.G1, a, b *big.Int) *bn254.G1 {
+		s := new(bn254.G1).Add(new(bn254.G1).ScalarMult(p, a), new(bn254.G1).ScalarMult(q, b))
+		return s.Neg(s)
+	}
+	for _, tc := range []struct {
+		seed int64
+		id   int
+	}{{1, 1}, {2, 2}, {3, 5}} {
+		cfg := dkg.Config{N: 5, T: 2, NumSharings: Dim, Scheme: dkg.PedersenScheme{Params: params.LH},
+			Rng: mrand.New(mrand.NewSource(tc.seed))}
+		hp, err := dkg.NewHonestPlayer(cfg, tc.id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := hp.Step(0, nil); err != nil {
+			t.Fatal(err)
+		}
+		z, r, err := aggDealProof(params, hp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantZ := neg(params.G, params.H, hp.Polys[0][0].Secret(), hp.Polys[1][0].Secret())
+		wantR := neg(params.G, params.H, hp.Polys[0][1].Secret(), hp.Polys[1][1].Secret())
+		if !bytes.Equal(z.Marshal(), wantZ.Marshal()) || !bytes.Equal(r.Marshal(), wantR.Marshal()) {
+			t.Fatalf("seed %d, dealer %d: proof differs from the G1.ScalarMult reference", tc.seed, tc.id)
+		}
 	}
 }

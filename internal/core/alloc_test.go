@@ -17,9 +17,17 @@ import (
 func TestSignPathAllocations(t *testing.T) {
 	views := keyFixture(t)
 	pk := views[1].PK
+	g, err := NewGroup("core-test", fixtureN, fixtureT, views[1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := g.Member(views[1].Share)
+	if err != nil {
+		t.Fatal(err)
+	}
 	msg := []byte("allocation gate")
 	parts := partials(t, views, msg, []int{1, 2, 3})
-	sig, err := CombinePreverified(parts, fixtureT)
+	sig, err := g.CombinePreverified(parts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -28,7 +36,7 @@ func TestSignPathAllocations(t *testing.T) {
 	for j := range batch {
 		m := []byte(fmt.Sprintf("allocation gate %d", j))
 		p := partials(t, views, m, []int{1, 2, 3})
-		s, err := CombinePreverified(p, fixtureT)
+		s, err := g.CombinePreverified(p)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -48,18 +56,18 @@ func TestSignPathAllocations(t *testing.T) {
 		{"HashMessage", 2, "the two points and their slice",
 			func() { fixtureParams.HashMessage(msg) }},
 		{"ShareSign", 6, "H(M) (2), the MSM's two outputs and their slice (2), the LHSPS and the partial signature (2)",
-			func() { _, err = ShareSign(fixtureParams, views[1].Share, msg) }},
+			func() { _, err = m.SignShare(msg) }},
 		{"CombinePreverified t+1=3", 3, "the signature and its two points",
-			func() { _, err = CombinePreverified(parts, fixtureT) }},
+			func() { _, err = g.CombinePreverified(parts) }},
 		{"Verify", 0, "nothing",
-			func() { ok = Verify(pk, msg, sig) }},
+			func() { ok = pk.Verify(msg, sig) }},
 		{"BatchVerify k=8", 9, "the weights' read buffer, words, integers and slice (4), the hashes (1), the four aggregates (4)",
-			func() { ok, err = BatchVerify(pk, batch, nil) }},
+			func() { ok, err = pk.BatchVerify(batch, nil) }},
 		{"CheckShares k=1", 1, "the returned []bool",
 			func() { ok = CheckShares(pk, single)[0] }},
 		{"CheckShares one signer, k=8", 11, "the returned []bool (1), the weights (4), the hashes and their pointers (2), the four aggregates (4)",
 			func() { ok = !slices.Contains(CheckShares(pk, shareBatch), false) }},
-		{"CheckShares 5 keys, k=8", 21, "the returned []bool (1), the weights (4), the hashes and their pointers (2), the z and r aggregates (2), two per key (10), the 12 slots (1) and their Miller cursors, above 8 (1)",
+		{"CheckShares 5 keys, k=8", 20, "the returned []bool (1), the weights (4), the hashes and their pointers (2), the z and r aggregates (2), two per key (10), the 12 slots (1); the Miller cursors stay on the stack up to 18 slots",
 			func() { ok = !slices.Contains(CheckShares(pk, cross), false) }},
 	} {
 		ok, err = true, nil

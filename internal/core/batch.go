@@ -39,7 +39,7 @@ const batchWeightBits = 128
 // BatchVerify verifies all entries under pk at once. It returns true only
 // if (with overwhelming probability) every signature is valid. rng
 // defaults to crypto/rand.
-func BatchVerify(pk *PublicKey, entries []BatchEntry, rng io.Reader) (bool, error) {
+func (pk *PublicKey) BatchVerify(entries []BatchEntry, rng io.Reader) (bool, error) {
 	if len(entries) == 0 {
 		return false, errors.New("core: empty batch")
 	}
@@ -309,7 +309,7 @@ func FindInvalidShares(pk *PublicKey, entries []ShareBatchEntry, rng io.Reader) 
 		}
 		if len(entries) == 1 {
 			// A single share gets the definitive (weight-free) check.
-			if !ShareVerify(pk, entries[0].VK, entries[0].Msg, entries[0].PS) {
+			if !shareVerify(pk, entries[0].VK, entries[0].Msg, entries[0].PS) {
 				bad = append(bad, pos[0])
 			}
 			return
@@ -342,7 +342,7 @@ func FindInvalidShares(pk *PublicKey, entries []ShareBatchEntry, rng io.Reader) 
 func CheckShares(pk *PublicKey, entries []ShareBatchEntry) []bool {
 	ok := make([]bool, len(entries))
 	if len(entries) == 1 {
-		ok[0] = ShareVerify(pk, entries[0].VK, entries[0].Msg, entries[0].PS)
+		ok[0] = shareVerify(pk, entries[0].VK, entries[0].Msg, entries[0].PS)
 		return ok
 	}
 	for j := range ok {
@@ -365,7 +365,7 @@ func CheckShares(pk *PublicKey, entries []ShareBatchEntry) []bool {
 func CheckSignatures(pk *PublicKey, entries []BatchEntry) []bool {
 	ok := make([]bool, len(entries))
 	if len(entries) > 1 {
-		if pass, err := BatchVerify(pk, entries, nil); err == nil && pass {
+		if pass, err := pk.BatchVerify(entries, nil); err == nil && pass {
 			for j := range ok {
 				ok[j] = true
 			}
@@ -373,7 +373,7 @@ func CheckSignatures(pk *PublicKey, entries []BatchEntry) []bool {
 		}
 	}
 	for j, e := range entries {
-		ok[j] = Verify(pk, e.Msg, e.Sig)
+		ok[j] = pk.Verify(e.Msg, e.Sig)
 	}
 	return ok
 }

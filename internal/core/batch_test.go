@@ -18,7 +18,7 @@ func makeBatch(t *testing.T, views []*KeyShares, k int) []BatchEntry {
 	for i := 0; i < k; i++ {
 		msg := []byte(fmt.Sprintf("batch message %d", i))
 		parts := partials(t, views, msg, []int{1, 2, 3})
-		sig, err := Combine(views[1].PK, views[1].VKs, msg, parts, fixtureT)
+		sig, err := combine(views[1].PK, views[1].VKs, msg, parts, fixtureT)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -30,7 +30,7 @@ func makeBatch(t *testing.T, views []*KeyShares, k int) []BatchEntry {
 func TestBatchVerifyAcceptsValidBatch(t *testing.T) {
 	views := keyFixture(t)
 	entries := makeBatch(t, views, 4)
-	ok, err := BatchVerify(views[1].PK, entries, rand.Reader)
+	ok, err := views[1].PK.BatchVerify(entries, rand.Reader)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,7 +38,7 @@ func TestBatchVerifyAcceptsValidBatch(t *testing.T) {
 		t.Fatal("valid batch rejected")
 	}
 	// Single-entry batch degenerates to ordinary verification.
-	ok, err = BatchVerify(views[1].PK, entries[:1], rand.Reader)
+	ok, err = views[1].PK.BatchVerify(entries[:1], rand.Reader)
 	if err != nil || !ok {
 		t.Fatalf("single-entry batch failed: %v %v", ok, err)
 	}
@@ -49,7 +49,7 @@ func TestBatchVerifyRejectsOneBadSignature(t *testing.T) {
 	entries := makeBatch(t, views, 4)
 	// Swap components of one signature.
 	entries[2].Sig = &Signature{Z: entries[2].Sig.R, R: entries[2].Sig.Z}
-	ok, err := BatchVerify(views[1].PK, entries, rand.Reader)
+	ok, err := views[1].PK.BatchVerify(entries, rand.Reader)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,7 +64,7 @@ func TestBatchVerifyRejectsWrongMessagePairing(t *testing.T) {
 	views := keyFixture(t)
 	entries := makeBatch(t, views, 3)
 	entries[0].Msg, entries[1].Msg = entries[1].Msg, entries[0].Msg
-	ok, err := BatchVerify(views[1].PK, entries, rand.Reader)
+	ok, err := views[1].PK.BatchVerify(entries, rand.Reader)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,10 +91,10 @@ func TestBatchVerifyCatchesComplementaryForgeries(t *testing.T) {
 		R: entries[1].Sig.R,
 	}
 	// Each individual signature is now invalid.
-	if Verify(views[1].PK, entries[0].Msg, entries[0].Sig) {
+	if views[1].PK.Verify(entries[0].Msg, entries[0].Sig) {
 		t.Fatal("tampered signature 0 verifies individually")
 	}
-	ok, err := BatchVerify(views[1].PK, entries, rand.Reader)
+	ok, err := views[1].PK.BatchVerify(entries, rand.Reader)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +110,7 @@ func makeShareBatch(t *testing.T, views []*KeyShares, signer, k int) []ShareBatc
 	entries := make([]ShareBatchEntry, k)
 	for i := 0; i < k; i++ {
 		msg := []byte(fmt.Sprintf("share batch message %d", i))
-		ps, err := ShareSign(fixtureParams, views[signer].Share, msg)
+		ps, err := shareSign(fixtureParams, views[signer].Share, msg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -144,7 +144,7 @@ func TestBatchShareVerifyAcceptsCrossSignerBatch(t *testing.T) {
 	msg := []byte("one message, many signers")
 	var entries []ShareBatchEntry
 	for i := 1; i <= fixtureN; i++ {
-		ps, err := ShareSign(fixtureParams, views[i].Share, msg)
+		ps, err := shareSign(fixtureParams, views[i].Share, msg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -169,7 +169,7 @@ func crossSignerBatch(t *testing.T, views []*KeyShares) []ShareBatchEntry {
 		n   int
 	}{{"cross batch A", 5}, {"cross batch B", 3}} {
 		for i := 1; i <= m.n; i++ {
-			ps, err := ShareSign(fixtureParams, views[i].Share, []byte(m.msg))
+			ps, err := shareSign(fixtureParams, views[i].Share, []byte(m.msg))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -195,7 +195,7 @@ func TestCrossSignerVerdictsMatchShareVerify(t *testing.T) {
 		want := make([]bool, len(entries))
 		allOK := true
 		for j, e := range entries {
-			want[j] = ShareVerify(pk, e.VK, e.Msg, e.PS)
+			want[j] = shareVerify(pk, e.VK, e.Msg, e.PS)
 			allOK = allOK && want[j]
 		}
 		if allOK != (bad < 0) {
@@ -217,7 +217,7 @@ func TestBatchShareVerifyRejectsTamperedShare(t *testing.T) {
 		if !sameVK {
 			// Replace one entry with a share from a different signer so the
 			// general path is taken.
-			ps, err := ShareSign(fixtureParams, views[4].Share, entries[4].Msg)
+			ps, err := shareSign(fixtureParams, views[4].Share, entries[4].Msg)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -292,10 +292,10 @@ func TestBatchShareVerifyInputValidation(t *testing.T) {
 
 func TestBatchVerifyInputValidation(t *testing.T) {
 	views := keyFixture(t)
-	if _, err := BatchVerify(views[1].PK, nil, rand.Reader); err == nil {
+	if _, err := views[1].PK.BatchVerify(nil, rand.Reader); err == nil {
 		t.Fatal("accepted empty batch")
 	}
-	if _, err := BatchVerify(views[1].PK, []BatchEntry{{Msg: []byte("x")}}, rand.Reader); err == nil {
+	if _, err := views[1].PK.BatchVerify([]BatchEntry{{Msg: []byte("x")}}, rand.Reader); err == nil {
 		t.Fatal("accepted entry without signature")
 	}
 }
@@ -322,7 +322,7 @@ func TestCheckSharesSingleEntryIsShareVerify(t *testing.T) {
 	bad[0].PS = &PartialSignature{Index: 2, Z: bad[0].PS.R, R: bad[0].PS.Z}
 	for name, entries := range map[string][]ShareBatchEntry{"valid": good, "invalid": bad} {
 		e := entries[0]
-		want := ShareVerify(views[1].PK, e.VK, e.Msg, e.PS)
+		want := shareVerify(views[1].PK, e.VK, e.Msg, e.PS)
 		if got := CheckShares(views[1].PK, entries); len(got) != 1 || got[0] != want {
 			t.Fatalf("%s share: CheckShares = %v, ShareVerify = %v", name, got, want)
 		}
@@ -406,8 +406,8 @@ func TestCheckSignatures(t *testing.T) {
 			got := CheckSignatures(pk, batch)
 			for j, e := range batch {
 				_, bad := tc.bad[j]
-				if got[j] == bad || got[j] != Verify(pk, e.Msg, e.Sig) {
-					t.Fatalf("entry %d: CheckSignatures = %v, tampered = %v, Verify = %v", j, got[j], bad, Verify(pk, e.Msg, e.Sig))
+				if got[j] == bad || got[j] != pk.Verify(e.Msg, e.Sig) {
+					t.Fatalf("entry %d: CheckSignatures = %v, tampered = %v, Verify = %v", j, got[j], bad, pk.Verify(e.Msg, e.Sig))
 				}
 			}
 		})

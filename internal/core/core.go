@@ -26,6 +26,12 @@
 // encodings, matching the paper's Section 3.1 figure. Private key shares
 // are four Z_p scalars — constant size, independent of n.
 //
+// Each algorithm has one entry point, on the type that owns the data it
+// reads (group.go): DistKeygen, Member.SignShare, Group.ShareVerify,
+// Group.Combine and PublicKey.Verify. The cross-signer checks
+// BatchShareVerify, FindInvalidShares, CheckShares and CheckSignatures
+// take the public key and a list of (message, key, share) entries.
+//
 // The package also implements the proactive refresh of Section 3.3
 // (refresh.go), share recovery (recovery.go) and the aggregation
 // extension of Appendix G (aggregate.go).
@@ -298,23 +304,11 @@ func UnmarshalPartialSignature(data []byte) (*PartialSignature, error) {
 	return ps, nil
 }
 
-// ShareSign produces player i's partial signature on msg: two 2-base
-// multi-exponentiations plus two hash-on-curve operations, the per-server
-// cost the paper reports.
-func ShareSign(params *Params, sk *PrivateKeyShare, msg []byte) (*PartialSignature, error) {
-	h := params.HashMessage(msg)
-	sig, err := sk.sign(h)
-	if err != nil {
-		return nil, fmt.Errorf("core: Share-Sign: %w", err)
-	}
-	return &PartialSignature{Index: sk.Index, Z: sig.Z, R: sig.R}, nil
-}
-
-// ShareVerify checks a partial signature against VK_i:
+// shareVerify checks a partial signature against VK_i:
 // e(z_i, g^_z) e(r_i, g^_r) e(H_1, V^_1,i) e(H_2, V^_2,i) == 1.
 // All four G2 slots are fixed per (params, VK_i), so the multi-pairing
 // runs on cached Miller-loop line precomputations.
-func ShareVerify(pk *PublicKey, vk *VerificationKey, msg []byte, ps *PartialSignature) bool {
+func shareVerify(pk *PublicKey, vk *VerificationKey, msg []byte, ps *PartialSignature) bool {
 	if !(ShareBatchEntry{VK: vk, PS: ps}).wellFormed() {
 		return false
 	}
@@ -323,14 +317,14 @@ func ShareVerify(pk *PublicKey, vk *VerificationKey, msg []byte, ps *PartialSign
 	return vk.lhspsKey(pk.Params).VerifyRelation([]*bn254.G1{&h[0], &h[1]}, &lhsps.Signature{Z: ps.Z, R: ps.R})
 }
 
-// Combine assembles a full signature from partial signatures by Lagrange
+// combine assembles a full signature from partial signatures by Lagrange
 // interpolation in the exponent. It is robust: invalid shares are
 // discarded (Share-Verify), and any t+1 valid ones suffice. vks is the
 // 1-based verification key vector.
 //
 // Validity is established by CheckShares: one batched multi-pairing for
 // all in-range parts, bisection only when that batch fails.
-func Combine(pk *PublicKey, vks []*VerificationKey, msg []byte, parts []*PartialSignature, t int) (*Signature, error) {
+func combine(pk *PublicKey, vks []*VerificationKey, msg []byte, parts []*PartialSignature, t int) (*Signature, error) {
 	rejected := false
 	entries := make([]ShareBatchEntry, 0, len(parts))
 	for _, ps := range parts {
@@ -375,32 +369,13 @@ func Combine(pk *PublicKey, vks []*VerificationKey, msg []byte, parts []*Partial
 	return out, nil
 }
 
-// VerifyShare is the error-typed form of ShareVerify: it returns nil for
-// a valid partial signature and an error wrapping ErrInvalidShare
-// otherwise, so callers can dispatch with errors.Is.
-func VerifyShare(pk *PublicKey, vk *VerificationKey, msg []byte, ps *PartialSignature) error {
-	if ps == nil {
-		return fmt.Errorf("core: nil partial signature: %w", ErrInvalidShare)
-	}
-	if !ShareVerify(pk, vk, msg, ps) {
-		return fmt.Errorf("core: partial signature of signer %d fails Share-Verify: %w", ps.Index, ErrInvalidShare)
-	}
-	return nil
-}
-
-// Verify checks a full signature: one product of four pairings.
-func Verify(pk *PublicKey, msg []byte, sig *Signature) bool {
+// Verify checks a full signature under this key: one product of four
+// pairings, on the key's precomputed lines.
+func (pk *PublicKey) Verify(msg []byte, sig *Signature) bool {
 	if sig == nil || sig.Z == nil || sig.R == nil {
 		return false
 	}
 	var h [Dim]bn254.G1
 	pk.Params.hashInto(&h, msg)
 	return pk.lhspsKey().VerifyRelation([]*bn254.G1{&h[0], &h[1]}, sig)
-}
-
-// Verify checks a full signature under this key — the method form for
-// callers that hold a bare PublicKey (e.g. one advertised by a remote
-// service) rather than a full Group.
-func (pk *PublicKey) Verify(msg []byte, sig *Signature) bool {
-	return Verify(pk, msg, sig)
 }

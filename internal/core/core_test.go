@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/bn254"
+	"repro/internal/dkg"
 	"repro/internal/engine"
 	"repro/internal/lhsps"
 	"repro/internal/shamir"
@@ -42,13 +43,34 @@ func partials(t *testing.T, views []*KeyShares, msg []byte, signers []int) []*Pa
 	t.Helper()
 	var out []*PartialSignature
 	for _, i := range signers {
-		ps, err := ShareSign(fixtureParams, views[i].Share, msg)
+		ps, err := shareSign(fixtureParams, views[i].Share, msg)
 		if err != nil {
-			t.Fatalf("ShareSign(%d): %v", i, err)
+			t.Fatalf("shareSign(%d): %v", i, err)
 		}
 		out = append(out, ps)
 	}
 	return out
+}
+
+// shareSign is Share-Sign by a bare share under params: a Member over a
+// group that holds only the parameters, which is all signing reads.
+func shareSign(params *Params, sk *PrivateKeyShare, msg []byte) (*PartialSignature, error) {
+	return (&Member{group: &Group{Params: params}, share: sk}).SignShare(msg)
+}
+
+// combinePreverified interpolates the first t+1 distinct parts.
+func combinePreverified(parts []*PartialSignature, t int) (*Signature, error) {
+	return (&Group{T: t}).CombinePreverified(parts)
+}
+
+// applyRefresh applies one refresh result to a player's key view.
+func applyRefresh(view *KeyShares, res *dkg.Result) (*KeyShares, error) {
+	m := &Member{group: &Group{Params: view.PK.Params, PK: view.PK, VKs: view.VKs}, share: view.Share}
+	next, err := m.ApplyRefreshResult(res)
+	if err != nil {
+		return nil, err
+	}
+	return &KeyShares{PK: next.group.PK, Share: next.share, VKs: next.group.VKs}, nil
 }
 
 func TestEndToEnd(t *testing.T) {
@@ -56,14 +78,14 @@ func TestEndToEnd(t *testing.T) {
 	msg := []byte("fully distributed, non-interactive, adaptively secure")
 
 	parts := partials(t, views, msg, []int{1, 3, 5})
-	sig, err := Combine(views[1].PK, views[1].VKs, msg, parts, fixtureT)
+	sig, err := combine(views[1].PK, views[1].VKs, msg, parts, fixtureT)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !Verify(views[1].PK, msg, sig) {
+	if !views[1].PK.Verify(msg, sig) {
 		t.Fatal("combined signature rejected")
 	}
-	if Verify(views[1].PK, []byte("other message"), sig) {
+	if views[1].PK.Verify([]byte("other message"), sig) {
 		t.Fatal("signature verified on wrong message")
 	}
 }
@@ -85,30 +107,30 @@ func TestAllPlayersAgreeOnKeys(t *testing.T) {
 func TestShareVerify(t *testing.T) {
 	views := keyFixture(t)
 	msg := []byte("share verification")
-	ps, err := ShareSign(fixtureParams, views[2].Share, msg)
+	ps, err := shareSign(fixtureParams, views[2].Share, msg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !ShareVerify(views[1].PK, views[1].VKs[2], msg, ps) {
+	if !shareVerify(views[1].PK, views[1].VKs[2], msg, ps) {
 		t.Fatal("valid partial signature rejected")
 	}
 	// Against the wrong verification key it must fail.
-	if ShareVerify(views[1].PK, views[1].VKs[3], msg, ps) {
+	if shareVerify(views[1].PK, views[1].VKs[3], msg, ps) {
 		t.Fatal("partial signature accepted under wrong VK")
 	}
 	// Wrong message.
-	if ShareVerify(views[1].PK, views[1].VKs[2], []byte("x"), ps) {
+	if shareVerify(views[1].PK, views[1].VKs[2], []byte("x"), ps) {
 		t.Fatal("partial signature accepted on wrong message")
 	}
 	// Tampered component.
 	bad := &PartialSignature{Index: 2, Z: ps.R, R: ps.Z}
-	if ShareVerify(views[1].PK, views[1].VKs[2], msg, bad) {
+	if shareVerify(views[1].PK, views[1].VKs[2], msg, bad) {
 		t.Fatal("tampered partial accepted")
 	}
-	if ShareVerify(views[1].PK, nil, msg, ps) {
+	if shareVerify(views[1].PK, nil, msg, ps) {
 		t.Fatal("nil VK accepted")
 	}
-	if ShareVerify(views[1].PK, views[1].VKs[2], msg, nil) {
+	if shareVerify(views[1].PK, views[1].VKs[2], msg, nil) {
 		t.Fatal("nil partial accepted")
 	}
 }
@@ -122,7 +144,7 @@ func TestAnySubsetCombinesToSameSignature(t *testing.T) {
 	var ref *Signature
 	for _, s := range subsets {
 		parts := partials(t, views, msg, s)
-		sig, err := Combine(views[1].PK, views[1].VKs, msg, parts, fixtureT)
+		sig, err := combine(views[1].PK, views[1].VKs, msg, parts, fixtureT)
 		if err != nil {
 			t.Fatalf("subset %v: %v", s, err)
 		}
@@ -173,7 +195,7 @@ func TestCombineMatchesCentralizedSigner(t *testing.T) {
 		t.Fatal(err)
 	}
 	parts := partials(t, views, msg, []int{2, 3, 4})
-	got, err := Combine(views[1].PK, views[1].VKs, msg, parts, fixtureT)
+	got, err := combine(views[1].PK, views[1].VKs, msg, parts, fixtureT)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,11 +216,11 @@ func TestCombineRobustAgainstBadShares(t *testing.T) {
 	}
 	junk2 := &PartialSignature{Index: 5, Z: junk.R, R: junk.Z}
 	all := append([]*PartialSignature{junk, junk2}, parts...)
-	sig, err := Combine(views[1].PK, views[1].VKs, msg, all, fixtureT)
+	sig, err := combine(views[1].PK, views[1].VKs, msg, all, fixtureT)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !Verify(views[1].PK, msg, sig) {
+	if !views[1].PK.Verify(msg, sig) {
 		t.Fatal("combine with injected bad shares failed")
 	}
 }
@@ -207,24 +229,24 @@ func TestCombineFailsBelowThreshold(t *testing.T) {
 	views := keyFixture(t)
 	msg := []byte("threshold")
 	parts := partials(t, views, msg, []int{1, 2}) // only t = 2 shares
-	if _, err := Combine(views[1].PK, views[1].VKs, msg, parts, fixtureT); err == nil {
+	if _, err := combine(views[1].PK, views[1].VKs, msg, parts, fixtureT); err == nil {
 		t.Fatal("combined from t shares")
 	}
 	// Duplicates do not count twice.
 	dup := partials(t, views, msg, []int{1, 1, 1, 2})
-	if _, err := Combine(views[1].PK, views[1].VKs, msg, dup, fixtureT); err == nil {
+	if _, err := combine(views[1].PK, views[1].VKs, msg, dup, fixtureT); err == nil {
 		t.Fatal("combined from duplicated shares")
 	}
 	// Out-of-range index is discarded.
 	bogus := append(partials(t, views, msg, []int{1, 2}), &PartialSignature{Index: 99, Z: new(bn254.G1), R: new(bn254.G1)})
-	if _, err := Combine(views[1].PK, views[1].VKs, msg, bogus, fixtureT); err == nil {
+	if _, err := combine(views[1].PK, views[1].VKs, msg, bogus, fixtureT); err == nil {
 		t.Fatal("combined with out-of-range share index")
 	}
 }
 
 func TestPartialSignatureSerialization(t *testing.T) {
 	views := keyFixture(t)
-	ps, err := ShareSign(fixtureParams, views[4].Share, []byte("serialize me"))
+	ps, err := shareSign(fixtureParams, views[4].Share, []byte("serialize me"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -248,7 +270,7 @@ func TestSignatureIs512Bits(t *testing.T) {
 	views := keyFixture(t)
 	msg := []byte("size check")
 	parts := partials(t, views, msg, []int{1, 2, 3})
-	sig, err := Combine(views[1].PK, views[1].VKs, msg, parts, fixtureT)
+	sig, err := combine(views[1].PK, views[1].VKs, msg, parts, fixtureT)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -266,10 +288,10 @@ func TestShareSizeIsConstant(t *testing.T) {
 
 func TestVerifyRejectsNil(t *testing.T) {
 	views := keyFixture(t)
-	if Verify(views[1].PK, []byte("m"), nil) {
+	if views[1].PK.Verify([]byte("m"), nil) {
 		t.Fatal("nil signature accepted")
 	}
-	if Verify(views[1].PK, []byte("m"), &Signature{}) {
+	if views[1].PK.Verify([]byte("m"), &Signature{}) {
 		t.Fatal("empty signature accepted")
 	}
 }
@@ -302,9 +324,9 @@ func signSession(t *testing.T, views []*KeyShares, signers []int, corrupted map[
 			if round > 0 || !slices.Contains(signers, i) {
 				return nil, true
 			}
-			ps, err := ShareSign(fixtureParams, views[i].Share, msg)
+			ps, err := shareSign(fixtureParams, views[i].Share, msg)
 			if err != nil {
-				t.Errorf("ShareSign(%d): %v", i, err)
+				t.Errorf("shareSign(%d): %v", i, err)
 				return nil, true
 			}
 			payload := ps.Marshal()
@@ -326,7 +348,7 @@ func signSession(t *testing.T, views []*KeyShares, signers []int, corrupted map[
 				parts = append(parts, ps)
 			}
 		}
-		sig, combineErr = Combine(views[1].PK, views[1].VKs, msg, parts, fixtureT)
+		sig, combineErr = combine(views[1].PK, views[1].VKs, msg, parts, fixtureT)
 		return nil, true
 	}}
 	if _, err := engine.RunLocal(players, 5); err != nil {
@@ -343,7 +365,7 @@ func TestDistributedSignToleratesCorruptSigners(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !Verify(views[1].PK, msg, sig) {
+	if !views[1].PK.Verify(msg, sig) {
 		t.Fatal("session signature invalid under corruption")
 	}
 	// With only t+1 signers of which one corrupt, combining must fail.
@@ -362,7 +384,7 @@ func TestProactiveRefresh(t *testing.T) {
 	}
 	newViews := make([]*KeyShares, fixtureN+1)
 	for i := 1; i <= fixtureN; i++ {
-		newViews[i], err = ApplyRefresh(views[i], refresh.Results[i])
+		newViews[i], err = applyRefresh(views[i], refresh.Results[i])
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -377,14 +399,14 @@ func TestProactiveRefresh(t *testing.T) {
 	}
 	// Old and new shares must NOT be mixable: a combine using old VKs with
 	// new partials fails share verification.
-	psNew, err := ShareSign(fixtureParams, newViews[2].Share, msg)
+	psNew, err := shareSign(fixtureParams, newViews[2].Share, msg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ShareVerify(views[1].PK, views[1].VKs[2], msg, psNew) {
+	if shareVerify(views[1].PK, views[1].VKs[2], msg, psNew) {
 		t.Fatal("new share verified against pre-refresh VK")
 	}
-	if !ShareVerify(newViews[1].PK, newViews[1].VKs[2], msg, psNew) {
+	if !shareVerify(newViews[1].PK, newViews[1].VKs[2], msg, psNew) {
 		t.Fatal("new share rejected against refreshed VK")
 	}
 	// Signing still works after two more epochs.
@@ -396,7 +418,7 @@ func TestProactiveRefresh(t *testing.T) {
 		}
 		next := make([]*KeyShares, fixtureN+1)
 		for i := 1; i <= fixtureN; i++ {
-			next[i], err = ApplyRefresh(cur[i], r.Results[i])
+			next[i], err = applyRefresh(cur[i], r.Results[i])
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -405,17 +427,17 @@ func TestProactiveRefresh(t *testing.T) {
 	}
 	var parts []*PartialSignature
 	for _, i := range []int{2, 3, 5} {
-		ps, err := ShareSign(fixtureParams, cur[i].Share, msg)
+		ps, err := shareSign(fixtureParams, cur[i].Share, msg)
 		if err != nil {
 			t.Fatal(err)
 		}
 		parts = append(parts, ps)
 	}
-	sig, err := Combine(cur[1].PK, cur[1].VKs, msg, parts, fixtureT)
+	sig, err := combine(cur[1].PK, cur[1].VKs, msg, parts, fixtureT)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !Verify(views[1].PK, msg, sig) {
+	if !views[1].PK.Verify(msg, sig) {
 		t.Fatal("signature after 3 refresh epochs rejected under the ORIGINAL key")
 	}
 }
@@ -427,7 +449,7 @@ func TestApplyRefreshValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Result of player 2 applied to player 1's share must be rejected.
-	if _, err := ApplyRefresh(views[1], refresh.Results[2]); err == nil {
+	if _, err := applyRefresh(views[1], refresh.Results[2]); err == nil {
 		t.Fatal("accepted mismatched refresh result")
 	}
 	// A non-refresh DKG result (non-identity PK) must be rejected.
@@ -449,7 +471,7 @@ func TestLHSPSVerifyAgreesWithSchemeVerify(t *testing.T) {
 	views := keyFixture(t)
 	msg := []byte("lhsps view")
 	parts := partials(t, views, msg, []int{1, 2, 3})
-	sig, err := Combine(views[1].PK, views[1].VKs, msg, parts, fixtureT)
+	sig, err := combine(views[1].PK, views[1].VKs, msg, parts, fixtureT)
 	if err != nil {
 		t.Fatal(err)
 	}

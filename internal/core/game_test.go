@@ -111,11 +111,11 @@ func TestGameCorruptionDuringKeygen(t *testing.T) {
 
 	msg := []byte("signed after corruption")
 	parts := partials(t, views, msg, []int{1, 3, 4})
-	sig, err := Combine(views[1].PK, views[1].VKs, msg, parts, 2)
+	sig, err := combine(views[1].PK, views[1].VKs, msg, parts, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !Verify(views[1].PK, msg, sig) {
+	if !views[1].PK.Verify(msg, sig) {
 		t.Fatal("post-corruption signature invalid")
 	}
 }
@@ -131,29 +131,29 @@ func TestGameWinningConditionAccounting(t *testing.T) {
 	// Adversary view: corrupt player 1 (gets SK_1, can self-sign) and
 	// queries a partial signature from player 2. |V| = 2 = t.
 	var adversaryShares []*PartialSignature
-	ps1, err := ShareSign(fixtureParams, views[1].Share, msg)
+	ps1, err := shareSign(fixtureParams, views[1].Share, msg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ps2, err := ShareSign(fixtureParams, views[2].Share, msg)
+	ps2, err := shareSign(fixtureParams, views[2].Share, msg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	adversaryShares = append(adversaryShares, ps1, ps2)
-	if _, err := Combine(views[1].PK, views[1].VKs, msg, adversaryShares, fixtureT); err == nil {
+	if _, err := combine(views[1].PK, views[1].VKs, msg, adversaryShares, fixtureT); err == nil {
 		t.Fatal("t shares combined into a signature — threshold broken")
 	}
 	// One more signing query pushes |V| to t+1: now it trivially combines
 	// (not a forgery by Definition 1).
-	ps3, err := ShareSign(fixtureParams, views[3].Share, msg)
+	ps3, err := shareSign(fixtureParams, views[3].Share, msg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sig, err := Combine(views[1].PK, views[1].VKs, msg, append(adversaryShares, ps3), fixtureT)
+	sig, err := combine(views[1].PK, views[1].VKs, msg, append(adversaryShares, ps3), fixtureT)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !Verify(views[1].PK, msg, sig) {
+	if !views[1].PK.Verify(msg, sig) {
 		t.Fatal("t+1 shares did not combine")
 	}
 }
@@ -168,11 +168,11 @@ func TestGamePartialSignaturesLeakNothingAcrossMessages(t *testing.T) {
 	parts := partials(t, views, m1, []int{1, 2, 3})
 	// Relabeling them as shares for m2 must fail share verification.
 	for _, ps := range parts {
-		if ShareVerify(views[1].PK, views[1].VKs[ps.Index], m2, ps) {
+		if shareVerify(views[1].PK, views[1].VKs[ps.Index], m2, ps) {
 			t.Fatal("a partial signature transferred across messages")
 		}
 	}
-	if _, err := Combine(views[1].PK, views[1].VKs, m2, parts, fixtureT); err == nil {
+	if _, err := combine(views[1].PK, views[1].VKs, m2, parts, fixtureT); err == nil {
 		t.Fatal("combined m1 shares into an m2 signature")
 	}
 }
@@ -194,11 +194,11 @@ func TestGameCorruptUpToTDuringDKGManyConfigs(t *testing.T) {
 				signers[i] = tc.n - i // sign with the last t+1 (honest) players
 			}
 			parts := partials(t, views, msg, signers)
-			sig, err := Combine(views[1].PK, views[1].VKs, msg, parts, tc.t)
+			sig, err := combine(views[1].PK, views[1].VKs, msg, parts, tc.t)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !Verify(views[1].PK, msg, sig) {
+			if !views[1].PK.Verify(msg, sig) {
 				t.Fatal("sweep signature invalid")
 			}
 		})

@@ -4,19 +4,21 @@ import (
 	"crypto"
 	"fmt"
 	"io"
+	"slices"
 	"sync"
 
-	"repro/internal/dkg"
+	"repro/internal/bn254"
 )
 
-// This file defines the object model of the public API: a Group is the
-// shared public description of one (t, n) threshold key — everything
-// needed to verify partial and full signatures, but no secrets — and a
-// Member is one server's signing identity inside it: the group view plus
-// that server's constant-size private key share. The free functions of
-// this package (ShareSign, Combine, Verify, ...) remain the low-level
-// protocol surface; Group and Member are how callers are meant to hold
-// the key material.
+// This file defines the object model of the scheme. A Group is the
+// shared public description of one (t, n) threshold key — the public key,
+// the verification keys VK_1..VK_n and t, but no secrets — and a Member
+// is one server's signing identity inside it: the group view plus that
+// server's constant-size private key share SK_i. Each operation lives on
+// the type that owns what it reads: Share-Sign (Member.SignShare) reads
+// only the share; Share-Verify, Combine and share recovery read the
+// verification keys and t (Group); Verify reads only the public key
+// (PublicKey.Verify, which Group.Verify forwards to).
 
 // Group is the public portion of a key group: the domain label the
 // parameters derive from, the sizes (n, t), the public key and the
@@ -104,10 +106,10 @@ func (g *Group) VerificationKey(i int) *VerificationKey {
 	return g.VKs[i]
 }
 
-// Verify checks a full threshold signature on msg: one product of four
-// pairings.
+// Verify checks a full threshold signature on msg under the group key;
+// see PublicKey.Verify.
 func (g *Group) Verify(msg []byte, sig *Signature) bool {
-	return Verify(g.PK, msg, sig)
+	return g.PK.Verify(msg, sig)
 }
 
 // ShareVerify publicly checks signer ps.Index's partial signature on msg.
@@ -119,7 +121,7 @@ func (g *Group) ShareVerify(msg []byte, ps *PartialSignature) bool {
 	if vk == nil {
 		return false
 	}
-	return ShareVerify(g.PK, vk, msg, ps)
+	return shareVerify(g.PK, vk, msg, ps)
 }
 
 // Combine assembles the unique full signature on msg from any t+1 valid
@@ -128,20 +130,44 @@ func (g *Group) ShareVerify(msg []byte, ps *PartialSignature) bool {
 // additionally ErrInvalidShare when invalid contributions were dropped on
 // the way.
 func (g *Group) Combine(msg []byte, parts []*PartialSignature) (*Signature, error) {
-	return Combine(g.PK, g.VKs, msg, parts, g.T)
+	return combine(g.PK, g.VKs, msg, parts, g.T)
 }
 
-// CombinePreverified interpolates a full signature from shares the caller
-// has already checked individually — the combiner's hot path.
+// CombinePreverified interpolates a full signature from partial
+// signatures WITHOUT the Share-Verify pairing products Combine performs —
+// the combiner's hot path. The caller owes the check: either every part
+// already passed ShareVerify, or — the service layer's optimistic path —
+// the result is put through Verify before it is used, and a failure sends
+// the parts to CheckShares. Duplicate indices are collapsed; the first
+// t+1 distinct indices are interpolated.
 func (g *Group) CombinePreverified(parts []*PartialSignature) (*Signature, error) {
-	return CombinePreverified(parts, g.T)
+	var buf [bn254.StackPoints]*PartialSignature
+	chosen := buf[:0]
+	for _, ps := range parts {
+		if len(chosen) == g.T+1 {
+			break
+		}
+		if ps == nil || ps.Index < 1 || ps.Z == nil || ps.R == nil ||
+			slices.ContainsFunc(chosen, func(q *PartialSignature) bool { return q.Index == ps.Index }) {
+			continue
+		}
+		chosen = append(chosen, ps)
+	}
+	if len(chosen) < g.T+1 {
+		return nil, fmt.Errorf("core: %d distinct partial signatures, need %d: %w",
+			len(chosen), g.T+1, ErrInsufficientShares)
+	}
+	out, err := interpolate(chosen)
+	if err != nil {
+		return nil, fmt.Errorf("core: CombinePreverified: %w", err)
+	}
+	return out, nil
 }
 
-// BatchVerify checks k full signatures under the group key with one
-// multi-pairing of 2+2k slots (small-exponent batching). rng defaults to
-// crypto/rand.
+// BatchVerify checks k full signatures under the group key; see
+// PublicKey.BatchVerify.
 func (g *Group) BatchVerify(entries []BatchEntry, rng io.Reader) (bool, error) {
-	return BatchVerify(g.PK, entries, rng)
+	return g.PK.BatchVerify(entries, rng)
 }
 
 // shareEntries builds the ShareBatchEntry vector for parts all signing
@@ -173,10 +199,23 @@ func (g *Group) FindInvalidShares(msg []byte, parts []*PartialSignature, rng io.
 	return FindInvalidShares(g.PK, g.shareEntries(msg, parts), rng)
 }
 
-// Member binds a private key share to this group, validating the index
-// bounds. The same share object may back any number of Members.
+// Member binds a private key share to this group, validating the group,
+// the share's structure and that its index lies in 1..n. The same share
+// object may back any number of Members.
 func (g *Group) Member(share *PrivateKeyShare) (*Member, error) {
-	return NewMember(g, share)
+	if err := g.Validate(); err != nil {
+		return nil, err
+	}
+	if share == nil {
+		return nil, fmt.Errorf("core: nil private key share: %w", ErrInvalidEncoding)
+	}
+	if err := share.Validate(); err != nil {
+		return nil, err
+	}
+	if share.Index > g.N {
+		return nil, fmt.Errorf("core: share index %d outside group 1..%d: %w", share.Index, g.N, ErrIndexOutOfRange)
+	}
+	return &Member{group: g, share: share}, nil
 }
 
 // Marshal returns the canonical public encoding of the group:
@@ -248,24 +287,6 @@ type Member struct {
 	share *PrivateKeyShare
 }
 
-// NewMember binds a share to a group, validating the share's structure
-// and that its index lies in 1..n.
-func NewMember(g *Group, share *PrivateKeyShare) (*Member, error) {
-	if err := g.Validate(); err != nil {
-		return nil, err
-	}
-	if share == nil {
-		return nil, fmt.Errorf("core: nil private key share: %w", ErrInvalidEncoding)
-	}
-	if err := share.Validate(); err != nil {
-		return nil, err
-	}
-	if share.Index > g.N {
-		return nil, fmt.Errorf("core: share index %d outside group 1..%d: %w", share.Index, g.N, ErrIndexOutOfRange)
-	}
-	return &Member{group: g, share: share}, nil
-}
-
 // Index returns the member's 1-based server index.
 func (m *Member) Index() int { return m.share.Index }
 
@@ -301,7 +322,12 @@ func (m *Member) Sign(_ io.Reader, message []byte, opts crypto.SignerOpts) ([]by
 // curve operations and two 2-base multi-exponentiations, no interaction
 // with other members.
 func (m *Member) SignShare(msg []byte) (*PartialSignature, error) {
-	return ShareSign(m.group.Params, m.share, msg)
+	h := m.group.Params.HashMessage(msg)
+	sig, err := m.share.sign(h)
+	if err != nil {
+		return nil, fmt.Errorf("core: Share-Sign: %w", err)
+	}
+	return &PartialSignature{Index: m.share.Index, Z: sig.Z, R: sig.R}, nil
 }
 
 // SignBatch produces partial signatures for every message. The slice has
@@ -317,58 +343,6 @@ func (m *Member) SignBatch(msgs [][]byte) ([]*PartialSignature, error) {
 		out[j] = ps
 	}
 	return out, nil
-}
-
-// view reassembles the KeyShares form of the member's state.
-func (m *Member) view() *KeyShares {
-	return &KeyShares{PK: m.group.PK, Share: m.share, VKs: m.group.VKs}
-}
-
-// RefreshEpoch is one run of the Section 3.3 proactive refresh: a
-// zero-sharing DKG whose per-player results every member applies locally.
-// The public key is unchanged; every share and verification key is
-// re-randomized, so shares stolen in different epochs do not combine.
-type RefreshEpoch struct {
-	outcome *dkg.Outcome
-}
-
-// NewRefreshEpoch runs one zero-sharing refresh among n honest players
-// with threshold t (these must match the group the epoch will be applied
-// to).
-func NewRefreshEpoch(params *Params, n, t int) (*RefreshEpoch, error) {
-	out, err := RunRefresh(params, n, t)
-	if err != nil {
-		return nil, err
-	}
-	return &RefreshEpoch{outcome: out}, nil
-}
-
-// Outcome exposes the underlying DKG outcome (traffic statistics, per-
-// player results) for callers that need the protocol-level detail.
-func (e *RefreshEpoch) Outcome() *dkg.Outcome { return e.outcome }
-
-// ApplyRefresh merges the epoch into the member's state: the private
-// share is shifted by the member's zero-sharing result and every
-// verification key is re-randomized, while the public key — checked — is
-// preserved. It returns a NEW member holding a new group view; all
-// members of a group converge to identical verification keys after
-// applying the same epoch.
-func (m *Member) ApplyRefresh(e *RefreshEpoch) (*Member, error) {
-	if e == nil || e.outcome == nil {
-		return nil, fmt.Errorf("core: nil refresh epoch")
-	}
-	if m.Index() >= len(e.outcome.Results) || e.outcome.Results[m.Index()] == nil {
-		return nil, fmt.Errorf("core: refresh epoch has no result for player %d", m.Index())
-	}
-	next, err := ApplyRefresh(m.view(), e.outcome.Results[m.Index()])
-	if err != nil {
-		return nil, err
-	}
-	g := &Group{
-		Domain: m.group.Domain, N: m.group.N, T: m.group.T,
-		Params: m.group.Params, PK: next.PK, VKs: next.VKs,
-	}
-	return &Member{group: g, share: next.Share}, nil
 }
 
 // RecoverShare restores the lost member's private share from t+1 helper
@@ -392,9 +366,9 @@ func (g *Group) RecoverShare(helpers []*Member, lost int, rng io.Reader) (*Membe
 		views[h.Index()].Share = h.share
 		helperIdx = append(helperIdx, h.Index())
 	}
-	share, err := RecoverShare(views, g.T, lost, helperIdx, rng)
+	share, err := recoverShare(views, g.T, lost, helperIdx, rng)
 	if err != nil {
 		return nil, err
 	}
-	return NewMember(g, share)
+	return g.Member(share)
 }

@@ -272,5 +272,8 @@ func (g *Group) CheckShare(msg []byte, ps *PartialSignature) error {
 		return fmt.Errorf("core: partial signature index %d outside group 1..%d: %w (%w)",
 			ps.Index, g.N, ErrIndexOutOfRange, ErrInvalidShare)
 	}
-	return VerifyShare(g.PK, g.VKs[ps.Index], msg, ps)
+	if !g.ShareVerify(msg, ps) {
+		return fmt.Errorf("core: partial signature of signer %d fails Share-Verify: %w", ps.Index, ErrInvalidShare)
+	}
+	return nil
 }

@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"math/big"
-	"slices"
 
 	"repro/internal/bn254"
 )
@@ -229,35 +228,4 @@ func UnmarshalKeyShares(params *Params, data []byte) (*KeyShares, error) {
 		off += VerificationKeySize
 	}
 	return &KeyShares{PK: pk, Share: share, VKs: vks}, nil
-}
-
-// CombinePreverified interpolates a full signature from partial
-// signatures WITHOUT the t+1 Share-Verify pairing products Combine
-// performs. The caller owes the check: either every part already passed
-// ShareVerify, or — the service layer's optimistic hot path — the result
-// is put through Verify before it is used, and a failure sends the parts
-// to CheckShares. Duplicate indices are collapsed; the first t+1 distinct
-// indices are interpolated.
-func CombinePreverified(parts []*PartialSignature, t int) (*Signature, error) {
-	var buf [bn254.StackPoints]*PartialSignature
-	chosen := buf[:0]
-	for _, ps := range parts {
-		if len(chosen) == t+1 {
-			break
-		}
-		if ps == nil || ps.Index < 1 || ps.Z == nil || ps.R == nil ||
-			slices.ContainsFunc(chosen, func(q *PartialSignature) bool { return q.Index == ps.Index }) {
-			continue
-		}
-		chosen = append(chosen, ps)
-	}
-	if len(chosen) < t+1 {
-		return nil, fmt.Errorf("core: %d distinct partial signatures, need %d: %w",
-			len(chosen), t+1, ErrInsufficientShares)
-	}
-	out, err := interpolate(chosen)
-	if err != nil {
-		return nil, fmt.Errorf("core: CombinePreverified: %w", err)
-	}
-	return out, nil
 }

@@ -72,20 +72,20 @@ func TestCombinePreverifiedMatchesCombine(t *testing.T) {
 	msg := []byte("preverified combine")
 	var parts []*PartialSignature
 	for i := 1; i <= 2; i++ {
-		ps, err := ShareSign(params, views[i].Share, msg)
+		ps, err := shareSign(params, views[i].Share, msg)
 		if err != nil {
 			t.Fatal(err)
 		}
 		parts = append(parts, ps)
 	}
-	fast, err := CombinePreverified(parts, 1)
+	fast, err := combinePreverified(parts, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !Verify(views[1].PK, msg, fast) {
+	if !views[1].PK.Verify(msg, fast) {
 		t.Fatal("CombinePreverified signature invalid")
 	}
-	slow, err := Combine(views[1].PK, views[1].VKs, msg, parts, 1)
+	slow, err := combine(views[1].PK, views[1].VKs, msg, parts, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,10 +93,10 @@ func TestCombinePreverifiedMatchesCombine(t *testing.T) {
 		t.Fatal("CombinePreverified and Combine disagree")
 	}
 	// Duplicate indices collapse; below-threshold input errors.
-	if _, err := CombinePreverified([]*PartialSignature{parts[0], parts[0]}, 1); err == nil {
+	if _, err := combinePreverified([]*PartialSignature{parts[0], parts[0]}, 1); err == nil {
 		t.Fatal("duplicate shares reached the threshold")
 	}
-	if _, err := CombinePreverified(parts[:1], 1); err == nil {
+	if _, err := combinePreverified(parts[:1], 1); err == nil {
 		t.Fatal("one share reached threshold t=1")
 	}
 }
@@ -148,13 +148,13 @@ func TestSignatureMarshalRoundTrip(t *testing.T) {
 	msg := []byte("signature codec message")
 	var parts []*PartialSignature
 	for _, i := range []int{1, 3} {
-		ps, err := ShareSign(params, views[i].Share, msg)
+		ps, err := shareSign(params, views[i].Share, msg)
 		if err != nil {
 			t.Fatal(err)
 		}
 		parts = append(parts, ps)
 	}
-	sig, err := Combine(views[1].PK, views[1].VKs, msg, parts, 1)
+	sig, err := combine(views[1].PK, views[1].VKs, msg, parts, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,7 +169,7 @@ func TestSignatureMarshalRoundTrip(t *testing.T) {
 	if !bytes.Equal(out.Marshal(), raw) {
 		t.Fatal("signature re-encoding differs")
 	}
-	if !Verify(views[1].PK, msg, out) {
+	if !views[1].PK.Verify(msg, out) {
 		t.Fatal("decoded signature does not verify")
 	}
 	if _, err := UnmarshalSignature(raw[:SignatureSize-1]); err == nil {
@@ -200,11 +200,11 @@ func TestKeySharesMarshalRoundTrip(t *testing.T) {
 	}
 	// The decoded view must actually sign.
 	msg := []byte("keyshares codec sign check")
-	ps, err := ShareSign(params, ks.Share, msg)
+	ps, err := shareSign(params, ks.Share, msg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !ShareVerify(ks.PK, ks.VKs[2], msg, ps) {
+	if !shareVerify(ks.PK, ks.VKs[2], msg, ps) {
 		t.Fatal("decoded key shares produced an invalid partial signature")
 	}
 	for _, cut := range []int{0, 1, 2, len(raw) - 1} {
@@ -245,8 +245,8 @@ func TestGroupMarshalRoundTrip(t *testing.T) {
 	// The decoded group must verify real signatures (params rebuilt from
 	// the embedded domain).
 	msg := []byte("group codec verify check")
-	ps1, _ := ShareSign(out.Params, views[1].Share, msg)
-	ps2, _ := ShareSign(out.Params, views[2].Share, msg)
+	ps1, _ := shareSign(out.Params, views[1].Share, msg)
+	ps2, _ := shareSign(out.Params, views[2].Share, msg)
 	sig, err := out.Combine(msg, []*PartialSignature{ps1, ps2})
 	if err != nil {
 		t.Fatal(err)

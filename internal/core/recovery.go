@@ -271,12 +271,12 @@ func isHelper(helpers []int, id int) bool {
 	return ok
 }
 
-// RecoverShare restores player lost's private share from the helpers
+// recoverShare restores player lost's private share from the helpers
 // (at least t+1 distinct ones) without reconstructing or revealing the
 // secret. views is the full 1-based key view (the lost player's own Share
 // entry is ignored); the recovered share is returned after passing the
 // public VK check.
-func RecoverShare(views []*KeyShares, t int, lost int, helpers []int, rng io.Reader) (*PrivateKeyShare, error) {
+func recoverShare(views []*KeyShares, t int, lost int, helpers []int, rng io.Reader) (*PrivateKeyShare, error) {
 	players, target, err := recoveryPlayers(views, t, lost, helpers, rng)
 	if err != nil {
 		return nil, err

@@ -12,7 +12,7 @@ import (
 func TestShareRecoveryRestoresExactShare(t *testing.T) {
 	views := keyFixture(t)
 	// Player 4 "loses" its share; helpers 1, 2, 5 restore it.
-	recovered, err := RecoverShare(views, fixtureT, 4, []int{1, 2, 5}, rand.Reader)
+	recovered, err := recoverShare(views, fixtureT, 4, []int{1, 2, 5}, rand.Reader)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -23,26 +23,26 @@ func TestShareRecoveryRestoresExactShare(t *testing.T) {
 	}
 	// And it signs: full lifecycle with the recovered share.
 	msg := []byte("signed with a recovered share")
-	ps, err := ShareSign(fixtureParams, recovered, msg)
+	ps, err := shareSign(fixtureParams, recovered, msg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !ShareVerify(views[1].PK, views[1].VKs[4], msg, ps) {
+	if !shareVerify(views[1].PK, views[1].VKs[4], msg, ps) {
 		t.Fatal("partial from recovered share rejected")
 	}
 	others := partials(t, views, msg, []int{1, 2})
-	sig, err := Combine(views[1].PK, views[1].VKs, msg, append(others, ps), fixtureT)
+	sig, err := combine(views[1].PK, views[1].VKs, msg, append(others, ps), fixtureT)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !Verify(views[1].PK, msg, sig) {
+	if !views[1].PK.Verify(msg, sig) {
 		t.Fatal("combine with recovered share failed")
 	}
 }
 
 func TestShareRecoveryWithMoreHelpers(t *testing.T) {
 	views := keyFixture(t)
-	recovered, err := RecoverShare(views, fixtureT, 1, []int{2, 3, 4, 5}, rand.Reader)
+	recovered, err := recoverShare(views, fixtureT, 1, []int{2, 3, 4, 5}, rand.Reader)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,19 +53,19 @@ func TestShareRecoveryWithMoreHelpers(t *testing.T) {
 
 func TestShareRecoveryValidation(t *testing.T) {
 	views := keyFixture(t)
-	if _, err := RecoverShare(views, fixtureT, 0, []int{1, 2, 3}, rand.Reader); err == nil {
+	if _, err := recoverShare(views, fixtureT, 0, []int{1, 2, 3}, rand.Reader); err == nil {
 		t.Fatal("accepted out-of-range lost index")
 	}
-	if _, err := RecoverShare(views, fixtureT, 4, []int{1, 2}, rand.Reader); err == nil {
+	if _, err := recoverShare(views, fixtureT, 4, []int{1, 2}, rand.Reader); err == nil {
 		t.Fatal("accepted too few helpers")
 	}
-	if _, err := RecoverShare(views, fixtureT, 4, []int{1, 2, 4}, rand.Reader); err == nil {
+	if _, err := recoverShare(views, fixtureT, 4, []int{1, 2, 4}, rand.Reader); err == nil {
 		t.Fatal("accepted the lost player as its own helper")
 	}
-	if _, err := RecoverShare(views, fixtureT, 4, []int{1, 2, 99}, rand.Reader); err == nil {
+	if _, err := recoverShare(views, fixtureT, 4, []int{1, 2, 99}, rand.Reader); err == nil {
 		t.Fatal("accepted an out-of-range helper")
 	}
-	if _, err := RecoverShare(views, fixtureT, 4, []int{1, 2, 2}, rand.Reader); err == nil || !strings.Contains(err.Error(), "duplicate helper 2") {
+	if _, err := recoverShare(views, fixtureT, 4, []int{1, 2, 2}, rand.Reader); err == nil || !strings.Contains(err.Error(), "duplicate helper 2") {
 		t.Fatalf("duplicate helper: err = %v", err)
 	}
 }
@@ -80,12 +80,12 @@ func TestShareRecoveryAfterRefresh(t *testing.T) {
 	}
 	next := make([]*KeyShares, fixtureN+1)
 	for i := 1; i <= fixtureN; i++ {
-		next[i], err = ApplyRefresh(views[i], out.Results[i])
+		next[i], err = applyRefresh(views[i], out.Results[i])
 		if err != nil {
 			t.Fatal(err)
 		}
 	}
-	recovered, err := RecoverShare(next, fixtureT, 3, []int{1, 4, 5}, rand.Reader)
+	recovered, err := recoverShare(next, fixtureT, 3, []int{1, 4, 5}, rand.Reader)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -18,10 +18,10 @@ import (
 
 // RunRefresh executes one zero-sharing refresh epoch among n honest
 // players and returns the per-player DKG results (to be merged into the
-// existing key material via ApplyRefresh). The run is driven by the same
-// session engine (internal/engine) that steps the networked refresh
-// sessions of repro/service, so the local and over-the-wire epochs
-// execute identical protocol code and cannot drift.
+// existing key material via Member.ApplyRefreshResult). The run is driven
+// by the same session engine (internal/engine) that steps the networked
+// refresh sessions of repro/service, so the local and over-the-wire
+// epochs execute identical protocol code and cannot drift.
 func RunRefresh(params *Params, n, t int) (*dkg.Outcome, error) {
 	cfg := dkg.Config{N: n, T: t, NumSharings: Dim, Scheme: dkg.PedersenScheme{Params: params.LH}, Refresh: true}
 	out, err := dkg.Run(cfg)
@@ -31,41 +31,82 @@ func RunRefresh(params *Params, n, t int) (*dkg.Outcome, error) {
 	return out, nil
 }
 
-// ApplyRefresh merges a refresh result into a player's key view: the
-// private share is shifted by the zero-sharing, every verification key is
-// multiplied by the refresh commitment evaluation, and the public key is
-// checked to be preserved.
-func ApplyRefresh(view *KeyShares, res *dkg.Result) (*KeyShares, error) {
+// RefreshEpoch is one run of the Section 3.3 proactive refresh: a
+// zero-sharing DKG whose per-player results every member applies locally.
+// The public key is unchanged; every share and verification key is
+// re-randomized, so shares stolen in different epochs do not combine.
+type RefreshEpoch struct {
+	outcome *dkg.Outcome
+}
+
+// NewRefreshEpoch runs one zero-sharing refresh among n honest players
+// with threshold t (these must match the group the epoch will be applied
+// to).
+func NewRefreshEpoch(params *Params, n, t int) (*RefreshEpoch, error) {
+	out, err := RunRefresh(params, n, t)
+	if err != nil {
+		return nil, err
+	}
+	return &RefreshEpoch{outcome: out}, nil
+}
+
+// Outcome exposes the underlying DKG outcome (traffic statistics, per-
+// player results) for callers that need the protocol-level detail.
+func (e *RefreshEpoch) Outcome() *dkg.Outcome { return e.outcome }
+
+// ApplyRefresh merges the epoch into the member's state: it picks the
+// member's own result out of the epoch and applies it with
+// ApplyRefreshResult.
+func (m *Member) ApplyRefresh(e *RefreshEpoch) (*Member, error) {
+	if e == nil || e.outcome == nil {
+		return nil, fmt.Errorf("core: nil refresh epoch")
+	}
+	if m.Index() >= len(e.outcome.Results) || e.outcome.Results[m.Index()] == nil {
+		return nil, fmt.Errorf("core: refresh epoch has no result for player %d", m.Index())
+	}
+	return m.ApplyRefreshResult(e.outcome.Results[m.Index()])
+}
+
+// ApplyRefreshResult merges the member's own refresh result into its
+// state: the private share is shifted by the zero-sharing, every
+// verification key is multiplied by the refresh commitment evaluation,
+// and the public key is checked to be preserved. It returns a NEW member
+// holding a new group view (same domain, sizes, parameters and public
+// key); all members of a group converge to identical verification keys
+// after applying the same epoch.
+func (m *Member) ApplyRefreshResult(res *dkg.Result) (*Member, error) {
 	if res.Config.NumSharings != Dim {
 		return nil, fmt.Errorf("core: refresh ran %d sharings, need %d", res.Config.NumSharings, Dim)
 	}
-	if res.Self != view.Share.Index {
-		return nil, fmt.Errorf("core: refresh result for player %d applied to share of player %d", res.Self, view.Share.Index)
+	if res.Self != m.share.Index {
+		return nil, fmt.Errorf("core: refresh result for player %d applied to share of player %d", res.Self, m.share.Index)
 	}
 	for k := 0; k < Dim; k++ {
 		if !res.PK[k][0].IsInfinity() {
 			return nil, fmt.Errorf("core: refresh epoch changed the public key component %d", k)
 		}
 	}
-	newShare := &PrivateKeyShare{
-		Index: view.Share.Index,
-		A1:    addMod(view.Share.A1, res.Share[0][0]),
-		B1:    addMod(view.Share.B1, res.Share[0][1]),
-		A2:    addMod(view.Share.A2, res.Share[1][0]),
-		B2:    addMod(view.Share.B2, res.Share[1][1]),
+	share := &PrivateKeyShare{
+		Index: m.share.Index,
+		A1:    addMod(m.share.A1, res.Share[0][0]),
+		B1:    addMod(m.share.B1, res.Share[0][1]),
+		A2:    addMod(m.share.A2, res.Share[1][0]),
+		B2:    addMod(m.share.B2, res.Share[1][1]),
 	}
-	newVKs := make([]*VerificationKey, len(view.VKs))
-	for i := 1; i < len(view.VKs); i++ {
-		if view.VKs[i] == nil {
+	g := m.group
+	vks := make([]*VerificationKey, len(g.VKs))
+	for i := 1; i < len(g.VKs); i++ {
+		if g.VKs[i] == nil {
 			continue
 		}
 		delta := res.VerificationKey(i)
-		newVKs[i] = &VerificationKey{
-			V1: new(bn254.G2).Add(view.VKs[i].V1, delta[0][0]),
-			V2: new(bn254.G2).Add(view.VKs[i].V2, delta[1][0]),
+		vks[i] = &VerificationKey{
+			V1: new(bn254.G2).Add(g.VKs[i].V1, delta[0][0]),
+			V2: new(bn254.G2).Add(g.VKs[i].V2, delta[1][0]),
 		}
 	}
-	return &KeyShares{PK: view.PK, Share: newShare, VKs: newVKs}, nil
+	next := &Group{Domain: g.Domain, N: g.N, T: g.T, Params: g.Params, PK: g.PK, VKs: vks}
+	return &Member{group: next, share: share}, nil
 }
 
 // addMod returns a+b mod r as a fresh integer.

@@ -60,12 +60,16 @@ func TestKeystoreRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	msg := []byte("keystore sign check")
-	ps, err := core.ShareSign(group.Params, share, msg)
+	member, err := group.Member(share)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !core.ShareVerify(group.PK, group.VKs[2], msg, ps) {
+	msg := []byte("keystore sign check")
+	ps, err := member.SignShare(msg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !group.ShareVerify(msg, ps) {
 		t.Fatal("share loaded from disk produced an invalid partial signature")
 	}
 }

@@ -221,8 +221,13 @@ func equationFor(params *Params, vhat *bn254.G2) *gs.Equation {
 // commitments and a two-element NIWI proof under the message-indexed CRS.
 func ShareSign(params *Params, sk *PrivateKeyShare, msg []byte, rng io.Reader) (*PartialSignature, error) {
 	crs := params.CRSFor(msg)
-	zi := new(bn254.G1).Neg(new(bn254.G1).ScalarMult(params.G, sk.A))
-	ri := new(bn254.G1).Neg(new(bn254.G1).ScalarMult(params.G, sk.B))
+	// (z_i, r_i) = (-A g, -B g): both secret scalars on one table over g,
+	// on the regular ladder.
+	zr, err := bn254.MultiScalarMultSharedG1([]*bn254.G1{params.G}, []*big.Int{sk.A}, []*big.Int{sk.B})
+	if err != nil {
+		return nil, fmt.Errorf("stdmodel: Share-Sign: %w", err)
+	}
+	zi, ri := zr[0].Neg(zr[0]), zr[1].Neg(zr[1])
 
 	nuZ, err := gs.SampleRandomness(rng)
 	if err != nil {

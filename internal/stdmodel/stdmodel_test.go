@@ -1,9 +1,15 @@
 package stdmodel
 
 import (
+	"bytes"
 	"crypto/rand"
+	"math/big"
+	mrand "math/rand"
 	"sync"
 	"testing"
+
+	"repro/internal/bn254"
+	"repro/internal/gs"
 )
 
 var (
@@ -265,5 +271,51 @@ func TestStdModelProactiveRefresh(t *testing.T) {
 	// Validation paths.
 	if _, err := ApplyRefresh(views[1], refresh.Results[2]); err == nil {
 		t.Fatal("accepted mismatched refresh result")
+	}
+}
+
+// TestShareSignMatchesScalarMult: the commitments of Share-Sign, whose
+// committed values (-A g, -B g) are computed on the regular ladder, are
+// the bytes the variable-time G1.ScalarMult gives under the same
+// commitment randomness.
+func TestShareSignMatchesScalarMult(t *testing.T) {
+	params := NewParams("stdmodel-ladder")
+	rnd := func(seed int64) *big.Int {
+		k, err := bn254.RandScalar(mrand.New(mrand.NewSource(seed)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return k
+	}
+	for _, tc := range []struct {
+		name string
+		a, b *big.Int
+	}{
+		{"zero and one", big.NewInt(0), big.NewInt(1)},
+		{"r-1 and r+5", new(big.Int).Sub(bn254.Order, big.NewInt(1)), new(big.Int).Add(bn254.Order, big.NewInt(5))},
+		{"random", rnd(1), rnd(2)},
+		{"equal", rnd(3), rnd(3)},
+	} {
+		sk := &PrivateKeyShare{Index: 2, A: tc.a, B: tc.b}
+		msg := []byte("ladder " + tc.name)
+		ps, err := ShareSign(params, sk, msg, mrand.New(mrand.NewSource(9)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		rng := mrand.New(mrand.NewSource(9))
+		nuZ, err := gs.SampleRandomness(rng)
+		if err != nil {
+			t.Fatal(err)
+		}
+		nuR, err := gs.SampleRandomness(rng)
+		if err != nil {
+			t.Fatal(err)
+		}
+		crs := params.CRSFor(msg)
+		wantZ := crs.Commit(new(bn254.G1).Neg(new(bn254.G1).ScalarMult(params.G, tc.a)), nuZ)
+		wantR := crs.Commit(new(bn254.G1).Neg(new(bn254.G1).ScalarMult(params.G, tc.b)), nuR)
+		if !bytes.Equal(ps.Sig.Cz.Marshal(), wantZ.Marshal()) || !bytes.Equal(ps.Sig.Cr.Marshal(), wantR.Marshal()) {
+			t.Fatalf("%s: commitments differ from the G1.ScalarMult reference", tc.name)
+		}
 	}
 }

@@ -2,7 +2,6 @@ package tsig
 
 import (
 	"fmt"
-	"io"
 
 	"repro/internal/core"
 )
@@ -134,10 +133,3 @@ var (
 	// AggregateVerify checks an aggregate against its (PK, M) list.
 	AggregateVerify = core.AggregateVerify
 )
-
-// RecoverShare restores the lost member's share from t+1 helper members
-// without reconstructing the secret (Section 3.3). rng defaults to
-// crypto/rand when nil.
-func RecoverShare(g *Group, helpers []*Member, lost int, rng io.Reader) (*Member, error) {
-	return g.RecoverShare(helpers, lost, rng)
-}

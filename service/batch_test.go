@@ -67,7 +67,7 @@ func TestSignerSignBatch(t *testing.T) {
 		if err != nil {
 			t.Fatalf("partial %d: %v", j, err)
 		}
-		if !core.ShareVerify(f.group.PK, f.group.VKs[3], msgs[j], ps) {
+		if !f.group.ShareVerify(msgs[j], ps) {
 			t.Fatalf("partial %d does not verify for its message", j)
 		}
 	}
@@ -75,7 +75,7 @@ func TestSignerSignBatch(t *testing.T) {
 
 func TestSignerSignBatchRejectsBadInput(t *testing.T) {
 	f := testFixture(t)
-	s, err := NewSigner(f.group, f.shares[1], SignerConfig{MaxBatch: 4})
+	s, err := NewSigner(f.members[1], SignerConfig{MaxBatch: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +123,7 @@ func TestSignerSignBatchRejectsBadInput(t *testing.T) {
 // TestEndToEndBatchPipeline is the batched acceptance test: a 16-message
 // batch signed through coordinator + n=7 HTTP signers in one client
 // request, with one signer Byzantine — every message still gets a
-// signature accepted by core.Verify, combined without the liar.
+// signature accepted by Verify, combined without the liar.
 func TestEndToEndBatchPipeline(t *testing.T) {
 	f := testFixture(t)
 	const byz = 4
@@ -147,8 +147,8 @@ func TestEndToEndBatchPipeline(t *testing.T) {
 		if sig == nil {
 			t.Fatalf("message %d failed: %s", j, resp.Results[j].Error)
 		}
-		if !core.Verify(f.group.PK, msgs[j], sig) {
-			t.Fatalf("message %d: signature rejected by core.Verify", j)
+		if !f.group.PK.Verify(msgs[j], sig) {
+			t.Fatalf("message %d: signature rejected by Verify", j)
 		}
 		if contains(resp.Results[j].Signers, byz) {
 			t.Fatalf("message %d combined the Byzantine signer's share", j)
@@ -197,7 +197,7 @@ func TestSignBatchDeduplicatesAndReportsPerMessage(t *testing.T) {
 		if results[j].Err != nil {
 			t.Fatalf("message %d: %v", j, results[j].Err)
 		}
-		if !core.Verify(f.group.PK, msgs[j], results[j].Sig) {
+		if !f.group.PK.Verify(msgs[j], results[j].Sig) {
 			t.Fatalf("message %d: invalid signature", j)
 		}
 	}
@@ -292,7 +292,7 @@ func TestSignBatchCoalescesWithInFlightSign(t *testing.T) {
 		if err := br.results[1+k].Err; err != nil {
 			t.Fatalf("fresh message %d: %v", k, err)
 		}
-		if !core.Verify(f.group.PK, msg, br.results[1+k].Sig) {
+		if !f.group.PK.Verify(msg, br.results[1+k].Sig) {
 			t.Fatalf("fresh message %d: invalid signature", k)
 		}
 	}
@@ -342,7 +342,7 @@ func TestBatchBisectionIsolatesSingleBadShare(t *testing.T) {
 			// liar's valid shares must have been accepted.
 			t.Fatalf("clean message %d did not use the liar's valid share (signers %v)", j, res.Report.Signers)
 		}
-		if !core.Verify(f.group.PK, msgs[j], res.Sig) {
+		if !f.group.PK.Verify(msgs[j], res.Sig) {
 			t.Fatalf("clean message %d: invalid signature", j)
 		}
 	}
@@ -381,7 +381,7 @@ func TestBatcherMergesConcurrentSigns(t *testing.T) {
 		if errs[k] != nil {
 			t.Fatalf("caller %d: %v", k, errs[k])
 		}
-		if !core.Verify(f.group.PK, msgs[k], sigs[k]) {
+		if !f.group.PK.Verify(msgs[k], sigs[k]) {
 			t.Fatalf("caller %d: invalid signature", k)
 		}
 	}
@@ -466,7 +466,7 @@ func TestBatcherSplitsOnByteBudget(t *testing.T) {
 		if errs[k] != nil {
 			t.Fatalf("message %d: %v", k, errs[k])
 		}
-		if !core.Verify(f.group.PK, msgs[k], sigs[k]) {
+		if !f.group.PK.Verify(msgs[k], sigs[k]) {
 			t.Fatalf("message %d: invalid signature", k)
 		}
 	}
@@ -535,7 +535,7 @@ func TestBatchRefusalMeansUnreachable(t *testing.T) {
 				if res.Err != nil {
 					t.Fatalf("message %d: %v", j, res.Err)
 				}
-				if !core.Verify(f.group.PK, msgs[j], res.Sig) {
+				if !f.group.PK.Verify(msgs[j], res.Sig) {
 					t.Fatalf("message %d: invalid signature", j)
 				}
 				if contains(res.Report.Signers, refuser) || contains(res.Report.Invalid, refuser) {
@@ -780,7 +780,7 @@ func TestConcurrentMixedTrafficWithByzantineSigner(t *testing.T) {
 			fail <- err
 			return
 		}
-		if !core.Verify(f.group.PK, msg, sig) {
+		if !f.group.PK.Verify(msg, sig) {
 			fail <- fmt.Errorf("invalid signature for %q", msg)
 		}
 	}

@@ -467,7 +467,7 @@ func (tn *coordTenant) fanOut(ctx context.Context, items []*batchItem) {
 			for p, h := range st.held {
 				parts[p] = h.ps
 			}
-			sig, err := core.CombinePreverified(parts, group.T)
+			sig, err := group.CombinePreverified(parts)
 			if err != nil {
 				settle(j, nil, err)
 				continue

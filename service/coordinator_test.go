@@ -122,7 +122,7 @@ func TestCoordinatorHappyPath(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !core.Verify(f.group.PK, msg, sig) {
+	if !f.group.PK.Verify(msg, sig) {
 		t.Fatal("signature invalid")
 	}
 	if len(report.Signers) != fixT+1 {
@@ -168,7 +168,7 @@ func TestCoordinatorFailureMatrix(t *testing.T) {
 			if err != nil {
 				t.Fatalf("Sign: %v", err)
 			}
-			if !core.Verify(f.group.PK, msg, sig) {
+			if !f.group.PK.Verify(msg, sig) {
 				t.Fatal("signature invalid")
 			}
 			faulty := append(append(append([]int{}, tc.down...), tc.slow...), tc.byz...)
@@ -324,7 +324,7 @@ func TestCoordinatorFollowerSurvivesLeaderCancel(t *testing.T) {
 	followerDone := make(chan error, 1)
 	go func() {
 		sig, _, err := c.Sign(context.Background(), msg)
-		if err == nil && !core.Verify(f.group.PK, msg, sig) {
+		if err == nil && !f.group.PK.Verify(msg, sig) {
 			err = errors.New("follower got an invalid signature")
 		}
 		followerDone <- err

@@ -6,13 +6,11 @@ import (
 	"net/http/httptest"
 	"testing"
 	"time"
-
-	"repro/internal/core"
 )
 
 // TestEndToEndHTTPPipeline is the subsystem's acceptance test: a
 // coordinator gateway in front of n=7, t=3 HTTP signer nodes produces a
-// signature accepted by core.Verify, through the full client -> HTTP
+// signature accepted by Verify, through the full client -> HTTP
 // coordinator -> HTTP signers -> combine pipeline, with up to t=3
 // signers down or Byzantine.
 func TestEndToEndHTTPPipeline(t *testing.T) {
@@ -60,8 +58,8 @@ func TestEndToEndHTTPPipeline(t *testing.T) {
 			if err != nil {
 				t.Fatalf("Sign via gateway: %v", err)
 			}
-			if !core.Verify(pk, msg, sig) {
-				t.Fatal("end-to-end signature rejected by core.Verify")
+			if !pk.Verify(msg, sig) {
+				t.Fatal("end-to-end signature rejected by Verify")
 			}
 			if len(resp.Signers) != fixT+1 {
 				t.Fatalf("gateway combined %d shares, want %d", len(resp.Signers), fixT+1)

@@ -18,8 +18,8 @@ const (
 )
 
 type fixture struct {
-	group  *core.Group
-	shares []*core.PrivateKeyShare // 1-based
+	group   *core.Group
+	members []*core.Member // 1-based
 }
 
 var (
@@ -37,19 +37,19 @@ func testFixture(t *testing.T) *fixture {
 			fixErr = err
 			return
 		}
-		shares := make([]*core.PrivateKeyShare, fixN+1)
-		for i := 1; i <= fixN; i++ {
-			shares[i] = views[i].Share
-		}
 		group, err := core.NewGroup("service-test/v1", fixN, fixT, views[1])
 		if err != nil {
 			fixErr = err
 			return
 		}
-		fix = &fixture{
-			group:  group,
-			shares: shares,
+		members := make([]*core.Member, fixN+1)
+		for i := 1; i <= fixN; i++ {
+			if members[i], err = group.Member(views[i].Share); err != nil {
+				fixErr = err
+				return
+			}
 		}
+		fix = &fixture{group: group, members: members}
 	})
 	if fixErr != nil {
 		t.Fatalf("Dist-Keygen fixture: %v", fixErr)
@@ -60,7 +60,7 @@ func testFixture(t *testing.T) *fixture {
 // newTestSigner builds signer i's handler.
 func newTestSigner(t *testing.T, f *fixture, i int) *Signer {
 	t.Helper()
-	s, err := NewSigner(f.group, f.shares[i], SignerConfig{})
+	s, err := NewSigner(f.members[i], SignerConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -37,7 +37,7 @@ func TestSignHandsOutPrivateSignatures(t *testing.T) {
 		if !bytes.Equal(again.Marshal(), want) {
 			t.Fatalf("sign %d: a caller's mutation reached the cached signature", round)
 		}
-		if !core.Verify(f.group.PK, msg, again) {
+		if !f.group.PK.Verify(msg, again) {
 			t.Fatalf("sign %d: the served signature does not verify", round)
 		}
 		again.R.Set(again.Z)

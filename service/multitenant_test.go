@@ -331,7 +331,7 @@ func TestE2E_MultiTenantFleet(t *testing.T) {
 		if err != nil {
 			t.Fatalf("daemon %d has no orders tenant: %v", i, err)
 		}
-		if st := tn.state.Load(); st == nil || !st.group.PK.Equal(ordGroup.PK) {
+		if m := tn.member.Load(); m == nil || !m.Group().PK.Equal(ordGroup.PK) {
 			t.Fatalf("daemon %d orders state missing or wrong", i)
 		}
 		if g := signers[i].Group(); g == nil || !g.PK.Equal(defGroup.PK) {
@@ -352,12 +352,12 @@ func TestE2E_MultiTenantFleet(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !core.Verify(defGroup.PK, msg, ds) || !core.Verify(ordGroup.PK, msg, os) {
+		if !defGroup.PK.Verify(msg, ds) || !ordGroup.PK.Verify(msg, os) {
 			t.Fatalf("round %d: signature fails under its own tenant key", round)
 		}
 		// Cross-checks: each tenant's signature must NOT verify under
 		// the other tenant's key (independent keys, domains, caches).
-		if core.Verify(ordGroup.PK, msg, ds) || core.Verify(defGroup.PK, msg, os) {
+		if ordGroup.PK.Verify(msg, ds) || defGroup.PK.Verify(msg, os) {
 			t.Fatalf("round %d: signature verifies under the WRONG tenant's key", round)
 		}
 	}
@@ -388,7 +388,7 @@ func TestE2E_MultiTenantFleet(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !core.Verify(tc.group.PK, msgs[j], sig) {
+			if !tc.group.PK.Verify(msgs[j], sig) {
 				t.Fatalf("%s batch message %d does not verify", tc.prefix, j)
 			}
 		}
@@ -429,7 +429,7 @@ func TestE2E_MultiTenantFleet(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !core.Verify(defGroup.PK, msg, sig) {
+	if !defGroup.PK.Verify(msg, sig) {
 		t.Fatal("legacy sign broken after multi-tenant traffic")
 	}
 	if status, _ := httpGet(t, coordSrv.URL+"/v1/pubkey"); status != http.StatusOK {
@@ -471,7 +471,7 @@ func TestGroupRotationAndDeletion(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !core.Verify(g1.PK, msg, sig1) {
+	if !g1.PK.Verify(msg, sig1) {
 		t.Fatal("pre-rotation signature invalid")
 	}
 
@@ -499,7 +499,7 @@ func TestGroupRotationAndDeletion(t *testing.T) {
 	if rep.Cached {
 		t.Fatal("post-rotation sign served the old cached signature")
 	}
-	if !core.Verify(g2.PK, msg, sig2) || core.Verify(g1.PK, msg, sig2) {
+	if !g2.PK.Verify(msg, sig2) || g1.PK.Verify(msg, sig2) {
 		t.Fatal("post-rotation signature not under the new key")
 	}
 
@@ -610,14 +610,14 @@ func TestTenantKeystorePersistence(t *testing.T) {
 	if err != nil {
 		t.Fatalf("default tenant did not come back from disk: %v", err)
 	}
-	if !core.Verify(defGroup.PK, msg, sig) {
+	if !defGroup.PK.Verify(msg, sig) {
 		t.Fatal("restored default tenant signs under a different key")
 	}
 	paySig, _, err := coord2.SignGroup(ctx, "pay", msg)
 	if err != nil {
 		t.Fatalf("named tenant did not come back from disk: %v", err)
 	}
-	if !core.Verify(payGroup.PK, msg, paySig) {
+	if !payGroup.PK.Verify(msg, paySig) {
 		t.Fatal("restored pay tenant signs under a different key")
 	}
 	// The registry remembers the epochs too.
@@ -640,7 +640,7 @@ func TestFileKeyAdoption(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := NewDaemonSigner(DaemonConfig{Group: f.group, Share: f.shares[1], Registry: reg1}); err != nil {
+	if _, err := NewDaemonSigner(DaemonConfig{Member: f.members[1], Registry: reg1}); err != nil {
 		t.Fatal(err)
 	}
 	reg2, err := registry.Open(registry.Config{Dir: sdir})
@@ -695,11 +695,11 @@ func newFleetDirs(t *testing.T, n int) fleetDirs {
 }
 
 // start builds a fleet over the directories, every registry's hot LRU
-// bounded by hotCap (0 = the default). With a seed group, signer i is
-// seeded with shares[i] and the coordinator with the group, as tsigd
-// -group/-share do; without one, the fleet starts from whatever its
-// registries hold. stop closes the signer servers.
-func (d fleetDirs) start(t *testing.T, hotCap int, seed *core.Group, shares []*core.PrivateKeyShare) (*Coordinator, []*Signer, func()) {
+// bounded by hotCap (0 = the default). With seed members (1-based),
+// signer i is seeded with seed[i] and the coordinator with their group,
+// as tsigd -group/-share do; without them, the fleet starts from whatever
+// its registries hold. stop closes the signer servers.
+func (d fleetDirs) start(t *testing.T, hotCap int, seed []*core.Member) (*Coordinator, []*Signer, func()) {
 	t.Helper()
 	open := func(dir string) *registry.Registry {
 		reg, err := registry.Open(registry.Config{Dir: dir, HotCap: hotCap})
@@ -720,7 +720,7 @@ func (d fleetDirs) start(t *testing.T, hotCap int, seed *core.Group, shares []*c
 	for i := 1; i <= n; i++ {
 		cfg := DaemonConfig{Index: i, Registry: open(d.signer[i])}
 		if seed != nil {
-			cfg.Group, cfg.Share = seed, shares[i]
+			cfg.Member = seed[i]
 		}
 		s, err := NewDaemonSigner(cfg)
 		if err != nil {
@@ -734,7 +734,7 @@ func (d fleetDirs) start(t *testing.T, hotCap int, seed *core.Group, shares []*c
 	var c *Coordinator
 	var err error
 	if seed != nil {
-		c, err = NewCoordinator(seed, urls, CoordinatorConfig{Registry: open(d.coord)})
+		c, err = NewCoordinator(seed[1].Group(), urls, CoordinatorConfig{Registry: open(d.coord)})
 	} else {
 		c, err = NewKeylessCoordinator(urls, CoordinatorConfig{Registry: open(d.coord)})
 	}
@@ -754,7 +754,7 @@ func TestSeededRestartKeepsRefresh(t *testing.T) {
 	f := testFixture(t)
 	ctx := context.Background()
 	dirs := newFleetDirs(t, f.group.N)
-	coord, _, stop := dirs.start(t, 0, f.group, f.shares)
+	coord, _, stop := dirs.start(t, 0, f.members)
 	refreshed, report, err := coord.RunRefresh(ctx)
 	stop()
 	if err != nil {
@@ -767,7 +767,7 @@ func TestSeededRestartKeepsRefresh(t *testing.T) {
 		t.Fatal("refresh did not change the verification keys")
 	}
 
-	coord, signers, stop := dirs.start(t, 0, f.group, f.shares)
+	coord, signers, stop := dirs.start(t, 0, f.members)
 	defer stop()
 	want := refreshed.Marshal()
 	if g := coord.Group(); g == nil || string(g.Marshal()) != string(want) {
@@ -800,7 +800,7 @@ func TestSeededRestartKeepsRefresh(t *testing.T) {
 // name the keystore, instead of silently serving either key.
 func TestSeedWithForeignKeyFails(t *testing.T) {
 	dirs := newFleetDirs(t, 3)
-	coord, _, stop := dirs.start(t, 0, nil, nil)
+	coord, _, stop := dirs.start(t, 0, nil)
 	if _, _, err := coord.RunDKG(context.Background(), 1, "seed-foreign/v1"); err != nil {
 		stop()
 		t.Fatal(err)
@@ -820,7 +820,11 @@ func TestSeedWithForeignKeyFails(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = NewDaemonSigner(DaemonConfig{Group: foreign, Share: views[1].Share, Registry: reg})
+	member, err := foreign.Member(views[1].Share)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = NewDaemonSigner(DaemonConfig{Member: member, Registry: reg})
 	if err == nil || !strings.Contains(err.Error(), reg.GroupDir(DefaultGroupID)) {
 		t.Fatalf("signer seeded with a foreign key: err = %v", err)
 	}
@@ -841,7 +845,7 @@ func TestSeedWithForeignKeyFails(t *testing.T) {
 // fault it back in from the keystores and sign under its key.
 func TestDefaultTenantSurvivesEviction(t *testing.T) {
 	ctx := context.Background()
-	coord, signers, stop := newFleetDirs(t, 3).start(t, 1, nil, nil)
+	coord, signers, stop := newFleetDirs(t, 3).start(t, 1, nil)
 	defer stop()
 	group, _, err := coord.RunDKG(ctx, 1, "evict/default")
 	if err != nil {

@@ -171,8 +171,8 @@ func TestOptimisticCombineConvictsThenGoesEager(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", msg, err)
 		}
-		if !core.Verify(f.group.PK, []byte(msg), sig) {
-			t.Fatalf("%s: signature rejected by core.Verify", msg)
+		if !f.group.PK.Verify([]byte(msg), sig) {
+			t.Fatalf("%s: signature rejected by Verify", msg)
 		}
 		if len(report.Signers) != fixT+1 {
 			t.Fatalf("%s: %d signers, want %d", msg, len(report.Signers), fixT+1)
@@ -245,7 +245,7 @@ func TestHonestFleetPaysNoShareVerify(t *testing.T) {
 	wc.weights.Store(0) // setting up may have drawn key material
 
 	sig, report, err := fl.c.Sign(fl.ctx(), []byte("honest single"))
-	if err != nil || !core.Verify(f.group.PK, []byte("honest single"), sig) {
+	if err != nil || !f.group.PK.Verify([]byte("honest single"), sig) {
 		t.Fatalf("Sign: %v", err)
 	}
 	if len(report.Signers) != fixT+1 || !contains(report.Signers, rusher) {
@@ -261,7 +261,7 @@ func TestHonestFleetPaysNoShareVerify(t *testing.T) {
 		t.Fatal(err)
 	}
 	for j, res := range results {
-		if res.Err != nil || !core.Verify(f.group.PK, msgs[j], res.Sig) {
+		if res.Err != nil || !f.group.PK.Verify(msgs[j], res.Sig) {
 			t.Fatalf("message %d: %v", j, res.Err)
 		}
 	}
@@ -286,7 +286,7 @@ func TestBatchFallbackIsPerMessage(t *testing.T) {
 		t.Fatal(err)
 	}
 	for j, res := range results {
-		if res.Err != nil || !core.Verify(f.group.PK, msgs[j], res.Sig) {
+		if res.Err != nil || !f.group.PK.Verify(msgs[j], res.Sig) {
 			t.Fatalf("message %d: %v", j, res.Err)
 		}
 		liarUsed, liarInvalid := contains(res.Report.Signers, rusher), contains(res.Report.Invalid, rusher)
@@ -421,7 +421,7 @@ func testLateSuspect(t *testing.T, window time.Duration) {
 		if err != nil {
 			t.Fatalf("%s: %v", msg, err)
 		}
-		if !core.Verify(f.group.PK, []byte(msg), sig) || contains(report.Signers, rusher) || contains(report.Signers, stuck) {
+		if !f.group.PK.Verify([]byte(msg), sig) || contains(report.Signers, rusher) || contains(report.Signers, stuck) {
 			t.Fatalf("%s: signers %v, want a verified honest quorum without %d and %d", msg, report.Signers, rusher, stuck)
 		}
 		awaitReleased(t, msg, end)
@@ -489,7 +489,7 @@ func TestSuspectAnsweringLongAfterQuorumIsJudged(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !core.Verify(f.group.PK, []byte(msg), sig) || contains(report.Signers, rusher) || contains(report.Signers, stuck) {
+	if !f.group.PK.Verify([]byte(msg), sig) || contains(report.Signers, rusher) || contains(report.Signers, stuck) {
 		t.Fatalf("signers %v, want a verified honest quorum without %d and %d", report.Signers, rusher, stuck)
 	}
 	awaitReleased(t, msg, end)

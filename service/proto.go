@@ -36,12 +36,14 @@ import (
 // risk an undersized quorum. The surviving signers' finish responses must
 // agree byte-for-byte on the resulting public group.
 //
-// Trust model (see ROADMAP item 13): the coordinator is trusted as
-// the broadcast channel (consistency) and relays the private share
-// messages between signers, so deployments must protect signer links with
-// TLS and authenticate the coordinator to the signers. Protecting the
-// unicast channels end-to-end (per-pair encryption between daemons) is
-// future work.
+// Trust model, as it stands: the coordinator is trusted as the broadcast
+// channel (consistency), and it relays every DKG and refresh unicast —
+// each dealer's private shares for each player — in the clear, so it
+// reads them all. The daemons speak plain HTTP: tsigd has no TLS option,
+// and no signer route checks its caller, so anyone who reaches a
+// signer's port can run protocol steps, obtain partial signatures, or
+// delete a tenant. Signers belong on a network only the coordinator can
+// reach.
 
 // DefaultProtoRoundTimeout bounds each signer's step call during a
 // protocol round when CoordinatorConfig.ProtoRoundTimeout is unset.

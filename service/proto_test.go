@@ -54,7 +54,7 @@ func startDaemonQuorum(t *testing.T, n int, cfg CoordinatorConfig,
 // quorum immediately serves verified signatures.
 func TestE2E_DKGOverHTTP(t *testing.T) {
 	dirs := newFleetDirs(t, 5)
-	coord, signers, stop := dirs.start(t, 0, nil, nil)
+	coord, signers, stop := dirs.start(t, 0, nil)
 	defer stop()
 
 	group, report, err := coord.RunDKG(context.Background(), 2, "proto-e2e/v1")
@@ -79,7 +79,7 @@ func TestE2E_DKGOverHTTP(t *testing.T) {
 		if err != nil {
 			t.Fatalf("daemon %d keystore: %v", i, err)
 		}
-		if m.Index() != i || !bytes.Equal(m.PrivateShare().Marshal(), signers[i].defTenant().state.Load().share.Marshal()) {
+		if m.Index() != i || !bytes.Equal(m.PrivateShare().Marshal(), signers[i].defTenant().member.Load().PrivateShare().Marshal()) {
 			t.Fatalf("daemon %d keystore holds share %d, not the one it serves", i, m.Index())
 		}
 		if string(m.Group().Marshal()) != string(group.Marshal()) {

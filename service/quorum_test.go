@@ -9,8 +9,6 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
-
-	"repro/internal/core"
 )
 
 // askCounter is a RoundTripper that counts the coordinator's sign POSTs
@@ -93,7 +91,7 @@ func signBatchOK(t *testing.T, c *Coordinator, msgs [][]byte) {
 		t.Fatal(err)
 	}
 	for j, res := range results {
-		if res.Err != nil || !core.Verify(testFixture(t).group.PK, msgs[j], res.Sig) {
+		if res.Err != nil || !testFixture(t).group.PK.Verify(msgs[j], res.Sig) {
 			t.Fatalf("batch message %d (%s): %v", j, msgs[j], res.Err)
 		}
 	}
@@ -106,8 +104,8 @@ func signOK(t *testing.T, c *Coordinator, msg string) SignReport {
 	if err != nil {
 		t.Fatalf("%s: %v", msg, err)
 	}
-	if !core.Verify(testFixture(t).group.PK, []byte(msg), sig) {
-		t.Fatalf("%s: signature rejected by core.Verify", msg)
+	if !testFixture(t).group.PK.Verify([]byte(msg), sig) {
+		t.Fatalf("%s: signature rejected by Verify", msg)
 	}
 	return report
 }

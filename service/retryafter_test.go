@@ -16,11 +16,11 @@ import (
 // overloaded and Retry-After: 1, and the public client hands both to its
 // caller — the sentinel through errors.Is, the hint as APIError.RetryAfter.
 func TestClientSurfacesRetryAfter(t *testing.T) {
-	group, members, err := tsig.NewScheme(tsig.WithDomain("retry-after/v1")).Keygen(3, 1)
+	_, members, err := tsig.NewScheme(tsig.WithDomain("retry-after/v1")).Keygen(3, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := service.NewSigner(group, members[0].PrivateShare(), service.SignerConfig{MaxWorkers: 1, MaxQueue: 1})
+	s, err := service.NewSigner(members[0], service.SignerConfig{MaxWorkers: 1, MaxQueue: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -298,10 +298,10 @@ func (s *Signer) handleProtoStart(proto string) http.HandlerFunc {
 		}
 
 		var params *core.Params
-		st := tn.state.Load()
+		held := tn.group()
 		switch proto {
 		case ProtoDKG:
-			if st != nil {
+			if held != nil {
 				// A keyed tenant accepts a keygen only as an explicit
 				// rotation: the driver must present an epoch strictly
 				// beyond the record's, so replays and stale rotation
@@ -319,31 +319,31 @@ func (s *Signer) handleProtoStart(proto string) http.HandlerFunc {
 			}
 			params = core.NewParams(req.Domain)
 		case ProtoRefresh:
-			if st == nil {
+			if held == nil {
 				writeErrorCode(w, http.StatusServiceUnavailable, CodeNoKey,
 					"signer holds no key material to refresh")
 				return
 			}
-			if req.N != st.group.N || req.T != st.group.T {
+			if req.N != held.N || req.T != held.T {
 				writeErrorCode(w, http.StatusConflict, CodeConflict,
 					fmt.Sprintf("refresh for n=%d t=%d, but this signer's group is n=%d t=%d",
-						req.N, req.T, st.group.N, st.group.T))
+						req.N, req.T, held.N, held.T))
 				return
 			}
-			if req.Domain != "" && req.Domain != st.group.Domain {
+			if req.Domain != "" && req.Domain != held.Domain {
 				writeErrorCode(w, http.StatusConflict, CodeConflict,
-					fmt.Sprintf("refresh for domain %q, but this signer's group is %q", req.Domain, st.group.Domain))
+					fmt.Sprintf("refresh for domain %q, but this signer's group is %q", req.Domain, held.Domain))
 				return
 			}
 			if len(req.GroupHash) > 0 {
-				h := sha256.Sum256(st.group.Marshal())
+				h := sha256.Sum256(held.Marshal())
 				if !bytes.Equal(req.GroupHash, h[:]) {
 					writeErrorCode(w, http.StatusConflict, CodeConflict,
 						"refresh is for a different group state; this signer's key material is stale (recover the share first)")
 					return
 				}
 			}
-			params = st.group.Params
+			params = held.Params
 		default:
 			writeErrorCode(w, http.StatusBadRequest, CodeBadRequest, "unknown protocol "+proto)
 			return
@@ -365,7 +365,7 @@ func (s *Signer) handleProtoStart(proto string) http.HandlerFunc {
 			params: params, player: player, honest: honest,
 		}
 		if proto == ProtoRefresh && sess.domain == "" {
-			sess.domain = st.group.Domain
+			sess.domain = held.Domain
 		}
 		// Round 0 runs before the session is published, so a concurrent
 		// step can never reach a half-initialized state machine; create()
@@ -488,43 +488,37 @@ func (s *Signer) handleProtoFinish(proto string) http.HandlerFunc {
 			return
 		}
 
-		var group *core.Group
-		var share *core.PrivateKeyShare
+		var next *core.Member
 		switch proto {
 		case ProtoDKG:
 			view, err := core.FromDKGResult(sess.params, res)
+			var group *core.Group
+			if err == nil {
+				group, err = core.NewGroup(sess.domain, sess.n, sess.t, view)
+			}
+			if err == nil {
+				next, err = group.Member(view.Share)
+			}
 			if err != nil {
 				writeErrorCode(w, http.StatusInternalServerError, CodeProtoFailed, err.Error())
 				return
 			}
-			if group, err = core.NewGroup(sess.domain, sess.n, sess.t, view); err != nil {
-				writeErrorCode(w, http.StatusInternalServerError, CodeProtoFailed, err.Error())
-				return
-			}
-			share = view.Share
 		case ProtoRefresh:
-			st := tn.state.Load()
-			if st == nil {
+			m := tn.member.Load()
+			if m == nil {
 				writeErrorCode(w, http.StatusServiceUnavailable, CodeNoKey, "key material disappeared mid-refresh")
 				return
 			}
-			view := &core.KeyShares{PK: st.group.PK, Share: st.share, VKs: st.group.VKs}
-			next, err := core.ApplyRefresh(view, res)
-			if err != nil {
+			if next, err = m.ApplyRefreshResult(res); err != nil {
 				writeErrorCode(w, http.StatusInternalServerError, CodeProtoFailed, err.Error())
 				return
 			}
-			group = &core.Group{
-				Domain: st.group.Domain, N: st.group.N, T: st.group.T,
-				Params: st.group.Params, PK: next.PK, VKs: next.VKs,
-			}
-			share = next.Share
 		}
 
 		// If persisting fails the session stays open, the daemon keeps
 		// serving its previous state, and the coordinator running the
 		// protocol sees the failure.
-		epoch, err := s.install(tn, group, share)
+		epoch, err := s.install(tn, next)
 		if err != nil {
 			writeErrorCode(w, http.StatusInternalServerError, CodeBackend, err.Error())
 			return
@@ -537,7 +531,7 @@ func (s *Signer) handleProtoFinish(proto string) http.HandlerFunc {
 		writeJSON(w, http.StatusOK, ProtoFinishResponse{
 			Index: s.index,
 			Qual:  res.Qual,
-			Group: group.Marshal(),
+			Group: next.Group().Marshal(),
 		})
 	}
 }
@@ -548,8 +542,9 @@ func (s *Signer) handleProtoFinish(proto string) http.HandlerFunc {
 // tenant serving its previous state instead of a daemon whose disk and
 // memory disagree after a restart. The record's epoch is bumped in the
 // same window; it is what gates replayed rotation attempts.
-func (s *Signer) install(tn *signerTenant, g *core.Group, sk *core.PrivateKeyShare) (epoch uint64, err error) {
-	if err := s.reg.SaveMember(tn.id, g, sk); err != nil {
+func (s *Signer) install(tn *signerTenant, m *core.Member) (epoch uint64, err error) {
+	g := m.Group()
+	if err := s.reg.SaveMember(tn.id, g, m.PrivateShare()); err != nil {
 		return 0, fmt.Errorf("persisting key material: %w", err)
 	}
 	rec, _ := s.reg.Get(tn.id)
@@ -559,6 +554,6 @@ func (s *Signer) install(tn *signerTenant, g *core.Group, sk *core.PrivateKeySha
 	if err := s.reg.Put(rec); err != nil {
 		return 0, fmt.Errorf("persisting group record: %w", err)
 	}
-	tn.state.Store(&signerState{group: g, share: sk})
+	tn.member.Store(m)
 	return rec.Epoch, nil
 }

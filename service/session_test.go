@@ -9,8 +9,6 @@ import (
 	"net/http/httptest"
 	"testing"
 	"time"
-
-	"repro/internal/core"
 )
 
 // startMemberQuorum starts daemon signers already holding the fixture's
@@ -22,7 +20,7 @@ func startMemberQuorum(t *testing.T, f *fixture, cfg CoordinatorConfig,
 	urls := make([]string, f.group.N)
 	signers := make([]*Signer, f.group.N+1)
 	for i := 1; i <= f.group.N; i++ {
-		s, err := NewDaemonSigner(DaemonConfig{Group: f.group, Share: f.shares[i]})
+		s, err := NewDaemonSigner(DaemonConfig{Member: f.members[i]})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -70,11 +68,11 @@ func TestE2E_RefreshOverHTTP(t *testing.T) {
 		if newGroup.VKs[i].Equal(f.group.VKs[i]) {
 			t.Fatalf("verification key %d did not re-randomize", i)
 		}
-		st := signers[i].defTenant().state.Load()
-		if st.share.A1.Cmp(f.shares[i].A1) == 0 {
+		m := signers[i].defTenant().member.Load()
+		if m.PrivateShare().A1.Cmp(f.members[i].PrivateShare().A1) == 0 {
 			t.Fatalf("signer %d share did not re-randomize", i)
 		}
-		if string(st.group.Marshal()) != string(newGroup.Marshal()) {
+		if string(m.Group().Marshal()) != string(newGroup.Marshal()) {
 			t.Fatalf("signer %d disagrees on the refreshed group", i)
 		}
 	}
@@ -95,11 +93,11 @@ func TestE2E_RefreshOverHTTP(t *testing.T) {
 
 	// A share stolen before the epoch cannot contribute afterwards: its
 	// partial signatures fail Share-Verify under the new keys.
-	stolen, err := core.ShareSign(f.group.Params, f.shares[2], msg2)
+	stolen, err := f.members[2].SignShare(msg2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if core.ShareVerify(newGroup.PK, newGroup.VKs[2], msg2, stolen) {
+	if newGroup.ShareVerify(msg2, stolen) {
 		t.Fatal("pre-refresh share still verifies after the epoch")
 	}
 }
@@ -116,7 +114,7 @@ func TestE2E_RefreshWithCrashedSigner(t *testing.T) {
 	urls := make([]string, f.group.N)
 	signers := make([]*Signer, f.group.N+1)
 	for i := 1; i <= f.group.N; i++ {
-		s, err := NewDaemonSigner(DaemonConfig{Group: f.group, Share: f.shares[i]})
+		s, err := NewDaemonSigner(DaemonConfig{Member: f.members[i]})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -184,7 +182,7 @@ func TestE2E_RefreshWithCrashedSigner(t *testing.T) {
 		t.Fatal("second refresh changed the public key")
 	}
 	// The stale daemon must NOT have applied the second epoch.
-	if st := signers[stale].defTenant().state.Load(); !st.group.PK.Equal(f.group.PK) || !st.group.VKs[stale].Equal(f.group.VKs[stale]) {
+	if g := signers[stale].defTenant().member.Load().Group(); !g.PK.Equal(f.group.PK) || !g.VKs[stale].Equal(f.group.VKs[stale]) {
 		t.Fatal("stale signer mutated its key material during the epoch it was excluded from")
 	}
 	msg2 := []byte("second epoch, still signing")
@@ -228,7 +226,7 @@ func TestSessionEndpointValidation(t *testing.T) {
 	keylessSrv := httptest.NewServer(keyless)
 	t.Cleanup(keylessSrv.Close)
 
-	keyed, err := NewDaemonSigner(DaemonConfig{Group: f.group, Share: f.shares[1]})
+	keyed, err := NewDaemonSigner(DaemonConfig{Member: f.members[1]})
 	if err != nil {
 		t.Fatal(err)
 	}

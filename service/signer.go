@@ -40,13 +40,6 @@ func (c SignerConfig) withDefaults() SignerConfig {
 	return c
 }
 
-// signerState is the signer's key material, swapped atomically as one
-// unit: the group view and the private share always match.
-type signerState struct {
-	group *core.Group
-	share *core.PrivateKeyShare
-}
-
 // Signer serves private key shares over HTTP — one share per tenant
 // group, all under the daemon's single player index. It is an
 // http.Handler:
@@ -96,18 +89,20 @@ type Signer struct {
 	log *slog.Logger
 }
 
-// signerTenant is one tenant's live state on a signer: the key material
-// and the protocol-session host. It lives in the registry's hot LRU and
-// is rebuilt from the tenant's keystore when faulted back in.
+// signerTenant is one tenant's live state on a signer: its member (the
+// group view and the private share, swapped atomically as one unit) and
+// the protocol-session host. It lives in the registry's hot LRU and is
+// rebuilt from the tenant's keystore when faulted back in.
 type signerTenant struct {
-	id    string
-	state atomic.Pointer[signerState]
-	proto *protoHost
+	id     string
+	member atomic.Pointer[core.Member]
+	proto  *protoHost
 }
 
-// NewSigner builds a signer for one share of the given group.
-func NewSigner(group *core.Group, share *core.PrivateKeyShare, cfg SignerConfig) (*Signer, error) {
-	return NewDaemonSigner(DaemonConfig{Signer: cfg, Group: group, Share: share})
+// NewSigner builds a signer serving member's share of its group as the
+// default tenant, under the member's index.
+func NewSigner(member *core.Member, cfg SignerConfig) (*Signer, error) {
+	return NewDaemonSigner(DaemonConfig{Signer: cfg, Member: member})
 }
 
 // DaemonConfig configures a signer daemon, including the keyless form
@@ -115,17 +110,16 @@ func NewSigner(group *core.Group, share *core.PrivateKeyShare, cfg SignerConfig)
 type DaemonConfig struct {
 	// Signer bounds the signing worker pool.
 	Signer SignerConfig
-	// Index is the daemon's 1-based player identity. Required when no key
-	// material is given; otherwise it must be absent or match the share.
+	// Index is the daemon's 1-based player identity. Required when no
+	// Member is given; otherwise it must be absent or match the member's.
 	Index int
-	// Group and Share seed the default group; both nil for a keyless
-	// daemon. They are installed as its first epoch, exactly as a
-	// finished keygen would be, only when the registry holds no default
-	// key material. Material already there is served instead (it may be
-	// a later, refreshed epoch); material under another public key fails
+	// Member seeds the default group; nil for a keyless daemon. It is
+	// installed as the default group's first epoch, exactly as a finished
+	// keygen would be, only when the registry holds no default key
+	// material. Material already there is served instead (it may be a
+	// later, refreshed epoch); material under another public key fails
 	// construction.
-	Group *core.Group
-	Share *core.PrivateKeyShare
+	Member *core.Member
 	// SessionTTL bounds how long an untouched protocol session survives
 	// (default DefaultSessionTTL).
 	SessionTTL time.Duration
@@ -142,18 +136,12 @@ type DaemonConfig struct {
 // NewDaemonSigner builds a signer daemon from the full configuration.
 func NewDaemonSigner(cfg DaemonConfig) (*Signer, error) {
 	index := cfg.Index
-	if cfg.Group != nil || cfg.Share != nil {
-		if cfg.Group == nil || cfg.Share == nil {
-			return nil, fmt.Errorf("service: group and share must be given together")
-		}
-		if cfg.Share.Index < 1 || cfg.Share.Index > cfg.Group.N {
-			return nil, fmt.Errorf("service: share index %d outside group 1..%d", cfg.Share.Index, cfg.Group.N)
-		}
+	if cfg.Member != nil {
 		if index == 0 {
-			index = cfg.Share.Index
+			index = cfg.Member.Index()
 		}
-		if index != cfg.Share.Index {
-			return nil, fmt.Errorf("service: daemon index %d contradicts share index %d", index, cfg.Share.Index)
+		if index != cfg.Member.Index() {
+			return nil, fmt.Errorf("service: daemon index %d contradicts share index %d", index, cfg.Member.Index())
 		}
 	}
 	if index < 1 {
@@ -182,13 +170,13 @@ func NewDaemonSigner(cfg DaemonConfig) (*Signer, error) {
 	// registers its record, so /v1/groups and /readyz list it at once.
 	tn, err := s.tenant(DefaultGroupID, true)
 	switch {
-	case errors.Is(err, ErrGroupDeleted) && cfg.Group == nil:
+	case errors.Is(err, ErrGroupDeleted) && cfg.Member == nil:
 		// A tombstoned default group stays tombstoned and answers 410.
 	case err != nil:
 		return nil, err
-	case cfg.Group != nil:
-		if err := seedDefault(reg, s.log, s.Group(), cfg.Group, func() error {
-			_, err := s.install(tn, cfg.Group, cfg.Share)
+	case cfg.Member != nil:
+		if err := seedDefault(reg, s.log, s.Group(), cfg.Member.Group(), func() error {
+			_, err := s.install(tn, cfg.Member)
 			return err
 		}); err != nil {
 			return nil, err
@@ -292,8 +280,7 @@ func (s *Signer) tenant(gid string, create bool) (*signerTenant, error) {
 	}
 	tn := &signerTenant{id: gid, proto: newProtoHost(s.sessionTTL, s.met.sessionEvictions)}
 	if m, err := s.reg.LoadMember(gid, s.index); err == nil {
-		st := &signerState{group: m.Group(), share: m.PrivateShare()}
-		tn.state.Store(st)
+		tn.member.Store(m)
 	} else if !errors.Is(err, os.ErrNotExist) {
 		return nil, fmt.Errorf("service: loading keystore for group %q: %w", gid, err)
 	}
@@ -390,22 +377,28 @@ func (s *Signer) Group() *core.Group {
 	if err != nil {
 		return nil
 	}
-	if st := tn.state.Load(); st != nil {
-		return st.group
+	return tn.group()
+}
+
+// group is the tenant's current group view, nil until it holds key
+// material.
+func (tn *signerTenant) group() *core.Group {
+	if m := tn.member.Load(); m != nil {
+		return m.Group()
 	}
 	return nil
 }
 
-// keyed loads the tenant's key material, answering 503/no_key_material
-// when there is none yet.
-func (tn *signerTenant) keyed(w http.ResponseWriter) (*signerState, bool) {
-	st := tn.state.Load()
-	if st == nil {
+// keyed loads the tenant's member, answering 503/no_key_material when
+// there is none yet.
+func (tn *signerTenant) keyed(w http.ResponseWriter) (*core.Member, bool) {
+	m := tn.member.Load()
+	if m == nil {
 		writeErrorCode(w, http.StatusServiceUnavailable, CodeNoKey,
 			"signer holds no key material yet (run the distributed keygen)")
 		return nil, false
 	}
-	return st, true
+	return m, true
 }
 
 func (s *Signer) ServeHTTP(w http.ResponseWriter, r *http.Request) {
@@ -432,7 +425,7 @@ func (s *Signer) handleSign(tn *signerTenant, w http.ResponseWriter, r *http.Req
 		writeErrorCode(w, http.StatusBadRequest, CodeEmptyMessage, "missing message")
 		return
 	}
-	st, ok := tn.keyed(w)
+	m, ok := tn.keyed(w)
 	if !ok {
 		return
 	}
@@ -442,7 +435,7 @@ func (s *Signer) handleSign(tn *signerTenant, w http.ResponseWriter, r *http.Req
 	}
 	defer release()
 
-	ps, err := core.ShareSign(st.group.Params, st.share, req.Message)
+	ps, err := m.SignShare(req.Message)
 	if err != nil {
 		writeError(w, http.StatusInternalServerError, err.Error())
 		return
@@ -485,7 +478,7 @@ func (s *Signer) handleSignBatch(tn *signerTenant, w http.ResponseWriter, r *htt
 			return
 		}
 	}
-	st, ok := tn.keyed(w)
+	m, ok := tn.keyed(w)
 	if !ok {
 		return
 	}
@@ -520,7 +513,7 @@ grab:
 			if j >= len(req.Messages) || r.Context().Err() != nil {
 				return
 			}
-			ps, err := core.ShareSign(st.group.Params, st.share, req.Messages[j])
+			ps, err := m.SignShare(req.Messages[j])
 			if err != nil {
 				mu.Lock()
 				if signErr == nil {
@@ -580,22 +573,23 @@ func (s *Signer) acquireWorker(w http.ResponseWriter, r *http.Request) (release 
 }
 
 func (s *Signer) handlePubkey(tn *signerTenant, w http.ResponseWriter, _ *http.Request) {
-	st, ok := tn.keyed(w)
+	m, ok := tn.keyed(w)
 	if !ok {
 		return
 	}
+	g := m.Group()
 	writeJSON(w, http.StatusOK, PubkeyResponse{
-		Domain: st.group.Domain, N: st.group.N, T: st.group.T, PK: st.group.PK.Marshal(),
+		Domain: g.Domain, N: g.N, T: g.T, PK: g.PK.Marshal(),
 	})
 }
 
 func (s *Signer) handleVK(tn *signerTenant, w http.ResponseWriter, _ *http.Request) {
-	st, ok := tn.keyed(w)
+	m, ok := tn.keyed(w)
 	if !ok {
 		return
 	}
 	writeJSON(w, http.StatusOK, VKResponse{
-		Index: s.index, VK: st.group.VKs[s.index].Marshal(),
+		Index: s.index, VK: m.Group().VKs[s.index].Marshal(),
 	})
 }
 

@@ -45,7 +45,7 @@ func TestSignerProducesValidPartial(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !core.ShareVerify(f.group.PK, f.group.VKs[2], msg, ps) {
+	if !f.group.ShareVerify(msg, ps) {
 		t.Fatal("partial signature does not verify")
 	}
 }
@@ -104,7 +104,7 @@ func TestSignerRejectsMalformedRequest(t *testing.T) {
 
 func TestSignerShedsLoadWhenSaturated(t *testing.T) {
 	f := testFixture(t)
-	s, err := NewSigner(f.group, f.shares[1], SignerConfig{MaxWorkers: 1, MaxQueue: 1})
+	s, err := NewSigner(f.members[1], SignerConfig{MaxWorkers: 1, MaxQueue: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -17,15 +17,21 @@
 //
 // # Object model
 //
-// The API is organised around three types. A Scheme fixes the public
-// parameters (derived from a domain-separation label, optionally with
-// the Appendix G aggregation extension). A Group is the public
-// description of one threshold key — the public key, the verification
-// keys, and (n, t) — and carries every public-side operation: Verify,
-// ShareVerify, Combine, batched share verification, and Byzantine-share
-// location. A Member is one server's signing identity — the group view
-// plus that server's constant-size private share — and implements
-// crypto.Signer:
+// The API is organised around three types, and each operation has one
+// entry point, on the type that owns the data it reads. A Scheme fixes
+// the public parameters (derived from a domain-separation label,
+// optionally with the Appendix G aggregation extension) and runs key
+// generation and refresh epochs. A Group is the public description of
+// one threshold key — the public key, the verification keys, and
+// (n, t) — and carries every public-side operation: Verify, ShareVerify,
+// Combine, CombinePreverified, batched share verification,
+// Byzantine-share location, share recovery (RecoverShare) and binding a
+// share to the group (Member). A Member is one server's signing
+// identity — the group view plus that server's constant-size private
+// share — signs (SignShare, SignBatch), applies refresh epochs
+// (ApplyRefresh) and implements crypto.Signer. A bare PublicKey, as a
+// remote service advertises it, verifies on its own (PublicKey.Verify).
+// A whole round in process:
 //
 //	scheme := tsig.NewScheme(tsig.WithDomain("my-app/v1"))
 //	group, members, err := scheme.Keygen(5, 2) // 5 servers, threshold 2
@@ -121,12 +127,6 @@ type (
 // view.
 func NewGroup(domain string, n, t int, view *KeyShares) (*Group, error) {
 	return core.NewGroup(domain, n, t, view)
-}
-
-// NewMember binds a private key share to a group, validating the share's
-// structure and index bounds.
-func NewMember(g *Group, share *PrivateKeyShare) (*Member, error) {
-	return core.NewMember(g, share)
 }
 
 // Codecs: every public type round-trips through a canonical,

@@ -69,7 +69,7 @@ func TestObjectModelEndToEnd(t *testing.T) {
 	}
 
 	// Recovery through the model.
-	recovered, err := RecoverShare(group, []*Member{members[0], members[2]}, 2, nil)
+	recovered, err := group.RecoverShare([]*Member{members[0], members[2]}, 2, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
