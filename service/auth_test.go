@@ -13,7 +13,7 @@ import (
 // Every signer link is plain HTTP, and a signer serves whoever reaches
 // its port exactly as it serves the coordinator. These tests pin that
 // state; ROADMAP item 27 (mutual TLS on every daemon link, and signer
-// routes that answer only the coordinator) turns both of them into
+// routes that answer only the coordinator) turns all three of them into
 // refusals.
 
 // TestDirectSignersAnswerAnyCaller: t+1 direct POST /v1/sign calls, with
@@ -71,5 +71,37 @@ func TestDirectDeleteTombstonesTenant(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusGone {
 		t.Fatalf("GET /v1/pubkey after the delete: status %d, want 410", resp.StatusCode)
+	}
+}
+
+// TestDirectProtoStartReplacesRunningSession: while a signer runs protocol
+// session A, a direct POST /v1/g/{gid}/proto/dkg/start under a fresh id B,
+// from any caller, answers 200 and replaces A — whose next step answers
+// 404 session_not_found. Anyone who can reach a signer can abort its
+// keygen. Item 27 flips this: a start answers only the coordinator.
+func TestDirectProtoStartReplacesRunningSession(t *testing.T) {
+	s, err := NewDaemonSigner(DaemonConfig{Index: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(s)
+	defer srv.Close()
+	base := srv.URL + "/v1/g/vault/proto/dkg"
+	start := func(session string) int {
+		status, _, _ := postProto(t, base+"/start", ProtoStartRequest{Session: session, N: 5, T: 2, Index: 1, Domain: "auth/v1"})
+		return status
+	}
+	if status := start("A"); status != http.StatusOK {
+		t.Fatalf("start A: status %d", status)
+	}
+	if status, _, raw := postProto(t, base+"/step", ProtoStepRequest{Session: "A", Round: 1}); status != http.StatusOK {
+		t.Fatalf("A's round-1 step: status %d: %s", status, raw)
+	}
+	if status := start("B"); status != http.StatusOK {
+		t.Fatalf("a direct start under a fresh id: status %d, want 200", status)
+	}
+	status, er, _ := postProto(t, base+"/step", ProtoStepRequest{Session: "A", Round: 2})
+	if status != http.StatusNotFound || er.Code != CodeSessionNotFound {
+		t.Fatalf("A's next step: status %d code %q, want 404 %q", status, er.Code, CodeSessionNotFound)
 	}
 }

@@ -17,6 +17,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/service/metrics"
 )
 
 // countPath counts POST hits on one path across all signers.
@@ -677,6 +678,7 @@ func TestCoordinatorRejectsBadInputWith400(t *testing.T) {
 
 func TestFlightGroupSurvivesLeaderPanic(t *testing.T) {
 	g := newFlightGroup()
+	g.coalesced = &metrics.Counter{}
 	var key cacheKey
 	key.id[0] = 7
 
@@ -701,8 +703,8 @@ func TestFlightGroupSurvivesLeaderPanic(t *testing.T) {
 		})
 		followerDone <- err
 	}()
-	// Let the follower attach to the in-flight call, then blow it up.
-	time.Sleep(20 * time.Millisecond)
+	// Once the follower is attached to the in-flight call, blow it up.
+	eventually(t, "the follower to attach", func() bool { return g.coalesced.Value() == 1 })
 	close(release)
 
 	if r := <-leaderDone; r == nil {

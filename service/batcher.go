@@ -6,7 +6,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
-	"slices"
 	"sync"
 	"time"
 
@@ -144,85 +143,42 @@ func (b *batcher) send(items []*batchItem) {
 	b.tn.fanOut(WithRequestID(context.Background(), newRequestID()), items)
 }
 
-// heldShare is one share a message holds: decoded, carrying its sender's
-// index, and not convicted. verified is set once Share-Verify passed it;
-// took is its sender's round-trip.
-type heldShare struct {
-	ps       *core.PartialSignature
-	verified bool
-	took     time.Duration
-}
-
-// msgState tracks one in-flight message of a fan-out.
-type msgState struct {
-	held        []heldShare // in arrival order; never more than t+1
-	invalid     []int
-	unreachable []int
-	done        bool
-}
-
-// unverifiedFrom returns the position of signer i's not-yet-checked share
-// in held, or -1.
-func (st *msgState) unverifiedFrom(i int) int {
-	for p, h := range st.held {
-		if h.ps.Index == i && !h.verified {
-			return p
-		}
-	}
-	return -1
-}
-
-// fanOut is the coordinator's one sign pipeline; a single message is a
-// batch of one. It signs every item's message with at most ONE request per
-// signer, asking a quorum first (coordTenant.wave: t+1 healthy signers
-// plus every suspect, lagging and down signer as probes) and releasing the
-// reserve only when an open message falls short of t+1 — an error or a
-// conviction — or the hedge fires at 4× the tenant's pace for this batch
-// size. A signer that errs, answers slower than the hedge or is still out
-// when it fires is marked lagging; one that answers in time is cleared.
-// The first verified signature's fastest share feeds the pace. It
-// combines optimistically: an answer that decodes under its sender's
-// index is held unverified, a message holding t+1 shares is interpolated,
-// and the result is checked by core.CheckSignatures — Verify for one
-// message, one BatchVerify over all messages that reached quorum on the
-// same arrival. Only a verified signature is cached and completes its
-// item. Share-Verify runs to convict, not to acquit: when a combined
-// signature fails, that message's unchecked shares go through
-// core.CheckShares (one call per signer), the bad ones are evicted and
-// their signers marked suspect on the tenant, and the message waits for the
-// next arrival. A suspect's answers are Share-Verified on arrival, while
-// the honest shares are still in flight, until one verifies in full. Items
-// that never reach quorum are completed with a QuorumError whose counts
-// cover verified shares only. Every item is completed before fanOut
-// returns, all on this one goroutine. Once every message is settled the
-// laggard signer requests are canceled — all but a suspect the first wave
-// probed that has not answered yet: a detached goroutine then awaits it,
-// for as long as its request may take, and judges its answer like an
-// on-time one, while fanOut returns at once.
+// fanOut is fanState's I/O shell: a goroutine per signer asked, the hedge
+// timer and cancellation, feeding the policy one event at a time. Every
+// item is completed before it returns, all on this one goroutine. A
+// probed suspect still out at settle is awaited by a detached goroutine,
+// for as long as its request may take (its SignerTimeout), and its answer
+// goes to the same fanState.answer as an on-time one.
 func (tn *coordTenant) fanOut(ctx context.Context, items []*batchItem) {
-	c := tn.c
-	fanOutStart := time.Now()
+	start := time.Now()
 	// A panic must not strand the batch: an item whose done channel never
 	// closes wedges its flight-group key forever (SignBatch's relay
 	// goroutines block on <-it.done), and on the window batcher's
 	// detached goroutines an unrecovered panic kills the whole process.
-	// The panic is converted into each pending item's error instead —
-	// every completion happens on this goroutine, so probing done cannot
-	// race a concurrent complete.
 	defer func() {
-		r := recover()
-		if r == nil {
-			return
-		}
-		err := fmt.Errorf("service: sign fan-out panicked: %v", r)
-		for _, it := range items {
-			select {
-			case <-it.done:
-			default:
-				it.complete(nil, err)
-			}
+		if r := recover(); r != nil {
+			failPending(items, fmt.Errorf("service: sign fan-out panicked: %v", r))
 		}
 	}()
+	msgs := make([][]byte, len(items))
+	for j, it := range items {
+		msgs[j] = it.msg
+	}
+	// The wire shape follows the batch size; fetchPartials picks the
+	// matching route.
+	var req any = SignBatchRequest{Messages: msgs}
+	if len(msgs) == 1 {
+		req = SignRequest{Message: msgs[0]}
+	}
+	body, err := json.Marshal(req)
+	group := tn.group.Load()
+	if group == nil {
+		err = fmt.Errorf("service: coordinator holds no group yet: %w", ErrNoKeyMaterial)
+	}
+	if err != nil {
+		failPending(items, err)
+		return
+	}
 	// The signer requests do not die with the caller: a probed suspect's
 	// may outlive it (the end of fanOut), so the probes are asked on a
 	// context of their own. The caller hanging up ends the fan-out, and
@@ -237,330 +193,70 @@ func (tn *coordTenant) fanOut(ctx context.Context, items []*batchItem) {
 			cancelProbes()
 		}
 	}()
-
-	msgs := make([][]byte, len(items))
-	for j, it := range items {
-		msgs[j] = it.msg
-	}
-	// The wire shape follows the batch size; fetchPartials picks the
-	// matching route.
-	var req any = SignBatchRequest{Messages: msgs}
-	if len(msgs) == 1 {
-		req = SignRequest{Message: msgs[0]}
-	}
-	body, err := json.Marshal(req)
-	if err != nil {
-		for _, it := range items {
-			it.complete(nil, err)
-		}
-		return
-	}
-	// Capture the group view once: a refresh that lands mid-batch must
-	// not mix old and new verification keys within one fan-out.
-	group := tn.group.Load()
-	if group == nil {
-		for _, it := range items {
-			it.complete(nil, fmt.Errorf("service: coordinator holds no group yet: %w", ErrNoKeyMaterial))
-		}
-		return
-	}
-
-	type signerResult struct {
-		index int
-		parts []*core.PartialSignature // parts[j] answers msgs[j]; nil = undecodable
-		took  time.Duration
-		err   error
-	}
-	need := group.T + 1
-	results := make(chan signerResult, group.N)
-	inflight := 0
-	delay := tn.hedgeDelay(len(items))
-	first, reserve := tn.wave(group.N, need, delay == 0)
-	waiting := make([]bool, group.N+1) // waiting[i]: signer i, asked in the first wave, has not answered
-	// probed[i]: signer i was a suspect, neither lagging nor down, when
-	// asked; its answer is judged even after the quorum (end of fanOut).
-	probed := make([]bool, group.N+1)
-	for _, i := range first {
-		waiting[i] = true
-		probed[i] = tn.suspect[i-1].Load() && !tn.lagging[i-1].Load() && !c.backendDown[i-1].Load()
-	}
+	f, first := newFanState(tn, group, items)
+	results := make(chan answer, group.N) // one request per signer at most
 	ask := func(signers []int) {
 		for _, i := range signers {
-			inflight++
 			rctx := ctx
-			if probed[i] {
+			if f.probed[i] {
 				rctx = probeCtx
 			}
-			go func(i int) {
-				start := time.Now()
+			go func() {
+				asked := time.Now()
 				parts, err := tn.fetchPartials(rctx, i, msgs, body)
-				results <- signerResult{index: i, parts: parts, took: time.Since(start), err: err}
-			}(i)
+				results <- answer{index: i, parts: parts, took: time.Since(asked), err: err}
+			}()
 		}
 	}
 	ask(first)
-	// release asks up to k reserve signers, in rotation order.
-	release := func(k int) {
-		k = max(0, min(k, len(reserve)))
-		ask(reserve[:k])
-		reserve = reserve[k:]
-	}
-	// The hedge: a wave that has not made quorum by hedgeFactor × the
-	// tenant's pace gets the whole reserve.
 	var hedge <-chan time.Time
-	if len(reserve) > 0 {
-		timer := time.NewTimer(delay)
+	if len(f.reserve) > 0 {
+		timer := time.NewTimer(f.delay)
 		defer timer.Stop()
 		hedge = timer.C
 	}
-	paced := false
-
-	states := make([]*msgState, len(items))
-	for j := range states {
-		states[j] = &msgState{held: make([]heldShare, 0, need)}
-	}
-	remaining := len(items)
-	settle := func(j int, out *signOutcome, err error) {
-		states[j].done = true
-		remaining--
-		items[j].complete(out, err)
-	}
-	convict := func(st *msgState, i int) {
-		c.met.shareVerifyFailures.WithLabelValues(signerIndexLabel(i)).Inc()
-		st.invalid = append(st.invalid, i)
-		tn.markSuspect(i)
-	}
-	// shareVerify puts signer i's not-yet-checked held shares of messages js
-	// through one CheckShares call (one VK, so the batch keeps its 4-slot
-	// shape), evicting and convicting the bad ones. It reports whether every
-	// share passed.
-	shareVerify := func(i int, js []int) bool {
-		var entries []core.ShareBatchEntry
-		var at []*msgState
-		for _, j := range js {
-			if p := states[j].unverifiedFrom(i); p >= 0 {
-				entries = append(entries, core.ShareBatchEntry{Msg: items[j].msg, VK: group.VKs[i], PS: states[j].held[p].ps})
-				at = append(at, states[j])
-			}
-		}
-		if len(entries) == 0 {
-			return true
-		}
-		c.met.shareChecks.Add(uint64(len(entries)))
-		clean := true
-		for q, ok := range core.CheckShares(group.PK, entries) {
-			st := at[q]
-			p := st.unverifiedFrom(i)
-			if ok {
-				st.held[p].verified = true
-				continue
-			}
-			st.held = append(st.held[:p], st.held[p+1:]...)
-			convict(st, i)
-			clean = false
-		}
-		return clean
-	}
-	shareVerifyAll := func(js []int) {
-		for i := 1; i <= group.N; i++ {
-			shareVerify(i, js)
-		}
-	}
-	// arrived books one answer: an error or an answer slower than the hedge
-	// leaves the rotation; an answer in time rejoins it. No request this
-	// fan-out canceled gets here: the loop below ends before it cancels
-	// any, and the late judge passes over the laggards it let go.
-	arrived := func(i int, took time.Duration, err error) {
-		inflight--
-		waiting[i] = false
-		tn.lagging[i-1].Store(err != nil || (delay > 0 && took > delay))
-	}
-	// admit takes signer r.index's answer on messages js: a part that does
-	// not decode under its sender's index is a conviction, any other is
-	// held. A suspect's parts are Share-Verified at once, and an answer
-	// that is valid in full clears it.
-	admit := func(r signerResult, js []int) {
-		wellFormed := true
-		for _, j := range js {
-			ps := r.parts[j]
-			if ps == nil || ps.Index != r.index {
-				// Undecodable bytes or a replayed share under another index:
-				// Byzantine either way.
-				convict(states[j], r.index)
-				wellFormed = false
-				continue
-			}
-			states[j].held = append(states[j].held, heldShare{ps: ps, took: r.took})
-		}
-		if tn.suspect[r.index-1].Load() && shareVerify(r.index, js) && wellFormed {
-			tn.clearSuspect(r.index)
-		}
-	}
-	pending := func() []int {
-		js := make([]int, 0, remaining)
-		for j, st := range states {
-			if !st.done {
-				js = append(js, j)
-			}
-		}
-		return js
-	}
-
-	for remaining > 0 {
-		// An error or a conviction can leave an open message unable to
-		// reach t+1 from what it holds plus what is still in flight: ask
-		// that many more from the reserve.
-		short := 0
-		for _, st := range states {
-			if !st.done {
-				short = max(short, need-len(st.held)-inflight)
-			}
-		}
-		release(short)
-		if inflight == 0 {
-			break
-		}
-		var r signerResult
+	for f.open > 0 {
 		select {
-		case r = <-results:
+		case a := <-results:
+			a.at = time.Since(start)
+			ask(f.answer(a))
 		case <-hedge:
 			hedge = nil
-			// Whoever in the first wave is still out missed the hedge; its
-			// answer may never be read, so it is marked now.
-			for i := 1; i <= group.N; i++ {
-				if waiting[i] {
-					tn.lagging[i-1].Store(true)
-				}
-			}
-			if len(reserve) > 0 {
-				c.met.fanoutHedges.Inc()
-				release(len(reserve))
-			}
-			continue
+			ask(f.hedge())
 		case <-caller.Done():
-			for _, j := range pending() {
-				items[j].complete(nil, caller.Err())
-			}
+			failPending(items, caller.Err())
 			return
 		}
-		arrived(r.index, r.took, r.err)
-		open := pending()
-		if r.err != nil {
-			for _, j := range open {
-				states[j].unreachable = append(states[j].unreachable, r.index)
-			}
-			continue
-		}
-		admit(r, open)
-
-		// Everything that reached t+1 held shares on this arrival is combined
-		// and checked together.
-		var ready []core.BatchEntry
-		var readyAt []int
-		quorumAt := time.Since(fanOutStart)
-		for _, j := range open {
-			st := states[j]
-			if len(st.held) < need {
-				continue
-			}
-			parts := make([]*core.PartialSignature, len(st.held))
-			for p, h := range st.held {
-				parts[p] = h.ps
-			}
-			sig, err := group.CombinePreverified(parts)
-			if err != nil {
-				settle(j, nil, err)
-				continue
-			}
-			ready = append(ready, core.BatchEntry{Msg: items[j].msg, Sig: sig})
-			readyAt = append(readyAt, j)
-		}
-		var failed []int
-		for q, ok := range core.CheckSignatures(group.PK, ready) {
-			j, st := readyAt[q], states[readyAt[q]]
-			if !ok {
-				failed = append(failed, j)
-				continue
-			}
-			c.met.quorumSeconds.Observe(quorumAt.Seconds())
-			signers := make([]int, len(st.held))
-			fastest := st.held[0].took
-			for p, h := range st.held {
-				signers[p] = h.ps.Index
-				fastest = min(fastest, h.took)
-			}
-			if !paced {
-				paced = true
-				tn.observePace(len(items), fastest)
-			}
-			enc := ready[q].Sig.Marshal()
-			c.cache.add(items[j].key, enc, signers)
-			settle(j, &signOutcome{sig: ready[q].Sig, enc: enc, signers: signers, invalid: st.invalid, unreachable: st.unreachable}, nil)
-		}
-		if len(failed) == 0 {
-			continue
-		}
-		c.met.combineFallbacks.Add(uint64(len(failed)))
-		shareVerifyAll(failed)
-		for _, j := range failed {
-			if len(states[j].held) == need {
-				// Every share verifies and their interpolation does not: not
-				// a Byzantine signer, and not something to wait out.
-				settle(j, nil, fmt.Errorf("service: combined signature failed verification"))
-			}
-		}
 	}
-	// Every item settled, so the laggards are released. A suspect asked as
-	// a probe may still be out, though: its answer is what convicts it
-	// again or clears it. A detached goroutine awaits it, so the callers
-	// do not, for as long as the probe's own request may take (its
-	// SignerTimeout) — never when there is no pace yet, and never for a
-	// lagging or down probe.
 	cancel()
-	outstanding := func() bool {
-		return slices.ContainsFunc(first, func(i int) bool { return probed[i] && waiting[i] })
-	}
-	if remaining == 0 && delay > 0 && outstanding() {
-		judgingLate = true
-		go func() {
-			settled := time.Now()
-			defer cancelProbes()
-			defer func() {
-				if r := recover(); r != nil {
-					c.log.Error("judging a late probe panicked", "gid", tn.id, "panic", r)
-				}
-			}()
-			// The settled states went out with their outcomes; the late
-			// answers are held in fresh ones.
-			all := make([]int, len(states))
-			for j := range states {
-				states[j] = &msgState{done: true}
-				all[j] = j
-			}
-			for outstanding() {
-				r := <-results
-				if !probed[r.index] {
-					continue // a released laggard
-				}
-				arrived(r.index, r.took, r.err)
-				if r.err == nil {
-					admit(r, all)
-				}
-			}
-			c.log.Debug("late probes judged", "gid", tn.id, "after", time.Since(settled))
-		}()
+	if judgingLate = f.judging(); !judgingLate {
 		return
 	}
-	// Valid counts verified shares only, and every Byzantine answer that
-	// arrived is convicted before the accounting is read.
-	open := pending()
-	shareVerifyAll(open)
-	for _, j := range open {
-		st := states[j]
-		items[j].complete(nil, &QuorumError{
-			Need: need, Valid: len(st.held),
-			Invalid: st.invalid, Unreachable: st.unreachable,
-		})
+	go func() {
+		settled := time.Now()
+		defer cancelProbes()
+		defer func() {
+			if r := recover(); r != nil {
+				tn.c.log.Error("judging a late probe panicked", "gid", tn.id, "panic", r)
+			}
+		}()
+		for f.judging() {
+			f.answer(<-results)
+		}
+		tn.c.log.Debug("late probes judged", "gid", tn.id, "after", time.Since(settled))
+	}()
+}
+
+// failPending completes every item still pending with err. fanOut makes
+// every completion on one goroutine, so probing done cannot race a
+// concurrent complete.
+func failPending(items []*batchItem, err error) {
+	for _, it := range items {
+		select {
+		case <-it.done:
+		default:
+			it.complete(nil, err)
+		}
 	}
 }
 

@@ -71,27 +71,14 @@ func (c CoordinatorConfig) withDefaults() CoordinatorConfig {
 	return c
 }
 
-// Coordinator is the signing gateway. It has one fan-out (fanOut, in
-// batcher.go), through which a single message is a batch of one: Sign,
-// SignBatch and the window batcher all hand it their messages. It asks a
-// quorum first — the next t+1 healthy signers in the tenant's rotation,
-// plus every suspect, lagging and unreachable signer as a probe — and
-// keeps the rest in reserve, released when a wave member errors, a
-// conviction leaves a message short, or the wave runs late (4× the
-// tenant's pace, its mean fastest-share round-trip for that batch size).
-// A signer that errs or misses the hedge is lagging until it answers in
-// time; a batch size the tenant has never signed asks all n. It
-// holds the shares as they arrive, and the moment a message has t+1 of
-// them interpolates the full signature and verifies it — the only
-// pairing product an honest fleet pays, and the check nothing skips on
-// its way to a caller or the cache. Slow and unreachable signers are
-// bounded by per-request timeouts. Byzantine
-// answers are convicted by Share-Verify, which runs only when there is
-// someone to convict: on the shares of a combined signature that failed,
-// and on arrival for a signer already convicted (until it next answers
-// with valid shares). Convicted shares are discarded — the protocol is
-// robust, so the coordinator needs no retry rounds as long as t+1 honest
-// signers respond.
+// Coordinator is the signing gateway. It has one fan-out, through which a
+// single message is a batch of one: Sign, SignBatch and the window batcher
+// all hand it their messages. It asks t+1 signers first and the rest only
+// when they fall short or run late, interpolates the first t+1 shares and
+// verifies the signature before anything answers or caches it, and runs
+// Share-Verify only to convict a Byzantine signer — robust with no retry
+// rounds as long as t+1 honest signers respond (fanState, fanout.go, has
+// the whole policy).
 //
 // It is also an http.Handler:
 //
@@ -143,7 +130,7 @@ type coordTenant struct {
 	group atomic.Pointer[core.Group]
 	batch *batcher // nil unless BatchWindow > 0
 	// suspect[i-1] is set while signer i stands convicted of a bad share
-	// for this tenant: fanOut Share-Verifies a suspect's answers on arrival
+	// for this tenant: fanState Share-Verifies a suspect's answers on arrival
 	// instead of holding them for an optimistic combine.
 	suspect []atomic.Bool
 	// rotation advances by t+1 per fan-out, so successive first waves

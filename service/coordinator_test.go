@@ -304,12 +304,41 @@ func TestCoordinatorCoalescesConcurrentDuplicates(t *testing.T) {
 	t.Logf("%d concurrent duplicates -> %d signer requests, %d coalesced", callers, hits.Load(), coalesced)
 }
 
+// gateSigns is a RoundTripper that holds every signer request until open
+// is closed, or the request is canceled; reached takes a token once a
+// request is held.
+type gateSigns struct{ reached, open chan struct{} }
+
+func (g *gateSigns) RoundTrip(r *http.Request) (*http.Response, error) {
+	select {
+	case g.reached <- struct{}{}:
+	default:
+	}
+	select {
+	case <-g.open:
+		return http.DefaultTransport.RoundTrip(r)
+	case <-r.Context().Done():
+		return nil, r.Context().Err()
+	}
+}
+
+// eventually polls cond until it holds, failing the test after ten
+// seconds.
+func eventually(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	for deadline := time.Now().Add(10 * time.Second); !cond(); time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s", what)
+		}
+	}
+}
+
 func TestCoordinatorFollowerSurvivesLeaderCancel(t *testing.T) {
 	f := testFixture(t)
-	urls := startSigners(t, f, func(i int, h http.Handler) http.Handler {
-		return slowSign(h, 300*time.Millisecond)
+	gate := &gateSigns{reached: make(chan struct{}, 1), open: make(chan struct{})}
+	c := newTestCoordinator(t, startSigners(t, f, nil), CoordinatorConfig{
+		CacheSize: -1, SignerTimeout: 5 * time.Second, HTTPClient: &http.Client{Transport: gate},
 	})
-	c := newTestCoordinator(t, urls, CoordinatorConfig{CacheSize: -1, SignerTimeout: 5 * time.Second})
 	msg := []byte("leader dies young")
 
 	// The leader's context is canceled mid-fan-out; a follower with a
@@ -320,7 +349,7 @@ func TestCoordinatorFollowerSurvivesLeaderCancel(t *testing.T) {
 		_, _, err := c.Sign(leaderCtx, msg)
 		leaderErr <- err
 	}()
-	time.Sleep(50 * time.Millisecond) // let the leader start its fan-out
+	<-gate.reached // the leader's fan-out is out, held at the gate
 	followerDone := make(chan error, 1)
 	go func() {
 		sig, _, err := c.Sign(context.Background(), msg)
@@ -329,12 +358,13 @@ func TestCoordinatorFollowerSurvivesLeaderCancel(t *testing.T) {
 		}
 		followerDone <- err
 	}()
-	time.Sleep(50 * time.Millisecond) // let the follower coalesce
+	eventually(t, "the follower to coalesce", func() bool { return c.met.coalesced.Value() == 1 })
 	cancelLeader()
 
 	if err := <-leaderErr; !errors.Is(err, context.Canceled) {
 		t.Fatalf("leader error %v, want context.Canceled", err)
 	}
+	close(gate.open) // the follower's own fan-out goes through
 	if err := <-followerDone; err != nil {
 		t.Fatalf("follower failed after leader cancel: %v", err)
 	}

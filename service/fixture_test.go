@@ -28,7 +28,7 @@ var (
 	fixErr  error
 )
 
-func testFixture(t *testing.T) *fixture {
+func testFixture(t testing.TB) *fixture {
 	t.Helper()
 	fixOnce.Do(func() {
 		params := core.NewParams("service-test/v1")

@@ -141,59 +141,25 @@ func (c *sigCache) add(key cacheKey, sig []byte, signers []int) {
 
 // dropGroup evicts every entry of one tenant — called when a rotation
 // replaces the tenant's key, so signatures under the old key cannot be
-// served for the new epoch. The remaining entries move down over the
-// dropped ones and keep their LRU order.
+// served for the new epoch. The survivors move to a fresh slab, least
+// recently used first, so they keep their LRU order.
 func (c *sigCache) dropGroup(gid string) {
 	if c == nil {
 		return
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	to := make([]int32, len(c.slots)) // each slot's new position, -1 if dropped
-	n := int32(0)
-	for i := range c.slots {
-		if c.slots[i].gid == gid {
-			to[i] = -1
-			delete(c.index, c.slots[i].id)
-			continue
-		}
-		to[i] = n
-		n++
-	}
-	if int(n) == len(c.slots) {
-		return
-	}
-	// Relink the kept slots in LRU order under their new positions, then
-	// move them.
-	first := c.head
-	c.head, c.tail = -1, -1
-	last := int32(-1) // old position of the previous kept slot
-	for i, next := first, int32(0); i >= 0; i = next {
-		next = c.slots[i].next
-		if to[i] < 0 {
-			continue
-		}
-		if last < 0 {
-			c.head = to[i]
-			c.slots[i].prev = -1
-		} else {
-			c.slots[last].next = to[i]
-			c.slots[i].prev = to[last]
-		}
-		last = i
-	}
-	if last >= 0 {
-		c.slots[last].next = -1
-		c.tail = to[last]
-	}
-	for i, j := range to {
-		if j >= 0 && int(j) != i {
-			c.slots[j] = c.slots[i]
-			c.index[c.slots[j].id] = j
+	old, i := c.slots, c.tail
+	c.slots, c.head, c.tail = make([]cacheSlot, 0, len(old)), -1, -1
+	clear(c.index)
+	for ; i >= 0; i = old[i].prev {
+		if old[i].gid != gid {
+			n := int32(len(c.slots))
+			c.slots = append(c.slots, old[i])
+			c.index[old[i].id] = n
+			c.pushFront(n)
 		}
 	}
-	clear(c.slots[n:])
-	c.slots = c.slots[:n]
 }
 
 func (c *sigCache) len() int {

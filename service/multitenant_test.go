@@ -10,7 +10,9 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 	"repro/service/registry"
@@ -543,6 +545,74 @@ func TestGroupRotationAndDeletion(t *testing.T) {
 	}
 	if st, _ = httpPost(t, coordSrv.URL+"/v1/g/bad..%2Fid/sign", string(body)); st == http.StatusOK {
 		t.Fatal("malformed group id accepted")
+	}
+}
+
+// holdSigns is a RoundTripper that, while armed, holds every share answer
+// once it has come back from its signer: held takes one token per answer
+// held, and they all go on when release is closed.
+type holdSigns struct {
+	armed         atomic.Bool
+	held, release chan struct{}
+}
+
+func (h *holdSigns) RoundTrip(r *http.Request) (*http.Response, error) {
+	resp, err := http.DefaultTransport.RoundTrip(r)
+	if err != nil || !h.armed.Load() || !strings.HasSuffix(r.URL.Path, "/sign") {
+		return resp, err
+	}
+	h.held <- struct{}{}
+	<-h.release
+	return resp, nil
+}
+
+// TestRotationRacingFanOutCachesNoStaleSignature: a fan-out whose shares
+// were signed under the old key and arrive after a rotation installed the
+// new one still answers its caller, but leaves nothing in the cache — the
+// next Sign of the same message is signed afresh under the new key.
+func TestRotationRacingFanOutCachesNoStaleSignature(t *testing.T) {
+	const n = 3
+	hs := &holdSigns{held: make(chan struct{}, n), release: make(chan struct{})}
+	coord, _ := startDaemonQuorum(t, n, CoordinatorConfig{HTTPClient: &http.Client{Transport: hs}}, nil, nil)
+	ctx := context.Background()
+	g1, _, err := coord.RunDKGGroup(ctx, "pay", 1, "race/v1", false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	msg := []byte("signed across a rotation")
+	hs.armed.Store(true)
+	signed := make(chan error, 1)
+	go func() {
+		sig, _, err := coord.SignGroup(ctx, "pay", msg)
+		if err == nil && !g1.PK.Verify(msg, sig) {
+			err = errors.New("the held fan-out's signature does not verify under the old key")
+		}
+		signed <- err
+	}()
+	// The tenant's first fan-out asks all n signers: wait until every
+	// answer, signed under the old shares, is held.
+	for range n {
+		select {
+		case <-hs.held:
+		case <-time.After(10 * time.Second):
+			t.Fatal("the share answers never reached the coordinator")
+		}
+	}
+	hs.armed.Store(false)
+	g2, _, err := coord.RunDKGGroup(ctx, "pay", 1, "race/v1", true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	close(hs.release)
+	if err := <-signed; err != nil {
+		t.Fatal(err)
+	}
+	sig, rep, err := coord.SignGroup(ctx, "pay", msg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !g2.PK.Verify(msg, sig) {
+		t.Fatalf("cached=%v: the signature after the rotation does not verify under the new key (old key: %v)", rep.Cached, g1.PK.Verify(msg, sig))
 	}
 }
 

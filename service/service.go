@@ -10,21 +10,15 @@
 //
 // Signer serves one private key share over HTTP: POST /v1/sign returns a
 // marshalled partial signature, with a bounded worker pool shedding load
-// under overload. Coordinator fans a request out to a quorum first — t+1
-// healthy signers in rotation, plus every suspect, lagging and
-// unreachable signer as a probe — and asks the others only when an answer
-// errors, fails Share-Verify, or runs late against the tenant's observed
-// pace (a batch size it has never signed asks all n). It combines
-// optimistically: the first t+1 shares are
-// interpolated as they stand and the full signature is verified once,
-// which is all an honest fleet pays; Share-Verify runs only to convict —
-// on the shares of a combine that failed, and on arrival for a signer
-// already convicted — so slow, down, and Byzantine signers are tolerated
-// exactly as the paper's robust Combine tolerates them. A
-// coalescing layer collapses concurrent requests for the same message
-// into one fan-out (signing is deterministic, so everyone gets the same
-// bytes), and an LRU cache serves repeated messages without touching the
-// network at all.
+// under overload. Coordinator asks a quorum of t+1 signers first, and the
+// others only when one errs, is convicted or runs late; it interpolates
+// the first t+1 shares and verifies the signature once, which is all an
+// honest fleet pays, and runs Share-Verify only to convict — so slow, down
+// and Byzantine signers are tolerated exactly as the paper's robust
+// Combine tolerates them. A coalescing layer collapses concurrent requests
+// for the same message into one fan-out (signing is deterministic, so
+// everyone gets the same bytes), and an LRU cache serves repeated messages
+// without touching the network at all.
 //
 // The service is a multi-tenant KMS: every daemon carries a group
 // registry (service/registry) mapping group IDs to independent key
