@@ -17,7 +17,6 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/service/metrics"
 )
 
 // countPath counts POST hits on one path across all signers.
@@ -674,38 +673,45 @@ func TestCoordinatorRejectsBadInputWith400(t *testing.T) {
 	}
 }
 
-// ---- regression: flightGroup leader panic safety ----
+// ---- regression: flight registry leader panic safety ----
+
+// panicErrCtx is a context whose Err panics once it is done. The fan-out
+// reads Err when its caller hangs up, so canceling the context blows up
+// a fan-out in mid-flight.
+type panicErrCtx struct{ context.Context }
+
+func (p panicErrCtx) Err() error {
+	if p.Context.Err() != nil {
+		panic("sign exploded")
+	}
+	return nil
+}
 
 func TestFlightGroupSurvivesLeaderPanic(t *testing.T) {
-	g := newFlightGroup()
-	g.coalesced = &metrics.Counter{}
-	var key cacheKey
-	key.id[0] = 7
+	f := testFixture(t)
+	gate := &gateSigns{reached: make(chan struct{}, 1), open: make(chan struct{})}
+	c := newTestCoordinator(t, startSigners(t, f, nil), CoordinatorConfig{
+		CacheSize: -1, SignerTimeout: 5 * time.Second, HTTPClient: &http.Client{Transport: gate},
+	})
+	msg := []byte("the leader's fan-out panics")
 
-	leaderIn := make(chan struct{})
-	release := make(chan struct{})
+	leaderCtx, cancelLeader := context.WithCancel(context.Background())
+	defer cancelLeader()
 	leaderDone := make(chan any, 1)
 	go func() {
 		defer func() { leaderDone <- recover() }()
-		_, _, _ = g.do(context.Background(), key, func() (*signOutcome, error) {
-			close(leaderIn)
-			<-release
-			panic("sign exploded")
-		})
+		c.Sign(panicErrCtx{leaderCtx}, msg)
 	}()
-	<-leaderIn
+	<-gate.reached // the leader's fan-out is out, held at the gate
 
 	followerDone := make(chan error, 1)
 	go func() {
-		_, _, err := g.do(context.Background(), key, func() (*signOutcome, error) {
-			t.Error("follower became a second leader while the first was in flight")
-			return nil, nil
-		})
+		_, _, err := c.Sign(context.Background(), msg)
 		followerDone <- err
 	}()
-	// Once the follower is attached to the in-flight call, blow it up.
-	eventually(t, "the follower to attach", func() bool { return g.coalesced.Value() == 1 })
-	close(release)
+	// Once the follower is attached to the in-flight item, blow it up.
+	eventually(t, "the follower to attach", func() bool { return c.met.coalesced.Value() == 1 })
+	cancelLeader()
 
 	if r := <-leaderDone; r == nil {
 		t.Fatal("leader's panic was swallowed")
@@ -718,14 +724,17 @@ func TestFlightGroupSurvivesLeaderPanic(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("follower deadlocked after leader panic")
 	}
-	// The key must be free again: a fresh call runs fn.
-	ran := false
-	_, coalesced, err := g.do(context.Background(), key, func() (*signOutcome, error) {
-		ran = true
-		return &signOutcome{}, nil
-	})
-	if err != nil || !ran || coalesced {
-		t.Fatalf("post-panic call: ran=%v coalesced=%v err=%v", ran, coalesced, err)
+	// The key must be free again: a fresh call leads a fan-out of its own.
+	c.flight.mu.Lock()
+	inFlight := len(c.flight.m)
+	c.flight.mu.Unlock()
+	if inFlight != 0 {
+		t.Fatalf("%d items left in flight after the panic", inFlight)
+	}
+	close(gate.open)
+	sig, report, err := c.Sign(context.Background(), msg)
+	if err != nil || report.Coalesced || !f.group.PK.Verify(msg, sig) {
+		t.Fatalf("post-panic call: coalesced=%v err=%v", report.Coalesced, err)
 	}
 }
 

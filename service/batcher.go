@@ -12,13 +12,14 @@ import (
 	"repro/internal/core"
 )
 
-// batcher collects concurrent Sign calls for DISTINCT messages into one
-// fan-out round-trip per signer: the first message opens a window of
-// BatchWindow, every message arriving before it closes (or the batch
-// filling to MaxBatch) joins, and the whole batch goes through one
-// fanOut — a single request to each signer. This is the complement of
-// the coalescing layer — flightGroup collapses duplicates of ONE message,
-// the batcher amortizes HTTP round-trips across DIFFERENT messages.
+// batcher holds leader items of single-message calls for distinct
+// messages so that they share one fan-out round-trip per signer: the first
+// item opens a window of BatchWindow, every item arriving before it closes
+// (or the batch filling to MaxBatch or the byte budget) joins, and the
+// whole batch goes through one fanOut — a single request to each signer.
+// It decides only when items leave: which caller leads which message is
+// the flight registry's business, so every item here is a distinct
+// message in flight.
 type batcher struct {
 	tn     *coordTenant
 	window time.Duration
@@ -30,8 +31,7 @@ type batcher struct {
 
 // formingBatch is a batch still inside its collection window.
 type formingBatch struct {
-	items map[cacheKey]*batchItem
-	order []*batchItem
+	items []*batchItem
 	bytes int // estimated encoded size of the /v1/sign-batch body so far
 }
 
@@ -45,80 +45,40 @@ const batchBytesBudget = maxRequestBytes - 8192
 // base64 inflates by 4/3, plus quotes and separator.
 func estEncodedBytes(n int) int { return 4*(n+2)/3 + 4 }
 
-// batchItem is one message riding a batch; done is closed once out/err
-// are set. Several waiters may select on done (duplicate submissions of
-// one message join the same item).
-type batchItem struct {
-	msg  []byte
-	key  cacheKey
-	done chan struct{}
-	out  *signOutcome
-	err  error
-}
-
-func (it *batchItem) complete(out *signOutcome, err error) {
-	it.out, it.err = out, err
-	close(it.done)
-}
-
 func newBatcher(tn *coordTenant, window time.Duration, max int) *batcher {
 	return &batcher{tn: tn, window: window, max: max}
 }
 
-// sign joins the forming batch and waits for this message's outcome. The
-// batch itself runs detached from any single caller's context: it serves
-// every joined caller, and its lifetime is already bounded by the
-// per-signer timeouts — so a caller hanging up only stops that caller's
-// wait.
-func (b *batcher) sign(ctx context.Context, msg []byte, key cacheKey) (*signOutcome, error) {
-	it := b.join(msg, key)
-	select {
-	case <-it.done:
-		return it.out, it.err
-	case <-ctx.Done():
-		return nil, ctx.Err()
-	}
-}
-
-// join adds the message to the forming batch, opening a new window when
-// none is collecting and dispatching the batch early when it fills —
-// by message count or by the encoded-bytes budget.
-func (b *batcher) join(msg []byte, key cacheKey) *batchItem {
-	est := estEncodedBytes(len(msg))
+// join adds a leader item to the forming batch, opening a new window when
+// none is collecting and dispatching the batch early when it fills — by
+// message count or by the encoded-bytes budget. The batch runs detached
+// from every caller: it serves them all, and its lifetime is bounded by
+// the per-signer timeouts, so a caller hanging up only stops its own wait.
+func (b *batcher) join(it *batchItem) {
+	est := estEncodedBytes(len(it.msg))
 	b.mu.Lock()
-	if b.cur != nil {
-		if it, ok := b.cur.items[key]; ok {
-			b.mu.Unlock()
-			return it
-		}
-		if b.cur.bytes+est > batchBytesBudget {
-			// This message would push the batch body past what the signers
-			// accept: send the current batch on its way and start a fresh
-			// one. (A single oversized message forms a batch of one, which
-			// fails exactly as it would unbatched.)
-			full := b.cur
-			b.cur = nil
-			go b.send(full.order)
-		}
+	if b.cur != nil && b.cur.bytes+est > batchBytesBudget {
+		// This message would push the batch body past what the signers
+		// accept: send the current batch on its way and start a fresh
+		// one. (A single oversized message forms a batch of one, which
+		// fails exactly as it would unbatched.)
+		full := b.cur
+		b.cur = nil
+		go b.send(full.items)
 	}
-	it := &batchItem{msg: msg, key: key, done: make(chan struct{})}
 	if b.cur == nil {
-		fb := &formingBatch{items: make(map[cacheKey]*batchItem, b.max)}
+		fb := &formingBatch{}
 		b.cur = fb
 		time.AfterFunc(b.window, func() { b.dispatch(fb) })
 	}
 	fb := b.cur
-	fb.items[key] = it
-	fb.order = append(fb.order, it)
+	fb.items = append(fb.items, it)
 	fb.bytes += est
-	if len(fb.order) >= b.max {
+	if len(fb.items) >= b.max {
 		b.cur = nil // full: dispatch now; the window timer becomes a no-op
-		b.mu.Unlock()
-		go b.send(fb.order)
-		return it
+		go b.send(fb.items)
 	}
 	b.mu.Unlock()
-	return it
 }
 
 // dispatch closes the window for fb, unless it already went out full.
@@ -130,16 +90,23 @@ func (b *batcher) dispatch(fb *formingBatch) {
 	}
 	b.cur = nil
 	b.mu.Unlock()
-	b.send(fb.order)
+	b.send(fb.items)
 }
 
 // send dispatches a closed window batch. The fan-out runs detached from
 // any single caller's context, so it carries a fresh request id of its
 // own — the per-caller ids are answered by the callers' own handlers;
-// the batch's id is what the signers' logs see for the merged trip.
+// the batch's id is what the signers' logs see for the merged trip. A
+// panic in it has failed every item already; on this goroutine of its
+// own it is logged, not left to kill the process.
 func (b *batcher) send(items []*batchItem) {
+	defer func() {
+		if r := recover(); r != nil {
+			b.tn.c.log.Error("window fan-out panicked", "gid", b.tn.id, "panic", r)
+		}
+	}()
 	b.tn.c.met.windowOccupancy.Observe(float64(len(items)))
-	//tsiglint:ignore ctxscope a window batch serves many callers and must outlive each of them; cancellation is per-item via batchItem contexts
+	//tsiglint:ignore ctxscope a window batch serves many callers and must outlive each of them; a caller hanging up stops only its own wait on its item
 	b.tn.fanOut(WithRequestID(context.Background(), newRequestID()), items)
 }
 
@@ -152,12 +119,12 @@ func (b *batcher) send(items []*batchItem) {
 func (tn *coordTenant) fanOut(ctx context.Context, items []*batchItem) {
 	start := time.Now()
 	// A panic must not strand the batch: an item whose done channel never
-	// closes wedges its flight-group key forever (SignBatch's relay
-	// goroutines block on <-it.done), and on the window batcher's
-	// detached goroutines an unrecovered panic kills the whole process.
+	// closes wedges its flight key, and every caller waiting on it,
+	// forever. Each item fails, and the panic goes on up.
 	defer func() {
 		if r := recover(); r != nil {
-			failPending(items, fmt.Errorf("service: sign fan-out panicked: %v", r))
+			failPending(items, fmt.Errorf("%w: %v", errFlightPanic, r))
+			panic(r)
 		}
 	}()
 	msgs := make([][]byte, len(items))

@@ -1,100 +1,78 @@
 package service
 
 import (
-	"context"
 	"errors"
 	"sync"
 
+	"repro/internal/core"
 	"repro/service/metrics"
 )
 
-// flightGroup collapses concurrent calls for the same key into a single
-// execution (the singleflight pattern): the first caller becomes the
-// leader and runs fn; followers block until the leader finishes and
-// share its result. Because partial signing is deterministic, every
-// caller asking for the same message gets byte-identical output, so one
-// fan-out to the signers serves them all.
-//
-// The leader runs fn under its own context; a follower whose context
-// expires stops waiting and gets its context error, without disturbing
-// the leader.
+// flightGroup is the coordinator's one registry of messages in flight:
+// it maps a key to the batchItem being signed for it (the singleflight
+// pattern). Because partial signing is deterministic, every caller asking
+// for the same message under the same public key gets byte-identical
+// output, so one item — and one fan-out to the signers — serves them all,
+// whether the callers came through Sign, SignBatch or the window batcher.
 type flightGroup struct {
 	mu sync.Mutex
-	m  map[cacheKey]*flightCall
+	m  map[cacheKey]*batchItem
 
-	// coalesced counts callers that joined an existing flight; nil-safe,
-	// incremented inside claim so Sign, SignBatch, and the batcher all
-	// count through the one choke point.
+	// coalesced counts callers that joined an existing item; nil-safe,
+	// incremented inside claim, the one choke point.
 	coalesced *metrics.Counter
 }
 
-type flightCall struct {
-	done chan struct{} // closed when the leader finishes
-	res  *signOutcome
-	err  error
-}
-
 func newFlightGroup() *flightGroup {
-	return &flightGroup{m: make(map[cacheKey]*flightCall)}
+	return &flightGroup{m: make(map[cacheKey]*batchItem)}
 }
 
-// claim registers the caller as leader for key when no call is in
-// flight, returning leader=true; otherwise it returns the in-flight
-// call for the caller to wait on. A leader MUST eventually call finish
-// exactly once, or every future call for key deadlocks.
-func (g *flightGroup) claim(key cacheKey) (call *flightCall, leader bool) {
+// batchItem is one message being signed. Its leader hands it to a fan-out,
+// which completes it exactly once; any number of callers wait on done.
+type batchItem struct {
+	msg []byte
+	key cacheKey
+	// pk is the public key the tenant served when the item was claimed: a
+	// caller joins the item only under the same key.
+	pk     *core.PublicKey
+	flight *flightGroup // the registry holding the item; nil outside one
+	done   chan struct{}
+	out    *signOutcome
+	err    error
+}
+
+// claim returns the item in flight for key under pk for the caller to
+// wait on; otherwise it registers a fresh item for msg with the caller as
+// its leader (leader=true). A leader MUST hand the item to a fan-out,
+// which completes it, or every later call for key under pk waits forever.
+func (g *flightGroup) claim(key cacheKey, msg []byte, pk *core.PublicKey) (it *batchItem, leader bool) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	if call, ok := g.m[key]; ok {
+	if it, ok := g.m[key]; ok && (it.pk == pk || it.pk.Equal(pk)) {
 		g.coalesced.Inc()
-		return call, false
+		return it, false
 	}
-	call = &flightCall{done: make(chan struct{})}
-	g.m[key] = call
-	return call, true
+	it = &batchItem{msg: msg, key: key, pk: pk, flight: g, done: make(chan struct{})}
+	g.m[key] = it
+	return it, true
 }
 
-// finish publishes the leader's result for key and wakes the followers.
-func (g *flightGroup) finish(key cacheKey, call *flightCall, res *signOutcome, err error) {
-	call.res, call.err = res, err
-	g.mu.Lock()
-	delete(g.m, key)
-	g.mu.Unlock()
-	close(call.done)
-}
-
-// do returns fn's result for key, and whether this caller coalesced onto
-// a leader started by someone else.
-func (g *flightGroup) do(ctx context.Context, key cacheKey, fn func() (*signOutcome, error)) (*signOutcome, bool, error) {
-	call, leader := g.claim(key)
-	if !leader {
-		select {
-		case <-call.done:
-			return call.res, true, call.err
-		case <-ctx.Done():
-			return nil, true, ctx.Err()
+// complete publishes the item's outcome and wakes its waiters. The key is
+// freed first, so a waiter that retries claims afresh — and only if the
+// registry still holds this item: one claimed under a rotated key may have
+// taken its place.
+func (it *batchItem) complete(out *signOutcome, err error) {
+	it.out, it.err = out, err
+	if g := it.flight; g != nil {
+		g.mu.Lock()
+		if g.m[it.key] == it {
+			delete(g.m, it.key)
 		}
+		g.mu.Unlock()
 	}
-	// finish MUST run even if fn panics: otherwise call.done is never
-	// closed and the key stays in g.m, deadlocking every future call for
-	// this message. The panic still propagates to the leader's caller;
-	// followers observe errFlightPanic instead of hanging.
-	var (
-		res      *signOutcome
-		err      error
-		finished bool
-	)
-	defer func() {
-		if !finished {
-			res, err = nil, errFlightPanic
-		}
-		g.finish(key, call, res, err)
-	}()
-	res, err = fn()
-	finished = true
-	return res, false, err
+	close(it.done)
 }
 
-// errFlightPanic is what followers of a coalesced call receive when the
-// leader's fn panicked instead of returning.
-var errFlightPanic = errors.New("service: in-flight sign call panicked")
+// errFlightPanic is what every waiter of a fan-out that panicked
+// receives, wrapped with the panic value.
+var errFlightPanic = errors.New("service: sign fan-out panicked")

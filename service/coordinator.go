@@ -28,10 +28,13 @@ type CoordinatorConfig struct {
 	CacheSize int
 	// HTTPClient overrides the client used for signer requests.
 	HTTPClient *http.Client
-	// BatchWindow, when positive, batches concurrent Sign calls for
-	// distinct messages: the first message waits up to BatchWindow for
-	// company, then the whole batch rides one /v1/sign-batch round-trip
-	// per signer. Zero disables batching (every message fans out alone).
+	// BatchWindow, when positive, batches concurrent single-message calls
+	// (Sign, or SignBatch of one) for distinct messages: the first message
+	// to lead a fan-out waits up to BatchWindow for company, then the whole
+	// batch rides one /v1/sign-batch round-trip per signer, detached from
+	// every caller. It decides only when such a message leaves: callers
+	// coalesce onto it as onto any message in flight. Zero disables
+	// batching (every call fans out its own messages at once).
 	BatchWindow time.Duration
 	// MaxBatch caps the messages per batch — both the window batcher's
 	// fill limit and the /v1/sign-batch request size. Default
@@ -71,10 +74,13 @@ func (c CoordinatorConfig) withDefaults() CoordinatorConfig {
 	return c
 }
 
-// Coordinator is the signing gateway. It has one fan-out, through which a
-// single message is a batch of one: Sign, SignBatch and the window batcher
-// all hand it their messages. It asks t+1 signers first and the rest only
-// when they fall short or run late, interpolates the first t+1 shares and
+// Coordinator is the signing gateway. It has one way in and one fan-out.
+// Sign and SignBatch admit their messages through one path (admit): a
+// message in flight is one item in one registry, which every caller
+// asking for it waits on. The fan-out, through which a single message is
+// a batch of one, completes the items it is handed, at once or after the
+// window batcher's wait. It asks t+1 signers first and the rest only when
+// they fall short or run late, interpolates the first t+1 shares and
 // verifies the signature before anything answers or caches it, and runs
 // Share-Verify only to convict a Byzantine signer — robust with no retry
 // rounds as long as t+1 honest signers respond (fanState, fanout.go, has
@@ -408,53 +414,117 @@ func (tn *coordTenant) sign(ctx context.Context, msg []byte) (signed, SignReport
 	c := tn.c
 	c.met.requests.WithLabelValues(tn.id).Inc()
 	start := time.Now()
-	sig, report, err := tn.signUncounted(ctx, msg)
+	var s [1]signed
+	var res [1]BatchResult
+	err := tn.admit(ctx, [][]byte{msg}, s[:], res[:])
+	if err == nil {
+		err = res[0].Err
+	}
 	c.met.signSeconds.Observe(time.Since(start).Seconds())
 	if err != nil {
 		c.met.errors.WithLabelValues(tn.id).Inc()
 	}
-	return sig, report, err
+	return s[0], res[0].Report, err
 }
 
-func (tn *coordTenant) signUncounted(ctx context.Context, msg []byte) (signed, SignReport, error) {
+// admit is the one way a message reaches a fan-out; Sign is a call of one
+// message, SignBatch of many. Each message is answered from the cache,
+// shares the item of an earlier duplicate in the call, joins the item in
+// flight for it under the same public key (Coalesced), or leads a fresh
+// one. The leaders fan out together on this caller's context — except a
+// one-message call's leader while BatchWindow is set, which waits in the
+// window for company and rides its detached fan-out. Then every item is
+// awaited, and a message whose leader's caller hung up is admitted again
+// while this caller is still there. sigs[j] and results[j] receive message
+// j's outcome, with results[j].Sig left nil.
+func (tn *coordTenant) admit(ctx context.Context, msgs [][]byte, sigs []signed, results []BatchResult) error {
 	c := tn.c
-	if len(msg) == 0 {
-		return signed{}, SignReport{}, ErrEmptyMessage
-	}
 	if tn.group.Load() == nil {
-		return signed{}, SignReport{}, fmt.Errorf("service: coordinator holds no group yet: %w", ErrNoKeyMaterial)
+		return fmt.Errorf("service: coordinator holds no group yet: %w", ErrNoKeyMaterial)
 	}
-	key := sigKey(tn.id, msg)
-	for {
-		if sig, signers, ok := c.cache.get(key); ok {
-			return signed{enc: sig[:]}, SignReport{Signers: signers, Cached: true}, nil
-		}
-		out, coalesced, err := c.flight.do(ctx, key, func() (*signOutcome, error) {
-			if tn.batch != nil {
-				return tn.batch.sign(ctx, msg, key)
+	// waits[j] is the item message j waits on; nil once it is answered.
+	// It is allocated at the first cache miss, so a hit costs nothing.
+	var waits []*batchItem
+	var seen map[cacheKey]int // a batch's first message under each key
+	for pass := 0; ; pass++ {
+		pk := tn.group.Load().PK // a retry joins only items of the key served now
+		var lead []*batchItem
+		clear(seen)
+		for j, msg := range msgs {
+			if pass > 0 && waits[j] == nil {
+				continue // answered on an earlier pass
 			}
-			// A batch of one. Either way the fan-out fills the cache.
-			it := &batchItem{msg: msg, key: key, done: make(chan struct{})}
-			tn.fanOut(ctx, []*batchItem{it})
-			return it.out, it.err
-		})
-		if err != nil {
-			// A follower can inherit the leader's context error (the
-			// leader's client hung up mid-fan-out). If this caller's own
-			// context is still live, the failure isn't its own — loop to
-			// join a fresh flight or become the new leader.
-			if coalesced && ctx.Err() == nil &&
-				(errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)) {
+			if len(msg) == 0 {
+				results[j].Err = ErrEmptyMessage
 				continue
 			}
-			return signed{}, SignReport{Coalesced: coalesced}, err
+			key := sigKey(tn.id, msg)
+			if sig, signers, ok := c.cache.get(key); ok {
+				sigs[j] = signed{enc: sig[:]}
+				results[j] = BatchResult{Report: SignReport{Signers: signers, Cached: true}}
+				if waits != nil {
+					waits[j] = nil
+				}
+				continue
+			}
+			if waits == nil {
+				waits = make([]*batchItem, len(msgs))
+				if len(msgs) > 1 {
+					seen = make(map[cacheKey]int, len(msgs))
+				}
+			}
+			if k, dup := seen[key]; dup {
+				waits[j], results[j] = waits[k], results[k]
+				continue
+			}
+			if seen != nil {
+				seen[key] = j
+			}
+			it, leader := c.flight.claim(key, msg, pk)
+			waits[j] = it
+			results[j] = BatchResult{Report: SignReport{Coalesced: !leader}}
+			if leader {
+				lead = append(lead, it)
+			}
 		}
-		return signed{enc: out.enc, pts: out.sig}, SignReport{
-			Signers:     out.signers,
-			Invalid:     out.invalid,
-			Unreachable: out.unreachable,
-			Coalesced:   coalesced,
-		}, nil
+		switch {
+		case len(lead) == 0:
+		case len(msgs) == 1 && tn.batch != nil:
+			tn.batch.join(lead[0])
+		default:
+			tn.fanOut(ctx, lead)
+		}
+		retry := false
+		for j, it := range waits {
+			if it == nil {
+				continue
+			}
+			waits[j] = nil
+			select {
+			case <-it.done:
+			case <-ctx.Done():
+				results[j].Err = ctx.Err()
+				continue
+			}
+			coalesced := results[j].Report.Coalesced
+			if it.err != nil {
+				if coalesced && ctx.Err() == nil &&
+					(errors.Is(it.err, context.Canceled) || errors.Is(it.err, context.DeadlineExceeded)) {
+					// The leader's caller hung up mid-fan-out, and this
+					// caller is still here: admit the message again.
+					waits[j], retry = it, true
+					continue
+				}
+				results[j].Err = it.err
+				continue
+			}
+			out := it.out
+			sigs[j] = signed{enc: out.enc, pts: out.sig}
+			results[j].Report = SignReport{Signers: out.signers, Invalid: out.invalid, Unreachable: out.unreachable, Coalesced: coalesced}
+		}
+		if !retry {
+			return nil
+		}
 	}
 }
 
@@ -614,94 +684,10 @@ func (tn *coordTenant) signBatch(ctx context.Context, msgs [][]byte) (sigs []sig
 	if len(msgs) > c.cfg.MaxBatch {
 		return nil, nil, fmt.Errorf("service: batch of %d messages exceeds limit %d: %w", len(msgs), c.cfg.MaxBatch, ErrBatchTooLarge)
 	}
-	if tn.group.Load() == nil {
-		return nil, nil, fmt.Errorf("service: coordinator holds no group yet: %w", ErrNoKeyMaterial)
-	}
-	// Each distinct cache-missing message either becomes a flight leader
-	// (it.item != nil) and rides this call's fan-out, or coalesces as a
-	// follower (it.item == nil) onto the flight some other caller leads.
-	type waiter struct {
-		item *batchItem
-		call *flightCall
-	}
 	sigs = make([]signed, len(msgs))
 	results = make([]BatchResult, len(msgs))
-	items := make([]*batchItem, 0, len(msgs)) // this call's flight-leader items, in order
-	waiterFor := make(map[cacheKey]waiter, len(msgs))
-	waiting := make([]waiter, len(msgs)) // per-message; zero value = settled above
-	for j, msg := range msgs {
-		if len(msg) == 0 {
-			results[j] = BatchResult{Err: ErrEmptyMessage}
-			continue
-		}
-		key := sigKey(tn.id, msg)
-		if sig, signers, ok := c.cache.get(key); ok {
-			sigs[j] = signed{enc: sig[:]}
-			results[j] = BatchResult{Report: SignReport{Signers: signers, Cached: true}}
-			continue
-		}
-		w, ok := waiterFor[key]
-		if !ok {
-			call, leader := c.flight.claim(key)
-			w = waiter{call: call}
-			if leader {
-				it := &batchItem{msg: msg, key: key, done: make(chan struct{})}
-				items = append(items, it)
-				w.item = it
-				// Publish to concurrent Sign/SignBatch callers the moment
-				// this item completes, not when the whole batch settles.
-				go func() {
-					<-it.done
-					c.flight.finish(key, call, it.out, it.err)
-				}()
-			}
-			waiterFor[key] = w
-		}
-		waiting[j] = w
-	}
-	if len(items) > 0 {
-		tn.fanOut(ctx, items)
-	}
-	for j, w := range waiting {
-		if w.call == nil {
-			continue
-		}
-		var out *signOutcome
-		var err error
-		if w.item != nil {
-			<-w.item.done // fanOut completed every item before returning
-			out, err = w.item.out, w.item.err
-		} else {
-			select {
-			case <-w.call.done:
-				out, err = w.call.res, w.call.err
-			case <-ctx.Done():
-				results[j] = BatchResult{Err: ctx.Err()}
-				continue
-			}
-			if err != nil && ctx.Err() == nil &&
-				(errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)) {
-				// The OTHER leader's client hung up mid-fan-out; this
-				// caller is still live, so sign the straggler itself
-				// (sign re-checks the cache and claims a fresh flight).
-				var report SignReport
-				if sigs[j], report, err = tn.sign(ctx, msgs[j]); err == nil {
-					results[j] = BatchResult{Report: report}
-					continue
-				}
-			}
-		}
-		if err != nil {
-			results[j] = BatchResult{Err: err}
-			continue
-		}
-		sigs[j] = signed{enc: out.enc, pts: out.sig}
-		results[j] = BatchResult{Report: SignReport{
-			Signers:     out.signers,
-			Invalid:     out.invalid,
-			Unreachable: out.unreachable,
-			Coalesced:   w.item == nil,
-		}}
+	if err := tn.admit(ctx, msgs, sigs, results); err != nil {
+		return nil, nil, err
 	}
 	return sigs, results, ctx.Err()
 }

@@ -370,6 +370,133 @@ func TestCoordinatorFollowerSurvivesLeaderCancel(t *testing.T) {
 	}
 }
 
+// TestWindowLeaderCancelCostsNoSecondFanOut: the window's fan-out is
+// detached from every caller, so a leader hanging up leaves its item in
+// flight, and the follower rides it instead of paying a second fan-out.
+func TestWindowLeaderCancelCostsNoSecondFanOut(t *testing.T) {
+	f := testFixture(t)
+	var hits atomic.Int64
+	gate := &gateSigns{reached: make(chan struct{}, 1), open: make(chan struct{})}
+	urls := startSigners(t, f, func(i int, h http.Handler) http.Handler { return countSign(&hits, h) })
+	c := newTestCoordinator(t, urls, CoordinatorConfig{
+		CacheSize: -1, SignerTimeout: 5 * time.Second, BatchWindow: time.Millisecond,
+		HTTPClient: &http.Client{Transport: gate},
+	})
+	msg := []byte("window leader hangs up")
+
+	leaderCtx, cancelLeader := context.WithCancel(context.Background())
+	leaderErr := make(chan error, 1)
+	go func() {
+		_, _, err := c.Sign(leaderCtx, msg)
+		leaderErr <- err
+	}()
+	<-gate.reached // the window closed and its fan-out is held at the gate
+	type signRes struct {
+		report SignReport
+		err    error
+	}
+	followerDone := make(chan signRes, 1)
+	go func() {
+		sig, report, err := c.Sign(context.Background(), msg)
+		if err == nil && !f.group.PK.Verify(msg, sig) {
+			err = errors.New("follower got an invalid signature")
+		}
+		followerDone <- signRes{report, err}
+	}()
+	eventually(t, "the follower to coalesce", func() bool { return c.met.coalesced.Value() == 1 })
+	cancelLeader()
+	if err := <-leaderErr; !errors.Is(err, context.Canceled) {
+		t.Fatalf("leader error %v, want context.Canceled", err)
+	}
+	close(gate.open)
+	res := <-followerDone
+	if res.err != nil {
+		t.Fatalf("follower: %v", res.err)
+	}
+	if !res.report.Coalesced {
+		t.Fatal("follower not reported as coalesced: it paid a fan-out of its own")
+	}
+	if got := hits.Load(); got > int64(fixN) {
+		t.Fatalf("%d signer requests, want <= %d (one fan-out)", got, fixN)
+	}
+}
+
+// TestSignBatchRetryIsNotASignCall: a SignBatch message whose leader's
+// caller hung up is signed again inside the batch call; it is no Sign
+// call, and the Sign request counter does not see it.
+func TestSignBatchRetryIsNotASignCall(t *testing.T) {
+	f := testFixture(t)
+	gate := &gateSigns{reached: make(chan struct{}, 1), open: make(chan struct{})}
+	c := newTestCoordinator(t, startSigners(t, f, nil), CoordinatorConfig{
+		CacheSize: -1, SignerTimeout: 5 * time.Second, HTTPClient: &http.Client{Transport: gate},
+	})
+	msg := []byte("batch outlives the leader")
+
+	leaderCtx, cancelLeader := context.WithCancel(context.Background())
+	leaderErr := make(chan error, 1)
+	go func() {
+		_, _, err := c.Sign(leaderCtx, msg)
+		leaderErr <- err
+	}()
+	<-gate.reached
+	type batchRes struct {
+		results []BatchResult
+		err     error
+	}
+	batchDone := make(chan batchRes, 1)
+	go func() {
+		results, err := c.SignBatch(context.Background(), [][]byte{msg})
+		batchDone <- batchRes{results, err}
+	}()
+	eventually(t, "the batch message to coalesce", func() bool { return c.met.coalesced.Value() == 1 })
+	cancelLeader()
+	if err := <-leaderErr; !errors.Is(err, context.Canceled) {
+		t.Fatalf("leader error %v, want context.Canceled", err)
+	}
+	close(gate.open)
+	br := <-batchDone
+	if br.err != nil {
+		t.Fatal(br.err)
+	}
+	if err := br.results[0].Err; err != nil {
+		t.Fatalf("batch message after the leader hung up: %v", err)
+	}
+	if !f.group.PK.Verify(msg, br.results[0].Sig) {
+		t.Fatal("batch message: invalid signature")
+	}
+	if got := c.met.requests.WithLabelValues(DefaultGroupID).Value(); got != 1 {
+		t.Fatalf("sign requests_total = %d for one Sign call, want 1", got)
+	}
+	if got := c.met.batchRequests.WithLabelValues(DefaultGroupID).Value(); got != 1 {
+		t.Fatalf("batch_requests_total = %d for one SignBatch call, want 1", got)
+	}
+}
+
+// TestSignCacheHitAllocations: a one-message Sign served from the cache
+// allocates the returned encoding and signer list and nothing else — the
+// admission path shared with SignBatch costs a hit nothing.
+func TestSignCacheHitAllocations(t *testing.T) {
+	f := testFixture(t)
+	c := newTestCoordinator(t, startSigners(t, f, nil), CoordinatorConfig{SignerTimeout: 60 * time.Second})
+	tn, err := c.tenant(DefaultGroupID, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	msg := []byte("hot message")
+	if _, _, err := tn.sign(ctx, msg); err != nil {
+		t.Fatal(err)
+	}
+	var report SignReport
+	n := testing.AllocsPerRun(100, func() { _, report, _ = tn.sign(ctx, msg) })
+	if !report.Cached {
+		t.Fatal("the measured call was not a cache hit")
+	}
+	if n > 2 {
+		t.Fatalf("a one-message cache hit allocates %v times, want <= 2", n)
+	}
+}
+
 func TestSigCacheLRUEviction(t *testing.T) {
 	c := newSigCache(2)
 	k := func(b byte) cacheKey { var k cacheKey; k.id[0] = b; return k }

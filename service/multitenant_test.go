@@ -569,7 +569,10 @@ func (h *holdSigns) RoundTrip(r *http.Request) (*http.Response, error) {
 // TestRotationRacingFanOutCachesNoStaleSignature: a fan-out whose shares
 // were signed under the old key and arrive after a rotation installed the
 // new one still answers its caller, but leaves nothing in the cache — the
-// next Sign of the same message is signed afresh under the new key.
+// next Sign of the same message is signed afresh under the new key. A Sign
+// of the same message that starts after the rotation returned, while that
+// fan-out is still out, does not join it: it leads a fan-out of its own
+// under the new key.
 func TestRotationRacingFanOutCachesNoStaleSignature(t *testing.T) {
 	const n = 3
 	hs := &holdSigns{held: make(chan struct{}, n), release: make(chan struct{})}
@@ -603,7 +606,32 @@ func TestRotationRacingFanOutCachesNoStaleSignature(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	close(hs.release)
+	type signRes struct {
+		sig *core.Signature
+		rep SignReport
+		err error
+	}
+	follower := make(chan signRes, 1)
+	go func() {
+		sig, rep, err := coord.SignGroup(ctx, "pay", msg)
+		follower <- signRes{sig, rep, err}
+	}()
+	var fr signRes
+	select {
+	case fr = <-follower:
+		close(hs.release)
+	case <-time.After(10 * time.Second):
+		t.Error("the post-rotation Sign waited on the pre-rotation fan-out")
+		close(hs.release)
+		fr = <-follower
+	}
+	if fr.err != nil {
+		t.Fatalf("post-rotation Sign: %v", fr.err)
+	}
+	if !g2.PK.Verify(msg, fr.sig) || fr.rep.Coalesced {
+		t.Fatalf("post-rotation Sign: coalesced=%v, verifies under the new key %v, under the old key %v",
+			fr.rep.Coalesced, g2.PK.Verify(msg, fr.sig), g1.PK.Verify(msg, fr.sig))
+	}
 	if err := <-signed; err != nil {
 		t.Fatal(err)
 	}

@@ -153,11 +153,11 @@ func newCoordMetrics(c *Coordinator) *coordMetrics {
 		fanoutHedges: r.NewCounter("tsig_coordinator_fanout_hedges_total",
 			"Fan-outs whose first wave had not reached quorum by 4x the tenant's pace (its mean fastest-share round-trip for that batch size) and asked the reserve signers; flat while an honest fleet answers on time."),
 		cacheHits: r.NewCounter("tsig_coordinator_cache_hits_total",
-			"Sign calls served from the signature LRU."),
+			"Messages, of Sign and SignBatch calls, served from the signature LRU."),
 		cacheMisses: r.NewCounter("tsig_coordinator_cache_misses_total",
-			"Sign calls that missed the signature LRU."),
+			"Messages, of Sign and SignBatch calls, that missed the signature LRU."),
 		coalesced: r.NewCounter("tsig_coordinator_coalesced_total",
-			"Sign calls that joined another caller's in-flight fan-out."),
+			"Messages, of Sign and SignBatch calls, that joined another caller's in-flight fan-out."),
 		windowOccupancy: r.NewHistogram("tsig_coordinator_batch_window_occupancy",
 			"Messages per dispatched window batch.", metrics.SizeBuckets),
 		precomputeRebuilds: r.NewCounter("tsig_pairing_precompute_rebuilds_total",
